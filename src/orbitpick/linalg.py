@@ -1,14 +1,12 @@
 """Dense Hermitian eigenvalue and positivity checks.
 
-The primary solver is a cyclic Jacobi iteration on the real symmetric
-embedding [[X, -Y], [Y, X]] of a Hermitian matrix X + iY, whose
-spectrum is that of the Hermitian matrix with doubled multiplicities.
-Jacobi is deterministic and accurate to a tiny multiple of the norm,
-which is what the positivity verdicts need.  Matrices larger than
-``JACOBI_SIZE_LIMIT`` are routed to LAPACK's symmetric eigensolver
-(numpy.linalg.eigvalsh), an equivalent iteration that keeps the big
-orbit-block checks at interactive speed; the 3x3 principal-minor
-routine below stays available as an independent cross-check.
+Every eigen-solve goes through LAPACK's Hermitian solvers
+(numpy.linalg.eigvalsh and eigh), whose computed eigenvalues are exact
+for a matrix within a small multiple of n * eps * ||A|| of the input;
+the positivity tolerances below sit well above that.  ``pencil_max``
+solves the generalized problem behind extremal norms with one
+factorization of K.  The 3x3 principal-minor routine at the end is
+independent of LAPACK and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -18,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NoConvergence
+from .errors import InputError
 
-JACOBI_SIZE_LIMIT = 16
-_MAX_SWEEPS = 100
-_OFF_TARGET = 1e-14
+MAX_DIMENSION = 2000
+# Relative eigenvalue floor below which ``pencil_max`` treats a
+# direction of K as outside its range.  LAPACK's absolute eigenvalue
+# error, about n * eps * ||K||, reaches it at a few hundred rows.
+RANGE_CUTOFF = 1e-13
 
 
 @dataclass(frozen=True)
@@ -69,91 +69,43 @@ def _as_matrix(a) -> np.ndarray:
     return HermitianMatrix(a).entries
 
 
-def _real_embedding(a: np.ndarray) -> np.ndarray:
-    # Symmetrize first so the embedding is exactly symmetric.
-    h = 0.5 * (a + a.conj().T)
-    x = h.real
-    y = h.imag
-    top = np.hstack([x, -y])
-    bot = np.hstack([y, x])
-    return np.vstack([top, bot])
-
-
-def _jacobi_sweeps(m: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Run cyclic Jacobi rotations on a real symmetric matrix in place
-    until the off-diagonal Frobenius norm falls below
-    1e-14 * ||m||_F.  Returns the diagonal."""
-    n = m.shape[0]
-    frob = float(np.linalg.norm(m))
-    if frob == 0.0:
-        return np.diag(m).copy()
-    # the embedding doubles the squared norm; anchor the target to the
-    # Frobenius norm of the original Hermitian matrix
-    target = _OFF_TARGET * frob / math.sqrt(2.0)
-    for _ in range(max_sweeps):
-        hollow = m.copy()
-        np.fill_diagonal(hollow, 0.0)
-        if float(np.linalg.norm(hollow)) <= target:
-            return np.diag(m).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 0.5 / theta  # asymptotic rotation, avoids theta**2 overflow
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                cp = m[:, p].copy()
-                cq = m[:, q].copy()
-                m[:, p] = c * cp - s * cq
-                m[:, q] = s * cp + c * cq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-    raise NoConvergence(
-        f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-    )
-
-
-def jacobi_eigenvalues(a, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix by cyclic Jacobi, ascending.
-
-    The real embedding doubles every eigenvalue; the doubled list is
-    sorted and decimated back to length n.
-    """
-    h = _as_matrix(a)
-    if h.shape[0] == 0:
-        return np.empty(0)
-    diag = _jacobi_sweeps(_real_embedding(h), max_sweeps)
-    return np.sort(diag)[::2]
-
-
-def min_eig(a, method: str = "auto") -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    ``method`` is "jacobi", "lapack", or "auto" (jacobi up to
-    ``JACOBI_SIZE_LIMIT``, LAPACK beyond).
-    """
+def _solvable(a) -> np.ndarray:
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
-    if n > 2000:
-        raise InputError(f"matrix dimension {n} exceeds the supported 2000")
-    if method not in ("auto", "jacobi", "lapack"):
-        raise InputError(f"unknown eigenvalue method {method!r}")
-    if method == "jacobi" or (method == "auto" and n <= JACOBI_SIZE_LIMIT):
-        return float(np.min(_jacobi_sweeps(_real_embedding(h), _MAX_SWEEPS)))
-    return float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
+    if n > MAX_DIMENSION:
+        raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
+    return 0.5 * (h + h.conj().T)
+
+
+def min_eig(a) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return float(np.linalg.eigvalsh(_solvable(a))[0])
+
+
+def pencil_max(k, b) -> float:
+    """Largest eigenvalue of the pencil B - lambda K on the numerical
+    range of the positive semidefinite matrix K.
+
+    With K = U diag(lam) U^H, the directions whose eigenvalue lies above
+    ``RANGE_CUTOFF`` times the largest are kept and the result is the
+    largest eigenvalue of lam_r^{-1/2} U_r^H B U_r lam_r^{-1/2}: the
+    least t with t K - B positive on that range.  Directions K
+    annihilates to working precision are not seen; callers that need
+    the answer on the whole space check it there.
+    """
+    kh = _solvable(k)
+    bh = _solvable(b)
+    if bh.shape != kh.shape:
+        raise InputError(f"pencil shapes differ: {kh.shape} and {bh.shape}")
+    lam, u = np.linalg.eigh(kh)
+    if not lam[-1] > 0.0:
+        raise InputError("the pencil's K has no positive eigenvalue")
+    keep = lam > RANGE_CUTOFF * lam[-1]
+    ur = u[:, keep] / np.sqrt(lam[keep])
+    m = ur.conj().T @ bh @ ur
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
 
 
 def default_psd_tolerance(a) -> float:
@@ -162,19 +114,19 @@ def default_psd_tolerance(a) -> float:
     return 1e-10 * (1.0 + max(dmax, 0.0))
 
 
-def psd_check(a, tol: float | None = None, method: str = "auto") -> PsdReport:
+def psd_check(a, tol: float | None = None) -> PsdReport:
     """Positive-semidefiniteness verdict with an explicit tolerance.
 
     The default tolerance 1e-10 * (1 + max diagonal) is anchored to the
     diagonal because the matrices arising here scale with kernel
     magnitudes near the boundary.
     """
-    h = _as_matrix(a)
+    h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
     if tol is None:
         tol = default_psd_tolerance(h)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
-    lo = min_eig(h, method=method)
+    lo = min_eig(h)
     return PsdReport(min_eigenvalue=lo, is_psd=lo >= -tol, tolerance_used=tol)
 
 

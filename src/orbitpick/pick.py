@@ -7,7 +7,10 @@ kernel is decided by positivity of the matrix
     A = [(I - W_i W_j^H)     K(z_i, z_j)]      (matrix targets),
 
 and the extremal multiplier norm on the kernel span is the least c with
-[(c^2 - w_i conj(w_j)) K] positive, found by bisection.  Solutions on
+[(c^2 - w_i conj(w_j)) K] positive.  c^2 is the largest eigenvalue of
+the pencil ((w w^H) o K, K), taken by one eigen-solve on the numerical
+range of K and accepted only after the positivity check above passes
+at c; bisection on that check is the fallback.  Solutions on
 the disk itself are constructed by the classical Schur recursion; a
 problem posed on the span of powers of an inner function phi reduces to
 a disk problem at the points phi(z_j)^m and composes back.
@@ -36,13 +39,14 @@ from .kernels import (
     SzegoKernel,
     kernel_eval,
 )
-from .linalg import HermitianMatrix, PsdReport, psd_check
+from .linalg import HermitianMatrix, PsdReport, pencil_max, psd_check
 from .mobius import disk_point, iterate_cyclic, pseudo_hyperbolic
 from .orbits import GroupPresentation
 
 _NODE_TOL = 1e-10
 _ALIAS_TOL = 1e-10
 _TARGET_RESIDUAL = 1e-8
+_NORM_WIDTH = 1e-10  # relative width of the fallback bisection in pick_norm
 
 # Widths of the band around the unit circle treated as "the reduced
 # target reached the circle" (a singular Pick matrix), tried tightest
@@ -138,14 +142,20 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
                         f"nodes {i} and {j} collapse under the inner map "
                         "but their targets differ"
                     )
-    n = len(problem.nodes)
+    return HermitianMatrix(
+        _weighted(problem, _kernel_matrix(problem.kernel, problem.nodes))
+    )
+
+
+def _kernel_matrix(kernel: KernelSpec, nodes) -> np.ndarray:
+    n = len(nodes)
     kmat = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            v = kernel_eval(problem.kernel, problem.nodes[i], problem.nodes[j])
+            v = kernel_eval(kernel, nodes[i], nodes[j])
             kmat[i, j] = v
             kmat[j, i] = v.conjugate()
-    return HermitianMatrix(_weighted(problem, kmat))
+    return kmat
 
 
 def _weighted(problem: PickProblem, kmat: np.ndarray) -> np.ndarray:
@@ -236,18 +246,18 @@ def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityRe
     return FeasibilityReport(psd=psd_check(mat, tol=tol), matrix=mat)
 
 
-def pick_norm(
-    nodes,
-    targets,
-    kernel: KernelSpec,
-    width: float = 1e-10,
-) -> float:
+def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     """Least c such that [(c^2 - w_i conj(w_j)) K(z_i, z_j)] is positive
     semidefinite: the norm of the multiplication operator compressed to
-    the span of the kernel functions at the nodes.
+    the span of the kernel functions at the nodes; scalar targets only.
 
-    Positivity is monotone in c, so the value is found by bisection to
-    absolute width ``width``; scalar targets only.
+    c^2 is the largest eigenvalue of the pencil (w w^H) o K - t K, found
+    by one eigen-solve on the numerical range of K (``pencil_max``).  c
+    is returned only if the positivity check the verdicts use accepts
+    it, so a norm <= 1 comes with a feasible verdict.  When the
+    check rejects it, target weight sits on directions K annihilates to
+    working precision, and the least accepted c is found by bisection
+    to relative width 1e-10 instead.
     """
     nodes = tuple(disk_point(z) for z in nodes)
     targets = tuple(complex(w) for w in targets)
@@ -270,38 +280,21 @@ def pick_norm(
     if wmax == 0.0:
         return 0.0
     if isinstance(kernel, OrbitGramKernel):
-        n = len(nodes)
+        # one row per orbit point, each carrying its node's target
         blocks = _orbit_blocks(kernel.group, kernel.depth, nodes)
-
-        def matrix_at(c: float) -> np.ndarray:
-            rows = [
-                np.hstack(
-                    [
-                        (c * c - targets[i] * targets[j].conjugate()) * blocks[i][j]
-                        for j in range(n)
-                    ]
-                )
-                for i in range(n)
-            ]
-            return np.vstack(rows)
-
+        kmat = np.block(blocks)
+        w = np.repeat(np.array(targets), [row[0].shape[0] for row in blocks])
     else:
-        n = len(nodes)
-        kmat = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                v = kernel_eval(kernel, nodes[i], nodes[j])
-                kmat[i, j] = v
-                kmat[j, i] = v.conjugate()
-        warr = np.array(targets, dtype=complex)
-
-        def matrix_at(c: float) -> np.ndarray:
-            return (c * c - np.outer(warr, warr.conj())) * kmat
+        kmat = _kernel_matrix(kernel, nodes)
+        w = np.array(targets)
+    outer = np.outer(w, w.conj())
 
     def is_psd(c: float) -> bool:
-        m = matrix_at(c)
-        return psd_check(HermitianMatrix(m)).is_psd
+        return psd_check(HermitianMatrix((c * c - outer) * kmat)).is_psd
 
+    c = math.sqrt(max(pencil_max(kmat, outer * kmat), 0.0))
+    if is_psd(c):
+        return c
     lo = wmax * 1e-6
     hi = wmax * len(nodes)
     grow = 0
@@ -314,13 +307,13 @@ def pick_norm(
                 "data may identify orbit-equivalent nodes with different "
                 "targets"
             )
-    while hi - lo > width:
+    while hi - lo > _NORM_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         if is_psd(mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True)

@@ -162,17 +162,6 @@ def test_condition_equivalence_other_parameters(a):
     assert agree == 20
 
 
-def test_jacobi_handles_degenerate_spectra():
-    from orbitpick.linalg import jacobi_eigenvalues
-
-    # repeated eigenvalues {1, 1, 3} through a unitary conjugation
-    rng = np.random.default_rng(8)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    a = q @ np.diag([1.0, 1.0, 3.0]) @ q.conj().T
-    eigs = jacobi_eigenvalues(a)
-    assert np.max(np.abs(eigs - np.array([1.0, 1.0, 3.0]))) <= 1e-12
-
-
 def test_cli_reports_identical_across_processes(tmp_path):
     doc = {
         "group": {"kind": "z2z2", "a": 0.5},

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,8 +6,8 @@ from orbitpick.errors import InputError
 from orbitpick.linalg import (
     HermitianMatrix,
     brute_force_psd_3x3,
-    jacobi_eigenvalues,
     min_eig,
+    pencil_max,
     psd_check,
 )
 
@@ -33,21 +34,42 @@ def test_min_eig_complex_matrix():
     assert min_eig(a) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_jacobi_matches_lapack():
+def mpmath_min_eig(a):
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in a])
+        return float(min(mpmath.eigh(m, eigvals_only=True)))
+
+
+def test_min_eig_matches_mpmath():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 5, 8, 12):
         a = random_hermitian(rng, n)
-        mine = jacobi_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(mine - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+        ref = mpmath_min_eig(a)
+        assert abs(min_eig(a) - ref) <= 10 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
 
 
-def test_jacobi_and_lapack_paths_agree_in_min_eig():
-    rng = np.random.default_rng(6)
-    a = random_hermitian(rng, 10)
-    assert min_eig(a, method="jacobi") == pytest.approx(
-        min_eig(a, method="lapack"), abs=1e-12
+def test_min_eig_degenerate_spectrum_matches_mpmath():
+    # repeated eigenvalues {1, 1, 3} through a unitary conjugation
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = q @ np.diag([1.0, 1.0, 3.0]) @ q.conj().T
+    assert abs(min_eig(a) - mpmath_min_eig(a)) <= 1e-14
+
+
+def test_pencil_max_on_the_range_of_k():
+    rng = np.random.default_rng(17)
+    b = random_hermitian(rng, 4)
+    assert pencil_max(np.eye(4), b) == pytest.approx(
+        np.linalg.eigvalsh(b)[-1], abs=1e-13
     )
+    # K = diag(2, 0): only the first direction counts, where t * 2 >= 6
+    assert pencil_max(np.diag([2.0, 0.0]), np.diag([6.0, 5.0])) == pytest.approx(
+        3.0, abs=1e-14
+    )
+    with pytest.raises(InputError):
+        pencil_max(np.eye(2), np.eye(3))
+    with pytest.raises(InputError):
+        pencil_max(np.zeros((2, 2)), np.eye(2))
 
 
 def test_shift_invariance():
@@ -66,10 +88,12 @@ def test_min_eig_below_smallest_diagonal():
 
 
 def test_eigenvalue_sum_matches_trace():
+    # a 2x2 spectrum is its smallest and its largest eigenvalue
     rng = np.random.default_rng(21)
-    a = random_hermitian(rng, 7)
-    eigs = jacobi_eigenvalues(a)
-    assert np.sum(eigs) == pytest.approx(np.trace(a).real, abs=1e-12 * 7)
+    for _ in range(10):
+        a = random_hermitian(rng, 2)
+        total = min_eig(a) + pencil_max(np.eye(2), a)
+        assert total == pytest.approx(np.trace(a).real, abs=1e-12 * 2)
 
 
 def test_psd_check_examples():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from orbitpick.errors import (
     DuplicateNodes,
     Infeasible,
     InputError,
+    NumericalError,
     UnsupportedVariant,
 )
 from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel
@@ -203,6 +205,55 @@ def test_pick_norm_scaling():
     for c in (0.5, 2.0, 7.5):
         scaled = pick_norm(nodes, tuple(c * w for w in targets), SzegoKernel())
         assert abs(scaled - c * base) <= 1e-8
+    tiny = pick_norm(nodes, tuple(1e-9 * w for w in targets), SzegoKernel())
+    assert abs(tiny - 1e-9 * base) <= 1e-8 * 1e-9 * base
+
+
+def mpmath_szego_norm(nodes, targets):
+    """Extremal norm at 50 digits: c^2 is the largest eigenvalue of
+    L^-1 (w w^H o K) L^-H with K = L L^H."""
+    with mpmath.workdps(50):
+        zs = [mpmath.mpc(z) for z in nodes]
+        ws = [mpmath.mpc(w) for w in targets]
+        n = len(zs)
+        k = mpmath.matrix(n, n)
+        b = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                k[i, j] = 1 / (1 - zs[i] * mpmath.conj(zs[j]))
+                b[i, j] = ws[i] * mpmath.conj(ws[j]) * k[i, j]
+        linv = mpmath.inverse(mpmath.cholesky(k))
+        m = linv * b * linv.transpose_conj()
+        m = (m + m.transpose_conj()) / 2
+        return float(mpmath.sqrt(max(mpmath.eigh(m, eigvals_only=True))))
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_pick_norm_matches_mpmath(n):
+    # a backward-stable solve moves the norm by up to about eps * cond(K)
+    # relative; that exceeds 1e-8 at n = 12, where cond(K) = 1.1e9
+    rng = np.random.default_rng(1)
+    nodes = random_nodes(rng, n)
+    targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(n))
+    ref = mpmath_szego_norm(nodes, targets)
+    z = np.array(nodes)
+    cond = np.linalg.cond(1.0 / (1.0 - np.outer(z, z.conj())))
+    bound = max(1e-8, np.finfo(float).eps * cond)
+    assert abs(pick_norm(nodes, targets, SzegoKernel()) - ref) <= bound * ref
+
+
+def test_pick_norm_orbit_equivalent_nodes():
+    # z and t(z) share an orbit, so with different targets no finite
+    # scale interpolates; truncation leaves a huge but finite norm
+    group = cyclic_group(0.5)
+    z = 0.1 + 0.2j
+    nodes = (z, group.generators[0](z))
+    targets = (0.2 + 0j, -0.1 + 0j)
+    try:
+        value = pick_norm(nodes, targets, OrbitGramKernel(group, 40))
+    except NumericalError:
+        return
+    assert value > 100 * 0.2
 
 
 def test_pick_norm_feasibility_consistency():
