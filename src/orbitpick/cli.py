@@ -253,18 +253,17 @@ def cmd_orbit(doc, args):
     base = doc.get("base", [0.0, 0.0])
     base = _disk_pair(base, "$.base")
     orbit = orb.enumerate_orbit(group, base, depth)
-    partial, tail = orb.blaschke_sum(orbit)
     payload = {
         "entries": [
             {"word": e.word, "point": e.point, "weight": e.weight}
             for e in orbit.entries
         ],
-        "partial_sum": partial,
-        "tail_bound": tail,
+        "partial_sum": orbit.partial_sum,
+        "tail_bound": orbit.tail_bound,
         "dropped_boundary_points": orbit.dropped,
         "stabilizer_order_origin": orb.stabilizer_order_origin(group),
     }
-    if tail is None:
+    if orbit.tail_bound is None:
         payload["note"] = "no convergence certificate for generic presentations"
     return payload, EXIT_OK
 
@@ -472,8 +471,7 @@ def _verify_checks(seed: int, grid_n: int):
 
     def orbit_sums():
         orbit = orb.enumerate_orbit(orb.cyclic_group(0.5), 0j, 2)
-        partial, tail = orb.blaschke_sum(orbit)
-        err = max(abs(partial - 2.4), abs(tail - 2.0 / 9.0))
+        err = max(abs(orbit.partial_sum - 2.4), abs(orbit.tail_bound - 2.0 / 9.0))
         return err, err <= 1e-12
 
     def character_identity():

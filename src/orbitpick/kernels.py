@@ -34,6 +34,7 @@ from .orbits import GroupPresentation, enumerate_orbit
 KERNEL_POINT_RADIUS = bl.EVAL_RADIUS_LIMIT
 
 _DISTINCT_TOL = 1e-10
+_COINCIDE = "points {i} and {j} coincide within {tol}"
 
 # Interior circle used for the analytic part of the boundary Gram
 # integrals; any radius in (0, 1) gives the same mean, and 1/2 keeps
@@ -102,14 +103,15 @@ def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> complex:
     )
 
 
-def _check_distinct(points) -> list[complex]:
+def check_distinct(points, tol: float, error: type, message: str) -> list[complex]:
+    """Validated disk points, pairwise more than ``tol`` apart in the
+    pseudo-hyperbolic metric.  The first pair i < j within ``tol``
+    raises ``error(message.format(i=i, j=j, tol=tol))``."""
     pts = [disk_point(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if pseudo_hyperbolic(pts[i], pts[j]) <= _DISTINCT_TOL:
-                raise DuplicatePoints(
-                    f"points {i} and {j} coincide within {_DISTINCT_TOL}"
-                )
+            if pseudo_hyperbolic(pts[i], pts[j]) <= tol:
+                raise error(message.format(i=i, j=j, tol=tol))
     return pts
 
 
@@ -119,7 +121,7 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     For the orbit variant the result is the block matrix over the
     truncated orbits of every point, in deterministic orbit order.
     """
-    pts = _check_distinct(points)
+    pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
     if not pts:
         raise InputError("at least one point is required")
     if isinstance(spec, OrbitGramKernel):
@@ -193,7 +195,7 @@ def dominance_check(
     """
     if isinstance(k_sigma, OrbitGramKernel):
         raise UnsupportedVariant("dominance is defined for scalar kernels only")
-    pts = _check_distinct(points)
+    pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
     bvals = [bl.evaluate(b_gamma, p)[0] for p in pts]
     n = len(pts)
     d = np.empty((n, n), dtype=complex)

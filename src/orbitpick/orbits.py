@@ -17,6 +17,16 @@ deduplicated against all accepted points in the pseudo-hyperbolic
 metric.  Words are recorded as strings over 'a', 'b', ... for the
 generators and 'A', 'B', ... for their inverses.
 
+Dedup runs in near-linear time through a cell index: accepted points
+are bucketed in a square grid of side 4 * dedup_tol, and a candidate is
+tested only against the points in its own and the eight adjacent cells.
+The filter is exact.  Since |1 - conj(w) z| < 2 on the disk, a
+pseudo-hyperbolic distance <= dedup_tol forces a Euclidean distance
+<= 2 * dedup_tol, half a cell, so every match lies in an adjacent cell
+and the accepted orbit is the one an all-pairs scan gives.  The generic
+search identifies group elements the same way, on a grid of side
+2 * 1e-10 over their parameters a.
+
 For the cyclic and z2z2 kinds the word combinatorics are known in
 closed form and enumeration uses the stable tanh parametrization of the
 iterates; the result is the same breadth-first ordering the generic
@@ -29,6 +39,7 @@ tail bound.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -133,6 +144,36 @@ class Orbit:
         return tuple(e.point for e in self.entries)
 
 
+class _CellIndex:
+    """Items keyed by a complex number, bucketed in square cells of the
+    given side.  ``near(z)`` yields every item in the 3x3 block of cells
+    around the cell of ``z``: among them is every item whose key differs
+    from ``z`` by less than one side in each coordinate."""
+
+    def __init__(self, side: float):
+        # A coarser grid stays exact; the floor keeps z / side finite
+        # for subnormal sides.
+        self.side = max(side, 1e-300)
+        self.cells: dict[tuple[int, int], list] = {}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def near(self, z: complex):
+        i = math.floor(z.real / self.side)
+        j = math.floor(z.imag / self.side)
+        cells = self.cells
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                yield from cells.get((i + di, j + dj), ())
+
+    def add(self, z: complex, item) -> None:
+        key = (math.floor(z.real / self.side), math.floor(z.imag / self.side))
+        self.cells.setdefault(key, []).append(item)
+        self.size += 1
+
+
 class _Collector:
     """Accepts candidate points in enumeration order, applying the
     pseudo-hyperbolic dedup rule and the boundary drop rule."""
@@ -140,6 +181,7 @@ class _Collector:
     def __init__(self, dedup_tol: float, cap: int):
         self.dedup_tol = dedup_tol
         self.cap = cap
+        self.index = _CellIndex(4.0 * dedup_tol)
         self.entries: list[OrbitEntry] = []
         self.partial_sum = 0.0
         self.dropped = 0
@@ -151,13 +193,14 @@ class _Collector:
             self.dropped += 1
             self.dropped_weight += max(1.0 - mod, 0.0) + _DROPPED_WEIGHT
             return
-        for e in self.entries:
-            if pseudo_hyperbolic(point, e.point) <= self.dedup_tol:
+        for q in self.index.near(point):
+            if pseudo_hyperbolic(point, q) <= self.dedup_tol:
                 return
         if len(self.entries) >= self.cap:
             raise OrbitExplosion(
                 f"orbit exceeded the cap of {self.cap} accepted points"
             )
+        self.index.add(point, point)
         w = 1.0 - mod
         self.entries.append(OrbitEntry(word, point, w))
         self.partial_sum += w
@@ -256,7 +299,8 @@ def _generic_elements(group, n_max: int, cap: int):
     """
     letters = _letters(group)
     identity = DiskAutomorphism.identity()
-    seen: list[DiskAutomorphism] = [identity]
+    seen = _CellIndex(2.0 * _ELEMENT_TOL)
+    seen.add(identity.a, identity)
     frontier: list[tuple[str, DiskAutomorphism]] = [("", identity)]
     yield "", identity
     for _ in range(n_max):
@@ -267,13 +311,13 @@ def _generic_elements(group, n_max: int, cap: int):
                     cand = elem.compose(gen)
                 except NotDiskAutomorphism:
                     continue
-                if any(_same_element(cand, s) for s in seen):
+                if any(_same_element(cand, s) for s in seen.near(cand.a)):
                     continue
                 if len(seen) >= cap:
                     raise OrbitExplosion(
                         f"group exploration exceeded the cap of {cap} elements"
                     )
-                seen.append(cand)
+                seen.add(cand.a, cand)
                 if abs(cand.a) < 1.0 - DISK_BOUNDARY_MARGIN:
                     nxt.append((word + ch, cand))
                 yield word + ch, cand
@@ -312,16 +356,6 @@ def _tail_bound(group, base, n_max, dedup_tol, col) -> float | None:
         exponent = m0 + 1 if base0 else m0
         tail = 4.0 * per_term * q**exponent / (1.0 - q)
     return tail + col.dropped_weight
-
-
-def blaschke_sum(orbit: Orbit) -> tuple[float, float | None]:
-    """Partial Blaschke sum of the stored weights and its tail bound.
-
-    The partial sum is accumulated in entry order at construction time;
-    the tail bound is present only for the cyclic and z2z2 kinds, whose
-    orbit weights are dominated by an explicit geometric series.
-    """
-    return orbit.partial_sum, orbit.tail_bound
 
 
 def cyclic_orbit_weight(a: float, n: int) -> float:

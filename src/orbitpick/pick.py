@@ -37,13 +37,15 @@ from .kernels import (
     KernelSpec,
     OrbitGramKernel,
     SzegoKernel,
+    check_distinct,
     kernel_eval,
 )
 from .linalg import HermitianMatrix, PsdReport, pencil_max, psd_check
-from .mobius import disk_point, iterate_cyclic, pseudo_hyperbolic
+from .mobius import disk_point, iterate_cyclic
 from .orbits import GroupPresentation
 
 _NODE_TOL = 1e-10
+_COINCIDE = "nodes {i} and {j} coincide"
 _ALIAS_TOL = 1e-10
 _TARGET_RESIDUAL = 1e-8
 _NORM_WIDTH = 1e-10  # relative width of the fallback bisection in pick_norm
@@ -105,13 +107,6 @@ class FeasibilityReport:
     pick_norm: float | None = None
 
 
-def _check_nodes_distinct(nodes) -> None:
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if pseudo_hyperbolic(nodes[i], nodes[j]) <= _NODE_TOL:
-                raise DuplicateNodes(f"nodes {i} and {j} coincide")
-
-
 def _target_gap(problem: PickProblem, i: int, j: int) -> float:
     if problem.matrix_valued:
         return float(np.max(np.abs(problem.targets[i] - problem.targets[j])))
@@ -125,7 +120,7 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     point must carry equal targets; otherwise no function of the inner
     map can interpolate and ``AliasedNodes`` is raised.
     """
-    _check_nodes_distinct(problem.nodes)
+    check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     if isinstance(problem.kernel, OrbitGramKernel):
         raise UnsupportedVariant(
             "orbit kernels are assembled by assemble_orbit_pick"
@@ -185,7 +180,7 @@ def assemble_orbit_pick(
     deterministic orbit orderings; for matrix targets each scalar orbit
     entry is tensored with (I - W_i W_j^H), orbit index major.
     """
-    _check_nodes_distinct(problem.nodes)
+    check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     n = len(problem.nodes)
     blocks = _orbit_blocks(group, depth, problem.nodes)
     if not problem.matrix_valued:
@@ -263,7 +258,7 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     targets = tuple(complex(w) for w in targets)
     if len(nodes) != len(targets) or not nodes:
         raise InputError("nodes and targets must be nonempty, equal length")
-    _check_nodes_distinct(nodes)
+    check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     if isinstance(kernel, ComposedInnerKernel):
         vals = [kernel.value(z) for z in nodes]
         for i in range(len(vals)):

@@ -85,6 +85,28 @@ def test_orbit_generic_reports_no_certificate(tmp_path, capsys):
     assert "certificate" in report["note"]
 
 
+def test_orbit_generic_free_group_depth_8(tmp_path, capsys):
+    # z -> (z - 1/2)/(1 - z/2) and z -> (z - i/2)/(1 + i z/2) generate a
+    # free group acting freely on the orbit of 0: 1 + 4 (3^8 - 1)/2 words
+    doc = {
+        "group": {
+            "kind": "generic",
+            "generators": [
+                [[1.0, 0.0], [-0.5, 0.0], [-0.5, 0.0], [1.0, 0.0]],
+                [[1.0, 0.0], [0.0, -0.5], [0.0, 0.5], [1.0, 0.0]],
+            ],
+        },
+        "truncation": {"depth": 8},
+    }
+    code, first, _ = run(tmp_path, capsys, doc, "orbit")
+    assert code == 0
+    report = json.loads(first)
+    assert len(report["entries"]) == 13121
+    assert report["stabilizer_order_origin"] == 1
+    _, second, _ = run(tmp_path, capsys, doc, "orbit")
+    assert first == second
+
+
 def test_blaschke_eval_command(tmp_path, capsys):
     doc = {
         "group": {"kind": "cyclic", "a": 0.5},

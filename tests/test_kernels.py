@@ -86,6 +86,18 @@ def test_gram_rejects_duplicates():
         gram(SzegoKernel(), [0.1 + 0j, 0.1 + 0j])
 
 
+def test_distinctness_errors_keep_their_class_and_message():
+    from orbitpick.errors import DuplicateNodes
+    from orbitpick.pick import pick_norm
+
+    message = r"^points 1 and 2 coincide within 1e-10$"
+    with pytest.raises(DuplicatePoints, match=message) as exc:
+        gram(SzegoKernel(), [0.3j, 0.1 + 0j, 0.1 + 0j])
+    assert type(exc.value) is DuplicatePoints
+    with pytest.raises(DuplicateNodes, match=r"^nodes 0 and 1 coincide$"):
+        pick_norm([0.1 + 0j, 0.1 + 1e-12j], [0j, 0.5 + 0j], SzegoKernel())
+
+
 def test_gram_is_hermitian_and_psd():
     rng = np.random.default_rng(17)
     pts = [complex(*(0.8 * (rng.random(2) - 0.5))) for _ in range(6)]

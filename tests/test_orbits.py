@@ -1,11 +1,19 @@
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitpick.errors import InputError
-from orbitpick.mobius import DiskAutomorphism, iterate_cyclic, pseudo_hyperbolic
+from orbitpick import orbits
+from orbitpick.errors import InputError, NotDiskAutomorphism, OrbitExplosion
+from orbitpick.mobius import (
+    DISK_BOUNDARY_MARGIN,
+    DiskAutomorphism,
+    iterate_cyclic,
+    pseudo_hyperbolic,
+)
 from orbitpick.orbits import (
-    blaschke_sum,
     cyclic_group,
     cyclic_orbit_weight,
     enumerate_orbit,
@@ -108,17 +116,17 @@ def test_partial_sum_fixed_order_and_monotone():
 
 def test_blaschke_sum_cyclic_example():
     orbit = enumerate_orbit(cyclic_group(0.5), 0j, 2)
-    partial, tail = blaschke_sum(orbit)
+    partial, tail = orbit.partial_sum, orbit.tail_bound
     assert abs(partial - 2.4) <= 1e-12
     assert abs(tail - 2.0 / 9.0) <= 1e-12
 
 
 def test_blaschke_sum_length_zero():
     orbit = enumerate_orbit(cyclic_group(0.5), 0j, 0)
-    partial, tail = blaschke_sum(orbit)
+    partial, tail = orbit.partial_sum, orbit.tail_bound
     assert partial == 1.0
     # the rest of the orbit weight is covered by the bound
-    full, _ = blaschke_sum(enumerate_orbit(cyclic_group(0.5), 0j, 60))
+    full = enumerate_orbit(cyclic_group(0.5), 0j, 60).partial_sum
     assert full - partial <= tail
 
 
@@ -248,3 +256,230 @@ def test_cyclic_orbit_weight_matches_iterates():
             direct = 1.0 - iterate_cyclic(a, n).a.real
             stable = cyclic_orbit_weight(a, n)
             assert abs(direct - stable) <= 1e-12
+
+
+# -- cell-index dedup against an all-pairs reference -------------------------
+
+
+class _AllPairsCollector:
+    """Reference for orbits._Collector: every candidate is compared
+    with every accepted point."""
+
+    def __init__(self, dedup_tol, cap):
+        self.dedup_tol = dedup_tol
+        self.cap = cap
+        self.entries = []
+        self.partial_sum = 0.0
+        self.dropped = 0
+        self.dropped_weight = 0.0
+
+    def offer(self, word, point):
+        mod = abs(point)
+        if mod >= 1.0 - DISK_BOUNDARY_MARGIN:
+            self.dropped += 1
+            self.dropped_weight += max(1.0 - mod, 0.0) + orbits._DROPPED_WEIGHT
+            return
+        for e in self.entries:
+            if pseudo_hyperbolic(point, e.point) <= self.dedup_tol:
+                return
+        if len(self.entries) >= self.cap:
+            raise OrbitExplosion("cap")
+        w = 1.0 - mod
+        self.entries.append(orbits.OrbitEntry(word, point, w))
+        self.partial_sum += w
+
+
+def _all_pairs_elements(group, n_max, cap):
+    """Reference for orbits._generic_elements with a linear scan."""
+    letters = orbits._letters(group)
+    identity = DiskAutomorphism.identity()
+    seen = [identity]
+    frontier = [("", identity)]
+    yield "", identity
+    for _ in range(n_max):
+        nxt = []
+        for word, elem in frontier:
+            for ch, gen in letters:
+                try:
+                    cand = elem.compose(gen)
+                except NotDiskAutomorphism:
+                    continue
+                if any(orbits._same_element(cand, s) for s in seen):
+                    continue
+                if len(seen) >= cap:
+                    raise OrbitExplosion("cap")
+                seen.append(cand)
+                if abs(cand.a) < 1.0 - DISK_BOUNDARY_MARGIN:
+                    nxt.append((word + ch, cand))
+                yield word + ch, cand
+        frontier = nxt
+        if not frontier:
+            return
+
+
+def _reference_orbit(group, base, depth, dedup_tol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_Collector", _AllPairsCollector)
+        mp.setattr(orbits, "_generic_elements", _all_pairs_elements)
+        return enumerate_orbit(group, base, depth, dedup_tol)
+
+
+def _assert_same_orbit(got, want):
+    assert got.entries == want.entries  # words, points and weights, bitwise
+    assert got.partial_sum == want.partial_sum
+    assert got.dropped == want.dropped
+    assert got.dropped_weight == want.dropped_weight
+    assert got.tail_bound == want.tail_bound
+
+
+def _unit(angle):
+    return cmath.exp(1j * angle)
+
+
+@st.composite
+def generic_presentations(draw):
+    count = draw(st.integers(2, 3))
+    angles = st.floats(0.0, 2.0 * math.pi)
+    gens = [
+        DiskAutomorphism(draw(st.floats(0.2, 0.8)) * _unit(draw(angles)),
+                         _unit(draw(angles)))
+        for _ in range(count)
+    ]
+    if draw(st.booleans()):
+        # the rotation z -> exp(2 pi i / k) z, of finite order k
+        k = draw(st.integers(2, 6))
+        gens[0] = DiskAutomorphism(0j, -_unit(2.0 * math.pi / k))
+    return generic_group(gens)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    group=generic_presentations(),
+    depth=st.integers(1, 3),
+    base=st.sampled_from([0j, 0.15 - 0.3j, 0.6 + 0.2j]),
+    dedup_tol=st.sampled_from([1e-12, 1e-6]),
+)
+def test_generic_dedup_matches_all_pairs_reference(group, depth, base, dedup_tol):
+    _assert_same_orbit(
+        enumerate_orbit(group, base, depth, dedup_tol),
+        _reference_orbit(group, base, depth, dedup_tol),
+    )
+    want = list(_all_pairs_elements(group, depth, 10**4))
+    assert list(orbits._generic_elements(group, depth, 10**4)) == want
+
+
+@pytest.mark.parametrize("dedup_tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("kind", ["cyclic", "z2z2"])
+def test_closed_form_dedup_matches_all_pairs_reference(kind, dedup_tol):
+    a = 0.5
+    zf = complex((1.0 - math.sqrt(1.0 - a * a)) / a)  # fixed by the involution
+    group = cyclic_group(a) if kind == "cyclic" else z2z2_group(a)
+    for base in (0j, zf, 0.1 + 0.2j):
+        _assert_same_orbit(
+            enumerate_orbit(group, base, 120, dedup_tol),
+            _reference_orbit(group, base, 120, dedup_tol),
+        )
+
+
+def _straddling_pair(center, direction, dedup_tol, factor):
+    """Two points about ``factor * dedup_tol`` apart (pseudo-hyperbolic)
+    on either side of the dedup grid corner nearest ``center``."""
+    side = 4.0 * dedup_tol
+    corner = complex(round(center.real / side) * side, round(center.imag / side) * side)
+    half = 0.5 * factor * dedup_tol * (1.0 - abs(corner) ** 2) * direction
+    return corner - half, corner + half
+
+
+def _offer_all(collector, points):
+    for k, p in enumerate(points):
+        collector.offer(f"w{k}", p)
+    return collector
+
+
+@pytest.mark.parametrize("dedup_tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01])
+def test_dedup_across_a_cell_edge(factor, dedup_tol):
+    side = 4.0 * dedup_tol
+    for center in (0.3 + 0.2j, -0.45 - 0.1j, 0.05j):
+        for direction in (1.0, 1j, _unit(math.pi / 4), _unit(-math.pi / 4)):
+            p, q = _straddling_pair(center, direction, dedup_tol, factor)
+            cell_p = (math.floor(p.real / side), math.floor(p.imag / side))
+            cell_q = (math.floor(q.real / side), math.floor(q.imag / side))
+            assert cell_p != cell_q
+            col = _offer_all(orbits._Collector(dedup_tol, 10), [p, q])
+            assert len(col.entries) == (1 if factor < 1.0 else 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dedup_tol=st.sampled_from([1e-12, 1e-6]),
+    pairs=st.lists(
+        st.tuples(
+            st.floats(0.0, 0.9),
+            st.floats(0.0, 2.0 * math.pi),
+            st.floats(0.0, 2.0 * math.pi),
+            st.sampled_from([0.5, 0.99, 1.01]),
+        ),
+        max_size=8,
+    ),
+    rim=st.lists(
+        st.tuples(st.floats(0.0, 1e-13), st.floats(0.0, 2.0 * math.pi)),
+        max_size=6,
+    ),
+    repeats=st.lists(st.integers(0, 100), max_size=6),
+)
+def test_collector_matches_all_pairs_reference(dedup_tol, pairs, rim, repeats):
+    points = []
+    for radius, angle, turn, factor in pairs:
+        center = radius * _unit(angle)
+        points += _straddling_pair(center, _unit(turn), dedup_tol, factor)
+    # points within 1e-13 of the unit circle, some past the drop margin
+    points += [(1.0 - gap) * _unit(angle) for gap, angle in rim]
+    if points:
+        points += [points[k % len(points)] for k in repeats]
+    got = _offer_all(orbits._Collector(dedup_tol, 10**4), points)
+    want = _offer_all(_AllPairsCollector(dedup_tol, 10**4), points)
+    assert got.entries == want.entries
+    assert got.partial_sum == want.partial_sum
+    assert got.dropped == want.dropped
+    assert got.dropped_weight == want.dropped_weight
+
+
+def test_subnormal_dedup_tolerance_matches_reference():
+    group = z2z2_group(0.5)
+    _assert_same_orbit(
+        enumerate_orbit(group, 0j, 20, 5e-324),
+        _reference_orbit(group, 0j, 20, 5e-324),
+    )
+
+
+# -- caps ----------------------------------------------------------------------
+
+
+def _free_group():
+    return generic_group([iterate_cyclic(0.5, 1), DiskAutomorphism(0.5j, 1.0 + 0j)])
+
+
+@pytest.mark.parametrize("group,base,depth", [
+    (cyclic_group(0.5), 0j, 30),
+    # the involution's fixed point: coincident candidates arrive after
+    # the last accepted point
+    (z2z2_group(0.5), complex(2.0 - math.sqrt(3.0)), 12),
+    (_free_group(), 0.1j, 4),
+])
+def test_point_cap_fires_at_the_exact_count(group, base, depth):
+    full = enumerate_orbit(group, base, depth)
+    size = len(full.entries)
+    at_cap = enumerate_orbit(group, base, depth, max_points=size)
+    assert at_cap.entries == full.entries
+    with pytest.raises(OrbitExplosion):
+        enumerate_orbit(group, base, depth, max_points=size - 1)
+
+
+def test_element_cap_fires_at_the_exact_count():
+    half_turn = DiskAutomorphism(0j, 1.0 + 0j)
+    for group in (_free_group(), generic_group([half_turn, iterate_cyclic(0.4, 1)])):
+        full = list(orbits._generic_elements(group, 4, 10**4))
+        assert list(orbits._generic_elements(group, 4, len(full))) == full
+        with pytest.raises(OrbitExplosion):
+            list(orbits._generic_elements(group, 4, len(full) - 1))
