@@ -11,8 +11,12 @@ Three kernel variants are exposed:
   by truncated group orbits of the two arguments; it has no scalar
   evaluation, only blocks.
 
-Gram matrices are assembled upper-triangle-first and mirrored, so they
-are conjugate-symmetric exactly.
+Every kernel matrix is a Szegő matrix at other points: the composed
+kernel's at the values phi(z_i), the orbit kernel's at the concatenated
+truncated orbits.  ``szego_matrix`` is the one builder; its entries
+equal the scalar ``szego`` bit for bit, and a Gram matrix takes its
+strict upper triangle as computed and the rest as the conjugate
+mirror, so it is conjugate-symmetric exactly.
 """
 
 from __future__ import annotations
@@ -90,6 +94,28 @@ def szego(z: complex, w: complex) -> complex:
     return 1.0 / (1.0 - w.conjugate() * z)
 
 
+def szego_matrix(zs, ws=None) -> np.ndarray:
+    """[1 / (1 - conj(w_j) z_i)] over disk points; with ``ws`` omitted,
+    the Gram matrix of ``zs``, mirrored from its strict upper triangle.
+
+    Each entry runs the operations of ``szego`` in the same order in
+    real arithmetic, so it equals the scalar value bit for bit, signed
+    zeros included: numpy's complex reciprocal differs from Python's
+    division only by returning -0.0 where Python returns +0.0, which
+    the trailing ``+ 0.0`` undoes.
+    """
+    z = np.asarray(zs, dtype=complex).reshape(-1, 1)
+    w = z.reshape(1, -1) if ws is None else np.asarray(ws, dtype=complex).reshape(1, -1)
+    d = np.empty((z.shape[0], w.shape[1]), dtype=complex)
+    d.real = 1.0 - (w.real * z.real + w.imag * z.imag)
+    d.imag = 0.0 - (w.real * z.imag - w.imag * z.real)
+    k = np.reciprocal(d, out=d)
+    k += 0.0
+    if ws is None:
+        k = np.where(np.triu(np.ones(k.shape, dtype=bool), 1), k, k.T.conj())
+    return k
+
+
 def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> complex:
     """Kernel value K(z, w); Hermitian in its arguments."""
     z = disk_point(z)
@@ -136,24 +162,13 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
             else:
                 notes.append(orbit.tail_bound)
         note = max(notes) if certified and notes else None
-        return GramMatrix(tuple(pts), _szego_gram(flat), note)
+        return GramMatrix(tuple(pts), szego_matrix(flat), note)
     if isinstance(spec, ComposedInnerKernel):
-        vals = [spec.value(p) for p in pts]
-        errs = [bl.evaluate(spec.inner, p)[1] for p in pts]
-        note = spec.power * max(errs)
-        return GramMatrix(tuple(pts), _szego_gram(vals), note)
-    return GramMatrix(tuple(pts), _szego_gram(pts), None)
-
-
-def _szego_gram(points: list[complex]) -> np.ndarray:
-    n = len(points)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            v = szego(points[i], points[j])
-            g[i, j] = v
-            g[j, i] = v.conjugate()
-    return g
+        evals = [bl.evaluate(spec.inner, p) for p in pts]
+        note = spec.power * max(err for _, err in evals)
+        vals = [v**spec.power for v, _ in evals]
+        return GramMatrix(tuple(pts), szego_matrix(vals), note)
+    return GramMatrix(tuple(pts), szego_matrix(pts), None)
 
 
 def _orbit_points(group: GroupPresentation, depth: int, z: complex) -> list[complex]:
@@ -161,6 +176,19 @@ def _orbit_points(group: GroupPresentation, depth: int, z: complex) -> list[comp
     kernel rows are numerically meaningful."""
     orbit = enumerate_orbit(group, z, depth)
     return [p for p in orbit.points if abs(p) <= KERNEL_POINT_RADIUS]
+
+
+def _szego_points(spec: KernelSpec, points) -> tuple[list[complex], list[int]]:
+    """Points whose Szegő matrix is the kernel matrix of ``spec`` at
+    ``points``, and the number of them each point owns: the points
+    themselves, their values phi(z) (one evaluation each), or their
+    truncated orbits, concatenated in order."""
+    if isinstance(spec, OrbitGramKernel):
+        orbits = [_orbit_points(spec.group, spec.depth, p) for p in points]
+        return [q for orbit in orbits for q in orbit], [len(o) for o in orbits]
+    if isinstance(spec, ComposedInnerKernel):
+        return [spec.value(p) for p in points], [1] * len(points)
+    return list(points), [1] * len(points)
 
 
 def orbit_block(
@@ -174,9 +202,7 @@ def orbit_block(
     """
     zs = _orbit_points(group, depth, disk_point(z))
     ws = _orbit_points(group, depth, disk_point(w))
-    zs_arr = np.array(zs, dtype=complex).reshape(-1, 1)
-    ws_arr = np.array(ws, dtype=complex).reshape(1, -1)
-    return 1.0 / (1.0 - ws_arr.conjugate() * zs_arr)
+    return szego_matrix(zs, ws)
 
 
 def dominance_check(
@@ -197,15 +223,7 @@ def dominance_check(
         raise UnsupportedVariant("dominance is defined for scalar kernels only")
     pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
     bvals = [bl.evaluate(b_gamma, p)[0] for p in pts]
-    n = len(pts)
-    d = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            v = c * c * szego(bvals[i], bvals[j]) - kernel_eval(
-                k_sigma, pts[i], pts[j]
-            )
-            d[i, j] = v
-            d[j, i] = v.conjugate()
+    d = c * c * szego_matrix(bvals) - szego_matrix(_szego_points(k_sigma, pts)[0])
     return psd_check(HermitianMatrix(d), tol=tol)
 
 

@@ -327,7 +327,9 @@ def _generic_elements(group, n_max: int, cap: int):
 
 
 def _enumerate_generic(group, base, n_max, col):
-    for word, elem in _generic_elements(group, n_max, col.cap):
+    # max_points bounds accepted points only: a nontrivial stabilizer
+    # makes the element count exceed the point count.
+    for word, elem in _generic_elements(group, n_max, DEFAULT_POINT_CAP):
         if word:
             col.offer(word, elem(base))
 

@@ -7,7 +7,10 @@ kernel is decided by positivity of the matrix
     A = [(I - W_i W_j^H)     K(z_i, z_j)]      (matrix targets),
 
 and the extremal multiplier norm on the kernel span is the least c with
-[(c^2 - w_i conj(w_j)) K] positive.  c^2 is the largest eigenvalue of
+[(c^2 - w_i conj(w_j)) K] positive.  K is always a Szegő matrix
+(``kernels.szego_matrix``) at the nodes, at their inner values, or at
+their concatenated truncated orbits, each node's target carried by all
+of its rows; one alias check guards every composed-kernel entry point.  c^2 is the largest eigenvalue of
 the pencil ((w w^H) o K, K), taken by one eigen-solve on the numerical
 range of K and accepted only after the positivity check above passes
 at c; bisection on that check is the fallback.  Solutions on
@@ -37,8 +40,9 @@ from .kernels import (
     KernelSpec,
     OrbitGramKernel,
     SzegoKernel,
+    _szego_points,
     check_distinct,
-    kernel_eval,
+    szego_matrix,
 )
 from .linalg import HermitianMatrix, PsdReport, pencil_max, psd_check
 from .mobius import disk_point, iterate_cyclic
@@ -107,10 +111,46 @@ class FeasibilityReport:
     pick_norm: float | None = None
 
 
-def _target_gap(problem: PickProblem, i: int, j: int) -> float:
-    if problem.matrix_valued:
-        return float(np.max(np.abs(problem.targets[i] - problem.targets[j])))
-    return abs(problem.targets[i] - problem.targets[j])
+def _check_aliases(points, targets) -> list[int]:
+    """Indices of the nodes no earlier node collapses onto, i.e. within
+    ``_ALIAS_TOL`` of it under the inner map.  Collapsing nodes must
+    carry equal targets: no function of the inner map can tell them
+    apart, so otherwise ``AliasedNodes`` is raised."""
+    collapsed = set()
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if abs(points[i] - points[j]) <= _ALIAS_TOL:
+                if np.max(np.abs(targets[i] - targets[j])) > _ALIAS_TOL:
+                    raise AliasedNodes(
+                        f"nodes {i} and {j} collapse under the inner map "
+                        "but their targets differ"
+                    )
+                collapsed.add(j)
+    return [i for i in range(len(points)) if i not in collapsed]
+
+
+def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[np.ndarray, list[int]]:
+    """Kernel matrix at the nodes, one row per Szegő point, and the
+    number of rows each node owns; aliased composed nodes raise."""
+    points, counts = _szego_points(kernel, nodes)
+    if isinstance(kernel, ComposedInnerKernel):
+        _check_aliases(points, targets)
+    return szego_matrix(points), counts
+
+
+def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
+    """Apply the (1 - w_i conj(w_j)) resp. (I - W_i W_j^H) weights, each
+    node's target carried by all of its rows; matrix weights are
+    tensored onto each scalar entry, row index major."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    if not isinstance(targets[0], np.ndarray):
+        w = np.array(targets, dtype=complex)[rows]
+        return (1.0 - np.outer(w, w.conj())) * kmat
+    k = targets[0].shape[0]
+    eye = np.eye(k, dtype=complex)
+    weights = np.array([[eye - ti @ tj.conj().T for tj in targets] for ti in targets])
+    out = weights[rows][:, rows] * kmat[:, :, None, None]
+    return out.transpose(0, 2, 1, 3).reshape(k * len(rows), k * len(rows))
 
 
 def assemble_pick(problem: PickProblem) -> HermitianMatrix:
@@ -125,50 +165,8 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
         raise UnsupportedVariant(
             "orbit kernels are assembled by assemble_orbit_pick"
         )
-    if isinstance(problem.kernel, ComposedInnerKernel):
-        vals = [problem.kernel.value(z) for z in problem.nodes]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if (
-                    abs(vals[i] - vals[j]) <= _ALIAS_TOL
-                    and _target_gap(problem, i, j) > _ALIAS_TOL
-                ):
-                    raise AliasedNodes(
-                        f"nodes {i} and {j} collapse under the inner map "
-                        "but their targets differ"
-                    )
-    return HermitianMatrix(
-        _weighted(problem, _kernel_matrix(problem.kernel, problem.nodes))
-    )
-
-
-def _kernel_matrix(kernel: KernelSpec, nodes) -> np.ndarray:
-    n = len(nodes)
-    kmat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            v = kernel_eval(kernel, nodes[i], nodes[j])
-            kmat[i, j] = v
-            kmat[j, i] = v.conjugate()
-    return kmat
-
-
-def _weighted(problem: PickProblem, kmat: np.ndarray) -> np.ndarray:
-    """Apply the (1 - w_i conj(w_j)) resp. (I - W_i W_j^H) weights."""
-    n = len(problem.nodes)
-    if not problem.matrix_valued:
-        w = np.array(problem.targets, dtype=complex)
-        return (1.0 - np.outer(w, w.conj())) * kmat
-    k = problem.targets[0].shape[0]
-    eye = np.eye(k, dtype=complex)
-    out = np.empty((n * k, n * k), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = (eye - problem.targets[i] @ problem.targets[j].conj().T) * kmat[
-                i, j
-            ]
-            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = block
-    return out
+    kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
+    return HermitianMatrix(_weighted(problem.targets, counts, kmat))
 
 
 def assemble_orbit_pick(
@@ -181,53 +179,9 @@ def assemble_orbit_pick(
     entry is tensored with (I - W_i W_j^H), orbit index major.
     """
     check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
-    n = len(problem.nodes)
-    blocks = _orbit_blocks(group, depth, problem.nodes)
-    if not problem.matrix_valued:
-        w = problem.targets
-        rows = [
-            np.hstack(
-                [(1.0 - w[i] * w[j].conjugate()) * blocks[i][j] for j in range(n)]
-            )
-            for i in range(n)
-        ]
-        return HermitianMatrix(np.vstack(rows))
-    k = problem.targets[0].shape[0]
-    eye = np.eye(k, dtype=complex)
-    rows = [
-        np.hstack(
-            [
-                np.kron(
-                    blocks[i][j],
-                    eye - problem.targets[i] @ problem.targets[j].conj().T,
-                )
-                for j in range(n)
-            ]
-        )
-        for i in range(n)
-    ]
-    return HermitianMatrix(np.vstack(rows))
-
-
-def _orbit_blocks(group: GroupPresentation, depth: int, nodes):
-    """All pairwise orbit kernel blocks, enumerating each node's orbit
-    once; identical values to per-pair ``orbit_block`` calls."""
-    from .kernels import _orbit_points
-
-    n = len(nodes)
-    pts = [
-        np.array(_orbit_points(group, depth, z), dtype=complex) for z in nodes
-    ]
-    blocks = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            pij = 1.0 / (
-                1.0 - pts[j].conjugate().reshape(1, -1) * pts[i].reshape(-1, 1)
-            )
-            blocks[i][j] = pij
-            if i != j:
-                blocks[j][i] = pij.conj().T
-    return blocks
+    kernel = OrbitGramKernel(group, depth)
+    kmat, counts = _kernel_rows(kernel, problem.nodes, problem.targets)
+    return HermitianMatrix(_weighted(problem.targets, counts, kmat))
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
@@ -259,29 +213,11 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     if len(nodes) != len(targets) or not nodes:
         raise InputError("nodes and targets must be nonempty, equal length")
     check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
-    if isinstance(kernel, ComposedInnerKernel):
-        vals = [kernel.value(z) for z in nodes]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if (
-                    abs(vals[i] - vals[j]) <= _ALIAS_TOL
-                    and abs(targets[i] - targets[j]) > _ALIAS_TOL
-                ):
-                    raise AliasedNodes(
-                        f"nodes {i} and {j} collapse under the inner map but "
-                        "their targets differ; no finite scale interpolates"
-                    )
     wmax = max(abs(w) for w in targets)
     if wmax == 0.0:
         return 0.0
-    if isinstance(kernel, OrbitGramKernel):
-        # one row per orbit point, each carrying its node's target
-        blocks = _orbit_blocks(kernel.group, kernel.depth, nodes)
-        kmat = np.block(blocks)
-        w = np.repeat(np.array(targets), [row[0].shape[0] for row in blocks])
-    else:
-        kmat = _kernel_matrix(kernel, nodes)
-        w = np.array(targets)
+    kmat, counts = _kernel_rows(kernel, nodes, targets)
+    w = np.repeat(np.array(targets), counts)
     outer = np.outer(w, w.conj())
 
     def is_psd(c: float) -> bool:
@@ -455,22 +391,9 @@ def interpolate_composed(
         raise InputError("power must be at least 1")
     spec = ComposedInnerKernel(inner, power)
     zeta = [spec.value(z) for z in nodes]
-    rep_pts: list[complex] = []
-    rep_ws: list[complex] = []
-    for i, (x, w) in enumerate(zip(zeta, targets)):
-        merged = False
-        for j, y in enumerate(rep_pts):
-            if abs(x - y) <= _ALIAS_TOL:
-                if abs(w - rep_ws[j]) > _ALIAS_TOL:
-                    raise AliasedNodes(
-                        f"node {i} collapses onto an earlier node under the "
-                        "inner map but carries a different target"
-                    )
-                merged = True
-                break
-        if not merged:
-            rep_pts.append(x)
-            rep_ws.append(w)
+    keep = _check_aliases(zeta, targets)
+    rep_pts = [zeta[i] for i in keep]
+    rep_ws = [targets[i] for i in keep]
     g = interpolate_disk(tuple(rep_pts), tuple(rep_ws))
     result = ComposedInterpolant(schur=g, inner=inner, power=power)
     for z, w in zip(nodes, targets):

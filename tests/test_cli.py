@@ -1,5 +1,7 @@
 import json
+import pathlib
 
+import numpy as np
 import pytest
 
 from orbitpick.cli import main
@@ -265,3 +267,46 @@ def test_invalid_json(tmp_path, capsys):
     code = main(["pick-check", str(path)])
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+# -- reports pinned byte for byte -----------------------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+GOLDEN = [
+    (problem, command, 0)
+    for problem in ("even", "szego4")
+    for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
+] + [("orbit", "kernel-gram", 0), ("matrix", "pick-check", 1)]
+
+
+@pytest.mark.parametrize("problem,command,exit_code", GOLDEN)
+def test_report_matches_golden(capsys, problem, command, exit_code):
+    code = main([command, str(DATA / f"{problem}_problem.json")])
+    assert code == exit_code
+    golden = (DATA / f"{problem}.{command}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_verify_report_matches_golden(capsys):
+    assert main(["verify", "--seed", "0"]) == 0
+    golden = (DATA / "verify-seed0.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def _emitted_matrix(out: str, key: str) -> np.ndarray:
+    # "-0" must parse as -0.0, not as the integer 0
+    report = json.loads(out, parse_int=float)
+    return np.array(report[key], dtype=float)
+
+
+def test_orbit_pick_matrix_with_zero_targets_is_the_orbit_gram(capsys):
+    path = str(DATA / "orbit_problem.json")
+    assert main(["kernel-gram", path]) == 0
+    gram = _emitted_matrix(capsys.readouterr().out, "entries")
+    assert main(["orbit-pick-check", path]) == 0
+    pick = _emitted_matrix(capsys.readouterr().out, "matrix")
+    assert gram.shape == pick.shape == (18, 18, 2)
+    # the weight 1 - 0 conj(0) = 1 + 0j turns imaginary parts of -0.0
+    # into +0.0; every other bit agrees
+    assert (gram + 0.0).tobytes() == (pick + 0.0).tobytes()

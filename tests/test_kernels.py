@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitpick.blaschke import BlaschkeProduct, from_orbit
 from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
@@ -12,6 +17,8 @@ from orbitpick.kernels import (
     gram,
     kernel_eval,
     orbit_block,
+    szego,
+    szego_matrix,
 )
 from orbitpick.linalg import min_eig
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
@@ -198,3 +205,66 @@ def test_boundary_gram_input_validation():
         boundary_gram_quadrature(b, 2, 1536)  # not a power of two
     with pytest.raises(InputError):
         boundary_gram_quadrature(BlaschkeProduct(0, (0.5 + 0j,), 0.0), 2, 1024)
+
+
+# -- szego_matrix against the scalar kernel -------------------------------------
+
+
+def _scalar_gram(points):
+    """Gram matrix by the scalar kernel: the upper triangle computed,
+    the rest its conjugate mirror."""
+    n = len(points)
+    g = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            v = szego(points[i], points[j])
+            g[i, j] = v
+            g[j, i] = v.conjugate()
+    return g
+
+
+def _scalar_matrix(zs, ws):
+    g = np.empty((len(zs), len(ws)), dtype=complex)
+    for i, z in enumerate(zs):
+        for j, w in enumerate(ws):
+            g[i, j] = szego(z, w)
+    return g
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+_COORD = st.floats(-0.999, 0.999)
+_NEAR_CIRCLE = st.builds(
+    cmath.rect, st.floats(1.0 - 1e-3, 1.0 - 1e-14), st.floats(-math.pi, math.pi)
+)
+_DISK_POINTS = st.one_of(
+    st.just(0j),
+    st.builds(complex, _COORD, _ZERO),  # real axis, either signed zero
+    st.builds(complex, _ZERO, _COORD),  # imaginary axis
+    st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(-math.pi, math.pi)),
+    _NEAR_CIRCLE,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    zs=st.lists(_DISK_POINTS, min_size=1, max_size=8),
+    ws=st.lists(_DISK_POINTS, min_size=1, max_size=8),
+)
+@example(zs=[0j], ws=[0j])
+@example(zs=[0.5 + 0j], ws=[complex(-0.0, 0.25)])
+def test_szego_matrix_is_the_scalar_kernel_bit_for_bit(zs, ws):
+    assert szego_matrix(zs).tobytes() == _scalar_gram(zs).tobytes()
+    assert szego_matrix(zs, ws).tobytes() == _scalar_matrix(zs, ws).tobytes()
+
+
+def test_szego_matrix_covers_both_branches_of_complex_division():
+    # Python divides by d = 1 - conj(w) z along |Re d| >= |Im d| or the
+    # other branch of Smith's algorithm; both must agree bit for bit
+    pts = [cmath.rect(0.99, t) for t in np.linspace(-3.0, 3.0, 13)]
+    pts += [0.3j, -0.7 + 0j, 0.2 - 0.1j]
+    d = [1.0 - w.conjugate() * z for z in pts for w in pts]
+    assert any(abs(x.imag) > abs(x.real) for x in d)
+    assert any(abs(x.imag) < abs(x.real) for x in d)
+    assert szego_matrix(pts).tobytes() == _scalar_gram(pts).tobytes()
+    assert szego_matrix(pts, pts).tobytes() == _scalar_matrix(pts, pts).tobytes()
+

@@ -483,3 +483,14 @@ def test_element_cap_fires_at_the_exact_count():
         assert list(orbits._generic_elements(group, 4, len(full))) == full
         with pytest.raises(OrbitExplosion):
             list(orbits._generic_elements(group, 4, len(full) - 1))
+
+
+def test_point_cap_counts_points_not_elements():
+    # the half-turn fixes the base point, so the 13 elements up to length
+    # 6 reach only 7 points; max_points bounds the points
+    group = generic_group([DiskAutomorphism(0j, 1.0 + 0j), DiskAutomorphism(0.5, 1.0 + 0j)])
+    orbit = enumerate_orbit(group, 0j, 6, max_points=7)
+    assert len(orbit.entries) == 7
+    assert orbit.entries == enumerate_orbit(group, 0j, 6).entries
+    with pytest.raises(OrbitExplosion, match="accepted points"):
+        enumerate_orbit(group, 0j, 6, max_points=6)

@@ -369,6 +369,11 @@ def test_composed_merges_consistent_aliases():
     assert len(f.schur.nodes) == 1
     with pytest.raises(AliasedNodes):
         interpolate_composed((0.3 + 0j, -0.3 + 0j), (w, -w), b, 2)
+    # the first node of each class is kept
+    nodes = (0.1 + 0j, -0.3 + 0j, 0.2j, 0.3 + 0j, -0.2j)
+    targets = tuple(0.5 * spec.value(z) + 0.1 for z in nodes)
+    f = interpolate_composed(nodes, targets, b, 2)
+    assert f.schur.nodes == tuple(spec.value(nodes[i]) for i in (0, 1, 2))
 
 
 def test_amenable_average_monomials():
@@ -394,3 +399,39 @@ def test_pick_problem_validation():
         assemble_pick(
             PickProblem((0j,), (0j,), OrbitGramKernel(cyclic_group(0.5), 1))
         )
+
+
+def test_composed_kernel_evaluates_each_node_once(monkeypatch):
+    from orbitpick import blaschke
+
+    calls = []
+    real_evaluate = blaschke.evaluate
+
+    def counting(b, z):
+        calls.append(z)
+        return real_evaluate(b, z)
+
+    monkeypatch.setattr(blaschke, "evaluate", counting)
+    spec = ComposedInnerKernel(orbit_product(), 2)
+    nodes = (0.1 + 0.2j, -0.25 + 0.1j, 0.3 - 0.3j, 0.05j, -0.4 + 0j)
+    targets = tuple(0.5 * spec.value(z) for z in nodes)
+    calls.clear()
+    assemble_pick(PickProblem(nodes, targets, spec))
+    assert len(calls) == len(nodes)
+    calls.clear()
+    pick_norm(nodes, targets, spec)
+    assert len(calls) == len(nodes)
+
+
+def test_aliased_nodes_share_one_message():
+    spec = ComposedInnerKernel(orbit_product(), 2)
+    nodes = (0.1 + 0j, 0.3 + 0j, -0.3 + 0j)
+    targets = (0j, 0.1 + 0j, 0.2 + 0j)
+    message = r"^nodes 1 and 2 collapse under the inner map but their targets differ$"
+    with pytest.raises(AliasedNodes, match=message):
+        assemble_pick(PickProblem(nodes, targets, spec))
+    with pytest.raises(AliasedNodes, match=message):
+        pick_norm(nodes, targets, spec)
+    with pytest.raises(AliasedNodes, match=message):
+        interpolate_composed(nodes, targets, spec.inner, 2)
+
