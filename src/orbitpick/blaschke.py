@@ -164,7 +164,6 @@ def character_of(
     b: BlaschkeProduct,
     g: DiskAutomorphism,
     tol: float = 1e-6,
-    probes: tuple[complex, ...] = CHARACTER_PROBES,
 ) -> CharacterReport:
     """Estimate the constant sigma with B(g(z)) = sigma * B(z).
 
@@ -176,7 +175,7 @@ def character_of(
     as does a residual above ``tol``.
     """
     ratios = []
-    for z in probes:
+    for z in CHARACTER_PROBES:
         gz = g(z)
         try:
             num, num_err = evaluate(b, gz)

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-One subcommand per library capability; problem data comes from a UTF-8
-JSON file validated against a small schema before any computation, the
-report goes to stdout as JSON with fixed float formatting (17
-significant digits, lossless for doubles), and logs go to stderr.
+One subcommand per library capability, each accepting only the options
+it reads (``_COMMANDS``); ``verify`` runs ``checks.battery``.  Problem
+data comes from a UTF-8 JSON file validated against a small schema
+before any computation, the report goes to stdout as JSON with fixed
+float formatting (17 significant digits, lossless for doubles), and
+logs go to stderr.
 
 Exit codes: 0 = ok / feasible, 1 = well posed but infeasible,
-2 = malformed input, 3 = numerical failure.
+2 = malformed input or options, 3 = numerical failure or failed check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from . import blaschke as bl
 from . import kernels as kn
 from . import linalg as la
@@ -29,7 +31,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .mobius import DiskAutomorphism, canonicalize, disk_point, iterate_cyclic
+from .mobius import canonicalize, disk_point
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -40,9 +42,8 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # deterministic JSON emission
 
-def _emit(value, out=None) -> None:
-    text = _render(value)
-    print(text, file=out if out is not None else sys.stdout)
+def _emit(value) -> None:
+    print(_render(value))
 
 
 def _render(value) -> str:
@@ -86,10 +87,10 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _section(doc: dict, key: str, path: str = "$", required: bool = True):
+def _section(doc: dict, key: str, required: bool = True):
     if key not in doc:
         if required:
-            _fail(f"{path}.{key}", "required section is missing")
+            _fail(f"$.{key}", "required section is missing")
         return None
     return doc[key]
 
@@ -208,12 +209,6 @@ def _parse_targets(doc: dict, n_nodes: int):
     return tuple(_complex_pair(v, f"$.targets[{i}]") for i, v in enumerate(obj))
 
 
-def _build_inner(doc: dict, depth: int, strict: bool, power_hint: int = 1):
-    group = _parse_group(doc)
-    orbit = orb.enumerate_orbit(group, 0j, depth)
-    return group, orbit, bl.from_orbit(orbit, power_hint, strict=strict)
-
-
 def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | kn.OrbitGramKernel:
     obj = _section(doc, "kernel")
     if not isinstance(obj, dict):
@@ -226,7 +221,8 @@ def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | 
         if power < 1:
             _fail("$.kernel.power", "power must be at least 1")
         depth, strict = _parse_truncation(doc, args.depth)
-        _group, _orbit, inner = _build_inner(doc, depth, strict)
+        orbit = orb.enumerate_orbit(_parse_group(doc), 0j, depth)
+        inner = bl.from_orbit(orbit, 1, strict=strict)
         try:
             return kn.ComposedInnerKernel(inner, power)
         except InputError as exc:
@@ -390,8 +386,6 @@ def cmd_interpolate(doc, args):
     if isinstance(kernel, kn.ComposedInnerKernel):
         f = pk.interpolate_composed(nodes, targets, kernel.inner, kernel.power)
         schur = f.schur
-        values = [pk.evaluate_composed(f, z) for z in nodes]
-        sup = max(abs(pk.evaluate_composed(f, complex(z))) for z in grid)
         composition = {
             "power": kernel.power,
             "inner_origin_multiplicity": kernel.inner.origin_multiplicity,
@@ -399,12 +393,12 @@ def cmd_interpolate(doc, args):
             "inner_tail_weight": kernel.inner.tail_weight,
         }
     elif isinstance(kernel, kn.SzegoKernel):
-        schur = pk.interpolate_disk(nodes, targets)
-        values = [pk.evaluate_interpolant(schur, z) for z in nodes]
-        sup = max(abs(pk.evaluate_interpolant(schur, complex(z))) for z in grid)
+        f = schur = pk.interpolate_disk(nodes, targets)
         composition = None
     else:
         _fail("$.kernel.variant", "interpolation needs the szego or composed kernel")
+    values = [f(z) for z in nodes]
+    sup = max(abs(f(complex(z))) for z in grid)
     residual = max(abs(v - w) for v, w in zip(values, targets))
     payload = {
         "interpolant": {
@@ -432,207 +426,60 @@ def cmd_amenable_average(doc, args):
 # ---------------------------------------------------------------------------
 # built-in verification suite
 
-def _verify_checks(seed: int, grid_n: int):
-    rng = np.random.default_rng(seed)
-    from .mobius import PROBE_GRID
-
-    def automorphism_laws():
-        f = iterate_cyclic(0.5, 1)
-        g = canonicalize(2.0, 1.0j, -1.0j, 2.0)
-        h = DiskAutomorphism(0j, 1.0 + 0j)
-        worst = 0.0
-        for z in PROBE_GRID:
-            worst = max(worst, abs(f.compose(g).compose(h)(z) - f.compose(g.compose(h))(z)))
-            worst = max(worst, abs(g.compose(g.inverse())(z) - z))
-        return worst, worst <= 1e-12
-
-    def closed_form_iteration():
-        worst = 0.0
-        for a in (0.3, 0.5, 0.7):
-            g = iterate_cyclic(a, 1)
-            fwd = DiskAutomorphism.identity()
-            for n in range(1, 11):
-                fwd = fwd.compose(g)
-                cf = iterate_cyclic(a, n)
-                for z in PROBE_GRID:
-                    worst = max(worst, abs(cf(z) - fwd(z)))
-        return worst, worst <= 1e-10
-
-    def geometric_weight_bound():
-        worst = -1.0
-        ok = True
-        for a in (0.3, 0.5, 0.7):
-            q = (1 - a) / (1 + a)
-            for n in range(1, 101):
-                slack = 2 * q**n - orb.cyclic_orbit_weight(a, n)
-                worst = max(worst, -slack)
-                ok = ok and slack >= 0.0
-        return worst, ok
-
-    def orbit_sums():
-        orbit = orb.enumerate_orbit(orb.cyclic_group(0.5), 0j, 2)
-        err = max(abs(orbit.partial_sum - 2.4), abs(orbit.tail_bound - 2.0 / 9.0))
-        return err, err <= 1e-12
-
-    def character_identity():
-        orbit = orb.enumerate_orbit(orb.cyclic_group(0.5), 0j, 120)
-        product = bl.from_orbit(orbit, 1)
-        rep = bl.character_of(product, iterate_cyclic(0.5, 1))
-        err = abs(rep.value + 1.0)
-        return err, err <= 1e-6
-
-    def boundary_gram():
-        mono = bl.BlaschkeProduct(1, (), 0.0)
-        g1 = kn.boundary_gram_quadrature(mono, 3, 4096)
-        e1 = float(np.max(np.abs(g1.entries - np.eye(4))))
-        orbit = orb.enumerate_orbit(orb.cyclic_group(0.5), 0j, 40)
-        g2 = kn.boundary_gram_quadrature(bl.from_orbit(orbit, 1), 5, 8192)
-        e2 = float(np.max(np.abs(g2.entries - np.eye(6))))
-        return max(e1, e2), e1 <= 1e-8 and e2 <= 1e-6
-
-    def szego_gram_example():
-        g = kn.gram(kn.SzegoKernel(), [0j, -0.5 + 0j, 0.5 + 0j])
-        expect = np.array([[1, 1, 1], [1, 4 / 3, 0.8], [1, 0.8, 4 / 3]])
-        err = float(np.max(np.abs(g.entries - expect)))
-        return err, err <= 1e-12 and la.psd_check(g.entries).is_psd
-
-    def pick_verdicts():
-        good = pk.feasibility(
-            pk.PickProblem((0j, 0.5 + 0j), (0j, 0.5 + 0j), kn.SzegoKernel())
-        )
-        bad = pk.feasibility(
-            pk.PickProblem((0j, 0.5 + 0j), (0j, 0.9 + 0j), kn.SzegoKernel())
-        )
-        ok = good.psd.is_psd and not bad.psd.is_psd
-        return bad.psd.min_eigenvalue, ok
-
-    def extremal_norm():
-        value = pk.pick_norm((0j, 0.5 + 0j), (0j, 0.9 + 0j), kn.SzegoKernel())
-        err = abs(value - 1.8)
-        return err, err <= 1e-8
-
-    def schur_roundtrip():
-        worst = 0.0
-        grid = 0.999 * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            nodes = []
-            while len(nodes) < n:
-                z = complex(*(1.2 * (rng.random(2) - 0.5)))
-                if abs(z) < 0.6 and all(abs(z - w) > 0.2 for w in nodes):
-                    nodes.append(z)
-            zeros = [complex(*(1.2 * (rng.random(2) - 0.5))) * 0.5 for _ in range(2)]
-            phase = np.exp(2j * np.pi * rng.uniform())
-            scale = 0.9
-
-            def f(z):
-                v = phase * scale
-                for c in zeros:
-                    v *= (z - c) / (1.0 - c.conjugate() * z)
-                return v
-
-            targets = tuple(f(z) for z in nodes)
-            s = pk.interpolate_disk(tuple(nodes), targets)
-            for z, w in zip(nodes, targets):
-                worst = max(worst, abs(pk.evaluate_interpolant(s, z) - w))
-            sup = max(abs(pk.evaluate_interpolant(s, complex(z))) for z in grid)
-            worst = max(worst, sup - 1.0)
-        return worst, worst <= 1e-8
-
-    def psd_oracle():
-        bad = 0
-        checked = 0
-        while checked < 200:
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            a = 0.5 * (a + a.conj().T)
-            if abs(la.min_eig(a)) < 1e-8:
-                continue
-            if la.psd_check(a).is_psd != la.brute_force_psd_3x3(a):
-                bad += 1
-            checked += 1
-        return float(bad), bad == 0
-
-    def amenable_averages():
-        group = orb.cyclic_group(0.5)
-        odd = abs(pk.amenable_average(group, 0.3 + 0j, 1, 10_000))
-        even = abs(pk.amenable_average(group, 0.3 + 0j, 2, 10_000) - 1.0)
-        return max(odd, even), odd <= 0.01 and even <= 0.01
-
-    def composition_equivalence():
-        orbit = orb.enumerate_orbit(orb.cyclic_group(0.5), 0j, 60)
-        inner = bl.from_orbit(orbit, 1)
-        spec = kn.ComposedInnerKernel(inner, 2)
-        nodes = (0.1 + 0.2j, -0.25 + 0.1j)
-        targets = (0.2 + 0j, 0.4 - 0.1j)
-        direct = pk.assemble_pick(pk.PickProblem(nodes, targets, spec)).entries
-        zeta = tuple(spec.value(z) for z in nodes)
-        pushed = pk.assemble_pick(
-            pk.PickProblem(zeta, targets, kn.SzegoKernel())
-        ).entries
-        same = bool(np.array_equal(direct, pushed))
-        return 0.0 if same else 1.0, same
-
-    return [
-        ("automorphism-group-laws", automorphism_laws),
-        ("closed-form-iteration", closed_form_iteration),
-        ("geometric-weight-bound", geometric_weight_bound),
-        ("orbit-blaschke-sum", orbit_sums),
-        ("character-identity", character_identity),
-        ("boundary-gram-identity", boundary_gram),
-        ("szego-gram-example", szego_gram_example),
-        ("pick-verdicts", pick_verdicts),
-        ("extremal-norm", extremal_norm),
-        ("schur-roundtrip", schur_roundtrip),
-        ("psd-oracle-agreement", psd_oracle),
-        ("amenable-averages", amenable_averages),
-        ("composition-equivalence", composition_equivalence),
-    ]
-
-
-def cmd_verify(args):
-    seed = args.seed if args.seed is not None else 0
-    checks = _verify_checks(seed, args.grid)
+def cmd_verify(doc, args):
     results = []
-    failures = 0
-    for name, fn in checks:
+    for name, fn in checks.battery(args.seed, args.grid):
         try:
             detail, ok = fn()
         except Exception as exc:  # a crash counts as a failure, with context
             print(f"FAIL {name}: {exc}", file=sys.stderr)
             results.append({"name": name, "pass": False, "detail": None})
-            failures += 1
             continue
         print(("ok   " if ok else "FAIL ") + name, file=sys.stderr)
         results.append(
             {"name": name, "pass": bool(ok), "detail": float(detail)}
         )
-        if not ok:
-            failures += 1
+    failures = sum(not r["pass"] for r in results)
     payload = {
-        "command": "verify",
-        "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "checks": results,
         "passed": len(results) - failures,
         "failed": failures,
     }
-    _emit(payload)
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
+    return payload, EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
 # driver
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
+_OPTIONS = {
+    "--tolerance": dict(type=float, default=None, help="positivity tolerance override"),
+    "--depth": dict(type=int, default=None, help="truncation depth override"),
+    "--grid": dict(type=_at_least(1), default=4096, help="norm-check grid size"),
+    "--seed": dict(type=_at_least(0), default=0, help="seed for randomized checks"),
+}
+
+# each command with the options it reads
 _COMMANDS = {
-    "orbit": cmd_orbit,
-    "blaschke-eval": cmd_blaschke_eval,
-    "character": cmd_character,
-    "kernel-gram": cmd_kernel_gram,
-    "pick-check": cmd_pick_check,
-    "orbit-pick-check": cmd_orbit_pick_check,
-    "pick-norm": cmd_pick_norm,
-    "interpolate": cmd_interpolate,
-    "amenable-average": cmd_amenable_average,
+    "orbit": (cmd_orbit, ("--depth",)),
+    "blaschke-eval": (cmd_blaschke_eval, ("--depth",)),
+    "character": (cmd_character, ("--tolerance", "--depth")),
+    "kernel-gram": (cmd_kernel_gram, ("--tolerance", "--depth")),
+    "pick-check": (cmd_pick_check, ("--tolerance", "--depth")),
+    "orbit-pick-check": (cmd_orbit_pick_check, ("--tolerance", "--depth")),
+    "pick-norm": (cmd_pick_norm, ("--depth",)),
+    "interpolate": (cmd_interpolate, ("--depth", "--grid")),
+    "amenable-average": (cmd_amenable_average, ()),
+    "verify": (cmd_verify, ("--grid", "--seed")),
 }
 
 
@@ -642,47 +489,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pick interpolation for group-invariant disk algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_COMMANDS) + ["verify"]:
+    for name, (_handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         if name != "verify":
             p.add_argument("problem", help="path to a JSON problem file")
-        p.add_argument(
-            "--tolerance", type=float, default=None,
-            help="positivity tolerance override",
-        )
-        p.add_argument(
-            "--depth", type=int, default=None, help="truncation depth override"
-        )
-        p.add_argument(
-            "--grid", type=int, default=4096,
-            help="norm-check grid size for interpolants",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None, help="seed for randomized checks"
-        )
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
+
+
+def _read_problem(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read problem file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError("$: the problem file must hold a JSON object")
+    return doc
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
+    handler, _flags = _COMMANDS[args.command]
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read problem file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: line {exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if not isinstance(doc, dict):
-        print("error: $: the problem file must hold a JSON object",
-              file=sys.stderr)
-        return EXIT_INPUT
-    handler = _COMMANDS[args.command]
-    try:
+        doc = _read_problem(args.problem) if "problem" in args else None
         payload, code = handler(doc, args)
     except Infeasible as exc:
         _emit({"command": args.command, "version": __version__,

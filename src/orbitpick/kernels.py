@@ -231,7 +231,6 @@ def boundary_gram_quadrature(
     b: bl.BlaschkeProduct,
     max_power: int,
     n_quad: int,
-    interior_radius: float = INTERIOR_MEAN_RADIUS,
 ) -> GramMatrix:
     """Gram matrix of the even powers B^0, B^2, ..., B^(2 max_power)
     against normalized arclength on the unit circle.
@@ -249,7 +248,7 @@ def boundary_gram_quadrature(
     * the circle average of an analytic function is radius independent,
       so the off-diagonal means may be taken over an interior circle,
       where the equispaced rule's aliasing terms carry the factor
-      interior_radius**n_quad and vanish at double precision.
+      INTERIOR_MEAN_RADIUS**n_quad and vanish at double precision.
 
     The diagonal is the plain equispaced boundary average of |B|^(4n);
     the worst deviation of |B| from 1 over the boundary nodes is
@@ -262,13 +261,11 @@ def boundary_gram_quadrature(
         raise InputError("n_quad must be a power of two, at least 1024")
     if max_power < 0:
         raise InputError("max_power must be nonnegative")
-    if not 0.0 < interior_radius < 1.0:
-        raise InputError("interior_radius must lie in (0, 1)")
     angles = 2.0 * np.pi * np.arange(n_quad) / n_quad
     nodes = np.exp(1j * angles)
     moduli = np.abs(bl.product_values(b, nodes))
     note = float(np.max(np.abs(moduli - 1.0)))
-    inner_sq = bl.product_values(b, interior_radius * nodes) ** 2
+    inner_sq = bl.product_values(b, INTERIOR_MEAN_RADIUS * nodes) ** 2
     # means of B^(2d) for d = 0 .. max_power over the interior circle
     means = np.empty(max_power + 1, dtype=complex)
     power = np.ones(n_quad, dtype=complex)

@@ -58,6 +58,7 @@ GENERIC = "generic"
 
 DEFAULT_DEDUP_TOL = 1e-12
 DEFAULT_POINT_CAP = 10**6
+_STABILIZER_CAP = 10**5  # group elements searched for stabilizer_order_origin
 
 # Euclidean tolerance for identifying two group elements during the
 # generic breadth-first search.  Elements whose parameters agree this
@@ -374,8 +375,6 @@ def cyclic_orbit_weight(a: float, n: int) -> float:
 def stabilizer_order_origin(
     group: GroupPresentation,
     max_word_length: int = 8,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    max_elements: int = 10**5,
 ) -> int:
     """Order of the subgroup fixing the origin.
 
@@ -383,15 +382,15 @@ def stabilizer_order_origin(
     z2z2 kind (2: the identity and the half-turn).  For generic
     presentations the count is over distinct enumerated elements of
     word length at most ``max_word_length`` fixing 0 within
-    ``dedup_tol``, hence a lower bound on the true order.
+    ``DEFAULT_DEDUP_TOL``, hence a lower bound on the true order.
     """
     if group.kind == CYCLIC:
         return 1
     if group.kind == Z2Z2:
         return 2
     count = 0
-    for _word, elem in _generic_elements(group, max_word_length, max_elements):
-        if abs(elem(0j)) <= dedup_tol:
+    for _word, elem in _generic_elements(group, max_word_length, _STABILIZER_CAP):
+        if abs(elem(0j)) <= DEFAULT_DEDUP_TOL:
             count += 1
     return count
 

@@ -111,6 +111,15 @@ class FeasibilityReport:
     pick_norm: float | None = None
 
 
+def _scalar_data(nodes, targets) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Validated disk nodes and complex targets of a scalar problem."""
+    nodes = tuple(disk_point(z) for z in nodes)
+    targets = tuple(complex(w) for w in targets)
+    if len(nodes) != len(targets) or not nodes:
+        raise InputError("nodes and targets must be nonempty, equal length")
+    return nodes, targets
+
+
 def _check_aliases(points, targets) -> list[int]:
     """Indices of the nodes no earlier node collapses onto, i.e. within
     ``_ALIAS_TOL`` of it under the inner map.  Collapsing nodes must
@@ -208,10 +217,7 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     working precision, and the least accepted c is found by bisection
     to relative width 1e-10 instead.
     """
-    nodes = tuple(disk_point(z) for z in nodes)
-    targets = tuple(complex(w) for w in targets)
-    if len(nodes) != len(targets) or not nodes:
-        raise InputError("nodes and targets must be nonempty, equal length")
+    nodes, targets = _scalar_data(nodes, targets)
     check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     wmax = max(abs(w) for w in targets)
     if wmax == 0.0:
@@ -299,10 +305,7 @@ def interpolate_disk(nodes, targets) -> SchurInterpolant:
     a unimodular parameter and the result is the unique finite
     Blaschke-type solution.
     """
-    nodes = tuple(disk_point(z) for z in nodes)
-    targets = tuple(complex(w) for w in targets)
-    if len(nodes) != len(targets) or not nodes:
-        raise InputError("nodes and targets must be nonempty, equal length")
+    nodes, targets = _scalar_data(nodes, targets)
     problem = PickProblem(nodes, targets, SzegoKernel())
     report = feasibility(problem)
     if not report.psd.is_psd:
@@ -383,10 +386,7 @@ def interpolate_composed(
     targets (they are merged), and the resulting disk problem is solved
     by ``interpolate_disk``.  The returned function is g(phi(z)).
     """
-    nodes = tuple(disk_point(z) for z in nodes)
-    targets = tuple(complex(w) for w in targets)
-    if len(nodes) != len(targets) or not nodes:
-        raise InputError("nodes and targets must be nonempty, equal length")
+    nodes, targets = _scalar_data(nodes, targets)
     if power < 1:
         raise InputError("power must be at least 1")
     spec = ComposedInnerKernel(inner, power)

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from orbitpick import checks
 from orbitpick.cli import main
 
 
@@ -229,6 +230,18 @@ def test_verify_command(capsys):
     assert "ok" in out.err
 
 
+def test_verify_reports_crashed_and_failed_checks(capsys, monkeypatch):
+    battery = [("crashes", lambda: 1 / 0), ("fails", lambda: (2.5, False))]
+    monkeypatch.setattr(checks, "battery", lambda seed, grid_n: battery)
+    assert main(["verify"]) == 3
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    results = [(c["pass"], c["detail"]) for c in report["checks"]]
+    assert results == [(False, None), (False, 2.5)]
+    assert (report["passed"], report["failed"]) == (0, 2)
+    assert "FAIL crashes: division by zero" in out.err and "FAIL fails" in out.err
+
+
 MALFORMED = [
     {},  # no sections at all
     {"nodes": [[0.0, 0.0]], "kernel": {"variant": "szego"}},  # missing targets
@@ -292,6 +305,18 @@ def test_verify_report_matches_golden(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     golden = (DATA / "verify-seed0.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpolate", str(DATA / "szego4_problem.json"), "--grid", "0"],
+    ["verify", "--grid", "-5"],
+    ["verify", "--seed", "-1"],
+    ["pick-norm", str(DATA / "szego4_problem.json"), "--tolerance", "1"],  # not read
+])
+def test_rejected_options_exit_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def _emitted_matrix(out: str, key: str) -> np.ndarray:
