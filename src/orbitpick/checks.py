@@ -132,7 +132,7 @@ def schur_roundtrip(rng, grid_n: int):
 
 
 def psd_oracle(rng, count: int):
-    """Eigenvalue verdicts against principal minors on ``count`` random
+    """Cholesky verdicts against principal minors on ``count`` random
     Hermitian 3x3 matrices not near singular; the detail counts misses."""
     bad = 0
     checked = 0

@@ -1,18 +1,22 @@
-"""Dense Hermitian eigenvalue and positivity checks.
+"""Dense Hermitian positivity checks and eigenvalues.
 
-Every eigen-solve goes through LAPACK's Hermitian solvers
-(numpy.linalg.eigvalsh and eigh), whose computed eigenvalues are exact
-for a matrix within a small multiple of n * eps * ||A|| of the input;
-the positivity tolerances below sit well above that.  ``pencil_max``
-solves the generalized problem behind extremal norms with one
-factorization of K.  The 3x3 principal-minor routine at the end is
-independent of LAPACK and serves as its oracle.
+A positivity verdict at tolerance tol is one Cholesky attempt on
+A + tol * I (numpy.linalg.cholesky): the verdict is "positive" iff the
+factorization succeeds.  Cholesky is backward stable, so a computed
+factor exists for a matrix within a small multiple of n * eps * ||A||
+of the input, and the verdict agrees with min eigenvalue >= -tol
+except when that eigenvalue lies within such a margin of -tol; the
+positivity tolerances below sit well above it.  No verdict needs the
+spectrum: the smallest eigenvalue a report carries is computed by
+LAPACK's Hermitian solver (numpy.linalg.eigvalsh) only when it is
+read.  ``pencil_max`` solves the generalized problem behind extremal
+norms with one eigen-decomposition of K.  The 3x3 principal-minor
+routine at the end is independent of LAPACK and serves as its oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +29,36 @@ MAX_DIMENSION = 2000
 RANGE_CUTOFF = 1e-13
 
 
-@dataclass(frozen=True)
 class PsdReport:
-    """Positivity verdict: is_psd holds iff min_eigenvalue >= -tolerance_used."""
+    """Positivity verdict at an explicit tolerance.
 
-    min_eigenvalue: float
-    is_psd: bool
-    tolerance_used: float
+    ``is_psd`` says whether A + tolerance_used * I has a Cholesky
+    factor, which up to that factorization's backward error means
+    min_eigenvalue >= -tolerance_used.  A report from ``psd_check``
+    computes ``min_eigenvalue`` with ``min_eig`` on first read and keeps
+    it; a report built directly carries the value it was given.
+    """
+
+    __slots__ = ("_min_eigenvalue", "_pending", "is_psd", "tolerance_used")
+
+    def __init__(self, min_eigenvalue: float, is_psd: bool, tolerance_used: float):
+        self._min_eigenvalue = min_eigenvalue
+        self._pending = None  # matrix whose min_eig is still to be read
+        self.is_psd = is_psd
+        self.tolerance_used = tolerance_used
+
+    @property
+    def min_eigenvalue(self) -> float:
+        if self._pending is not None:
+            self._min_eigenvalue = min_eig(self._pending)
+            self._pending = None
+        return self._min_eigenvalue
+
+    def __repr__(self):
+        return (
+            f"PsdReport(min_eigenvalue={self.min_eigenvalue!r}, "
+            f"is_psd={self.is_psd!r}, tolerance_used={self.tolerance_used!r})"
+        )
 
 
 class HermitianMatrix:
@@ -115,19 +142,30 @@ def default_psd_tolerance(a) -> float:
 
 
 def psd_check(a, tol: float | None = None) -> PsdReport:
-    """Positive-semidefiniteness verdict with an explicit tolerance.
+    """Positive-semidefiniteness verdict with an explicit tolerance:
+    does A + tol * I have a Cholesky factor?
 
     The default tolerance 1e-10 * (1 + max diagonal) is anchored to the
     diagonal because the matrices arising here scale with kernel
-    magnitudes near the boundary.
+    magnitudes near the boundary.  The report's ``min_eigenvalue`` is
+    computed on first read.
     """
     h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
     if tol is None:
         tol = default_psd_tolerance(h)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
-    lo = min_eig(h)
-    return PsdReport(min_eigenvalue=lo, is_psd=lo >= -tol, tolerance_used=tol)
+    shifted = _solvable(h)
+    shifted.flat[:: h.n + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        is_psd = False
+    else:
+        is_psd = True
+    report = PsdReport(math.nan, is_psd, tol)
+    report._pending = h
+    return report
 
 
 def brute_force_psd_3x3(a, tol: float = 1e-12) -> bool:

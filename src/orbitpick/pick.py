@@ -10,13 +10,16 @@ and the extremal multiplier norm on the kernel span is the least c with
 [(c^2 - w_i conj(w_j)) K] positive.  K is always a Szegő matrix
 (``kernels.szego_matrix``) at the nodes, at their inner values, or at
 their concatenated truncated orbits, each node's target carried by all
-of its rows; one alias check guards every composed-kernel entry point.  c^2 is the largest eigenvalue of
-the pencil ((w w^H) o K, K), taken by one eigen-solve on the numerical
-range of K and accepted only after the positivity check above passes
-at c; bisection on that check is the fallback.  Solutions on
-the disk itself are constructed by the classical Schur recursion; a
-problem posed on the span of powers of an inner function phi reduces to
-a disk problem at the points phi(z_j)^m and composes back.
+of its rows; one alias check guards every composed-kernel entry point.
+Positivity at tolerance tol is one Cholesky attempt on A + tol * I
+(``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
+largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
+eigen-solve on the numerical range of K and accepted only after that
+Cholesky check passes at c; bisection on the same check is the
+fallback.  Solutions on the disk itself are constructed by the
+classical Schur recursion; a problem posed on the span of powers of an
+inner function phi reduces to a disk problem at the points phi(z_j)^m
+and composes back.
 """
 
 from __future__ import annotations
@@ -211,11 +214,12 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
 
     c^2 is the largest eigenvalue of the pencil (w w^H) o K - t K, found
     by one eigen-solve on the numerical range of K (``pencil_max``).  c
-    is returned only if the positivity check the verdicts use accepts
-    it, so a norm <= 1 comes with a feasible verdict.  When the
-    check rejects it, target weight sits on directions K annihilates to
+    is returned only if the positivity check the verdicts use, one
+    Cholesky attempt on the matrix at c plus its tolerance, accepts it,
+    so a norm <= 1 comes with a feasible verdict.  When the check
+    rejects it, target weight sits on directions K annihilates to
     working precision, and the least accepted c is found by bisection
-    to relative width 1e-10 instead.
+    on the same check, to relative width 1e-10, instead.
     """
     nodes, targets = _scalar_data(nodes, targets)
     check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)

@@ -208,4 +208,4 @@ def test_criterion_9_amenable_averaging():
 
 def test_criterion_10_psd_oracle_agreement():
     bad, ok = checks.psd_oracle(np.random.default_rng(101121), 1000)
-    report(10, ok, f"eigenvalue vs principal-minor verdicts {1000 - int(bad)}/1000")
+    report(10, ok, f"Cholesky vs principal-minor verdicts {1000 - int(bad)}/1000")

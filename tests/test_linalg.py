@@ -1,15 +1,30 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitpick import linalg
+from orbitpick.blaschke import from_orbit
 from orbitpick.errors import InputError
+from orbitpick.kernels import (
+    ComposedInnerKernel,
+    OrbitGramKernel,
+    dominance_check,
+    szego_matrix,
+)
 from orbitpick.linalg import (
+    MAX_DIMENSION,
     HermitianMatrix,
     brute_force_psd_3x3,
     min_eig,
     pencil_max,
     psd_check,
 )
+from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
+from orbitpick.pick import PickProblem, feasibility
 
 
 def random_hermitian(rng, n):
@@ -151,3 +166,87 @@ def test_hermitian_validation():
         HermitianMatrix([[np.inf]])
     with pytest.raises(InputError):
         psd_check([[1.0]], tol=-1.0)
+
+
+def _test_matrix(kind, n, seed):
+    """A Hermitian matrix of the given kind, built from a numpy seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "hermitian":
+        a = random_hermitian(rng, n)
+        return a - min_eig(a) * np.eye(n)  # smallest eigenvalue near 0
+    if kind == "gram":  # rank < n, diagonal in [1, 500]
+        rank = int(rng.integers(1, n)) if n > 1 else 1
+        v = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        v *= np.sqrt(rng.uniform(1.0, 500.0, (n, 1))) / np.linalg.norm(v, axis=1, keepdims=True)
+        return v @ v.conj().T
+    if kind == "szego":  # clustered points out to radius 0.999, like orbit kernels
+        r = rng.uniform(0.9, 0.999, n)
+        return szego_matrix(r * np.exp(1j * rng.uniform(0.0, 0.3, n)))
+    lam = rng.uniform(0.0, 10.0, n)  # "singular": PSD with an exact zero eigenvalue
+    lam[int(rng.integers(n))] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * lam) @ q.conj().T
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["hermitian", "gram", "szego", "singular"]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0.5, 1e-1, 1e-6, 1e-10, 0.0, -1e-10, -1e-6, -1e-1, -0.5]),
+    tol=st.one_of(st.none(), st.floats(-14.0, 1.0).map(lambda e: 10.0**e)),
+)
+def test_cholesky_verdict_matches_the_eigenvalue_verdict(kind, n, seed, offset, tol):
+    a = _test_matrix(kind, n, seed)
+    a = a + offset * np.linalg.norm(a, 2) * np.eye(n)
+    rep = psd_check(a, tol)
+    tol = rep.tolerance_used
+    lo = min_eig(a)
+    norm = np.linalg.norm(a, 2)
+    if abs(lo + tol) > 100 * n * np.finfo(float).eps * norm:
+        assert rep.is_psd == (lo >= -tol)
+    # the principal minors of A + tol * I decide reliably once every
+    # eigenvalue clears 1e-4 * ||A||: each minor is then a product of
+    # factors far above the rounding of a 3x3 determinant
+    shifted = a + tol * np.eye(n)
+    if n <= 3 and np.all(np.abs(np.linalg.eigvalsh(shifted)) > 1e-4 * norm):
+        assert rep.is_psd == brute_force_psd_3x3(shifted, tol=0.0)
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("a verdict ran an eigen-solve")
+
+
+def test_verdicts_run_no_eigen_solve(monkeypatch):
+    orbit = enumerate_orbit(cyclic_group(0.5), 0j, 60)
+    b, b2 = from_orbit(orbit, 1), from_orbit(orbit, 2)
+    nodes = (0.2 + 0.1j, -0.35 + 0.05j)
+    spec = ComposedInnerKernel(b, 2)
+    targets = tuple(0.9 * spec.value(z) for z in nodes)
+    problem = PickProblem(nodes, targets, OrbitGramKernel(z2z2_group(0.5), 120))
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, _boom)
+    monkeypatch.setattr(linalg, "min_eig", _boom)
+    report = feasibility(problem)
+    dominance = dominance_check(spec, b2, 1.0, nodes)
+    assert report.psd.is_psd and dominance.is_psd
+    monkeypatch.undo()
+    lazy = report.psd.min_eigenvalue
+    assert lazy.hex() == min_eig(report.matrix).hex()
+    assert report.psd.min_eigenvalue is lazy  # computed once, then kept
+    assert dominance.min_eigenvalue >= -dominance.tolerance_used
+
+
+def test_psd_check_rejects_bad_input_at_once(monkeypatch):
+    monkeypatch.setattr(linalg, "min_eig", _boom)
+    big = HermitianMatrix([[1.0]])
+    # untouched pages of np.zeros cost no memory; the dimension check
+    # must raise before any arithmetic on the entries
+    big.entries = np.zeros((MAX_DIMENSION + 1, MAX_DIMENSION + 1), dtype=complex)
+    with pytest.raises(InputError, match="exceeds the supported 2000"):
+        psd_check(big, tol=1.0)
+    with pytest.raises(InputError, match="empty matrix"):
+        psd_check(np.zeros((0, 0)))
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="tolerance must be positive and finite"):
+            psd_check(np.eye(2), tol=tol)
