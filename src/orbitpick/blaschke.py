@@ -172,8 +172,10 @@ def character_of(
     of the ratios from that value is reported.  Probes where the
     product value is not safely above its own truncation error bound
     make the extraction unreliable and raise ``InconclusiveCharacter``,
-    as does a residual above ``tol``.
+    as does a residual above ``tol``, which must be positive and finite.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InputError("tolerance must be positive and finite")
     ratios = []
     for z in CHARACTER_PROBES:
         gz = g(z)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -264,19 +265,25 @@ def cmd_orbit(doc, args):
     return payload, EXIT_OK
 
 
-def cmd_blaschke_eval(doc, args):
+def _orbit_product(doc, args):
+    """The group, the stabilizer power m (1 unless ``associated``) and
+    the Blaschke product of the orbit of 0, each zero taken m times."""
     group = _parse_group(doc)
     depth, strict = _parse_truncation(doc, args.depth)
-    pts_doc = _section(doc, "eval_points")
-    if not isinstance(pts_doc, list) or not pts_doc:
-        _fail("$.eval_points", "expected a nonempty list of [re, im] pairs")
-    pts = [_disk_pair(v, f"$.eval_points[{i}]") for i, v in enumerate(pts_doc)]
     associated = doc.get("associated", False)
     if not isinstance(associated, bool):
         _fail("$.associated", "expected a boolean")
     m = orb.stabilizer_order_origin(group) if associated else 1
     orbit = orb.enumerate_orbit(group, 0j, depth)
-    product = bl.from_orbit(orbit, m, strict=strict)
+    return group, m, bl.from_orbit(orbit, m, strict=strict)
+
+
+def cmd_blaschke_eval(doc, args):
+    pts_doc = _section(doc, "eval_points")
+    if not isinstance(pts_doc, list) or not pts_doc:
+        _fail("$.eval_points", "expected a nonempty list of [re, im] pairs")
+    pts = [_disk_pair(v, f"$.eval_points[{i}]") for i, v in enumerate(pts_doc)]
+    _group, m, product = _orbit_product(doc, args)
     values = []
     for z in pts:
         v, err = bl.evaluate(product, z)
@@ -293,14 +300,7 @@ def cmd_blaschke_eval(doc, args):
 
 
 def cmd_character(doc, args):
-    group = _parse_group(doc)
-    depth, strict = _parse_truncation(doc, args.depth)
-    associated = doc.get("associated", False)
-    if not isinstance(associated, bool):
-        _fail("$.associated", "expected a boolean")
-    m = orb.stabilizer_order_origin(group) if associated else 1
-    orbit = orb.enumerate_orbit(group, 0j, depth)
-    product = bl.from_orbit(orbit, m, strict=strict)
+    group, m, product = _orbit_product(doc, args)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     reports = []
     for i, g in enumerate(group.generators):
@@ -320,7 +320,7 @@ def cmd_kernel_gram(doc, args):
     kernel = _parse_kernel(doc, args)
     nodes = _parse_nodes(doc)
     g = kn.gram(kernel, nodes)
-    rep = la.psd_check(la.HermitianMatrix(g.entries), tol=args.tolerance)
+    rep = la.psd_check(g.entries, tol=args.tolerance)
     payload = {
         "size": int(g.entries.shape[0]),
         "entries": _matrix_payload(g.entries),
@@ -332,37 +332,30 @@ def cmd_kernel_gram(doc, args):
     return payload, EXIT_OK
 
 
-def _feasibility_payload(report: pk.FeasibilityReport):
-    return {
+def cmd_pick_check(doc, args, kernel=None):
+    """``kernel`` defaults to the one the file's kernel section gives."""
+    if kernel is None:
+        kernel = _parse_kernel(doc, args)
+    nodes = _parse_nodes(doc)
+    targets = _parse_targets(doc, len(nodes))
+    problem = pk.PickProblem(nodes, targets, kernel)
+    report = pk.feasibility(problem, tol=args.tolerance)
+    payload = {
         "psd": report.psd.is_psd,
         "min_eigenvalue": report.psd.min_eigenvalue,
         "tolerance_used": report.psd.tolerance_used,
         "matrix_size": report.matrix.n,
         "matrix": _matrix_payload(report.matrix.entries),
     }
-
-
-def cmd_pick_check(doc, args):
-    kernel = _parse_kernel(doc, args)
-    nodes = _parse_nodes(doc)
-    targets = _parse_targets(doc, len(nodes))
-    problem = pk.PickProblem(nodes, targets, kernel)
-    report = pk.feasibility(problem, tol=args.tolerance)
-    return _feasibility_payload(report), (
-        EXIT_OK if report.psd.is_psd else EXIT_INFEASIBLE
-    )
+    return payload, EXIT_OK if report.psd.is_psd else EXIT_INFEASIBLE
 
 
 def cmd_orbit_pick_check(doc, args):
     group = _parse_group(doc)
     depth, _strict = _parse_truncation(doc, args.depth)
-    nodes = _parse_nodes(doc)
-    targets = _parse_targets(doc, len(nodes))
-    problem = pk.PickProblem(nodes, targets, kn.OrbitGramKernel(group, depth))
-    report = pk.feasibility(problem, tol=args.tolerance)
-    payload = _feasibility_payload(report)
+    payload, code = cmd_pick_check(doc, args, kn.OrbitGramKernel(group, depth))
     payload["depth"] = depth
-    return payload, EXIT_OK if report.psd.is_psd else EXIT_INFEASIBLE
+    return payload, code
 
 
 def cmd_pick_norm(doc, args):
@@ -461,9 +454,18 @@ def _at_least(low: int):
     return parse
 
 
+def _positive_finite(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return x
+
+
 _OPTIONS = {
-    "--tolerance": dict(type=float, default=None, help="positivity tolerance override"),
-    "--depth": dict(type=int, default=None, help="truncation depth override"),
+    "--tolerance": dict(
+        type=_positive_finite, default=None, help="positivity tolerance override"
+    ),
+    "--depth": dict(type=_at_least(0), default=None, help="truncation depth override"),
     "--grid": dict(type=_at_least(1), default=4096, help="norm-check grid size"),
     "--seed": dict(type=_at_least(0), default=0, help="seed for randomized checks"),
 }

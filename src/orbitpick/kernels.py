@@ -13,10 +13,12 @@ Three kernel variants are exposed:
 
 Every kernel matrix is a Szegő matrix at other points: the composed
 kernel's at the values phi(z_i), the orbit kernel's at the concatenated
-truncated orbits.  ``szego_matrix`` is the one builder; its entries
-equal the scalar ``szego`` bit for bit, and a Gram matrix takes its
-strict upper triangle as computed and the rest as the conjugate
-mirror, so it is conjugate-symmetric exactly.
+truncated orbits.  ``_szego_points`` is the one map from a kernel spec
+to those points, and ``szego_matrix`` the one builder; ``gram`` and the
+Pick matrices of ``pick`` are both built from the two.  The entries of
+``szego_matrix`` equal the scalar ``szego`` bit for bit, and a Gram
+matrix takes its strict upper triangle as computed and the rest as the
+conjugate mirror, so it is conjugate-symmetric exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, UnsupportedVariant
-from .linalg import HermitianMatrix, PsdReport, psd_check
+from .linalg import PsdReport, psd_check
 from .mobius import disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, enumerate_orbit
 
@@ -147,7 +149,8 @@ def check_distinct(points, tol: float, error: type, message: str) -> list[comple
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Gram matrix [K(z_i, z_j)] over pairwise distinct points.
+    """Gram matrix [K(z_i, z_j)] over pairwise distinct points: the
+    Szegő matrix at the points ``_szego_points`` gives for ``spec``.
 
     For the orbit variant the result is the block matrix over the
     truncated orbits of every point, in deterministic orbit order.
@@ -155,45 +158,43 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
     if not pts:
         raise InputError("at least one point is required")
-    if isinstance(spec, OrbitGramKernel):
-        flat: list[complex] = []
-        notes: list[float] = []
-        certified = True
-        for p in pts:
-            orbit = enumerate_orbit(spec.group, p, spec.depth)
-            flat.extend(q for q in orbit.points if abs(q) <= KERNEL_POINT_RADIUS)
-            if orbit.tail_bound is None:
-                certified = False
-            else:
-                notes.append(orbit.tail_bound)
-        note = max(notes) if certified and notes else None
-        return GramMatrix(tuple(pts), szego_matrix(flat), note)
-    if isinstance(spec, ComposedInnerKernel):
-        evals = [bl.evaluate(spec.inner, p) for p in pts]
-        note = spec.power * max(err for _, err in evals)
-        vals = [v**spec.power for v, _ in evals]
-        return GramMatrix(tuple(pts), szego_matrix(vals), note)
-    return GramMatrix(tuple(pts), szego_matrix(pts), None)
+    zs, _, note = _szego_points(spec, pts)
+    return GramMatrix(tuple(pts), szego_matrix(zs), note)
 
 
-def _orbit_points(group: GroupPresentation, depth: int, z: complex) -> list[complex]:
+def _orbit_points(
+    group: GroupPresentation, depth: int, z: complex, tails: list | None = None
+) -> list[complex]:
     """Orbit of ``z`` truncated to depth, restricted to the radius where
-    kernel rows are numerically meaningful."""
+    kernel rows are numerically meaningful; the orbit's ``tail_bound``
+    is appended to ``tails`` when it is given."""
+    # The benchmark tracer (bench/orbitbench/tracing.py) counts cut points
+    # from the list this returns, so the tail bound leaves by ``tails``.
     orbit = enumerate_orbit(group, z, depth)
+    if tails is not None:
+        tails.append(orbit.tail_bound)
     return [p for p in orbit.points if abs(p) <= KERNEL_POINT_RADIUS]
 
 
-def _szego_points(spec: KernelSpec, points) -> tuple[list[complex], list[int]]:
+def _szego_points(
+    spec: KernelSpec, points
+) -> tuple[list[complex], list[int], float | None]:
     """Points whose Szegő matrix is the kernel matrix of ``spec`` at
-    ``points``, and the number of them each point owns: the points
-    themselves, their values phi(z) (one evaluation each), or their
-    truncated orbits, concatenated in order."""
+    ``points``, the number of them each point owns, and the truncation
+    note: the points themselves (note None), their values phi(z) with
+    one evaluation each (note ``power`` times the largest evaluation
+    error bound), or their truncated orbits, concatenated in order
+    (note the largest orbit tail bound, None if any orbit has none)."""
     if isinstance(spec, OrbitGramKernel):
-        orbits = [_orbit_points(spec.group, spec.depth, p) for p in points]
-        return [q for orbit in orbits for q in orbit], [len(o) for o in orbits]
+        tails: list = []
+        orbits = [_orbit_points(spec.group, spec.depth, p, tails) for p in points]
+        note = None if None in tails else max(tails)
+        return [q for orbit in orbits for q in orbit], [len(o) for o in orbits], note
     if isinstance(spec, ComposedInnerKernel):
-        return [spec.value(p) for p in points], [1] * len(points)
-    return list(points), [1] * len(points)
+        evals = [bl.evaluate(spec.inner, p) for p in points]
+        note = spec.power * max((err for _, err in evals), default=0.0)
+        return [v**spec.power for v, _ in evals], [1] * len(points), note
+    return list(points), [1] * len(points), None
 
 
 def orbit_block(
@@ -229,7 +230,7 @@ def dominance_check(
     pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
     bvals = [bl.evaluate(b_gamma, p)[0] for p in pts]
     d = c * c * szego_matrix(bvals) - szego_matrix(_szego_points(k_sigma, pts)[0])
-    return psd_check(HermitianMatrix(d), tol=tol)
+    return psd_check(d, tol=tol)
 
 
 def boundary_gram_quadrature(

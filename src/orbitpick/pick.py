@@ -8,9 +8,13 @@ kernel is decided by positivity of the matrix
 
 and the extremal multiplier norm on the kernel span is the least c with
 [(c^2 - w_i conj(w_j)) K] positive.  K is always a Szegő matrix
-(``kernels.szego_matrix``) at the nodes, at their inner values, or at
-their concatenated truncated orbits, each node's target carried by all
-of its rows; one alias check guards every composed-kernel entry point.
+(``kernels.szego_matrix``) at the points ``kernels._szego_points``
+gives: the nodes, their inner values, or their concatenated truncated
+orbits, each node's target carried by all of its rows.  So one
+``assemble_pick`` serves every kernel, ``PickProblem`` is the one
+validation of nodes and targets (``pick_norm`` and the interpolants
+build one too, and take scalar targets only), and one alias check
+guards every composed-kernel entry point.
 Positivity at tolerance tol is one Cholesky attempt on A + tol * I
 (``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
@@ -36,12 +40,10 @@ from .errors import (
     Infeasible,
     InputError,
     NoConvergence,
-    UnsupportedVariant,
 )
 from .kernels import (
     ComposedInnerKernel,
     KernelSpec,
-    OrbitGramKernel,
     SzegoKernel,
     _szego_points,
     check_distinct,
@@ -100,7 +102,7 @@ class PickProblem:
 
     @staticmethod
     def is_matrix_valued(targets) -> bool:
-        return bool(targets) and not isinstance(targets[0], (complex, float, int))
+        return bool(targets) and np.ndim(targets[0]) > 0
 
     @property
     def matrix_valued(self) -> bool:
@@ -111,16 +113,15 @@ class PickProblem:
 class FeasibilityReport:
     psd: PsdReport
     matrix: HermitianMatrix
-    pick_norm: float | None = None
 
 
-def _scalar_data(nodes, targets) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Validated disk nodes and complex targets of a scalar problem."""
-    nodes = tuple(disk_point(z) for z in nodes)
-    targets = tuple(complex(w) for w in targets)
-    if len(nodes) != len(targets) or not nodes:
-        raise InputError("nodes and targets must be nonempty, equal length")
-    return nodes, targets
+def _scalar_problem(nodes, targets, kernel: KernelSpec) -> PickProblem:
+    """The problem validated by ``PickProblem``; the one place where
+    matrix targets are refused by the scalar-only solvers."""
+    problem = PickProblem(nodes, targets, kernel)
+    if problem.matrix_valued:
+        raise InputError("this operation is defined for scalar targets only")
+    return problem
 
 
 def _check_aliases(points, targets) -> list[int]:
@@ -144,7 +145,7 @@ def _check_aliases(points, targets) -> list[int]:
 def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[np.ndarray, list[int]]:
     """Kernel matrix at the nodes, one row per Szegő point, and the
     number of rows each node owns; aliased composed nodes raise."""
-    points, counts = _szego_points(kernel, nodes)
+    points, counts, _ = _szego_points(kernel, nodes)
     if isinstance(kernel, ComposedInnerKernel):
         _check_aliases(points, targets)
     return szego_matrix(points), counts
@@ -166,44 +167,23 @@ def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
 
 
 def assemble_pick(problem: PickProblem) -> HermitianMatrix:
-    """Pick matrix of the problem for a scalar-evaluable kernel.
+    """Pick matrix of the problem, for every kernel variant.
 
     For the composed kernel, nodes that the inner map sends to the same
     point must carry equal targets; otherwise no function of the inner
-    map can interpolate and ``AliasedNodes`` is raised.
+    map can interpolate and ``AliasedNodes`` is raised.  For the orbit
+    kernel the (i, j) block is (1 - w_i conj(w_j)) [K(g(z_i), h(z_j))]
+    over the deterministic orbit orderings; for matrix targets each
+    scalar entry is tensored with (I - W_i W_j^H), row index major.
     """
     check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
-    if isinstance(problem.kernel, OrbitGramKernel):
-        raise UnsupportedVariant(
-            "orbit kernels are assembled by assemble_orbit_pick"
-        )
     kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
-    return HermitianMatrix(_weighted(problem.targets, counts, kmat))
-
-
-def assemble_orbit_pick(
-    problem: PickProblem, group: GroupPresentation, depth: int
-) -> HermitianMatrix:
-    """Pick matrix over the truncated orbit of every node.
-
-    The (i, j) block is (1 - w_i conj(w_j)) [K(g(z_i), h(z_j))] over the
-    deterministic orbit orderings; for matrix targets each scalar orbit
-    entry is tensored with (I - W_i W_j^H), orbit index major.
-    """
-    check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
-    kernel = OrbitGramKernel(group, depth)
-    kmat, counts = _kernel_rows(kernel, problem.nodes, problem.targets)
     return HermitianMatrix(_weighted(problem.targets, counts, kmat))
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
     """Assemble the Pick matrix of the problem and test positivity."""
-    if isinstance(problem.kernel, OrbitGramKernel):
-        mat = assemble_orbit_pick(
-            problem, problem.kernel.group, problem.kernel.depth
-        )
-    else:
-        mat = assemble_pick(problem)
+    mat = assemble_pick(problem)
     return FeasibilityReport(psd=psd_check(mat, tol=tol), matrix=mat)
 
 
@@ -221,7 +201,8 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     working precision, and the least accepted c is found by bisection
     on the same check, to relative width 1e-10, instead.
     """
-    nodes, targets = _scalar_data(nodes, targets)
+    problem = _scalar_problem(nodes, targets, kernel)
+    nodes, targets = problem.nodes, problem.targets
     check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     wmax = max(abs(w) for w in targets)
     if wmax == 0.0:
@@ -231,7 +212,7 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     outer = np.outer(w, w.conj())
 
     def is_psd(c: float) -> bool:
-        return psd_check(HermitianMatrix((c * c - outer) * kmat)).is_psd
+        return psd_check((c * c - outer) * kmat).is_psd
 
     c = math.sqrt(max(pencil_max(kmat, outer * kmat), 0.0))
     if is_psd(c):
@@ -309,8 +290,8 @@ def interpolate_disk(nodes, targets) -> SchurInterpolant:
     a unimodular parameter and the result is the unique finite
     Blaschke-type solution.
     """
-    nodes, targets = _scalar_data(nodes, targets)
-    problem = PickProblem(nodes, targets, SzegoKernel())
+    problem = _scalar_problem(nodes, targets, SzegoKernel())
+    nodes, targets = problem.nodes, problem.targets
     report = feasibility(problem)
     if not report.psd.is_psd:
         raise Infeasible(
@@ -390,11 +371,9 @@ def interpolate_composed(
     targets (they are merged), and the resulting disk problem is solved
     by ``interpolate_disk``.  The returned function is g(phi(z)).
     """
-    nodes, targets = _scalar_data(nodes, targets)
-    if power < 1:
-        raise InputError("power must be at least 1")
-    spec = ComposedInnerKernel(inner, power)
-    zeta = [spec.value(z) for z in nodes]
+    problem = _scalar_problem(nodes, targets, ComposedInnerKernel(inner, power))
+    nodes, targets = problem.nodes, problem.targets
+    zeta, _, _ = _szego_points(problem.kernel, nodes)
     keep = _check_aliases(zeta, targets)
     rep_pts = [zeta[i] for i in keep]
     rep_ws = [targets[i] for i in keep]

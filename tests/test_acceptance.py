@@ -14,13 +14,19 @@ from conftest import (
 )
 from orbitpick import checks
 from orbitpick.blaschke import evaluate, from_orbit
-from orbitpick.kernels import ComposedInnerKernel, SzegoKernel, dominance_check, kernel_eval, szego
+from orbitpick.kernels import (
+    ComposedInnerKernel,
+    OrbitGramKernel,
+    SzegoKernel,
+    dominance_check,
+    kernel_eval,
+    szego,
+)
 from orbitpick.linalg import psd_check
 from orbitpick.mobius import iterate_cyclic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import (
     PickProblem,
-    assemble_orbit_pick,
     assemble_pick,
     interpolate_composed,
     pick_norm,
@@ -163,7 +169,9 @@ def test_criterion_7_condition_equivalence():
             scale = 1.0 + max(float(np.max(mat.entries.diagonal().real)), 0.0)
             if abs(rep.min_eigenvalue) >= 1e-6 * scale:
                 break
-        orbit_rep = psd_check(assemble_orbit_pick(problem, group, 200))
+        orbit_rep = psd_check(
+            assemble_pick(PickProblem(nodes, targets, OrbitGramKernel(group, 200)))
+        )
         feasible_count += rep.is_psd
         agree += rep.is_psd == orbit_rep.is_psd
     ok = agree == 100

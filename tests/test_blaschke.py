@@ -172,6 +172,12 @@ def test_character_inconclusive_when_probe_hits_zero():
         character_of(b, iterate_cyclic(0.37, 1))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+def test_character_of_rejects_bad_tolerance(tol):
+    with pytest.raises(InputError, match="tolerance must be positive and finite"):
+        character_of(cyclic_product(depth=60), iterate_cyclic(0.5, 1), tol=tol)
+
+
 def test_invariants_rejected():
     with pytest.raises(InputError):
         BlaschkeProduct(-1, (), 0.0)

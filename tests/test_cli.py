@@ -312,6 +312,9 @@ def test_verify_report_matches_golden(capsys):
     ["verify", "--grid", "-5"],
     ["verify", "--seed", "-1"],
     ["pick-norm", str(DATA / "szego4_problem.json"), "--tolerance", "1"],  # not read
+    ["character", str(DATA / "even_problem.json"), "--tolerance", "nan"],
+    ["character", str(DATA / "even_problem.json"), "--tolerance", "-1"],
+    ["pick-check", str(DATA / "even_problem.json"), "--depth", "-1"],
 ])
 def test_rejected_options_exit_two(argv):
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from orbitpick.errors import OrbitExplosion
 from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel, gram
 from orbitpick.linalg import min_eig, psd_check
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
-from orbitpick.pick import PickProblem, assemble_orbit_pick, assemble_pick, pick_norm
+from orbitpick.pick import PickProblem, assemble_pick, pick_norm
 
 
 def test_orbit_cap_raises():
@@ -33,14 +33,10 @@ def test_gram_with_orbit_kernel_blocks():
 def test_matrix_orbit_pick_is_kron_of_scalar():
     w = [0.2 + 0.1j, -0.4 + 0.2j]
     nodes = (0.1 + 0j, -0.2 + 0.3j)
-    group = z2z2_group(0.5)
-    scalar = assemble_orbit_pick(
-        PickProblem(nodes, tuple(w), SzegoKernel()), group, 6
-    ).entries
+    kernel = OrbitGramKernel(z2z2_group(0.5), 6)
+    scalar = assemble_pick(PickProblem(nodes, tuple(w), kernel)).entries
     mats = tuple(x * np.eye(2) for x in w)
-    block = assemble_orbit_pick(
-        PickProblem(nodes, mats, SzegoKernel()), group, 6
-    ).entries
+    block = assemble_pick(PickProblem(nodes, mats, kernel)).entries
     assert np.max(np.abs(block - np.kron(scalar, np.eye(2)))) <= 1e-13
 
 
@@ -157,7 +153,9 @@ def test_condition_equivalence_other_parameters(a):
             scale = 1.0 + max(float(np.max(mat.entries.diagonal().real)), 0.0)
             if abs(rep.min_eigenvalue) >= 1e-6 * scale:
                 break
-        rep2 = psd_check(assemble_orbit_pick(problem, group, 200))
+        rep2 = psd_check(
+            assemble_pick(PickProblem(nodes, targets, OrbitGramKernel(group, 200)))
+        )
         agree += rep.is_psd == rep2.is_psd
     assert agree == 20
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpick.blaschke import BlaschkeProduct, from_orbit
+from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
 from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
 from orbitpick.kernels import (
     ComposedInnerKernel,
@@ -21,7 +21,8 @@ from orbitpick.kernels import (
     szego_matrix,
 )
 from orbitpick.linalg import min_eig
-from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
+from orbitpick.mobius import iterate_cyclic
+from orbitpick.orbits import cyclic_group, enumerate_orbit, generic_group, z2z2_group
 
 
 def squared_orbit_products(a=0.5, depth=40):
@@ -86,6 +87,19 @@ def test_gram_composed_power_example():
     g = gram(ComposedInnerKernel(b, 2), [0j, 0.5 + 0j])
     expect = np.array([[1, 1], [1, 1 / (1 - 1 / 16)]])
     assert np.max(np.abs(g.entries - expect)) <= 1e-12
+
+
+def test_gram_truncation_note_per_variant():
+    pts = [0.1 + 0.2j, -0.3 + 0j]
+    assert gram(SzegoKernel(), pts).truncation_note is None
+    b = from_orbit(enumerate_orbit(cyclic_group(0.5), 0j, 20), 1)
+    errors = [evaluate(b, p)[1] for p in pts]
+    assert gram(ComposedInnerKernel(b, 3), pts).truncation_note == 3 * max(errors)
+    group = z2z2_group(0.5)
+    tails = [enumerate_orbit(group, p, 7).tail_bound for p in pts]
+    assert gram(OrbitGramKernel(group, 7), pts).truncation_note == max(tails)
+    generic = generic_group([iterate_cyclic(0.5, 1)])
+    assert gram(OrbitGramKernel(generic, 3), pts).truncation_note is None
 
 
 def test_gram_rejects_duplicates():

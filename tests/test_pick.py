@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,15 +12,13 @@ from orbitpick.errors import (
     Infeasible,
     InputError,
     NumericalError,
-    UnsupportedVariant,
 )
-from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel
+from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel, gram
 from orbitpick.mobius import pseudo_hyperbolic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import (
     PickProblem,
     amenable_average,
-    assemble_orbit_pick,
     assemble_pick,
     evaluate_composed,
     evaluate_interpolant,
@@ -95,15 +95,16 @@ def test_composition_equivalence_bitwise():
 def test_orbit_pick_depth_zero_equals_szego():
     nodes = (0.1 + 0.2j, -0.3 + 0j)
     targets = (0.5 + 0j, 0.2 - 0.1j)
-    p = PickProblem(nodes, targets, SzegoKernel())
-    direct = assemble_pick(p).entries
-    orbit = assemble_orbit_pick(p, cyclic_group(0.5), 0).entries
+    direct = assemble_pick(PickProblem(nodes, targets, SzegoKernel())).entries
+    orbit = assemble_pick(
+        PickProblem(nodes, targets, OrbitGramKernel(cyclic_group(0.5), 0))
+    ).entries
     assert np.max(np.abs(direct - orbit)) <= 1e-14
 
 
 def test_orbit_pick_zero_target_is_szego_gram():
-    p = PickProblem((0j,), (0j,), SzegoKernel())
-    mat = assemble_orbit_pick(p, cyclic_group(0.5), 1).entries
+    p = PickProblem((0j,), (0j,), OrbitGramKernel(cyclic_group(0.5), 1))
+    mat = assemble_pick(p).entries
     expect = np.array([[1, 1, 1], [1, 4 / 3, 0.8], [1, 0.8, 4 / 3]])
     assert np.max(np.abs(mat - expect)) <= 1e-12
     from orbitpick.linalg import min_eig
@@ -120,7 +121,9 @@ def test_orbit_pick_feasible_composed_instance():
     targets = tuple(0.9 * spec.value(z) for z in nodes)
     p = PickProblem(nodes, targets, spec)
     assert feasibility(p).psd.is_psd
-    orbit_mat = assemble_orbit_pick(p, z2z2_group(0.5), 200)
+    orbit_mat = assemble_pick(
+        PickProblem(nodes, targets, OrbitGramKernel(z2z2_group(0.5), 200))
+    )
     from orbitpick.linalg import psd_check
 
     rep = psd_check(orbit_mat)
@@ -395,10 +398,39 @@ def test_pick_problem_validation():
         PickProblem((), (), SzegoKernel())
     with pytest.raises(InputError):
         PickProblem((0j,), (0j, 0.1 + 0j), SzegoKernel())
-    with pytest.raises(UnsupportedVariant):
-        assemble_pick(
-            PickProblem((0j,), (0j,), OrbitGramKernel(cyclic_group(0.5), 1))
-        )
+    with pytest.raises(InputError, match="square"):
+        PickProblem((0j,), (np.ones((2, 3)),), SzegoKernel())
+    with pytest.raises(InputError, match="finite"):
+        PickProblem((0j, 0.5 + 0j), (0.1 + 0j, complex("inf")), SzegoKernel())
+
+
+SCALAR_ONLY = {
+    "pick_norm": lambda nodes, targets: pick_norm(nodes, targets, SzegoKernel()),
+    "interpolate_disk": interpolate_disk,
+    "interpolate_composed": lambda nodes, targets: interpolate_composed(
+        nodes, targets, orbit_product(), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("solve", SCALAR_ONLY.values(), ids=SCALAR_ONLY.keys())
+@pytest.mark.parametrize("targets", [
+    (0.1 * np.eye(2), 0.2 * np.eye(2)),
+    (0.1 + 0j, complex("inf")),
+], ids=["matrix", "infinite"])
+def test_scalar_solvers_reject_bad_targets_with_input_error(solve, targets):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            solve((0j, 0.5 + 0j), targets)
+
+
+def test_numpy_scalar_targets_are_scalar_targets():
+    nodes = (0j, 0.5 + 0j)
+    targets = (np.int64(0), np.float32(0.5))
+    assert not PickProblem(nodes, targets, SzegoKernel()).matrix_valued
+    expect = pick_norm(nodes, (0j, 0.5 + 0j), SzegoKernel())
+    assert pick_norm(nodes, targets, SzegoKernel()) == expect
 
 
 def test_composed_kernel_evaluates_each_node_once(monkeypatch):
@@ -420,6 +452,9 @@ def test_composed_kernel_evaluates_each_node_once(monkeypatch):
     assert len(calls) == len(nodes)
     calls.clear()
     pick_norm(nodes, targets, spec)
+    assert len(calls) == len(nodes)
+    calls.clear()
+    gram(spec, nodes)
     assert len(calls) == len(nodes)
 
 
