@@ -362,8 +362,6 @@ def cmd_pick_norm(doc, args):
     kernel = _parse_kernel(doc, args)
     nodes = _parse_nodes(doc)
     targets = _parse_targets(doc, len(nodes))
-    if pk.PickProblem.is_matrix_valued(targets):
-        _fail("$.targets", "the extremal norm is defined for scalar targets")
     value = pk.pick_norm(nodes, targets, kernel)
     return {"pick_norm": value}, EXIT_OK
 
@@ -372,8 +370,6 @@ def cmd_interpolate(doc, args):
     kernel = _parse_kernel(doc, args)
     nodes = _parse_nodes(doc)
     targets = _parse_targets(doc, len(nodes))
-    if pk.PickProblem.is_matrix_valued(targets):
-        _fail("$.targets", "interpolant construction is scalar only")
     grid_n = args.grid
     grid = 0.999 * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     if isinstance(kernel, kn.ComposedInnerKernel):

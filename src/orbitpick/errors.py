@@ -49,10 +49,6 @@ class NumericalError(OrbitPickError):
     """A computation failed to reach the requested certainty."""
 
 
-class NoConvergence(NumericalError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class OrbitExplosion(NumericalError):
     """Orbit enumeration exceeded the configured point cap."""
 

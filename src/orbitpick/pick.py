@@ -19,11 +19,11 @@ Positivity at tolerance tol is one Cholesky attempt on A + tol * I
 (``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
 eigen-solve on the numerical range of K and accepted only after that
-Cholesky check passes at c; bisection on the same check is the
-fallback.  Solutions on the disk itself are constructed by the
-classical Schur recursion; a problem posed on the span of powers of an
-inner function phi reduces to a disk problem at the points phi(z_j)^m
-and composes back.
+Cholesky check passes at c; a c the check rejects is reported as a
+``NumericalError``.  Solutions on the disk itself are constructed by
+the classical Schur recursion; a problem posed on the span of powers
+of an inner function phi reduces to a disk problem at the points
+phi(z_j)^m and composes back.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     DuplicateNodes,
     Infeasible,
     InputError,
-    NoConvergence,
+    NumericalError,
 )
 from .kernels import (
     ComposedInnerKernel,
@@ -57,7 +57,6 @@ _NODE_TOL = 1e-10
 _COINCIDE = "nodes {i} and {j} coincide"
 _ALIAS_TOL = 1e-10
 _TARGET_RESIDUAL = 1e-8
-_NORM_WIDTH = 1e-10  # relative width of the fallback bisection in pick_norm
 
 # Widths of the band around the unit circle treated as "the reduced
 # target reached the circle" (a singular Pick matrix), tried tightest
@@ -82,31 +81,25 @@ class PickProblem:
             raise InputError("at least one node is required")
         if len(nodes) != len(self.targets):
             raise InputError("nodes and targets must have equal length")
-        targets = tuple(self.targets)
-        if self.is_matrix_valued(targets):
-            mats = tuple(np.array(t, dtype=complex) for t in targets)
-            k = mats[0].shape[0]
-            for t in mats:
-                if t.ndim != 2 or t.shape != (k, k):
-                    raise InputError("matrix targets must be square, uniform size")
-                if not np.all(np.isfinite(t.real)) or not np.all(np.isfinite(t.imag)):
-                    raise InputError("matrix targets must be finite")
-            targets = mats
-        else:
-            targets = tuple(complex(t) for t in targets)
-            for t in targets:
-                if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-                    raise InputError("targets must be finite")
+        try:
+            arrays = [np.array(t, dtype=complex) for t in self.targets]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"targets must be numbers or matrices: {exc}") from exc
+        shape = arrays[0].shape
+        square = len(shape) == 2 and shape[0] == shape[1]
+        if not (shape == () or square) or any(t.shape != shape for t in arrays):
+            raise InputError(
+                "targets must be all numbers or all square matrices of one size"
+            )
+        if not np.all(np.isfinite(arrays)):
+            raise InputError("targets must be finite")
+        targets = tuple(arrays) if shape else tuple(complex(t) for t in arrays)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
-    @staticmethod
-    def is_matrix_valued(targets) -> bool:
-        return bool(targets) and np.ndim(targets[0]) > 0
-
     @property
     def matrix_valued(self) -> bool:
-        return self.is_matrix_valued(self.targets)
+        return isinstance(self.targets[0], np.ndarray)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,45 +190,26 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     is returned only if the positivity check the verdicts use, one
     Cholesky attempt on the matrix at c plus its tolerance, accepts it,
     so a norm <= 1 comes with a feasible verdict.  When the check
-    rejects it, target weight sits on directions K annihilates to
-    working precision, and the least accepted c is found by bisection
-    on the same check, to relative width 1e-10, instead.
+    rejects it, target weight sits on directions K annihilates at
+    double precision, no norm is certified and ``NumericalError`` is
+    raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     nodes, targets = problem.nodes, problem.targets
     check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
-    wmax = max(abs(w) for w in targets)
-    if wmax == 0.0:
+    if not any(targets):
         return 0.0
     kmat, counts = _kernel_rows(kernel, nodes, targets)
     w = np.repeat(np.array(targets), counts)
     outer = np.outer(w, w.conj())
-
-    def is_psd(c: float) -> bool:
-        return psd_check((c * c - outer) * kmat).is_psd
-
     c = math.sqrt(max(pencil_max(kmat, outer * kmat), 0.0))
-    if is_psd(c):
-        return c
-    lo = wmax * 1e-6
-    hi = wmax * len(nodes)
-    grow = 0
-    while not is_psd(hi):
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise NoConvergence(
-                "no feasible scale found while growing the bracket; the "
-                "data may identify orbit-equivalent nodes with different "
-                "targets"
-            )
-    while hi - lo > _NORM_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if is_psd(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if not psd_check((c * c - outer) * kmat).is_psd:
+        raise NumericalError(
+            f"the positivity check rejects the extremal norm {c:.6g}: the "
+            "target weight lies on directions the kernel matrix annihilates "
+            "at double precision"
+        )
+    return c
 
 
 @dataclass(frozen=True)

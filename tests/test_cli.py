@@ -177,6 +177,26 @@ def test_pick_norm_command(tmp_path, capsys):
     assert report["pick_norm"] == pytest.approx(1.8, abs=1e-8)
 
 
+def test_pick_norm_uncertified_norm_exits_three(tmp_path, capsys):
+    doc = {
+        "group": {"kind": "z2z2", "a": 0.1},
+        "nodes": [[0.1, 0.2], [-0.2, 0.05]],
+        "targets": [[0.1, 0.0], [0.0, 0.2]],
+        "kernel": {"variant": "orbit", "depth": 160},
+    }
+    code, out, err = run(tmp_path, capsys, doc, "pick-norm")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command", ["pick-norm", "interpolate"])
+def test_matrix_targets_to_scalar_commands_exit_two(capsys, command):
+    assert main([command, str(DATA / "matrix_problem.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "scalar targets" in out.err
+
+
 def test_interpolate_szego(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, FEASIBLE, "interpolate", "--grid", "512")
     assert code == 0

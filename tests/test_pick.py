@@ -247,16 +247,22 @@ def test_pick_norm_matches_mpmath(n):
 
 def test_pick_norm_orbit_equivalent_nodes():
     # z and t(z) share an orbit, so with different targets no finite
-    # scale interpolates; truncation leaves a huge but finite norm
+    # scale interpolates; the norm the eigen-solve finds is not certified
     group = cyclic_group(0.5)
     z = 0.1 + 0.2j
     nodes = (z, group.generators[0](z))
     targets = (0.2 + 0j, -0.1 + 0j)
-    try:
-        value = pick_norm(nodes, targets, OrbitGramKernel(group, 40))
-    except NumericalError:
-        return
-    assert value > 100 * 0.2
+    with pytest.raises(NumericalError):
+        pick_norm(nodes, targets, OrbitGramKernel(group, 40))
+
+
+def test_pick_norm_uncertified_orbit_norm_is_a_numerical_error():
+    # non-invariant targets on a deep z2z2 orbit kernel: the target
+    # weight sits on directions K annihilates at double precision, so
+    # the eigen-solve's norm fails the positivity check
+    kernel = OrbitGramKernel(z2z2_group(0.1), 160)
+    with pytest.raises(NumericalError, match="annihilates"):
+        pick_norm((0.1 + 0.2j, -0.2 + 0.05j), (0.1 + 0j, 0.2j), kernel)
 
 
 def test_pick_norm_feasibility_consistency():
@@ -402,6 +408,15 @@ def test_pick_problem_validation():
         PickProblem((0j,), (np.ones((2, 3)),), SzegoKernel())
     with pytest.raises(InputError, match="finite"):
         PickProblem((0j, 0.5 + 0j), (0.1 + 0j, complex("inf")), SzegoKernel())
+
+
+@pytest.mark.parametrize("targets", [
+    (0.1 + 0j, 0.1 * np.eye(2)),
+    ([[0.1, 0], [0]], [[0.1, 0], [0, 0.1]]),
+], ids=["scalar-then-matrix", "ragged-matrix"])
+def test_pick_problem_rejects_malformed_targets(targets):
+    with pytest.raises(InputError, match="targets"):
+        PickProblem((0j, 0.5 + 0j), targets, SzegoKernel())
 
 
 SCALAR_ONLY = {
