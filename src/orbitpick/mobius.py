@@ -7,14 +7,22 @@ Every automorphism of the open unit disk can be written uniquely as
 and the parameters are recovered from any concrete map through
 a = phi^{-1}(0) and lam = phi'(0) / (|a|^2 - 1).  In this convention the
 identity map is (a=0, lam=-1) and the half-turn z -> -z is (a=0, lam=1).
-All operations renormalize immediately so that |lam| cannot drift off
-the unit circle in long composition chains.
+Every operation renormalizes its result as it builds it: a parameter
+that rounded onto the unit circle is pulled back inside and lam is
+divided by its modulus, so |lam| cannot drift off the unit circle in
+long composition chains.
+
+The public constructor validates its parameters.  The library's own
+results (``compose``, ``canonicalize``, ``iterate_cyclic``) are built
+without repeating those checks, because the renormalization has just
+established them: finite parameters, |a| < 1 and |lam| = 1 to rounding.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NotDiskAutomorphism, NotInDisk
@@ -78,6 +86,17 @@ class DiskAutomorphism:
         object.__setattr__(self, "lam", lam)
 
     @classmethod
+    def _trusted(cls, a: complex, lam: complex) -> "DiskAutomorphism":
+        """An instance built without checks, for complex parameters
+        already known to be finite with |a| < 1 and |lam| = 1 to within
+        the constructor's tolerance."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["a"] = a
+        fields["lam"] = lam
+        return self
+
+    @classmethod
     def identity(cls) -> "DiskAutomorphism":
         return cls(0j, complex(-1.0))
 
@@ -95,7 +114,14 @@ class DiskAutomorphism:
 
     def compose(self, other: "DiskAutomorphism") -> "DiskAutomorphism":
         """self after other: (self.compose(other))(z) = self(other(z))."""
-        a = _clamp_inside(other.inverse()(self.a))
+        # a = other^{-1}(self.a), in the operations of other.inverse()(self.a);
+        # other^{-1} has the parameters (ia, conj(other.lam)).
+        ia = other.lam * other.a
+        if not abs(ia) < 1.0:
+            other.inverse()  # raises the constructor's error for ia
+        a = _clamp_inside(
+            other.lam.conjugate() * (ia - self.a) / (1.0 - ia.conjugate() * self.a)
+        )
         num = self.derivative(other(0j)) * other.derivative(0j)
         lam = num / (abs(a) ** 2 - 1.0)
         return _normalized(a, lam)
@@ -116,10 +142,15 @@ def _clamp_inside(a: complex) -> complex:
 
 
 def _normalized(a: complex, lam: complex) -> DiskAutomorphism:
-    """Build an automorphism, renormalizing |lam| to 1."""
+    """Build an automorphism from complex parameters, pulling ``a``
+    inside and renormalizing |lam| to 1."""
     r = abs(lam)
     if not (math.isfinite(r) and r > 0.0):
         raise NotDiskAutomorphism("degenerate unimodular factor")
+    if abs(a) < 1.0 and r >= sys.float_info.min:
+        return DiskAutomorphism._trusted(a, lam / r)
+    # ``a`` is not finite or needs the clamp, or r is subnormal and too
+    # coarse for lam / r to be unimodular: the constructor decides.
     return DiskAutomorphism(_clamp_inside(a), lam / r)
 
 
@@ -188,4 +219,4 @@ def iterate_cyclic(a: float, n: int) -> DiskAutomorphism:
         an = math.tanh(n * math.atanh(a))
         if abs(an) >= 1.0:
             an = math.copysign(_PARAM_CLAMP, an)
-    return DiskAutomorphism(complex(an), complex(-1.0))
+    return DiskAutomorphism._trusted(complex(an), complex(-1.0))

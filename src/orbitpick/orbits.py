@@ -27,6 +27,12 @@ and the accepted orbit is the one an all-pairs scan gives.  The generic
 search identifies group elements the same way, on a grid of side
 2 * 1e-10 over their parameters a.
 
+A generic presentation runs its element search once per depth: the
+search yields elements as its caller consumes them, and one run to
+completion stays on the presentation for its lifetime.  Orbits of other
+base points, the stabilizer order and orbit kernels up to that depth
+then read the kept elements instead of composing them again.
+
 For the cyclic and z2z2 kinds the word combinatorics are known in
 closed form and enumeration uses the stable tanh parametrization of the
 iterates; the result is the same breadth-first ordering the generic
@@ -39,6 +45,7 @@ tail bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass, field
@@ -78,6 +85,11 @@ class GroupPresentation:
     kind: str
     a: float | None
     generators: tuple[DiskAutomorphism, ...]
+    # (depth, [(word, element), ...]) of the last element search of a
+    # generic presentation that ran to completion; see _generic_elements.
+    _elements: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in (CYCLIC, Z2Z2, GENERIC):
@@ -156,10 +168,6 @@ class _CellIndex:
         # for subnormal sides.
         self.side = max(side, 1e-300)
         self.cells: dict[tuple[int, int], list] = {}
-        self.size = 0
-
-    def __len__(self) -> int:
-        return self.size
 
     def near(self, z: complex):
         i = math.floor(z.real / self.side)
@@ -172,7 +180,6 @@ class _CellIndex:
     def add(self, z: complex, item) -> None:
         key = (math.floor(z.real / self.side), math.floor(z.imag / self.side))
         self.cells.setdefault(key, []).append(item)
-        self.size += 1
 
 
 class _Collector:
@@ -293,7 +300,30 @@ def _same_element(e1: DiskAutomorphism, e2: DiskAutomorphism) -> bool:
 
 
 def _generic_elements(group, n_max: int, cap: int):
-    """Yield (word, element) for distinct group elements in BFS order.
+    """Yield (word, element) for distinct group elements in BFS order,
+    raising ``OrbitExplosion`` past ``cap`` elements.
+
+    A search to depth m <= n, where n is the depth of the group's kept
+    search, reads the words of length <= m from it: the breadth-first
+    order makes them a prefix of the kept list, in the order a search to
+    depth m yields them.  A deeper request searches again.
+    """
+    kept = group._elements
+    if kept is not None and kept[0] >= n_max:
+        elements = itertools.takewhile(lambda e: len(e[0]) <= n_max, kept[1])
+    else:
+        elements = _search_elements(group, n_max)
+    for count, element in enumerate(elements):
+        if count >= cap:
+            raise OrbitExplosion(
+                f"group exploration exceeded the cap of {cap} elements"
+            )
+        yield element
+
+
+def _search_elements(group, n_max: int):
+    """Breadth-first search over words up to length ``n_max``, yielding
+    as it goes; a search run to completion is kept on the group.
 
     Branches whose parameter is numerically on the boundary are pruned;
     their images are beyond double-precision resolution.
@@ -302,8 +332,10 @@ def _generic_elements(group, n_max: int, cap: int):
     identity = DiskAutomorphism.identity()
     seen = _CellIndex(2.0 * _ELEMENT_TOL)
     seen.add(identity.a, identity)
-    frontier: list[tuple[str, DiskAutomorphism]] = [("", identity)]
-    yield "", identity
+    first = ("", identity)
+    found: list[tuple[str, DiskAutomorphism]] = [first]
+    frontier = [first]
+    yield first
     for _ in range(n_max):
         nxt: list[tuple[str, DiskAutomorphism]] = []
         for word, elem in frontier:
@@ -314,17 +346,16 @@ def _generic_elements(group, n_max: int, cap: int):
                     continue
                 if any(_same_element(cand, s) for s in seen.near(cand.a)):
                     continue
-                if len(seen) >= cap:
-                    raise OrbitExplosion(
-                        f"group exploration exceeded the cap of {cap} elements"
-                    )
                 seen.add(cand.a, cand)
+                element = (word + ch, cand)
                 if abs(cand.a) < 1.0 - DISK_BOUNDARY_MARGIN:
-                    nxt.append((word + ch, cand))
-                yield word + ch, cand
+                    nxt.append(element)
+                found.append(element)
+                yield element
         frontier = nxt
         if not frontier:
-            return
+            break
+    object.__setattr__(group, "_elements", (n_max, found))
 
 
 def _enumerate_generic(group, base, n_max, col):
@@ -384,6 +415,8 @@ def stabilizer_order_origin(
     word length at most ``max_word_length`` fixing 0 within
     ``DEFAULT_DEDUP_TOL``, hence a lower bound on the true order.
     """
+    if max_word_length < 0:
+        raise InputError("max_word_length must be nonnegative")
     if group.kind == CYCLIC:
         return 1
     if group.kind == Z2Z2:

@@ -1,12 +1,17 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpick.errors import NotDiskAutomorphism, NotInDisk
 from orbitpick.mobius import (
     PROBE_GRID,
     DiskAutomorphism,
+    _clamp_inside,
+    _normalized,
     canonicalize,
     disk_point,
     iterate_cyclic,
@@ -174,6 +179,7 @@ def test_iterate_parameter_is_increasing_to_one():
 def test_iterate_cyclic_huge_power_is_clamped_inside():
     g = iterate_cyclic(0.5, 10_000)
     assert abs(g.a) < 1.0
+    assert DiskAutomorphism(g.a, g.lam) == g  # the constructor accepts it
     assert abs(g(0.3 + 0j) + 1.0) <= 1e-10  # deep forward iterates approach -1
 
 
@@ -188,3 +194,104 @@ def test_automorphism_invariants_enforced():
         DiskAutomorphism(1.0 + 0j, -1.0 + 0j)
     with pytest.raises(NotDiskAutomorphism):
         DiskAutomorphism(0j, 1.1 + 0j)
+
+
+# -- composition without re-validation -----------------------------------------
+
+
+def _checked_compose(f, g):
+    """``f.compose(g)`` as written when every step went through the
+    validating constructor: ``g.inverse()`` and ``_normalized`` as it was,
+    clamping ``a`` a second time."""
+    a = _clamp_inside(g.inverse()(f.a))
+    num = f.derivative(g(0j)) * g.derivative(0j)
+    lam = num / (abs(a) ** 2 - 1.0)
+    r = abs(lam)
+    if not (math.isfinite(r) and r > 0.0):
+        raise NotDiskAutomorphism("degenerate unimodular factor")
+    return DiskAutomorphism(_clamp_inside(a), lam / r)
+
+
+def _outcome(build):
+    """The bits of the built map's parameters, or the error raised."""
+    try:
+        phi = build()
+    # Near the circle the clamped parameter can round to |a| = 1 and the
+    # formula divides by |a|^2 - 1 = 0; the reference does the same.
+    except (NotDiskAutomorphism, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return tuple(v.hex() for v in (phi.a.real, phi.a.imag, phi.lam.real, phi.lam.imag))
+
+
+_EDGE_RADII = [math.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-9]
+
+
+@st.composite
+def automorphisms(draw):
+    radius = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(_EDGE_RADII)))
+    a = radius * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    if abs(a) >= 1.0:  # the polar form rounded onto the circle
+        a = complex(radius)
+    return DiskAutomorphism(a, cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+
+
+_SPECIAL = st.sampled_from([DiskAutomorphism.identity(), DiskAutomorphism(0j, 1.0 + 0j)])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(f=st.one_of(automorphisms(), _SPECIAL), g=st.one_of(automorphisms(), _SPECIAL))
+def test_compose_is_bit_identical_to_the_checked_formula(f, g):
+    got = _outcome(lambda: f.compose(g))
+    assert got == _outcome(lambda: _checked_compose(f, g))
+    if isinstance(got[0], str):
+        phi = f.compose(g)
+        assert DiskAutomorphism(phi.a, phi.lam) == phi  # the constructor accepts it
+
+
+def _unchecked(a, lam):
+    """An instance the validating constructor would refuse."""
+    phi = object.__new__(DiskAutomorphism)
+    object.__setattr__(phi, "a", complex(a))
+    object.__setattr__(phi, "lam", complex(lam))
+    return phi
+
+
+_NAN, _INF = float("nan"), float("inf")
+_G = DiskAutomorphism(0.3 - 0.2j, 1j)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: _unchecked(_NAN, -1.0).compose(_G), "degenerate unimodular factor"),
+    (lambda: _unchecked(_INF, -1.0).compose(_G), "degenerate unimodular factor"),
+    (lambda: _unchecked(0.1, _NAN).compose(_G), "degenerate unimodular factor"),
+    (lambda: _unchecked(0.1, _INF).compose(_G), "degenerate unimodular factor"),
+    (lambda: _unchecked(1.5, -1.0).compose(_G),
+     "pole parameter |a| = 1.6032458052068492 >= 1"),
+    (lambda: _G.compose(_unchecked(_NAN, -1.0)), "non-finite parameters"),
+    (lambda: _G.compose(_unchecked(_INF, -1.0)), "non-finite parameters"),
+    (lambda: _G.compose(_unchecked(0.1, _NAN)), "non-finite parameters"),
+    (lambda: _G.compose(_unchecked(0.1, _INF)), "non-finite parameters"),
+    (lambda: _G.compose(_unchecked(1.0 + 2e-12, -1.0)),
+     "pole parameter |a| = 1.000000000002 >= 1"),
+    (lambda: _normalized(complex(_NAN), 1.0 + 0j), "non-finite parameters"),
+    (lambda: _normalized(complex(_INF), 1.0 + 0j), "pole parameter |a| = inf >= 1"),
+    (lambda: _normalized(0.5 + 0j, complex(_NAN)), "degenerate unimodular factor"),
+    (lambda: _normalized(0.5 + 0j, complex(0.0, _INF)), "degenerate unimodular factor"),
+    (lambda: _normalized(complex(1.0 + 2e-12), 1.0 + 0j),
+     "pole parameter |a| = 1.000000000002 >= 1"),
+    # a subnormal |lam| is too coarse to renormalize by
+    (lambda: _normalized(0.5 + 0j, complex(5e-324, 5e-324)),
+     "|lam| = 1.4142135623730951 is not unimodular"),
+    (lambda: canonicalize(_NAN, 0.0, 0.0, 1.0), "non-finite coefficients"),
+    (lambda: canonicalize(1.0, _INF, 0.0, 1.0), "non-finite coefficients"),
+])
+def test_library_constructions_reject_what_they_rejected(build, message):
+    with pytest.raises(NotDiskAutomorphism) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_normalized_clamps_a_parameter_on_the_circle():
+    phi = _normalized(complex(1.0 + 1e-13), 1.0 + 0j)
+    assert phi.a == math.nextafter(1.0, 0.0) and phi.lam == 1.0

@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitpick import orbits
 from orbitpick.errors import InputError, NotDiskAutomorphism, OrbitExplosion
+from orbitpick.kernels import OrbitGramKernel
 from orbitpick.mobius import (
     DISK_BOUNDARY_MARGIN,
     DiskAutomorphism,
@@ -22,6 +24,7 @@ from orbitpick.orbits import (
     z2z2_group,
     z2z2_normal_form,
 )
+from orbitpick.pick import PickProblem, assemble_pick
 
 
 def test_cyclic_orbit_points_and_order():
@@ -199,6 +202,16 @@ def test_stabilizer_orders():
     involution = DiskAutomorphism(0.5 + 0j, 1.0 + 0j)
     assert stabilizer_order_origin(generic_group([half_turn, involution])) == 2
     assert stabilizer_order_origin(generic_group([iterate_cyclic(0.5, 1)])) == 1
+
+
+@pytest.mark.parametrize("group", [
+    cyclic_group(0.5),
+    z2z2_group(0.5),
+    generic_group([iterate_cyclic(0.5, 1)]),
+])
+def test_stabilizer_order_rejects_negative_depth(group):
+    with pytest.raises(InputError, match="max_word_length must be nonnegative"):
+        stabilizer_order_origin(group, max_word_length=-3)
 
 
 def test_generic_orbit_has_no_tail_bound():
@@ -494,3 +507,49 @@ def test_point_cap_counts_points_not_elements():
     assert orbit.entries == enumerate_orbit(group, 0j, 6).entries
     with pytest.raises(OrbitExplosion, match="accepted points"):
         enumerate_orbit(group, 0j, 6, max_points=6)
+
+
+# -- one element search per group -----------------------------------------------
+
+
+def _shared_group():
+    half_turn = DiskAutomorphism(0j, 1.0 + 0j)
+    return generic_group(
+        [half_turn, iterate_cyclic(0.4, 1), DiskAutomorphism(0.3j, 1j)]
+    )
+
+
+def test_generic_element_search_runs_once_per_group(monkeypatch):
+    depth = 3
+    nodes, targets = (0.1 + 0.2j, -0.3j, 0.25), (0.1, 0.05j, -0.1)
+    group = _shared_group()
+    first = enumerate_orbit(group, 0j, depth)
+
+    def composed_again(self, other):
+        raise AssertionError("the element search ran again")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(DiskAutomorphism, "compose", composed_again)
+        orders = [stabilizer_order_origin(group, m) for m in range(depth + 1)]
+        other = enumerate_orbit(group, 0.2 - 0.1j, depth)
+        pick = assemble_pick(PickProblem(nodes, targets, OrbitGramKernel(group, depth)))
+        mp.setattr(orbits, "_STABILIZER_CAP", 5)
+        with pytest.raises(OrbitExplosion, match="exceeded the cap of 5 elements"):
+            stabilizer_order_origin(group, depth)
+
+    _assert_same_orbit(first, enumerate_orbit(_shared_group(), 0j, depth))
+    _assert_same_orbit(other, enumerate_orbit(_shared_group(), 0.2 - 0.1j, depth))
+    assert orders == [stabilizer_order_origin(_shared_group(), m) for m in range(depth + 1)]
+    assert orders[-1] == 2
+    fresh = PickProblem(nodes, targets, OrbitGramKernel(_shared_group(), depth))
+    assert np.array_equal(pick.entries, assemble_pick(fresh).entries)
+
+
+def test_deeper_element_search_replaces_the_kept_one():
+    group = _shared_group()
+    shallow = list(orbits._generic_elements(group, 2, 10**4))
+    deep = list(orbits._generic_elements(group, 4, 10**4))
+    assert group._elements[0] == 4
+    assert deep == list(_all_pairs_elements(_shared_group(), 4, 10**4))
+    assert list(orbits._generic_elements(group, 2, 10**4)) == shallow
+    assert group == _shared_group() and repr(group) == repr(_shared_group())
