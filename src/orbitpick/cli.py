@@ -43,6 +43,9 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # deterministic JSON emission
 
+_NON_FINITE = "reports must not contain non-finite numbers"
+
+
 def _emit(value) -> None:
     print(_render(value))
 
@@ -65,7 +68,14 @@ def _render(value) -> str:
         c = complex(value)
         return f"[{_float_repr(c.real)}, {_float_repr(c.imag)}]"
     if isinstance(value, np.ndarray):
-        return _render(value.tolist())
+        if value.ndim != 2 or value.dtype.kind != "c":
+            return _render(value.tolist())
+        # A complex matrix a row at a time; "%.17g" % x is format(x, ".17g").
+        parts = np.ascontiguousarray(value, dtype=complex).view(float)
+        if not np.isfinite(parts).all():
+            raise ValueError(_NON_FINITE)
+        row = "[" + ", ".join(["[%.17g, %.17g]"] * value.shape[1]) + "]"
+        return "[" + ", ".join([row % tuple(r) for r in parts.tolist()]) + "]"
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -73,12 +83,8 @@ def _render(value) -> str:
 
 def _float_repr(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("reports must not contain non-finite numbers")
+        raise ValueError(_NON_FINITE)
     return format(x, ".17g")
-
-
-def _matrix_payload(entries: np.ndarray):
-    return [[complex(v) for v in row] for row in np.asarray(entries)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +264,10 @@ def cmd_orbit(doc, args):
         "partial_sum": orbit.partial_sum,
         "tail_bound": orbit.tail_bound,
         "dropped_boundary_points": orbit.dropped,
-        "stabilizer_order_origin": orb.stabilizer_order_origin(group),
+        # words up to the orbit's depth (at most 8), which its own search has found
+        "stabilizer_order_origin": orb.stabilizer_order_origin(
+            group, max_word_length=min(depth, 8)
+        ),
     }
     if orbit.tail_bound is None:
         payload["note"] = "no convergence certificate for generic presentations"
@@ -323,7 +332,7 @@ def cmd_kernel_gram(doc, args):
     rep = la.psd_check(g.entries, tol=args.tolerance)
     payload = {
         "size": int(g.entries.shape[0]),
-        "entries": _matrix_payload(g.entries),
+        "entries": g.entries,
         "truncation_note": g.truncation_note,
         "min_eigenvalue": rep.min_eigenvalue,
         "psd": rep.is_psd,
@@ -345,7 +354,7 @@ def cmd_pick_check(doc, args, kernel=None):
         "min_eigenvalue": report.psd.min_eigenvalue,
         "tolerance_used": report.psd.tolerance_used,
         "matrix_size": report.matrix.n,
-        "matrix": _matrix_payload(report.matrix.entries),
+        "matrix": report.matrix.entries,
     }
     return payload, EXIT_OK if report.psd.is_psd else EXIT_INFEASIBLE
 

@@ -138,6 +138,10 @@ def _clamp_inside(a: complex) -> complex:
         if m > 1.0 + 1e-12:
             raise NotDiskAutomorphism(f"pole parameter |a| = {m:.17g} >= 1")
         a = a * (_PARAM_CLAMP / m)
+        # The rescaled product can round back onto the circle, where
+        # |a|^2 - 1 = 0 would divide; each step takes an ulp off.
+        while abs(a) >= 1.0:
+            a = a * _PARAM_CLAMP
     return a
 
 

@@ -3,9 +3,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbitpick import checks
+from orbitpick import __version__, checks, cli, orbits
 from orbitpick.cli import main
+from orbitpick.mobius import DiskAutomorphism
 
 
 def run(tmp_path, capsys, doc, command, *flags):
@@ -108,6 +111,40 @@ def test_orbit_generic_free_group_depth_8(tmp_path, capsys):
     assert report["stabilizer_order_origin"] == 1
     _, second, _ = run(tmp_path, capsys, doc, "orbit")
     assert first == second
+
+
+def test_orbit_stabilizer_counts_words_up_to_the_orbit_depth(tmp_path, capsys, monkeypatch):
+    # the half-turn, z -> (z - 0.4)/(1 - 0.4 z) and lam (alpha - z)/(1 - conj(alpha) z)
+    # with lam = 0.6 + 0.8i, alpha = 0.3 - 0.1i
+    doc = {
+        "group": {
+            "kind": "generic",
+            "generators": [
+                [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                [[1.0, 0.0], [-0.4, 0.0], [-0.4, 0.0], [1.0, 0.0]],
+                [[-0.6, -0.8], [0.26, 0.18], [-0.3, -0.1], [1.0, 0.0]],
+            ],
+        },
+        "truncation": {"depth": 4},
+    }
+    enumerate_orbit = orbits.enumerate_orbit
+
+    def forbid_compose_after(*args):
+        orbit = enumerate_orbit(*args)
+
+        def compose(self, other):
+            raise AssertionError("composed after the orbit was enumerated")
+
+        monkeypatch.setattr(DiskAutomorphism, "compose", compose)
+        return orbit
+
+    # the orbit's own element search serves the stabilizer
+    monkeypatch.setattr(orbits, "enumerate_orbit", forbid_compose_after)
+    code, out, _ = run(tmp_path, capsys, doc, "orbit")
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["entries"]) == 247
+    assert report["stabilizer_order_origin"] == 2  # the identity and the half-turn
 
 
 def test_blaschke_eval_command(tmp_path, capsys):
@@ -358,3 +395,105 @@ def test_orbit_pick_matrix_with_zero_targets_is_the_orbit_gram(capsys):
     # the weight 1 - 0 conj(0) = 1 + 0j turns imaginary parts of -0.0
     # into +0.0; every other bit agrees
     assert (gram + 0.0).tobytes() == (pick + 0.0).tobytes()
+
+
+# -- complex matrices rendered a row at a time ----------------------------------
+
+
+def _reference_render(value) -> str:
+    """The recursive renderer every report went through before complex
+    matrices were rendered a row at a time: one ``format`` per float."""
+    if isinstance(value, dict):
+        items = ", ".join(
+            f"{json.dumps(k)}: {_reference_render(v)}" for k, v in value.items()
+        )
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_reference_render(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _reference_float(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        c = complex(value)
+        return f"[{_reference_float(c.real)}, {_reference_float(c.imag)}]"
+    if isinstance(value, np.ndarray):
+        return _reference_render(value.tolist())
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _reference_float(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("reports must not contain non-finite numbers")
+    return format(x, ".17g")
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310,
+    1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+    1.0, -3.0, 2.0**53, 123456789.0, 0.1,
+]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def complex_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    layout = draw(st.sampled_from(["C", "transposed", "sliced"]))
+    shape = {"C": (rows, cols), "transposed": (cols, rows),
+             "sliced": (2 * rows, cols + 1)}[layout]
+    n = 2 * shape[0] * shape[1]
+    a = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
+    a = a.view(complex).reshape(shape)
+    return {"C": a, "transposed": a.T, "sliced": a[::2, 1:]}[layout]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=complex_matrices())
+@example(a=np.zeros((0, 0), dtype=complex))
+@example(a=np.array([[complex(-0.0, -0.0)]]))
+@example(a=np.array([[complex(5e-324, -1e300)]]))
+def test_matrix_rendering_matches_the_reference(a):
+    assert cli._render(a) == _reference_render(a)
+    assert cli._render({"matrix": a}) == _reference_render({"matrix": a})
+
+
+@pytest.mark.parametrize("bad", [
+    complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(float("-inf"), 1.0),
+])
+def test_matrix_rendering_rejects_non_finite_like_the_reference(bad):
+    a = np.zeros((2, 3), dtype=complex)
+    a[1, 2] = bad
+    for render in (cli._render, _reference_render):
+        with pytest.raises(ValueError) as info:
+            render(a)
+        assert str(info.value) == "reports must not contain non-finite numbers"
+
+
+def test_large_orbit_pick_report_matches_the_reference(tmp_path, capsys):
+    doc = {
+        "group": {"kind": "cyclic", "a": 0.05},
+        "truncation": {"depth": 120, "strict": True},
+        "nodes": [[-0.25, -0.37], [0.38, -0.21], [-0.26, -0.24]],
+        "targets": [[0.1, 0.0], [0.0, 0.2], [0.0, 0.0]],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = ["orbit-pick-check", str(path)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    payload, expected_code = cli.cmd_orbit_pick_check(
+        doc, cli._build_parser().parse_args(argv)
+    )
+    assert code == expected_code
+    assert payload["matrix_size"] > 400
+    report = {"command": "orbit-pick-check", "version": __version__, **payload}
+    assert out == _reference_render(report) + "\n"
