@@ -8,7 +8,8 @@ float formatting (17 significant digits, lossless for doubles), and
 logs go to stderr.
 
 Exit codes: 0 = ok / feasible, 1 = well posed but infeasible,
-2 = malformed input or options, 3 = numerical failure or failed check.
+2 = malformed input or options, 3 = numerical failure or failed check,
+141 = stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +285,9 @@ def _orbit_product(doc, args):
     associated = doc.get("associated", False)
     if not isinstance(associated, bool):
         _fail("$.associated", "expected a boolean")
-    m = orb.stabilizer_order_origin(group) if associated else 1
     orbit = orb.enumerate_orbit(group, 0j, depth)
+    # words up to the orbit's depth (at most 8), which its own search has found
+    m = orb.stabilizer_order_origin(group, max_word_length=min(depth, 8)) if associated else 1
     return group, m, bl.from_orbit(orbit, m, strict=strict)
 
 
@@ -525,9 +529,7 @@ def main(argv=None) -> int:
         doc = _read_problem(args.problem) if "problem" in args else None
         payload, code = handler(doc, args)
     except Infeasible as exc:
-        _emit({"command": args.command, "version": __version__,
-               "feasible": False, "reason": str(exc)})
-        return EXIT_INFEASIBLE
+        payload, code = {"feasible": False, "reason": str(exc)}, EXIT_INFEASIBLE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -536,7 +538,15 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     report = {"command": args.command, "version": __version__}
     report.update(payload)
-    _emit(report)
+    try:
+        _emit(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early ("Note on SIGPIPE" in Python's
+        # signal documentation): send what is still buffered to devnull,
+        # so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     return code
 
 

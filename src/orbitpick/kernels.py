@@ -18,7 +18,9 @@ to those points, and ``szego_matrix`` the one builder; ``gram`` and the
 Pick matrices of ``pick`` are both built from the two.  The entries of
 ``szego_matrix`` equal the scalar ``szego`` bit for bit, and a Gram
 matrix takes its strict upper triangle as computed and the rest as the
-conjugate mirror, so it is conjugate-symmetric exactly.
+conjugate mirror, so it is conjugate-symmetric exactly.  A Gram matrix
+computes only that upper triangle, a strip of rows at a time, so the
+complex reciprocal runs on about n (n + 1) / 2 entries rather than n^2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, UnsupportedVariant
-from .linalg import PsdReport, psd_check
+from .linalg import STRIP_ROWS, PsdReport, psd_check
 from .mobius import disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, enumerate_orbit
 
@@ -96,9 +98,8 @@ def szego(z: complex, w: complex) -> complex:
     return 1.0 / (1.0 - w.conjugate() * z)
 
 
-def szego_matrix(zs, ws=None) -> np.ndarray:
-    """[1 / (1 - conj(w_j) z_i)] over disk points; with ``ws`` omitted,
-    the Gram matrix of ``zs``, mirrored from its strict upper triangle.
+def _szego_block(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[1 / (1 - conj(w_j) z_i)] for a column z and a row w.
 
     Each entry runs the operations of ``szego`` in the same order in
     real arithmetic, so it equals the scalar value bit for bit, signed
@@ -106,20 +107,39 @@ def szego_matrix(zs, ws=None) -> np.ndarray:
     division only by returning -0.0 where Python returns +0.0, which
     the trailing ``+ 0.0`` undoes.
     """
-    z = np.asarray(zs, dtype=complex).reshape(-1, 1)
-    w = z.reshape(1, -1) if ws is None else np.asarray(ws, dtype=complex).reshape(1, -1)
     d = np.empty((z.shape[0], w.shape[1]), dtype=complex)
     d.real = 1.0 - (w.real * z.real + w.imag * z.imag)
     d.imag = 0.0 - (w.real * z.imag - w.imag * z.real)
     k = np.reciprocal(d, out=d)
     k += 0.0
-    if ws is None:
-        # The mirror is built in a fresh array and d is dropped: mirroring
-        # d in place raised the orbit-block benchmark's peak RSS by 5-8%
-        # (a heap-layout effect, measured over 14 cycles).
-        m = np.conjugate(k.T, order="C")
-        np.copyto(m, k, where=~np.tri(k.shape[0], dtype=bool))
-        k = m
+    return k
+
+
+def szego_matrix(zs, ws=None) -> np.ndarray:
+    """[1 / (1 - conj(w_j) z_i)] over disk points, each entry equal to
+    the scalar ``szego`` bit for bit; with ``ws`` omitted, the Gram
+    matrix of ``zs``, mirrored from its strict upper triangle.
+
+    The Gram matrix computes only its upper triangle, in strips of
+    ``STRIP_ROWS`` rows that run from the strip's first column to the
+    last, so each strip stays in cache while it is written out twice:
+    as computed above the diagonal, and as its conjugate below it and
+    on the diagonal.
+    """
+    z = np.asarray(zs, dtype=complex).reshape(-1, 1)
+    if ws is not None:
+        return _szego_block(z, np.asarray(ws, dtype=complex).reshape(1, -1))
+    n = z.shape[0]
+    w = z.reshape(1, -1)
+    k = np.empty((n, n), dtype=complex)
+    strict_upper = ~np.tri(min(n, STRIP_ROWS), dtype=bool)
+    for r0 in range(0, n, STRIP_ROWS):
+        r1 = min(r0 + STRIP_ROWS, n)
+        s = r1 - r0
+        block = _szego_block(z[r0:r1], w[:, r0:])
+        k[r0:r1, r1:] = block[:, s:]
+        np.conjugate(block.T, out=k[r0:, r0:r1])
+        np.copyto(k[r0:r1, r0:r1], block[:, :s], where=strict_upper[:s, :s])
     return k
 
 

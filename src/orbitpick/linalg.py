@@ -12,6 +12,11 @@ LAPACK's Hermitian solver (numpy.linalg.eigvalsh) only when it is
 read.  ``pencil_max`` solves the generalized problem behind extremal
 norms with one eigen-decomposition of K.  The 3x3 principal-minor
 routine at the end is independent of LAPACK and serves as its oracle.
+
+Validation and the Hermitian part each read the n x n entries a strip
+of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary.
+The library's own Pick matrices are handed to ``HermitianMatrix``
+without a copy.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import numpy as np
 from .errors import InputError
 
 MAX_DIMENSION = 2000
+# Rows per strip of the n x n passes that work a strip at a time (the
+# Gram matrix, the Pick weights, validation and the Hermitian part): a
+# strip of a 1,200-row matrix and its temporaries stay in cache.
+STRIP_ROWS = 64
 # Relative eigenvalue floor below which ``pencil_max`` treats a
 # direction of K as outside its range.  LAPACK's absolute eigenvalue
 # error, about n * eps * ||K||, reaches it at a few hundred rows.
@@ -64,18 +73,46 @@ class PsdReport:
 class HermitianMatrix:
     """Validated dense Hermitian matrix.
 
-    Accepts any square array whose conjugate-transpose defect is below
-    1e-10 * (1 + max|entry|); stores the entries as given.
+    Accepts any square array of finite entries whose conjugate-transpose
+    defect max|A - A^H| is at most 1e-10 * (1 + max|entry|), and stores
+    a copy of the entries as given.  Validation reads the matrix in
+    strips of ``STRIP_ROWS`` rows, each with the upper part of its
+    columns and their mirror, since |a_ij - conj(a_ji)| is the same
+    double on both sides of the diagonal.
     """
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=complex)
+        self._validate(np.array(entries, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> HermitianMatrix:
+        """Validate a complex array the caller has just built and hands
+        over, and keep that array itself rather than a copy."""
+        h = cls.__new__(cls)
+        h._validate(a)
+        return h
+
+    def _validate(self, a: np.ndarray) -> None:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise InputError("matrix entries must be finite")
-        scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
-        defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+        n = a.shape[0]
+        amax, defect = 0.0, 0.0
+        for r0 in range(0, n, STRIP_ROWS):
+            rows = a[r0 : r0 + STRIP_ROWS]
+            s = rows.shape[0]
+            top = np.max(np.abs(rows))
+            # a finite entry has a finite modulus unless it overflows
+            if not math.isfinite(top) and not np.isfinite(rows).all():
+                raise InputError("matrix entries must be finite")
+            amax = max(amax, top)
+            # Rows below the strip are checked by later strips; a
+            # non-finite entry there only meets subtraction here, which
+            # raises no floating-point warning, and the loop raises when
+            # it reaches its row.
+            d = np.conjugate(a[r0:, r0 : r0 + s].T, order="C")
+            d = np.abs(np.subtract(rows[:, r0:], d, out=d))
+            defect = max(defect, np.max(d))
+        scale = 1.0 + amax
         if defect > 1e-10 * scale:
             raise InputError(
                 f"matrix is not Hermitian: defect {defect:.3e} vs scale {scale:.3e}"
@@ -97,13 +134,20 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _solvable(a) -> np.ndarray:
+    """The Hermitian part 0.5 * (A + A^H), a strip of rows at a time."""
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
-    return 0.5 * (h + h.conj().T)
+    out = np.empty((n, n), dtype=complex)
+    for r0 in range(0, n, STRIP_ROWS):
+        strip = out[r0 : r0 + STRIP_ROWS]
+        np.conjugate(h[:, r0 : r0 + STRIP_ROWS].T, out=strip)
+        np.add(h[r0 : r0 + STRIP_ROWS], strip, out=strip)
+        np.multiply(0.5, strip, out=strip)
+    return out
 
 
 def min_eig(a) -> float:
@@ -145,10 +189,11 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     """Positive-semidefiniteness verdict with an explicit tolerance:
     does A + tol * I have a Cholesky factor?
 
-    The default tolerance 1e-10 * (1 + max diagonal) is anchored to the
-    diagonal because the matrices arising here scale with kernel
-    magnitudes near the boundary.  The report's ``min_eigenvalue`` is
-    computed on first read.
+    A is taken as its Hermitian part 0.5 (A + A^H).  The default
+    tolerance 1e-10 * (1 + max diagonal) is anchored to the diagonal
+    because the matrices arising here scale with kernel magnitudes near
+    the boundary.  The report's ``min_eigenvalue`` is computed on first
+    read.
     """
     h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
     if tol is None:

@@ -15,6 +15,9 @@ orbits, each node's target carried by all of its rows.  So one
 validation of nodes and targets (``pick_norm`` and the interpolants
 build one too, and take scalar targets only), and one alias check
 guards every composed-kernel entry point.
+Scalar weights are written into the kernel matrix a strip of rows at
+a time, and the weighted matrix is handed to ``linalg.HermitianMatrix``
+without a copy.
 Positivity at tolerance tol is one Cholesky attempt on A + tol * I
 (``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
@@ -49,7 +52,7 @@ from .kernels import (
     check_distinct,
     szego_matrix,
 )
-from .linalg import HermitianMatrix, PsdReport, pencil_max, psd_check
+from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, pencil_max, psd_check
 from .mobius import disk_point, iterate_cyclic
 from .orbits import GroupPresentation
 
@@ -147,11 +150,18 @@ def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[np.ndarray, list[i
 def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
     """Apply the (1 - w_i conj(w_j)) resp. (I - W_i W_j^H) weights, each
     node's target carried by all of its rows; matrix weights are
-    tensored onto each scalar entry, row index major."""
+    tensored onto each scalar entry, row index major.  Scalar weights
+    are written into ``kmat``, which the caller hands over."""
     rows = np.repeat(np.arange(len(counts)), counts)
     if not isinstance(targets[0], np.ndarray):
         w = np.array(targets, dtype=complex)[rows]
-        return (1.0 - np.outer(w, w.conj())) * kmat
+        wc = w.conj()
+        for r0 in range(0, len(w), STRIP_ROWS):
+            strip = kmat[r0 : r0 + STRIP_ROWS]
+            # weights * kmat, in this operand order: numpy's SIMD complex
+            # multiply is not bitwise commutative
+            np.multiply(1.0 - np.outer(w[r0 : r0 + STRIP_ROWS], wc), strip, out=strip)
+        return kmat
     k = targets[0].shape[0]
     eye = np.eye(k, dtype=complex)
     weights = np.array([[eye - ti @ tj.conj().T for tj in targets] for ti in targets])
@@ -171,7 +181,7 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     """
     check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
-    return HermitianMatrix(_weighted(problem.targets, counts, kmat))
+    return HermitianMatrix._adopt(_weighted(problem.targets, counts, kmat))
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
@@ -203,7 +213,7 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     w = np.repeat(np.array(targets), counts)
     outer = np.outer(w, w.conj())
     c = math.sqrt(max(pencil_max(kmat, outer * kmat), 0.0))
-    if not psd_check((c * c - outer) * kmat).is_psd:
+    if not psd_check(HermitianMatrix._adopt((c * c - outer) * kmat)).is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "
             "target weight lies on directions the kernel matrix annihilates "

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,20 +116,21 @@ def test_orbit_generic_free_group_depth_8(tmp_path, capsys):
     assert first == second
 
 
-def test_orbit_stabilizer_counts_words_up_to_the_orbit_depth(tmp_path, capsys, monkeypatch):
-    # the half-turn, z -> (z - 0.4)/(1 - 0.4 z) and lam (alpha - z)/(1 - conj(alpha) z)
-    # with lam = 0.6 + 0.8i, alpha = 0.3 - 0.1i
-    doc = {
-        "group": {
-            "kind": "generic",
-            "generators": [
-                [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                [[1.0, 0.0], [-0.4, 0.0], [-0.4, 0.0], [1.0, 0.0]],
-                [[-0.6, -0.8], [0.26, 0.18], [-0.3, -0.1], [1.0, 0.0]],
-            ],
-        },
-        "truncation": {"depth": 4},
-    }
+# the half-turn, z -> (z - 0.4)/(1 - 0.4 z) and lam (alpha - z)/(1 - conj(alpha) z)
+# with lam = 0.6 + 0.8i, alpha = 0.3 - 0.1i
+THREE_GENERATORS = {
+    "kind": "generic",
+    "generators": [
+        [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+        [[1.0, 0.0], [-0.4, 0.0], [-0.4, 0.0], [1.0, 0.0]],
+        [[-0.6, -0.8], [0.26, 0.18], [-0.3, -0.1], [1.0, 0.0]],
+    ],
+}
+
+
+def forbid_compose_after_the_orbit(monkeypatch):
+    """Make every composition after the first orbit enumeration raise,
+    so that only the orbit's own element search can serve what follows."""
     enumerate_orbit = orbits.enumerate_orbit
 
     def forbid_compose_after(*args):
@@ -138,13 +142,46 @@ def test_orbit_stabilizer_counts_words_up_to_the_orbit_depth(tmp_path, capsys, m
         monkeypatch.setattr(DiskAutomorphism, "compose", compose)
         return orbit
 
-    # the orbit's own element search serves the stabilizer
     monkeypatch.setattr(orbits, "enumerate_orbit", forbid_compose_after)
+
+
+def test_orbit_stabilizer_counts_words_up_to_the_orbit_depth(tmp_path, capsys, monkeypatch):
+    doc = {"group": THREE_GENERATORS, "truncation": {"depth": 4}}
+    forbid_compose_after_the_orbit(monkeypatch)
     code, out, _ = run(tmp_path, capsys, doc, "orbit")
     assert code == 0
     report = json.loads(out)
     assert len(report["entries"]) == 247
     assert report["stabilizer_order_origin"] == 2  # the identity and the half-turn
+
+
+@pytest.mark.parametrize("command", ["blaschke-eval", "character"])
+def test_associated_product_counts_words_up_to_the_orbit_depth(
+    tmp_path, capsys, monkeypatch, command
+):
+    doc = {
+        "group": THREE_GENERATORS,
+        "truncation": {"depth": 4, "strict": False},
+        "associated": True,
+        "eval_points": [[0.3, 0.0]],
+    }
+    lengths = []
+    count = orbits.stabilizer_order_origin
+
+    def stabilizer_order_origin(group, max_word_length=8):
+        lengths.append(max_word_length)
+        return count(group, max_word_length)
+
+    monkeypatch.setattr(orbits, "stabilizer_order_origin", stabilizer_order_origin)
+    forbid_compose_after_the_orbit(monkeypatch)
+    code, out, err = run(tmp_path, capsys, doc, command)
+    assert lengths == [4]
+    if command == "blaschke-eval":
+        assert code == 0
+        assert json.loads(out)["stabilizer_power"] == 2
+    else:  # the probe ratios of this truncated product spread by about 1e26
+        assert code == 3
+        assert "probe ratios spread" in err
 
 
 def test_blaschke_eval_command(tmp_path, capsys):
@@ -362,6 +399,23 @@ def test_verify_report_matches_golden(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     golden = (DATA / "verify-seed0.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # The reader closes its end before the report is written, as
+    # ``orbitpick ... | head -c 10`` does to a report larger than the pipe.
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    command = [sys.executable, "-m", "orbitpick.cli", "pick-check",
+               str(DATA / "even_problem.json")]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [

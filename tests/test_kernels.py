@@ -20,7 +20,7 @@ from orbitpick.kernels import (
     szego,
     szego_matrix,
 )
-from orbitpick.linalg import min_eig
+from orbitpick.linalg import STRIP_ROWS, min_eig
 from orbitpick.mobius import iterate_cyclic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, generic_group, z2z2_group
 
@@ -259,6 +259,27 @@ _DISK_POINTS = st.one_of(
 )
 
 
+def _strip_points(n):
+    """n points across the disk, near the circle and on both axes with
+    either signed zero, to test the Gram matrix's strips with."""
+    rng = np.random.default_rng(n)
+    pts = []
+    for i in range(n):
+        x = float(rng.uniform(-0.9, 0.9))
+        zero = -0.0 if i % 2 else 0.0
+        if i % 5 == 0:
+            pts.append(complex(x, zero))
+        elif i % 7 == 1:
+            pts.append(complex(zero, x))
+        else:
+            r = 1.0 - 10.0 ** -rng.uniform(3, 14) if i % 3 else rng.uniform(0.0, 0.999)
+            pts.append(cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+    return pts
+
+
+_STRIP = STRIP_ROWS
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     zs=st.lists(_DISK_POINTS, min_size=1, max_size=8),
@@ -266,6 +287,11 @@ _DISK_POINTS = st.one_of(
 )
 @example(zs=[0j], ws=[0j])
 @example(zs=[0.5 + 0j], ws=[complex(-0.0, 0.25)])
+@example(zs=_strip_points(1), ws=[0.5j])
+@example(zs=_strip_points(_STRIP - 1), ws=[0.5j])
+@example(zs=_strip_points(_STRIP), ws=[0.5j])
+@example(zs=_strip_points(_STRIP + 1), ws=[0.5j])
+@example(zs=_strip_points(3 * _STRIP + 5), ws=[0.5j])
 def test_szego_matrix_is_the_scalar_kernel_bit_for_bit(zs, ws):
     assert szego_matrix(zs).tobytes() == _scalar_gram(zs).tobytes()
     assert szego_matrix(zs, ws).tobytes() == _scalar_matrix(zs, ws).tobytes()

@@ -17,8 +17,10 @@ from orbitpick.kernels import (
 )
 from orbitpick.linalg import (
     MAX_DIMENSION,
+    STRIP_ROWS,
     HermitianMatrix,
     brute_force_psd_3x3,
+    default_psd_tolerance,
     min_eig,
     pencil_max,
     psd_check,
@@ -166,6 +168,120 @@ def test_hermitian_validation():
         HermitianMatrix([[np.inf]])
     with pytest.raises(InputError):
         psd_check([[1.0]], tol=-1.0)
+
+
+def _reference_message(a):
+    """The validation message of a square, finite, non-Hermitian array,
+    by whole-matrix expressions."""
+    scale = 1.0 + np.max(np.abs(a))
+    defect = np.max(np.abs(a - a.conj().T))
+    return f"matrix is not Hermitian: defect {defect:.3e} vs scale {scale:.3e}"
+
+
+def _multi_strip(seed, defect_at=None, nan_at=None):
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, 3 * STRIP_ROWS + 5)
+    if defect_at is not None:
+        a[defect_at] += 1e-6 * (1 + 2j)
+    if nan_at is not None:
+        a[nan_at] = complex(0.5, math.nan)
+    return a
+
+
+_LATE = (3 * STRIP_ROWS + 4, 2)  # a lower entry of the last strip
+
+
+@pytest.mark.parametrize("entries, message", [
+    (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (np.ones(3), "expected a square matrix, got shape (3,)"),
+    ([[np.inf]], "matrix entries must be finite"),
+    ([[1.0, 0.0], [complex(0.0, math.nan), 1.0]], "matrix entries must be finite"),
+    ([[0, 1], [0, 0]], "matrix is not Hermitian: defect 1.000e+00 vs scale 2.000e+00"),
+    ([[1.0, 2.0], [2.0, 1.0 + 1e-3j]],
+     "matrix is not Hermitian: defect 2.000e-03 vs scale 3.000e+00"),
+    (_multi_strip(1, defect_at=(1, 0), nan_at=_LATE), "matrix entries must be finite"),
+    (_multi_strip(2, defect_at=_LATE), _reference_message(_multi_strip(2, defect_at=_LATE))),
+    (_multi_strip(3, defect_at=(70, 70)),
+     _reference_message(_multi_strip(3, defect_at=(70, 70)))),
+], ids=["rectangular", "vector", "inf", "nan", "triangular", "diagonal",
+        "nan-after-defect", "late-defect", "diagonal-defect"])
+def test_hermitian_matrix_keeps_its_messages(entries, message):
+    with pytest.raises(InputError) as public:
+        HermitianMatrix(entries)
+    assert str(public.value) == message
+    with pytest.raises(InputError) as adopted:
+        HermitianMatrix._adopt(np.array(entries, dtype=complex))
+    assert str(adopted.value) == message
+
+
+def test_hermitian_matrix_copies_what_it_is_given():
+    a = np.array([[2.0, 1j], [-1j, 2.0]])
+    h = HermitianMatrix(a)
+    a[0, 0], a[0, 1] = 7.0, 5.0
+    assert h.entries.tolist() == [[2.0, 1j], [-1j, 2.0]]
+    owned = np.eye(2, dtype=complex)
+    assert HermitianMatrix._adopt(owned).entries is owned
+
+
+def _close_call(seed, n):
+    """A Hermitian matrix mirrored exactly, its smallest eigenvalue
+    moved to 0 so that verdicts at small tolerances are close calls."""
+    rng = np.random.default_rng(seed)
+    b = random_hermitian(rng, n)
+    b = b - min_eig(b) * np.eye(n)
+    return np.triu(b) + np.triu(b, 1).conj().T
+
+
+def _close_calls():
+    n = 2 * STRIP_ROWS + 3
+    exact = _close_call(1, n)
+    imaginary = exact.copy()  # as the assembled orbit Pick matrices have
+    imaginary.flat[:: n + 1] += 1e-104j * np.arange(1, n + 1)
+    zeros = _close_call(2, n)
+    for i, j in ((0, 1), (5, 90), (70, 3), (n - 1, 0)):
+        zeros[i, j], zeros[j, i] = complex(0.0, 0.0), complex(-0.0, 0.0)
+    zeros[2, 80], zeros[80, 2] = complex(-0.0, 0.25), complex(0.0, -0.25)
+    unit = exact / np.max(np.abs(exact))
+    ulp = exact.copy()
+    ulp[100, 1] = complex(np.nextafter(ulp[100, 1].real, 1.0), ulp[100, 1].imag)
+    return [
+        ("exact mirror", exact),
+        ("diagonal imaginary part", imaginary),
+        ("signed zeros", zeros),
+        ("1-ulp defect", ulp),
+        ("above 1e307", 8e307 * unit),
+        ("doubling overflows", 1.2e308 * unit),
+    ]
+
+
+@pytest.mark.parametrize("name, a", _close_calls(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("offset", [1e-3, 1e-10, 0.0, -1e-10, -1e-3])
+@pytest.mark.parametrize("tol", [None, 1e-14, 1e-6])
+def test_psd_check_factors_the_whole_matrix_hermitian_part(monkeypatch, name, a, offset, tol):
+    a = a.copy()
+    a.flat[:: a.shape[0] + 1] += offset * np.max(np.abs(a))
+    h = HermitianMatrix(a)
+    tol = default_psd_tolerance(h) if tol is None else tol * np.max(np.abs(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = 0.5 * (a + a.conj().T)
+        expected.flat[:: h.n + 1] += tol
+    try:
+        np.linalg.cholesky(expected)
+    except np.linalg.LinAlgError:
+        verdict = False
+    else:
+        verdict = True
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def record(m):
+        factored.append(m.copy())
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert psd_check(h, tol).is_psd == verdict
+    assert factored[0].tobytes() == expected.tobytes()
 
 
 def _test_matrix(kind, n, seed):

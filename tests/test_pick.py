@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import mpmath
@@ -13,7 +14,14 @@ from orbitpick.errors import (
     InputError,
     NumericalError,
 )
-from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel, gram
+from orbitpick.kernels import (
+    ComposedInnerKernel,
+    OrbitGramKernel,
+    SzegoKernel,
+    _szego_points,
+    gram,
+)
+from orbitpick.linalg import HermitianMatrix
 from orbitpick.mobius import pseudo_hyperbolic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import (
@@ -90,6 +98,103 @@ def test_composition_equivalence_bitwise():
     zeta = tuple(spec.value(z) for z in nodes)
     pushed = assemble_pick(PickProblem(zeta, targets, SzegoKernel())).entries
     assert np.array_equal(direct, pushed)
+
+
+def _full_szego_matrix(zs):
+    """The Gram matrix [1 / (1 - conj(z_j) z_i)] built as one full block
+    and mirrored from its strict upper triangle, as before the strip
+    builder."""
+    z = np.asarray(zs, dtype=complex).reshape(-1, 1)
+    w = z.reshape(1, -1)
+    d = np.empty((z.shape[0], w.shape[1]), dtype=complex)
+    d.real = 1.0 - (w.real * z.real + w.imag * z.imag)
+    d.imag = 0.0 - (w.real * z.imag - w.imag * z.real)
+    k = np.reciprocal(d, out=d)
+    k += 0.0
+    m = np.conjugate(k.T, order="C")
+    np.copyto(m, k, where=~np.tri(k.shape[0], dtype=bool))
+    return m
+
+
+def _full_pick(problem):
+    """The Pick matrix by whole-matrix expressions, for comparison."""
+    zs, counts, _ = _szego_points(problem.kernel, problem.nodes)
+    kmat = _full_szego_matrix(zs)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    if not problem.matrix_valued:
+        w = np.array(problem.targets)[rows]
+        return (1 - np.outer(w, w.conj())) * kmat
+    t = problem.targets
+    k = t[0].shape[0]
+    weights = np.array([[np.eye(k) - ti @ tj.conj().T for tj in t] for ti in t])
+    out = weights[rows][:, rows] * kmat[:, :, None, None]
+    return out.transpose(0, 2, 1, 3).reshape(k * len(rows), k * len(rows))
+
+
+def _solvable_verdict(a, tol):
+    shifted = 0.5 * (a + a.conj().T) + tol * np.eye(a.shape[0])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _orbit_targets(group, nodes, kind):
+    """Targets at the nodes: 0.5 B(z)^2 for B the orbit product of 0,
+    the values of an invariant function of norm 0.5 (feasible), their
+    moduli (real, so the Pick matrix is exactly Hermitian), or arbitrary
+    values of modulus up to 0.6 that no invariant function of norm 1
+    takes (infeasible)."""
+    phi = ComposedInnerKernel(from_orbit(enumerate_orbit(group, 0j, 400), 1), 2)
+    invariant = [0.5 * phi.value(z) for z in nodes]
+    if kind == "invariant":
+        return invariant
+    if kind == "real":
+        return [abs(w) for w in invariant]
+    return [0.6 - 0.3j, -0.6j, 0.45 + 0.3j][: len(nodes)]
+
+
+@pytest.mark.parametrize("group, depth, nodes", [
+    (cyclic_group(0.05), 160, (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j)),
+    (z2z2_group(0.08), 160, (0.15 - 0.1j, -0.2 + 0.3j)),
+], ids=["cyclic", "z2z2"])
+@pytest.mark.parametrize("kind", ["invariant", "real", "arbitrary"])
+@pytest.mark.parametrize("matrix", [False, True], ids=["scalar", "2x2"])
+def test_assemble_pick_is_the_whole_matrix_formula_bit_for_bit(group, depth, nodes, kind, matrix):
+    targets = _orbit_targets(group, nodes, kind)
+    if matrix:
+        targets = [np.array([[w, 0.0], [0.1 * w, -0.5 * w]]) for w in targets]
+    problem = PickProblem(nodes, tuple(targets), OrbitGramKernel(group, depth))
+    report = feasibility(problem)
+    expected = _full_pick(problem)
+    assert report.matrix.n > 300
+    assert report.matrix.entries.tobytes() == expected.tobytes()
+    assert report.psd.is_psd == (kind != "arbitrary")
+    assert report.psd.is_psd == _solvable_verdict(expected, report.psd.tolerance_used)
+
+
+def test_feasibility_holds_at_most_three_and_a_half_matrices(monkeypatch):
+    # the kernel matrix is weighted in place and handed over without a
+    # copy, so the peak is the Pick matrix, the Cholesky input and the
+    # factor, plus strips
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j)
+    targets = (0.1, 0.2j, 0.05 + 0.05j, -0.1)
+    problem = PickProblem(nodes, targets, OrbitGramKernel(cyclic_group(0.05), 120))
+    n = feasibility(problem).matrix.n
+
+    def copying_constructor(self, entries):
+        raise AssertionError("the verdict path copied its own Pick matrix")
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", copying_constructor)
+    tracemalloc.start()
+    try:
+        feasibility(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 596
+    assert peak <= 3.5 * 16 * n * n
 
 
 def test_orbit_pick_depth_zero_equals_szego():
