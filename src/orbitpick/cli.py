@@ -238,16 +238,24 @@ def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | 
         except InputError as exc:
             _fail("$.kernel", str(exc))
     if variant == "orbit":
-        depth = obj.get("depth")
-        if depth is None:
-            depth, _ = _parse_truncation(doc, args.depth)
-        else:
-            depth = _integer(depth, "$.kernel.depth")
-            if args.depth is not None:
-                depth = args.depth
-        group = _parse_group(doc)
-        return kn.OrbitGramKernel(group, depth)
+        return _orbit_kernel(doc, args)
     _fail("$.kernel.variant", "expected 'szego', 'composed', or 'orbit'")
+
+
+def _orbit_kernel(doc: dict, args) -> kn.OrbitGramKernel:
+    """The orbit kernel of the file's group, at depth ``--depth`` if given,
+    else the ``$.kernel.depth`` of an orbit-variant kernel, else
+    ``$.truncation.depth``."""
+    kernel = doc.get("kernel")
+    orbit = isinstance(kernel, dict) and kernel.get("variant") == "orbit"
+    depth = kernel.get("depth") if orbit else None
+    if depth is None:
+        depth, _ = _parse_truncation(doc, args.depth)
+    else:
+        depth = _integer(depth, "$.kernel.depth")
+        if args.depth is not None:
+            depth = args.depth
+    return kn.OrbitGramKernel(_parse_group(doc), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +372,9 @@ def cmd_pick_check(doc, args, kernel=None):
 
 
 def cmd_orbit_pick_check(doc, args):
-    group = _parse_group(doc)
-    depth, _strict = _parse_truncation(doc, args.depth)
-    payload, code = cmd_pick_check(doc, args, kn.OrbitGramKernel(group, depth))
-    payload["depth"] = depth
+    kernel = _orbit_kernel(doc, args)
+    payload, code = cmd_pick_check(doc, args, kernel)
+    payload["depth"] = kernel.depth
     return payload, code
 
 

@@ -13,14 +13,15 @@ read.  ``pencil_max`` solves the generalized problem behind extremal
 norms with one eigen-decomposition of K.  The 3x3 principal-minor
 routine at the end is independent of LAPACK and serves as its oracle.
 
-Validation and the Hermitian part each read the n x n entries a strip
-of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary.
-The library's own Pick matrices are handed to ``HermitianMatrix``
-without a copy.
+Validation reads the n x n entries a strip of ``STRIP_ROWS`` rows at a
+time, and the library's own Pick matrices are handed to
+``HermitianMatrix`` without a copy.  The Hermitian part halves each
+entry before the sum, so finite entries cannot overflow there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,8 +30,8 @@ from .errors import InputError
 
 MAX_DIMENSION = 2000
 # Rows per strip of the n x n passes that work a strip at a time (the
-# Gram matrix, the Pick weights, validation and the Hermitian part): a
-# strip of a 1,200-row matrix and its temporaries stay in cache.
+# Gram matrix, the Pick weights and validation): a strip of a 1,200-row
+# matrix and its temporaries stay in cache.
 STRIP_ROWS = 64
 # Relative eigenvalue floor below which ``pencil_max`` treats a
 # direction of K as outside its range.  LAPACK's absolute eigenvalue
@@ -134,19 +135,15 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _solvable(a) -> np.ndarray:
-    """The Hermitian part 0.5 * (A + A^H), a strip of rows at a time."""
+    """The Hermitian part 0.5 * A + 0.5 * A^H, halved before the sum."""
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
-    out = np.empty((n, n), dtype=complex)
-    for r0 in range(0, n, STRIP_ROWS):
-        strip = out[r0 : r0 + STRIP_ROWS]
-        np.conjugate(h[:, r0 : r0 + STRIP_ROWS].T, out=strip)
-        np.add(h[r0 : r0 + STRIP_ROWS], strip, out=strip)
-        np.multiply(0.5, strip, out=strip)
+    out = 0.5 * h.conj().T
+    out += 0.5 * h
     return out
 
 
@@ -189,7 +186,7 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     """Positive-semidefiniteness verdict with an explicit tolerance:
     does A + tol * I have a Cholesky factor?
 
-    A is taken as its Hermitian part 0.5 (A + A^H).  The default
+    A is taken as its Hermitian part 0.5 A + 0.5 A^H.  The default
     tolerance 1e-10 * (1 + max diagonal) is anchored to the diagonal
     because the matrices arising here scale with kernel magnitudes near
     the boundary.  The report's ``min_eigenvalue`` is computed on first
@@ -241,13 +238,7 @@ def brute_force_psd_3x3(a, tol: float = 1e-12) -> bool:
         return float(d.real)
 
     for size in range(1, n + 1):
-        for idx in _subsets(n, size):
+        for idx in itertools.combinations(range(n), size):
             if det(idx) < -tol:
                 return False
     return True
-
-
-def _subsets(n: int, size: int):
-    import itertools
-
-    return itertools.combinations(range(n), size)

@@ -12,9 +12,9 @@ and the extremal multiplier norm on the kernel span is the least c with
 gives: the nodes, their inner values, or their concatenated truncated
 orbits, each node's target carried by all of its rows.  So one
 ``assemble_pick`` serves every kernel, ``PickProblem`` is the one
-validation of nodes and targets (``pick_norm`` and the interpolants
-build one too, and take scalar targets only), and one alias check
-guards every composed-kernel entry point.
+validation of nodes and targets, distinct nodes included (``pick_norm``
+and the interpolants build one too, and take scalar targets only), and
+one alias check guards every composed-kernel entry point.
 Scalar weights are written into the kernel matrix a strip of rows at
 a time, and the weighted matrix is handed to ``linalg.HermitianMatrix``
 without a copy.
@@ -97,6 +97,7 @@ class PickProblem:
         if not np.all(np.isfinite(arrays)):
             raise InputError("targets must be finite")
         targets = tuple(arrays) if shape else tuple(complex(t) for t in arrays)
+        check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
@@ -179,7 +180,6 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     over the deterministic orbit orderings; for matrix targets each
     scalar entry is tensored with (I - W_i W_j^H), row index major.
     """
-    check_distinct(problem.nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
     return HermitianMatrix._adopt(_weighted(problem.targets, counts, kmat))
 
@@ -206,7 +206,6 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     """
     problem = _scalar_problem(nodes, targets, kernel)
     nodes, targets = problem.nodes, problem.targets
-    check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
     if not any(targets):
         return 0.0
     kmat, counts = _kernel_rows(kernel, nodes, targets)
@@ -353,20 +352,18 @@ def interpolate_composed(
 
     Nodes are pushed through phi; nodes that collapse must carry equal
     targets (they are merged), and the resulting disk problem is solved
-    by ``interpolate_disk``.  The returned function is g(phi(z)).
+    by ``interpolate_disk``.  The returned function is g(phi(z)), with g
+    checked against every target at its pushed-forward node.
     """
     problem = _scalar_problem(nodes, targets, ComposedInnerKernel(inner, power))
     nodes, targets = problem.nodes, problem.targets
     zeta, _, _ = _szego_points(problem.kernel, nodes)
     keep = _check_aliases(zeta, targets)
-    rep_pts = [zeta[i] for i in keep]
-    rep_ws = [targets[i] for i in keep]
-    g = interpolate_disk(tuple(rep_pts), tuple(rep_ws))
-    result = ComposedInterpolant(schur=g, inner=inner, power=power)
-    for z, w in zip(nodes, targets):
-        if abs(evaluate_composed(result, z) - w) > _TARGET_RESIDUAL:
+    g = interpolate_disk(tuple(zeta[i] for i in keep), tuple(targets[i] for i in keep))
+    for v, w in zip(zeta, targets):
+        if abs(evaluate_interpolant(g, v) - w) > _TARGET_RESIDUAL:
             raise Infeasible("composed interpolant failed to reproduce a target")
-    return result
+    return ComposedInterpolant(schur=g, inner=inner, power=power)
 
 
 def amenable_average(

@@ -244,6 +244,33 @@ def test_orbit_pick_check_command(tmp_path, capsys):
     assert report["psd"] is True and report["depth"] == 30
 
 
+ORBIT_DEPTHS = {
+    "group": {"kind": "cyclic", "a": 0.5},
+    "truncation": {"depth": 3},
+    "nodes": [[0.1, 0.2], [-0.3, 0.1]],
+    "targets": [[0.0, 0.0], [0.0, 0.0]],
+    "kernel": {"variant": "orbit", "depth": 10},
+}
+
+
+@pytest.mark.parametrize("flags, size, depth", [((), 28, 10), (("--depth", "3"), 14, 3)])
+def test_orbit_commands_resolve_one_depth(tmp_path, capsys, flags, size, depth):
+    # --depth, else the orbit kernel's own depth, else the truncation depth
+    for command in ("pick-check", "orbit-pick-check"):
+        code, out, _ = run(tmp_path, capsys, ORBIT_DEPTHS, command, *flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["matrix_size"] == size
+    assert report["depth"] == depth
+
+
+def test_orbit_pick_check_uses_the_truncation_depth_of_other_kernels(capsys):
+    doc = json.loads((DATA / "even_problem.json").read_text(encoding="utf-8"))
+    assert doc["kernel"]["variant"] == "composed"
+    main(["orbit-pick-check", str(DATA / "even_problem.json")])
+    assert json.loads(capsys.readouterr().out)["depth"] == doc["truncation"]["depth"]
+
+
 def test_pick_norm_command(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, INFEASIBLE, "pick-norm")
     assert code == 0
@@ -384,7 +411,11 @@ GOLDEN = [
     (problem, command, 0)
     for problem in ("even", "szego4")
     for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
-] + [("orbit", "kernel-gram", 0), ("matrix", "pick-check", 1)]
+] + [("orbit", "kernel-gram", 0), ("matrix", "pick-check", 1)] + [
+    # coincident nodes: every command refuses the file before any report
+    ("duplicate", command, 2)
+    for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
+]
 
 
 @pytest.mark.parametrize("problem,command,exit_code", GOLDEN)

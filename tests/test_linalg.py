@@ -262,15 +262,17 @@ def test_psd_check_factors_the_whole_matrix_hermitian_part(monkeypatch, name, a,
     a.flat[:: a.shape[0] + 1] += offset * np.max(np.abs(a))
     h = HermitianMatrix(a)
     tol = default_psd_tolerance(h) if tol is None else tol * np.max(np.abs(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = 0.5 * (a + a.conj().T)
-        expected.flat[:: h.n + 1] += tol
+    # halved before the sum, so "doubling overflows" has a finite part
+    expected = 0.5 * a.conj().T + 0.5 * a
+    expected.flat[:: h.n + 1] += tol
     try:
         np.linalg.cholesky(expected)
     except np.linalg.LinAlgError:
         verdict = False
     else:
         verdict = True
+    if abs(offset) == 1e-3:  # far from every tolerance: the offset decides
+        assert verdict == (offset > 0)
     factored = []
     cholesky = np.linalg.cholesky
 
@@ -279,8 +281,7 @@ def test_psd_check_factors_the_whole_matrix_hermitian_part(monkeypatch, name, a,
         return cholesky(m)
 
     monkeypatch.setattr(np.linalg, "cholesky", record)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert psd_check(h, tol).is_psd == verdict
+    assert psd_check(h, tol).is_psd == verdict
     assert factored[0].tobytes() == expected.tobytes()
 
 
