@@ -246,15 +246,16 @@ def _orbit_kernel(doc: dict, args) -> kn.OrbitGramKernel:
     """The orbit kernel of the file's group, at depth ``--depth`` if given,
     else the ``$.kernel.depth`` of an orbit-variant kernel, else
     ``$.truncation.depth``."""
+    depth, _ = _parse_truncation(doc, args.depth)
     kernel = doc.get("kernel")
-    orbit = isinstance(kernel, dict) and kernel.get("variant") == "orbit"
-    depth = kernel.get("depth") if orbit else None
-    if depth is None:
-        depth, _ = _parse_truncation(doc, args.depth)
-    else:
-        depth = _integer(depth, "$.kernel.depth")
-        if args.depth is not None:
-            depth = args.depth
+    if not (isinstance(kernel, dict) and kernel.get("variant") == "orbit"):
+        kernel = {}
+    own = kernel.get("depth")
+    if own is not None:
+        if _integer(own, "$.kernel.depth") < 0:
+            _fail("$.kernel.depth", "depth must be nonnegative")
+        if args.depth is None:
+            depth = own
     return kn.OrbitGramKernel(_parse_group(doc), depth)
 
 

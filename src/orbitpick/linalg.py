@@ -13,10 +13,11 @@ read.  ``pencil_max`` solves the generalized problem behind extremal
 norms with one eigen-decomposition of K.  The 3x3 principal-minor
 routine at the end is independent of LAPACK and serves as its oracle.
 
-Validation reads the n x n entries a strip of ``STRIP_ROWS`` rows at a
-time, and the library's own Pick matrices are handed to
-``HermitianMatrix`` without a copy.  The Hermitian part halves each
-entry before the sum, so finite entries cannot overflow there.
+Validation and the Hermitian part each read the n x n entries a strip
+of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary.
+The Hermitian part halves each entry before the sum, so finite entries
+cannot overflow there.  The library's own Pick matrices are handed to
+``HermitianMatrix`` without a copy.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import InputError
 
 MAX_DIMENSION = 2000
 # Rows per strip of the n x n passes that work a strip at a time (the
-# Gram matrix, the Pick weights and validation): a strip of a 1,200-row
-# matrix and its temporaries stay in cache.
+# Gram matrix, the Pick weights, validation and the Hermitian part): a
+# strip of a 1,200-row matrix and its temporaries stay in cache.
 STRIP_ROWS = 64
 # Relative eigenvalue floor below which ``pencil_max`` treats a
 # direction of K as outside its range.  LAPACK's absolute eigenvalue
@@ -135,16 +136,23 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _solvable(a) -> np.ndarray:
-    """The Hermitian part 0.5 * A + 0.5 * A^H, halved before the sum."""
+    """The Hermitian part 0.5 * A + 0.5 * A^H, halved before the sum, a
+    strip of rows at a time."""
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
-    out = 0.5 * h.conj().T
-    out += 0.5 * h
-    return out
+    # Row strips of the transpose, so the part comes out in the Fortran
+    # order LAPACK reads without a transposing copy.
+    out = np.empty((n, n), dtype=complex)
+    for r0 in range(0, n, STRIP_ROWS):
+        strip = out[r0 : r0 + STRIP_ROWS]
+        np.conjugate(h[r0 : r0 + STRIP_ROWS], out=strip)
+        strip *= 0.5
+        strip += 0.5 * h[:, r0 : r0 + STRIP_ROWS].T
+    return out.T
 
 
 def min_eig(a) -> float:

@@ -231,13 +231,17 @@ def test_kernel_gram_command(tmp_path, capsys):
     assert report["entries"][1][1] == pytest.approx([4 / 3, 0.0], abs=1e-12)
 
 
-def test_orbit_pick_check_command(tmp_path, capsys):
+@pytest.mark.parametrize("kernel", [None, {"variant": "composed", "power": 2}])
+def test_orbit_pick_check_command(tmp_path, capsys, kernel):
+    # a kernel section of another variant leaves the truncation depth
     doc = {
         "group": {"kind": "cyclic", "a": 0.5},
         "truncation": {"depth": 30},
         "nodes": [[0.0, 0.0]],
         "targets": [[0.0, 0.0]],
     }
+    if kernel is not None:
+        doc["kernel"] = kernel
     code, out, _ = run(tmp_path, capsys, doc, "orbit-pick-check")
     assert code == 0
     report = json.loads(out)
@@ -264,11 +268,21 @@ def test_orbit_commands_resolve_one_depth(tmp_path, capsys, flags, size, depth):
     assert report["depth"] == depth
 
 
-def test_orbit_pick_check_uses_the_truncation_depth_of_other_kernels(capsys):
-    doc = json.loads((DATA / "even_problem.json").read_text(encoding="utf-8"))
-    assert doc["kernel"]["variant"] == "composed"
-    main(["orbit-pick-check", str(DATA / "even_problem.json")])
-    assert json.loads(capsys.readouterr().out)["depth"] == doc["truncation"]["depth"]
+@pytest.mark.parametrize("section, value, path", [
+    ("kernel", {"variant": "orbit", "depth": -2}, "$.kernel.depth: depth must be nonnegative"),
+    ("kernel", {"variant": "orbit", "depth": 2.5}, "$.kernel.depth: expected an integer"),
+    ("truncation", [3], "$.truncation: expected an object"),
+    ("truncation", {"depth": "3"}, "$.truncation.depth: expected an integer"),
+    ("truncation", {"strict": 1}, "$.truncation.strict: expected a boolean"),
+])
+@pytest.mark.parametrize("flags", [(), ("--depth", "3")])
+def test_orbit_commands_check_both_depths(tmp_path, capsys, section, value, path, flags):
+    # both depth sections are checked, whichever one sets the depth
+    doc = dict(ORBIT_DEPTHS, **{section: value})
+    for command in ("pick-check", "orbit-pick-check"):
+        code, out, err = run(tmp_path, capsys, doc, command, *flags)
+        assert (code, out) == (2, "")
+        assert path in err
 
 
 def test_pick_norm_command(tmp_path, capsys):

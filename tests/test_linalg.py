@@ -262,8 +262,15 @@ def test_psd_check_factors_the_whole_matrix_hermitian_part(monkeypatch, name, a,
     a.flat[:: a.shape[0] + 1] += offset * np.max(np.abs(a))
     h = HermitianMatrix(a)
     tol = default_psd_tolerance(h) if tol is None else tol * np.max(np.abs(a))
-    # halved before the sum, so "doubling overflows" has a finite part
+    with np.errstate(over="ignore", invalid="ignore"):
+        summed = 0.5 * (a + a.conj().T)
+    # Halving first moves no bit of the summed formula unless the sum
+    # overflows, as it does on "doubling overflows" only.
     expected = 0.5 * a.conj().T + 0.5 * a
+    if name == "doubling overflows":
+        assert not np.isfinite(summed).all()
+    else:
+        assert summed.tobytes() == expected.tobytes()
     expected.flat[:: h.n + 1] += tol
     try:
         np.linalg.cholesky(expected)

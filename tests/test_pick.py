@@ -74,14 +74,12 @@ def test_assemble_pick_rejects_duplicates():
         assemble_pick(PickProblem((0.1 + 0j, 0.1 + 0j), (0j, 0j), SzegoKernel()))
 
 
-def test_interpolants_reject_coincident_nodes():
+def test_interpolate_composed_rejects_coincident_nodes():
     b = orbit_product()
     nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.1 + 0.2j)
     w = tuple(ComposedInnerKernel(b, 2).value(z) for z in nodes)
     with pytest.raises(DuplicateNodes, match=r"^nodes 0 and 2 coincide$"):
         interpolate_composed(nodes, w, b, 2)
-    with pytest.raises(DuplicateNodes, match=r"^nodes 0 and 2 coincide$"):
-        interpolate_disk(nodes, (0j, 0.1 + 0j, 0j))
 
 
 def test_assemble_pick_aliased_nodes():
