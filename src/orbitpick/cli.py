@@ -245,17 +245,14 @@ def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | 
 def _orbit_kernel(doc: dict, args) -> kn.OrbitGramKernel:
     """The orbit kernel of the file's group, at depth ``--depth`` if given,
     else the ``$.kernel.depth`` of an orbit-variant kernel, else
-    ``$.truncation.depth``."""
+    ``$.truncation.depth``; both sections are checked either way."""
     depth, _ = _parse_truncation(doc, args.depth)
-    kernel = doc.get("kernel")
-    if not (isinstance(kernel, dict) and kernel.get("variant") == "orbit"):
-        kernel = {}
-    own = kernel.get("depth")
-    if own is not None:
-        if _integer(own, "$.kernel.depth") < 0:
-            _fail("$.kernel.depth", "depth must be nonnegative")
-        if args.depth is None:
-            depth = own
+    obj = doc.get("kernel")
+    own = obj.get("depth") if isinstance(obj, dict) and obj.get("variant") == "orbit" else None
+    if own is not None and _integer(own, "$.kernel.depth") < 0:
+        _fail("$.kernel.depth", "depth must be nonnegative")
+    if own is not None and args.depth is None:
+        depth = own
     return kn.OrbitGramKernel(_parse_group(doc), depth)
 
 
@@ -375,8 +372,7 @@ def cmd_pick_check(doc, args, kernel=None):
 def cmd_orbit_pick_check(doc, args):
     kernel = _orbit_kernel(doc, args)
     payload, code = cmd_pick_check(doc, args, kernel)
-    payload["depth"] = kernel.depth
-    return payload, code
+    return {**payload, "depth": kernel.depth}, code
 
 
 def cmd_pick_norm(doc, args):

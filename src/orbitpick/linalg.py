@@ -14,10 +14,9 @@ norms with one eigen-decomposition of K.  The 3x3 principal-minor
 routine at the end is independent of LAPACK and serves as its oracle.
 
 Validation and the Hermitian part each read the n x n entries a strip
-of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary.
-The Hermitian part halves each entry before the sum, so finite entries
-cannot overflow there.  The library's own Pick matrices are handed to
-``HermitianMatrix`` without a copy.
+of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary;
+the part halves each entry before the sum, which cannot overflow.  The
+library's own Pick matrices reach ``HermitianMatrix`` without a copy.
 """
 
 from __future__ import annotations
@@ -136,16 +135,14 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _solvable(a) -> np.ndarray:
-    """The Hermitian part 0.5 * A + 0.5 * A^H, halved before the sum, a
-    strip of rows at a time."""
+    """The Hermitian part 0.5 * A + 0.5 * A^H, halved first, in row strips."""
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
-    # Row strips of the transpose, so the part comes out in the Fortran
-    # order LAPACK reads without a transposing copy.
+    # strips of the transpose: LAPACK reads the part in Fortran order
     out = np.empty((n, n), dtype=complex)
     for r0 in range(0, n, STRIP_ROWS):
         strip = out[r0 : r0 + STRIP_ROWS]
