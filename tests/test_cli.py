@@ -426,6 +426,9 @@ GOLDEN = [
     for problem in ("even", "szego4")
     for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
 ] + [("orbit", "kernel-gram", 0), ("matrix", "pick-check", 1)] + [
+    # boundary drops, half-turn duplicates and a generic search
+    (problem, "orbit", 0) for problem in ("cyclic40", "halfturn40", "free4")
+] + [("average", "amenable-average", 0)] + [
     # coincident nodes: every command refuses the file before any report
     ("duplicate", command, 2)
     for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
