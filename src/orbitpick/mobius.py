@@ -12,6 +12,9 @@ that rounded onto the unit circle is pulled back inside and lam is
 divided by its modulus, so |lam| cannot drift off the unit circle in
 long composition chains.
 
+``automorphism_images`` and ``iterate_images`` evaluate many maps at
+once in numpy, each value equal to the scalar call bit for bit.
+
 The public constructor validates its parameters.  The library's own
 results (``compose``, ``canonicalize``, ``iterate_cyclic``) are built
 without repeating those checks, because the renormalization has just
@@ -24,6 +27,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotDiskAutomorphism, NotInDisk
 
@@ -217,10 +222,69 @@ def iterate_cyclic(a: float, n: int) -> DiskAutomorphism:
     a = float(a)
     if not -1.0 < a < 1.0:
         raise NotDiskAutomorphism(f"translation parameter {a!r} not in (-1, 1)")
+    return DiskAutomorphism._trusted(complex(_iterate_parameter(a, n)), complex(-1.0))
+
+
+def _iterate_parameter(a: float, n: int) -> float:
     if abs(n) <= 1:
-        an = n * a  # avoid the last-bit wobble of tanh(atanh(a))
-    else:
-        an = math.tanh(n * math.atanh(a))
-        if abs(an) >= 1.0:
-            an = math.copysign(_PARAM_CLAMP, an)
-    return DiskAutomorphism._trusted(complex(an), complex(-1.0))
+        return n * a  # avoid the last-bit wobble of tanh(atanh(a))
+    an = math.tanh(n * math.atanh(a))
+    if abs(an) >= 1.0:
+        an = math.copysign(_PARAM_CLAMP, an)
+    return an
+
+
+def iterate_images(a: float, ns, z) -> np.ndarray:
+    """[iterate_cyclic(a, n)(z)] over an integer array ``ns`` and a
+    point or array of points ``z``, each value equal bit for bit.
+
+    The parameter of a negative power is the negated parameter of the
+    positive one, as ``math.tanh`` and ``math.copysign`` are odd to the
+    last bit, so each tanh is taken once.
+    """
+    ns = np.asarray(ns)
+    top = int(np.max(np.abs(ns), initial=0))
+    table = np.array([_iterate_parameter(a, n) for n in range(top + 1)])
+    params = table[np.abs(ns)]
+    np.negative(params, out=params, where=ns < 0)
+    return automorphism_images(params, complex(-1.0), z)
+
+
+def automorphism_images(a, lam, z) -> np.ndarray:
+    """[DiskAutomorphism(a, lam)(z)] over broadcast arrays of parameters
+    and points, each value equal to the scalar call bit for bit.
+
+    The complex operations of ``__call__`` run in real arithmetic in
+    Python's order: the products, the float 1.0 promoted to 1.0 + 0.0j,
+    and the quotient by the scaled division of CPython's complex type,
+    which divides through by the larger part of the denominator.
+    """
+    a = np.asarray(a, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    ar, ai, zr, zi = a.real, a.imag, z.real, z.imag
+    # lam * (a - z)
+    xr, xi = ar - zr, ai - zi
+    nr = lam.real * xr - lam.imag * xi
+    ni = lam.real * xi + lam.imag * xr
+    # 1.0 - a.conjugate() * z
+    cai = -ai
+    dr = 1.0 - (ar * zr - cai * zi)
+    di = 0.0 - (ar * zi + cai * zr)
+    nr, ni, dr, di = np.broadcast_arrays(nr, ni, dr, di)
+    out = np.empty(dr.shape, dtype=complex)
+    wide = np.abs(dr) >= np.abs(di)
+    # |dr| >= |di|: divide through by dr
+    br, bi, pr, pi = dr[wide], di[wide], nr[wide], ni[wide]
+    ratio = bi / br
+    denom = br + bi * ratio
+    out.real[wide] = (pr + pi * ratio) / denom
+    out.imag[wide] = (pi - pr * ratio) / denom
+    # |di| > |dr|: divide through by di
+    tall = ~wide
+    br, bi, pr, pi = dr[tall], di[tall], nr[tall], ni[tall]
+    ratio = br / bi
+    denom = br * ratio + bi
+    out.real[tall] = (pr * ratio + pi) / denom
+    out.imag[tall] = (pi * ratio - pr) / denom
+    return out

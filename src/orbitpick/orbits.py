@@ -17,15 +17,20 @@ deduplicated against all accepted points in the pseudo-hyperbolic
 metric.  Words are recorded as strings over 'a', 'b', ... for the
 generators and 'A', 'B', ... for their inverses.
 
-Dedup runs in near-linear time through a cell index: accepted points
-are bucketed in a square grid of side 4 * dedup_tol, and a candidate is
-tested only against the points in its own and the eight adjacent cells.
-The filter is exact.  Since |1 - conj(w) z| < 2 on the disk, a
-pseudo-hyperbolic distance <= dedup_tol forces a Euclidean distance
-<= 2 * dedup_tol, half a cell, so every match lies in an adjacent cell
-and the accepted orbit is the one an all-pairs scan gives.  The generic
-search identifies group elements the same way, on a grid of side
-2 * 1e-10 over their parameters a.
+Every kind first lists its candidate points as one array, in that
+order, and one filter then drops the points on the boundary, removes
+duplicates and applies the point cap.  The dedup is exact.  Since
+|1 - conj(w) z| < 2 on the disk, two points within dedup_tol
+pseudo-hyperbolically are less than 2 * dedup_tol apart in each
+coordinate.  So the candidates are split into clusters wherever their
+sorted real parts, and then within a cluster their sorted imaginary
+parts, jump by more than 4 * dedup_tol, and every duplicate of a point
+lies in its cluster.  A point alone in its cluster is accepted without
+a comparison; the others are compared in enumeration order with the
+accepted points of their cluster, so the accepted orbit is the one an
+all-pairs scan gives.  Entries and words are built for accepted points
+only.  The generic search identifies group elements through a cell
+index on a grid of side 2 * 1e-10 over their parameters a.
 
 A generic presentation runs its element search once per depth: the
 search yields elements as its caller consumes them, and one run to
@@ -34,13 +39,14 @@ base points, the stabilizer order and orbit kernels up to that depth
 then read the kept elements instead of composing them again.
 
 For the cyclic and z2z2 kinds the word combinatorics are known in
-closed form and enumeration uses the stable tanh parametrization of the
-iterates; the result is the same breadth-first ordering the generic
-search produces, without the loss of precision of long composition
-chains.  Orbit points too close to the unit circle to be represented
-(|p| >= 1 - 1e-14) are dropped from the entry list; their number and a
-bound on their total Blaschke weight are recorded and folded into the
-tail bound.
+closed form and the candidates are the iterates of the stable tanh
+parametrization, computed in one vectorized pass that equals the
+scalar maps bit for bit; the result is the same breadth-first ordering
+the generic search produces, without the loss of precision of long
+composition chains.  Orbit points too close to the unit circle to be
+represented (|p| >= 1 - 1e-14) are dropped from the entry list; their
+number and a bound on their total Blaschke weight are recorded and
+folded into the tail bound.
 """
 
 from __future__ import annotations
@@ -50,12 +56,16 @@ import math
 import string
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError, NotDiskAutomorphism, OrbitExplosion
 from .mobius import (
     DISK_BOUNDARY_MARGIN,
     DiskAutomorphism,
+    automorphism_images,
     disk_point,
     iterate_cyclic,
+    iterate_images,
     pseudo_hyperbolic,
 )
 
@@ -164,9 +174,7 @@ class _CellIndex:
     from ``z`` by less than one side in each coordinate."""
 
     def __init__(self, side: float):
-        # A coarser grid stays exact; the floor keeps z / side finite
-        # for subnormal sides.
-        self.side = max(side, 1e-300)
+        self.side = side
         self.cells: dict[tuple[int, int], list] = {}
 
     def near(self, z: complex):
@@ -182,38 +190,6 @@ class _CellIndex:
         self.cells.setdefault(key, []).append(item)
 
 
-class _Collector:
-    """Accepts candidate points in enumeration order, applying the
-    pseudo-hyperbolic dedup rule and the boundary drop rule."""
-
-    def __init__(self, dedup_tol: float, cap: int):
-        self.dedup_tol = dedup_tol
-        self.cap = cap
-        self.index = _CellIndex(4.0 * dedup_tol)
-        self.entries: list[OrbitEntry] = []
-        self.partial_sum = 0.0
-        self.dropped = 0
-        self.dropped_weight = 0.0
-
-    def offer(self, word: str, point: complex) -> None:
-        mod = abs(point)
-        if mod >= 1.0 - DISK_BOUNDARY_MARGIN:
-            self.dropped += 1
-            self.dropped_weight += max(1.0 - mod, 0.0) + _DROPPED_WEIGHT
-            return
-        for q in self.index.near(point):
-            if pseudo_hyperbolic(point, q) <= self.dedup_tol:
-                return
-        if len(self.entries) >= self.cap:
-            raise OrbitExplosion(
-                f"orbit exceeded the cap of {self.cap} accepted points"
-            )
-        self.index.add(point, point)
-        w = 1.0 - mod
-        self.entries.append(OrbitEntry(word, point, w))
-        self.partial_sum += w
-
-
 def enumerate_orbit(
     group: GroupPresentation,
     base: complex,
@@ -224,60 +200,155 @@ def enumerate_orbit(
     """Breadth-first truncated orbit of ``base`` under ``group``.
 
     Deterministic: identical inputs give identical orbits, order and
-    all.  ``dedup_tol`` must lie in (0, 1e-6].
+    all.  ``dedup_tol`` must lie in (0, 1e-6].  More than
+    ``max_points`` accepted points raise ``OrbitExplosion``; a generic
+    presentation finds that out after its element search.
     """
     base = disk_point(base)
     if max_word_length < 0:
         raise InputError("max_word_length must be nonnegative")
     if not 0.0 < dedup_tol <= 1e-6:
         raise InputError("dedup_tol must lie in (0, 1e-6]")
-    col = _Collector(dedup_tol, max_points)
-    col.offer("", base)
-    if group.kind == CYCLIC:
-        _enumerate_cyclic(group, base, max_word_length, col)
-    elif group.kind == Z2Z2:
-        _enumerate_z2z2(group, base, max_word_length, col)
-    else:
-        _enumerate_generic(group, base, max_word_length, col)
-    tail = _tail_bound(group, base, max_word_length, dedup_tol, col)
+    candidates, word = _candidates(group, base, max_word_length)
+    entries, partial_sum, dropped, dropped_weight = _filter(
+        candidates, word, dedup_tol, max_points
+    )
     return Orbit(
         group=group,
         base=base,
         max_word_length=max_word_length,
         dedup_tol=dedup_tol,
-        entries=tuple(col.entries),
-        partial_sum=col.partial_sum,
-        tail_bound=tail,
-        dropped=col.dropped,
-        dropped_weight=col.dropped_weight,
+        entries=tuple(entries),
+        partial_sum=partial_sum,
+        tail_bound=_tail_bound(group, base, max_word_length, dedup_tol, dropped_weight),
+        dropped=dropped,
+        dropped_weight=dropped_weight,
     )
 
 
-def _enumerate_cyclic(group, base, n_max, col):
-    a = group.a
-    for n in range(1, n_max + 1):
-        col.offer("a" * n, iterate_cyclic(a, n)(base))
-        col.offer("A" * n, iterate_cyclic(a, -n)(base))
+def _candidates(group, base, n_max):
+    """The orbit's candidate points in enumeration order, base first, and
+    the function from a candidate's index to its word."""
+    if group.kind == GENERIC:
+        # max_points bounds accepted points only: a nontrivial stabilizer
+        # makes the element count exceed the point count.
+        elements = list(_generic_elements(group, n_max, DEFAULT_POINT_CAP))
+        images = automorphism_images(
+            [e.a for _, e in elements[1:]], [e.lam for _, e in elements[1:]], base
+        )
+
+        def word(k):
+            return elements[k][0]
+
+    else:
+        # Level L >= 1 holds candidates 2L - 1 and 2L: cyclic a^L, A^L;
+        # z2z2 the alternating words of length L starting with a, b.
+        levels = np.arange(1, n_max + 1)
+        if group.kind == CYCLIC:
+            powers, points = np.stack([levels, -levels], axis=1), base
+
+            def word(k):
+                return ("a" if k % 2 else "A") * ((k + 1) // 2)
+
+        else:
+            powers, points = _z2z2_powers(levels, base)
+
+            def word(k):
+                return _alternating_word("ab" if k % 2 else "ba", (k + 1) // 2)
+
+        images = iterate_images(group.a, powers, points).ravel()
+    return np.concatenate(([base], images)), word
 
 
-def _enumerate_z2z2(group, base, n_max, col):
+def _z2z2_powers(levels, base):
     # Reduced words are the alternating strings; the one of length L
     # starting with 'a' is t^(L//2) for even L and t^(L//2) h for odd L,
     # where h is the half-turn and t = h g is the translation
     # z -> (z - a)/(1 - a z).  The one starting with 'b' is t^(-L//2)
-    # resp. t^(-(L//2+1)) h.  Within a level the 'a'-word is accepted
-    # first, matching the generic search order.
-    a = group.a
-    for length in range(1, n_max + 1):
-        half = length // 2
-        if length % 2 == 0:
-            pa = iterate_cyclic(a, half)(base)
-            pb = iterate_cyclic(a, -half)(base)
+    # resp. t^(-(L//2+1)) h.  Within a level the 'a'-word comes first,
+    # matching the generic search order.
+    half = levels // 2
+    odd = levels % 2 == 1
+    powers = np.stack([half, -(half + odd)], axis=1)
+    points = np.where(odd, -base, base).reshape(-1, 1)
+    return powers, points
+
+
+def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
+    """(entries, partial_sum, dropped, dropped_weight) of an orbit from
+    its candidate points in enumeration order; ``word(k)`` is the word of
+    candidate k.
+
+    A candidate is dropped if |p| >= 1 - DISK_BOUNDARY_MARGIN, rejected
+    if it lies within ``dedup_tol`` of an earlier accepted point, and
+    accepted otherwise; more than ``cap`` accepted points raise
+    ``OrbitExplosion``.  Entries and words are built for the accepted
+    points only, and both sums add their terms in candidate order.
+    """
+    mod = np.hypot(candidates.real, candidates.imag)  # abs(p), bit for bit
+    inside = mod < 1.0 - DISK_BOUNDARY_MARGIN
+    dropped_weight = 0.0
+    for m in mod[~inside].tolist():
+        dropped_weight += max(1.0 - m, 0.0) + _DROPPED_WEIGHT
+    kept = np.flatnonzero(inside)
+    accepted = kept[_distinct(candidates[kept], dedup_tol)]
+    if accepted.size > cap:
+        raise OrbitExplosion(f"orbit exceeded the cap of {cap} accepted points")
+    entries = []
+    partial_sum = 0.0
+    for k, p, m in zip(
+        accepted.tolist(), candidates[accepted].tolist(), mod[accepted].tolist()
+    ):
+        w = 1.0 - m
+        entries.append(OrbitEntry(word(k), p, w))
+        partial_sum += w
+    return entries, partial_sum, candidates.size - kept.size, dropped_weight
+
+
+def _distinct(points: np.ndarray, dedup_tol: float) -> np.ndarray:
+    """Mask of the points accepted when each is compared, in order, with
+    the accepted points before it: a point within ``dedup_tol`` of one
+    (pseudo-hyperbolically) is rejected.
+
+    Since |1 - conj(w) z| < 2 on the disk, two such points differ by
+    less than 2 * dedup_tol in each coordinate.  So the points are split
+    into clusters wherever consecutive real parts, and then within a
+    cluster consecutive imaginary parts, differ by more than
+    4 * dedup_tol; every match lies in the point's own cluster.  A point
+    alone in its cluster is accepted at once, and the others are
+    compared only within their cluster.
+    """
+    n = points.size
+    keep = np.ones(n, dtype=bool)
+    if n < 2:
+        return keep
+    side = 4.0 * dedup_tol
+    order = np.argsort(points.real, kind="stable")
+    x = points.real[order]
+    column = np.concatenate(([0], np.cumsum(np.diff(x) > side)))
+    inner = np.lexsort((points.imag[order], column))
+    order, column = order[inner], column[inner]
+    y = points.imag[order]
+    split = (np.diff(column) != 0) | (np.diff(y) > side)
+    cluster = np.concatenate(([0], np.cumsum(split)))
+    shared = np.bincount(cluster)[cluster] > 1
+    if not shared.any():
+        return keep
+    members, cluster = order[shared], cluster[shared]
+    by_index = np.lexsort((members, cluster))
+    distance = pseudo_hyperbolic
+    accepted: dict[int, list[complex]] = {}
+    for k, c, p in zip(
+        members[by_index].tolist(),
+        cluster[by_index].tolist(),
+        points[members[by_index]].tolist(),
+    ):
+        earlier = accepted.setdefault(c, [])
+        if any(distance(p, q) <= dedup_tol for q in earlier):
+            keep[k] = False
         else:
-            pa = iterate_cyclic(a, half)(-base)
-            pb = iterate_cyclic(a, -(half + 1))(-base)
-        col.offer(_alternating_word("ab", length), pa)
-        col.offer(_alternating_word("ba", length), pb)
+            earlier.append(p)
+    return keep
 
 
 def _alternating_word(pair: str, length: int) -> str:
@@ -358,15 +429,7 @@ def _search_elements(group, n_max: int):
     object.__setattr__(group, "_elements", (n_max, found))
 
 
-def _enumerate_generic(group, base, n_max, col):
-    # max_points bounds accepted points only: a nontrivial stabilizer
-    # makes the element count exceed the point count.
-    for word, elem in _generic_elements(group, n_max, DEFAULT_POINT_CAP):
-        if word:
-            col.offer(word, elem(base))
-
-
-def _tail_bound(group, base, n_max, dedup_tol, col) -> float | None:
+def _tail_bound(group, base, n_max, dedup_tol, dropped_weight) -> float | None:
     """Geometric bound on the weight of omitted orbit points.
 
     For the cyclic group the iterate parameters satisfy
@@ -389,7 +452,7 @@ def _tail_bound(group, base, n_max, dedup_tol, col) -> float | None:
         m0 = n_max // 2
         exponent = m0 + 1 if base0 else m0
         tail = 4.0 * per_term * q**exponent / (1.0 - q)
-    return tail + col.dropped_weight
+    return tail + dropped_weight
 
 
 def cyclic_orbit_weight(a: float, n: int) -> float:

@@ -53,7 +53,7 @@ from .kernels import (
     szego_matrix,
 )
 from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, pencil_max, psd_check
-from .mobius import disk_point, iterate_cyclic
+from .mobius import disk_point, iterate_images
 from .orbits import GroupPresentation
 
 _NODE_TOL = 1e-10
@@ -386,6 +386,6 @@ def amenable_average(
     if terms < 0:
         raise InputError("the window size must be nonnegative")
     total = 0j
-    for k in range(-terms, terms + 1):
-        total += iterate_cyclic(a, k)(z) ** monomial_power
+    for w in iterate_images(a, np.arange(-terms, terms + 1), z).tolist():
+        total += w**monomial_power
     return total / (2 * terms + 1)

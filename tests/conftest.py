@@ -1,6 +1,8 @@
 import cmath
+import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def random_disk_point(rng, rmax):
@@ -57,3 +59,19 @@ def composed_values(f, zs):
 
     inner = product_values(f.inner, np.asarray(zs, dtype=complex))
     return interpolant_values(f.schur, inner**f.power)
+
+
+_SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+
+
+@st.composite
+def disk_points(draw):
+    """Points of the open disk: the four signed zeros, interior points,
+    and points within 1e-13 of the unit circle."""
+    kind = draw(st.sampled_from(["zero", "interior", "rim"]))
+    if kind == "zero":
+        return draw(st.sampled_from(_SIGNED_ZEROS))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "rim":
+        return (1.0 - draw(st.floats(1.1e-14, 1e-13))) * cmath.exp(1j * angle)
+    return draw(st.floats(0.0, 0.99)) * cmath.exp(1j * angle)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import disk_points
 from hypothesis import strategies as st
 
 from orbitpick.errors import NotDiskAutomorphism, NotInDisk
@@ -12,9 +13,11 @@ from orbitpick.mobius import (
     DiskAutomorphism,
     _clamp_inside,
     _normalized,
+    automorphism_images,
     canonicalize,
     disk_point,
     iterate_cyclic,
+    iterate_images,
     pseudo_hyperbolic,
 )
 
@@ -181,6 +184,55 @@ def test_iterate_cyclic_huge_power_is_clamped_inside():
     assert abs(g.a) < 1.0
     assert DiskAutomorphism(g.a, g.lam) == g  # the constructor accepts it
     assert abs(g(0.3 + 0j) + 1.0) <= 1e-10  # deep forward iterates approach -1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    a=st.floats(1e-3, 0.999) | st.floats(-0.999, -1e-3) | st.sampled_from([0.5, -0.5]),
+    ns=st.lists(st.integers(-1, 1) | st.integers(-3, 3) | st.integers(-400, 400),
+                min_size=1, max_size=12),
+    zs=st.lists(disk_points(), min_size=1, max_size=3),
+)
+def test_iterate_images_equal_the_iterates_bit_for_bit(a, ns, zs):
+    # |n| <= 1 takes n * a; large |n| clamps a_n below 1; repr tells the
+    # signed zeros apart.
+    grid = np.array(ns).reshape(-1, 1)
+    got = iterate_images(a, grid, np.array(zs).reshape(1, -1))
+    for n, row in zip(ns, got.tolist()):
+        assert [repr(v) for v in row] == [repr(iterate_cyclic(a, n)(z)) for z in zs]
+
+
+def test_iterate_images_cover_clamped_parameters():
+    for a in (0.5, -0.5, 0.999):
+        ns = np.arange(-200, 201)
+        assert any(abs(iterate_cyclic(a, n).a) == math.nextafter(1.0, 0.0) for n in ns)
+        got = iterate_images(a, ns, 0.3 - 0.2j).tolist()
+        assert [repr(v) for v in got] == [repr(iterate_cyclic(a, n)(0.3 - 0.2j)) for n in ns]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    radius=st.floats(0.0, 0.999999),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    turn=st.floats(0.0, 2.0 * math.pi),
+    z=disk_points(),
+)
+def test_automorphism_images_equal_the_calls_bit_for_bit(radius, angle, turn, z):
+    # Both branches of the complex division occur: |1 - conj(a) z| can
+    # have the larger imaginary part when a and z are near the rim.
+    maps = [DiskAutomorphism(radius * cmath.exp(1j * angle), cmath.exp(1j * turn)),
+            DiskAutomorphism.identity(), DiskAutomorphism(0j, 1.0 + 0j)]
+    got = automorphism_images([m.a for m in maps], [m.lam for m in maps], z).tolist()
+    assert [repr(v) for v in got] == [repr(m(z)) for m in maps]
+
+
+def test_automorphism_images_take_both_division_branches():
+    m = DiskAutomorphism(0.9j, cmath.exp(0.3j))
+    zs = [0.9 + 0.3j, -0.95j, 0.2, 0.6 - 0.7j]
+    den = [1.0 - m.a.conjugate() * z for z in zs]
+    assert {abs(d.real) >= abs(d.imag) for d in den} == {True, False}
+    got = automorphism_images(m.a, m.lam, zs).tolist()
+    assert [repr(v) for v in got] == [repr(m(z)) for z in zs]
 
 
 def test_pseudo_hyperbolic_invariance():

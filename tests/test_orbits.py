@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import disk_points
 from hypothesis import strategies as st
 
 from orbitpick import orbits
@@ -271,12 +272,12 @@ def test_cyclic_orbit_weight_matches_iterates():
             assert abs(direct - stable) <= 1e-12
 
 
-# -- cell-index dedup against an all-pairs reference -------------------------
+# -- the orbit filter against an all-pairs reference ----------------------------
 
 
 class _AllPairsCollector:
-    """Reference for orbits._Collector: every candidate is compared
-    with every accepted point."""
+    """Reference for orbits._filter: candidates are taken one at a time,
+    and every candidate is compared with every accepted point."""
 
     def __init__(self, dedup_tol, cap):
         self.dedup_tol = dedup_tol
@@ -330,11 +331,66 @@ def _all_pairs_elements(group, n_max, cap):
             return
 
 
+def _reference_candidates(group, base, depth):
+    """(word, point) in enumeration order, one scalar map call each."""
+    yield "", base
+    a = group.a
+    if group.kind == "cyclic":
+        for n in range(1, depth + 1):
+            yield "a" * n, iterate_cyclic(a, n)(base)
+            yield "A" * n, iterate_cyclic(a, -n)(base)
+    elif group.kind == "z2z2":
+        for length in range(1, depth + 1):
+            half = length // 2
+            if length % 2 == 0:
+                pa = iterate_cyclic(a, half)(base)
+                pb = iterate_cyclic(a, -half)(base)
+            else:
+                pa = iterate_cyclic(a, half)(-base)
+                pb = iterate_cyclic(a, -(half + 1))(-base)
+            yield ("ab" * length)[:length], pa
+            yield ("ba" * length)[:length], pb
+    else:
+        for word, elem in _all_pairs_elements(group, depth, orbits.DEFAULT_POINT_CAP):
+            if word:
+                yield word, elem(base)
+
+
 def _reference_orbit(group, base, depth, dedup_tol):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbits, "_Collector", _AllPairsCollector)
-        mp.setattr(orbits, "_generic_elements", _all_pairs_elements)
-        return enumerate_orbit(group, base, depth, dedup_tol)
+    col = _offer_all(_AllPairsCollector(dedup_tol, orbits.DEFAULT_POINT_CAP),
+                     _reference_candidates(group, base, depth))
+    return orbits.Orbit(
+        group=group,
+        base=base,
+        max_word_length=depth,
+        dedup_tol=dedup_tol,
+        entries=tuple(col.entries),
+        partial_sum=col.partial_sum,
+        tail_bound=orbits._tail_bound(group, base, depth, dedup_tol, col.dropped_weight),
+        dropped=col.dropped,
+        dropped_weight=col.dropped_weight,
+    )
+
+
+def _offer_all(collector, candidates):
+    for word, point in candidates:
+        collector.offer(word, point)
+    return collector
+
+
+def _assert_filters_like_reference(points, dedup_tol):
+    """orbits._filter on the points as candidates with words w0, w1, ...,
+    against the reference; returns the entries."""
+    entries, partial_sum, dropped, dropped_weight = orbits._filter(
+        np.array(points, dtype=complex).reshape(-1), "w{}".format, dedup_tol, 10**4
+    )
+    want = _offer_all(_AllPairsCollector(dedup_tol, 10**4),
+                      ((f"w{k}", p) for k, p in enumerate(points)))
+    assert entries == want.entries  # words, points and weights, bitwise
+    assert partial_sum == want.partial_sum
+    assert dropped == want.dropped
+    assert dropped_weight == want.dropped_weight
+    return entries
 
 
 def _assert_same_orbit(got, want):
@@ -394,33 +450,40 @@ def test_closed_form_dedup_matches_all_pairs_reference(kind, dedup_tol):
         )
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["cyclic", "z2z2"]),
+    a=st.floats(0.01, 0.95) | st.floats(-0.95, -0.01),
+    base=disk_points(),
+    depth=st.integers(0, 80),
+    dedup_tol=st.sampled_from([1e-12, 1e-6]),
+)
+def test_closed_form_orbits_match_all_pairs_reference(kind, a, base, depth, dedup_tol):
+    group = cyclic_group(a) if kind == "cyclic" else z2z2_group(a)
+    _assert_same_orbit(
+        enumerate_orbit(group, base, depth, dedup_tol),
+        _reference_orbit(group, base, depth, dedup_tol),
+    )
+
+
 def _straddling_pair(center, direction, dedup_tol, factor):
     """Two points about ``factor * dedup_tol`` apart (pseudo-hyperbolic)
-    on either side of the dedup grid corner nearest ``center``."""
+    on either side of the corner nearest ``center`` of a grid of side
+    4 * dedup_tol."""
     side = 4.0 * dedup_tol
     corner = complex(round(center.real / side) * side, round(center.imag / side) * side)
     half = 0.5 * factor * dedup_tol * (1.0 - abs(corner) ** 2) * direction
     return corner - half, corner + half
 
 
-def _offer_all(collector, points):
-    for k, p in enumerate(points):
-        collector.offer(f"w{k}", p)
-    return collector
-
-
 @pytest.mark.parametrize("dedup_tol", [1e-12, 1e-6])
 @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01])
 def test_dedup_across_a_cell_edge(factor, dedup_tol):
-    side = 4.0 * dedup_tol
     for center in (0.3 + 0.2j, -0.45 - 0.1j, 0.05j):
         for direction in (1.0, 1j, _unit(math.pi / 4), _unit(-math.pi / 4)):
             p, q = _straddling_pair(center, direction, dedup_tol, factor)
-            cell_p = (math.floor(p.real / side), math.floor(p.imag / side))
-            cell_q = (math.floor(q.real / side), math.floor(q.imag / side))
-            assert cell_p != cell_q
-            col = _offer_all(orbits._Collector(dedup_tol, 10), [p, q])
-            assert len(col.entries) == (1 if factor < 1.0 else 2)
+            entries = _assert_filters_like_reference([p, q], dedup_tol)
+            assert len(entries) == (1 if factor < 1.0 else 2)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -450,12 +513,61 @@ def test_collector_matches_all_pairs_reference(dedup_tol, pairs, rim, repeats):
     points += [(1.0 - gap) * _unit(angle) for gap, angle in rim]
     if points:
         points += [points[k % len(points)] for k in repeats]
-    got = _offer_all(orbits._Collector(dedup_tol, 10**4), points)
-    want = _offer_all(_AllPairsCollector(dedup_tol, 10**4), points)
-    assert got.entries == want.entries
-    assert got.partial_sum == want.partial_sum
-    assert got.dropped == want.dropped
-    assert got.dropped_weight == want.dropped_weight
+    _assert_filters_like_reference(points, dedup_tol)
+
+
+def _step(p, direction, distance):
+    """A point about ``distance`` from p, pseudo-hyperbolically."""
+    return p + distance * (1.0 - abs(p) ** 2) * direction
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dedup_tol=st.sampled_from([1e-12, 1e-6]),
+    center=st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi)),
+    turn=st.floats(0.0, 2.0 * math.pi),
+    order=st.permutations([0, 1, 2]),
+)
+def test_a_chain_of_near_points_is_decided_in_order(dedup_tol, center, turn, order):
+    # A ~ B and B ~ C, but A and C are farther apart than dedup_tol: the
+    # accepted set depends on which comes first, and in the order A, B, C
+    # it is A and C; merging the whole chain would keep A alone.
+    a = center[0] * _unit(center[1])
+    b = _step(a, _unit(turn), 0.6 * dedup_tol)
+    c = _step(b, _unit(turn), 0.6 * dedup_tol)
+    assert pseudo_hyperbolic(b, a) <= dedup_tol and pseudo_hyperbolic(c, b) <= dedup_tol
+    assert pseudo_hyperbolic(c, a) > dedup_tol
+    chain = (a, b, c)
+    entries = _assert_filters_like_reference([chain[k] for k in order], dedup_tol)
+    if order == [0, 1, 2]:
+        assert [e.point for e in entries] == [a, c]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    exponent=st.integers(20, 45),
+    start=st.tuples(st.integers(-2**15, 2**15), st.integers(-2**15, 2**15)),
+    steps=st.lists(st.sampled_from([1, 1j, -1, -1j, 1 + 1j]), min_size=1, max_size=12),
+    near=st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.0, 0.4, 0.9, 1.1])),
+                  max_size=6),
+)
+def test_gaps_of_exactly_four_tolerances(exponent, start, steps, near):
+    # With dedup_tol a power of two, the points m * 4 * dedup_tol are
+    # exact, so consecutive coordinates differ by exactly 4 * dedup_tol:
+    # the largest gap that does not split a cluster.
+    dedup_tol = 2.0**-exponent
+    side = 4.0 * dedup_tol
+    point = complex(start[0] * side, start[1] * side)
+    points = [point]
+    for step in steps:
+        point = point + side * step
+        points.append(point)
+    steps_taken = {q - p for p, q in zip(points, points[1:])}
+    assert steps_taken <= {side * s for s in (1, 1j, -1, -1j, 1 + 1j)}
+    # near-duplicates of some of them, pseudo-hyperbolically factor * tol away
+    points += [_step(points[k % len(points)], 1j, factor * dedup_tol)
+               for k, factor in near]
+    _assert_filters_like_reference(points, dedup_tol)
 
 
 def test_subnormal_dedup_tolerance_matches_reference():
@@ -464,6 +576,32 @@ def test_subnormal_dedup_tolerance_matches_reference():
         enumerate_orbit(group, 0j, 20, 5e-324),
         _reference_orbit(group, 0j, 20, 5e-324),
     )
+
+
+def test_an_orbit_on_a_line_is_filtered_in_near_linear_time(monkeypatch):
+    # Translations along the imaginary axis and the half-turn map it to
+    # itself, so every candidate has real part +0.0 or -0.0: the real
+    # parts alone would put them all in one cluster.
+    group = generic_group([
+        DiskAutomorphism(0j, 1.0 + 0j),
+        DiskAutomorphism(0.5j, -1.0 + 0j),
+        DiskAutomorphism(0.3j, -1.0 + 0j),
+    ])
+    depth = 5
+    candidates = len(list(orbits._generic_elements(group, depth, 10**4)))
+    calls = []
+
+    def counted(z, w):
+        calls.append(None)
+        return pseudo_hyperbolic(z, w)
+
+    monkeypatch.setattr(orbits, "pseudo_hyperbolic", counted)
+    orbit = enumerate_orbit(group, 0j, depth)
+    monkeypatch.undo()
+    assert all(p.real == 0.0 for p in orbit.points)
+    assert candidates > 100 and len(orbit.entries) < candidates
+    assert len(calls) < 2 * candidates
+    _assert_same_orbit(orbit, _reference_orbit(group, 0j, depth, orbit.dedup_tol))
 
 
 # -- caps ----------------------------------------------------------------------
