@@ -251,27 +251,20 @@ def _candidates(group, base, n_max):
                 return ("a" if k % 2 else "A") * ((k + 1) // 2)
 
         else:
-            powers, points = _z2z2_powers(levels, base)
+            # The reduced words are the alternating strings.  With h the
+            # half-turn and t = h g the translation z -> (z - a)/(1 - a z),
+            # the one of length L starting with 'a' is t^(L//2) for even L
+            # and t^(L//2) h for odd L; the one starting with 'b' is
+            # t^(-L//2) resp. t^(-(L//2+1)) h.
+            half, odd = levels // 2, levels % 2 == 1
+            powers = np.stack([half, -(half + odd)], axis=1)
+            points = np.where(odd, -base, base).reshape(-1, 1)
 
             def word(k):
                 return _alternating_word("ab" if k % 2 else "ba", (k + 1) // 2)
 
         images = iterate_images(group.a, powers, points).ravel()
     return np.concatenate(([base], images)), word
-
-
-def _z2z2_powers(levels, base):
-    # Reduced words are the alternating strings; the one of length L
-    # starting with 'a' is t^(L//2) for even L and t^(L//2) h for odd L,
-    # where h is the half-turn and t = h g is the translation
-    # z -> (z - a)/(1 - a z).  The one starting with 'b' is t^(-L//2)
-    # resp. t^(-(L//2+1)) h.  Within a level the 'a'-word comes first,
-    # matching the generic search order.
-    half = levels // 2
-    odd = levels % 2 == 1
-    powers = np.stack([half, -(half + odd)], axis=1)
-    points = np.where(odd, -base, base).reshape(-1, 1)
-    return powers, points
 
 
 def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
