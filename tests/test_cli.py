@@ -429,6 +429,10 @@ GOLDEN = [
     # boundary drops, half-turn duplicates and a generic search
     (problem, "orbit", 0) for problem in ("cyclic40", "halfturn40", "free4")
 ] + [("average", "amenable-average", 0)] + [
+    # a rotation of order 4 among the generators: the element search and
+    # the stabilizer count both reach the report
+    ("rotation4", "blaschke-eval", 0),
+] + [
     # coincident nodes: every command refuses the file before any report
     ("duplicate", command, 2)
     for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
