@@ -29,14 +29,15 @@ lies in its cluster.  A point alone in its cluster is accepted without
 a comparison; the others are compared in enumeration order with the
 accepted points of their cluster, so the accepted orbit is the one an
 all-pairs scan gives.  Entries and words are built for accepted points
-only.  The generic search identifies group elements through a cell
-index on a grid of side 2 * 1e-10 over their parameters a.
+only.  The generic search identifies group elements with the same
+filter on their parameters a, in clusters of side 2 * 1e-10.
 
-A generic presentation runs its element search once per depth: the
-search yields elements as its caller consumes them, and one run to
-completion stays on the presentation for its lifetime.  Orbits of other
-base points, the stabilizer order and orbit kernels up to that depth
-then read the kept elements instead of composing them again.
+A generic presentation runs its element search once per depth: each
+level is filtered at its end, and as soon as it could pass the element
+cap, and one run to completion stays on the presentation for its
+lifetime.  Orbits of other base points, the stabilizer order and orbit
+kernels up to that depth then read the kept elements instead of
+composing them again.
 
 For the cyclic and z2z2 kinds the word combinatorics are known in
 closed form and the candidates are the iterates of the stable tanh
@@ -51,8 +52,8 @@ folded into the tail bound.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
 import string
 from dataclasses import dataclass, field
 
@@ -167,29 +168,6 @@ class Orbit:
         return tuple(e.point for e in self.entries)
 
 
-class _CellIndex:
-    """Items keyed by a complex number, bucketed in square cells of the
-    given side.  ``near(z)`` yields every item in the 3x3 block of cells
-    around the cell of ``z``: among them is every item whose key differs
-    from ``z`` by less than one side in each coordinate."""
-
-    def __init__(self, side: float):
-        self.side = side
-        self.cells: dict[tuple[int, int], list] = {}
-
-    def near(self, z: complex):
-        i = math.floor(z.real / self.side)
-        j = math.floor(z.imag / self.side)
-        cells = self.cells
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                yield from cells.get((i + di, j + dj), ())
-
-    def add(self, z: complex, item) -> None:
-        key = (math.floor(z.real / self.side), math.floor(z.imag / self.side))
-        self.cells.setdefault(key, []).append(item)
-
-
 def enumerate_orbit(
     group: GroupPresentation,
     base: complex,
@@ -232,7 +210,7 @@ def _candidates(group, base, n_max):
     if group.kind == GENERIC:
         # max_points bounds accepted points only: a nontrivial stabilizer
         # makes the element count exceed the point count.
-        elements = list(_generic_elements(group, n_max, DEFAULT_POINT_CAP))
+        elements = _generic_elements(group, n_max, DEFAULT_POINT_CAP)
         images = automorphism_images(
             [e.a for _, e in elements[1:]], [e.lam for _, e in elements[1:]], base
         )
@@ -284,7 +262,11 @@ def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
     for m in mod[~inside].tolist():
         dropped_weight += max(1.0 - m, 0.0) + _DROPPED_WEIGHT
     kept = np.flatnonzero(inside)
-    accepted = kept[_distinct(candidates[kept], dedup_tol)]
+    points = candidates[kept].tolist()
+    accepted = kept[_distinct(
+        candidates[kept], 4.0 * dedup_tol,
+        lambda k, j: pseudo_hyperbolic(points[k], points[j]) <= dedup_tol,
+    )]
     if accepted.size > cap:
         raise OrbitExplosion(f"orbit exceeded the cap of {cap} accepted points")
     entries = []
@@ -298,30 +280,28 @@ def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
     return entries, partial_sum, candidates.size - kept.size, dropped_weight
 
 
-def _distinct(points: np.ndarray, dedup_tol: float) -> np.ndarray:
-    """Mask of the points accepted when each is compared, in order, with
-    the accepted points before it: a point within ``dedup_tol`` of one
-    (pseudo-hyperbolically) is rejected.
+def _distinct(keys: np.ndarray, side: float, same) -> np.ndarray:
+    """Mask of the keys accepted when each is compared, in index order,
+    with the accepted keys before it: key k is rejected if ``same(k, j)``
+    holds for an accepted j < k.
 
-    Since |1 - conj(w) z| < 2 on the disk, two such points differ by
-    less than 2 * dedup_tol in each coordinate.  So the points are split
-    into clusters wherever consecutive real parts, and then within a
-    cluster consecutive imaginary parts, differ by more than
-    4 * dedup_tol; every match lies in the point's own cluster.  A point
-    alone in its cluster is accepted at once, and the others are
-    compared only within their cluster.
+    ``same`` may hold only for keys at most ``side`` apart in each
+    coordinate.  So the keys are split into clusters wherever consecutive
+    real parts, and then within a cluster consecutive imaginary parts,
+    differ by more than ``side``; every match of a key lies in its own
+    cluster.  A key alone in its cluster is accepted at once, and the
+    others are compared only within their cluster.
     """
-    n = points.size
+    n = keys.size
     keep = np.ones(n, dtype=bool)
     if n < 2:
         return keep
-    side = 4.0 * dedup_tol
-    order = np.argsort(points.real, kind="stable")
-    x = points.real[order]
+    order = np.argsort(keys.real, kind="stable")
+    x = keys.real[order]
     column = np.concatenate(([0], np.cumsum(np.diff(x) > side)))
-    inner = np.lexsort((points.imag[order], column))
+    inner = np.lexsort((keys.imag[order], column))
     order, column = order[inner], column[inner]
-    y = points.imag[order]
+    y = keys.imag[order]
     split = (np.diff(column) != 0) | (np.diff(y) > side)
     cluster = np.concatenate(([0], np.cumsum(split)))
     shared = np.bincount(cluster)[cluster] > 1
@@ -329,18 +309,13 @@ def _distinct(points: np.ndarray, dedup_tol: float) -> np.ndarray:
         return keep
     members, cluster = order[shared], cluster[shared]
     by_index = np.lexsort((members, cluster))
-    distance = pseudo_hyperbolic
-    accepted: dict[int, list[complex]] = {}
-    for k, c, p in zip(
-        members[by_index].tolist(),
-        cluster[by_index].tolist(),
-        points[members[by_index]].tolist(),
-    ):
+    accepted: dict[int, list[int]] = {}
+    for k, c in zip(members[by_index].tolist(), cluster[by_index].tolist()):
         earlier = accepted.setdefault(c, [])
-        if any(distance(p, q) <= dedup_tol for q in earlier):
+        if any(same(k, j) for j in earlier):
             keep[k] = False
         else:
-            earlier.append(p)
+            earlier.append(k)
     return keep
 
 
@@ -363,63 +338,84 @@ def _same_element(e1: DiskAutomorphism, e2: DiskAutomorphism) -> bool:
     return abs(e1.a - e2.a) <= _ELEMENT_TOL and abs(e1.lam - e2.lam) <= _ELEMENT_TOL
 
 
-def _generic_elements(group, n_max: int, cap: int):
-    """Yield (word, element) for distinct group elements in BFS order,
-    raising ``OrbitExplosion`` past ``cap`` elements.
+def _generic_elements(group, n_max: int, cap: int) -> list:
+    """(word, element) for the distinct group elements of word length at
+    most ``n_max`` in BFS order; ``OrbitExplosion`` past ``cap`` elements.
 
     A search to depth m <= n, where n is the depth of the group's kept
     search, reads the words of length <= m from it: the breadth-first
     order makes them a prefix of the kept list, in the order a search to
-    depth m yields them.  A deeper request searches again.
+    depth m finds them.  A deeper request searches again.
     """
     kept = group._elements
     if kept is not None and kept[0] >= n_max:
-        elements = itertools.takewhile(lambda e: len(e[0]) <= n_max, kept[1])
+        end = bisect.bisect_right(kept[1], n_max, key=lambda e: len(e[0]))
+        elements = kept[1][:end]
     else:
-        elements = _search_elements(group, n_max)
-    for count, element in enumerate(elements):
-        if count >= cap:
-            raise OrbitExplosion(
-                f"group exploration exceeded the cap of {cap} elements"
-            )
-        yield element
+        elements = _search_elements(group, n_max, cap)
+    if len(elements) > cap:
+        raise OrbitExplosion(f"group exploration exceeded the cap of {cap} elements")
+    return elements
 
 
-def _search_elements(group, n_max: int):
-    """Breadth-first search over words up to length ``n_max``, yielding
-    as it goes; a search run to completion is kept on the group.
+def _search_elements(group, n_max: int, cap: int) -> list:
+    """Breadth-first search over words up to length ``n_max``; a search
+    run to completion is kept on the group.
 
-    Branches whose parameter is numerically on the boundary are pruned;
-    their images are beyond double-precision resolution.
+    Each level's candidates are filtered at its end, and as soon as they
+    could pass ``cap``: a search past the cap stops at the first element
+    beyond it.  Branches whose parameter is numerically on the boundary
+    are pruned; their images are beyond double-precision resolution.
     """
     letters = _letters(group)
-    identity = DiskAutomorphism.identity()
-    seen = _CellIndex(2.0 * _ELEMENT_TOL)
-    seen.add(identity.a, identity)
-    first = ("", identity)
-    found: list[tuple[str, DiskAutomorphism]] = [first]
-    frontier = [first]
-    yield first
+    found = [("", DiskAutomorphism.identity())]
+    keys = np.array([found[0][1].a])
+    frontier = list(found)
     for _ in range(n_max):
-        nxt: list[tuple[str, DiskAutomorphism]] = []
+        level = len(found)
+        pending = []
         for word, elem in frontier:
             for ch, gen in letters:
                 try:
-                    cand = elem.compose(gen)
+                    pending.append((word + ch, elem.compose(gen)))
                 except NotDiskAutomorphism:
                     continue
-                if any(_same_element(cand, s) for s in seen.near(cand.a)):
-                    continue
-                seen.add(cand.a, cand)
-                element = (word + ch, cand)
-                if abs(cand.a) < 1.0 - DISK_BOUNDARY_MARGIN:
-                    nxt.append(element)
-                found.append(element)
-                yield element
-        frontier = nxt
+                if len(found) + len(pending) > cap:
+                    keys = _admit(found, keys, pending)
+                    if len(found) > cap:
+                        return found
+        keys = _admit(found, keys, pending)
+        margin = 1.0 - DISK_BOUNDARY_MARGIN
+        frontier = [e for e in found[level:] if abs(e[1].a) < margin]
         if not frontier:
             break
     object.__setattr__(group, "_elements", (n_max, found))
+    return found
+
+
+def _admit(found: list, keys: np.ndarray, pending: list) -> np.ndarray:
+    """Move to ``found``, with parameters ``keys``, the ``pending`` (word,
+    element) pairs that coincide with no element before them; returns the
+    parameters of the new ``found``.  Its old elements are distinct: only
+    those near a pending one are filtered, and not against each other.
+    """
+    if not pending:
+        return keys
+    new = np.array([e.a for _, e in pending])
+    side = 2.0 * _ELEMENT_TOL
+    near = np.ones(keys.size, dtype=bool)
+    for old, t in ((keys.real, new.real), (keys.imag, new.imag)):
+        t = np.sort(t)
+        near &= np.searchsorted(t, old - side) < np.searchsorted(t, old + side, "right")
+    near = np.flatnonzero(near)
+    both = [found[i] for i in near.tolist()] + pending
+    keep = _distinct(
+        np.concatenate((keys[near], new)), side,
+        lambda k, j: k >= near.size and _same_element(both[k][1], both[j][1]),
+    )[near.size:]
+    found.extend(itertools.compress(pending, keep.tolist()))
+    pending.clear()
+    return np.concatenate((keys, new[keep]))
 
 
 def _tail_bound(group, base, n_max, dedup_tol, dropped_weight) -> float | None:
@@ -477,11 +473,10 @@ def stabilizer_order_origin(
         return 1
     if group.kind == Z2Z2:
         return 2
-    count = 0
-    for _word, elem in _generic_elements(group, max_word_length, _STABILIZER_CAP):
-        if abs(elem(0j)) <= DEFAULT_DEDUP_TOL:
-            count += 1
-    return count
+    elements = _generic_elements(group, max_word_length, _STABILIZER_CAP)
+    images = automorphism_images([e.a for _, e in elements], [e.lam for _, e in elements], 0j)
+    # np.hypot is abs(complex) bit for bit
+    return int(np.count_nonzero(np.hypot(images.real, images.imag) <= DEFAULT_DEDUP_TOL))
 
 
 _Z2Z2_LETTER = {

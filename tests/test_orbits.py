@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from conftest import disk_points
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from orbitpick.kernels import OrbitGramKernel
 from orbitpick.mobius import (
     DISK_BOUNDARY_MARGIN,
     DiskAutomorphism,
+    canonicalize,
     iterate_cyclic,
     pseudo_hyperbolic,
 )
@@ -304,10 +305,17 @@ class _AllPairsCollector:
 
 
 def _all_pairs_elements(group, n_max, cap):
-    """Reference for orbits._generic_elements with a linear scan."""
+    """Reference for orbits._generic_elements: each candidate in turn is
+    compared by ``_same_element`` with every element kept before it.
+
+    A scan of the parameters over all kept elements picks the ones
+    within 2 * _ELEMENT_TOL, a superset of those ``_same_element`` can
+    match, so the large cap tests stay fast.
+    """
     letters = orbits._letters(group)
     identity = DiskAutomorphism.identity()
     seen = [identity]
+    params = np.zeros(64, dtype=complex)  # params[k] = seen[k].a
     frontier = [("", identity)]
     yield "", identity
     for _ in range(n_max):
@@ -318,10 +326,14 @@ def _all_pairs_elements(group, n_max, cap):
                     cand = elem.compose(gen)
                 except NotDiskAutomorphism:
                     continue
-                if any(orbits._same_element(cand, s) for s in seen):
+                close = np.abs(params[:len(seen)] - cand.a) <= 2.0 * orbits._ELEMENT_TOL
+                if any(orbits._same_element(cand, seen[k]) for k in np.flatnonzero(close)):
                     continue
                 if len(seen) >= cap:
-                    raise OrbitExplosion("cap")
+                    raise OrbitExplosion(f"group exploration exceeded the cap of {cap} elements")
+                if len(seen) == params.size:
+                    params = np.concatenate((params, np.zeros_like(params)))
+                params[len(seen)] = cand.a
                 seen.append(cand)
                 if abs(cand.a) < 1.0 - DISK_BOUNDARY_MARGIN:
                     nxt.append((word + ch, cand))
@@ -424,6 +436,26 @@ def generic_presentations(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     group=generic_presentations(),
+    depth=st.integers(0, 4),
+)
+def test_stabilizer_count_is_the_per_element_count(group, depth):
+    elements = orbits._generic_elements(group, depth, 10**4)
+    want = sum(abs(e(0j)) <= orbits.DEFAULT_DEDUP_TOL for _, e in elements)
+    assert stabilizer_order_origin(group, depth) == want
+
+
+_TWICE = DiskAutomorphism(0.5 * _unit(0.3), _unit(1.1))
+
+
+# one generator listed twice: every candidate of one letter coincides
+# with an earlier one
+@example(
+    group=generic_group([_TWICE, DiskAutomorphism(0j, -_unit(2.0 * math.pi / 3)), _TWICE]),
+    depth=3, base=0.15 - 0.3j, dedup_tol=1e-12,
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    group=generic_presentations(),
     depth=st.integers(1, 3),
     base=st.sampled_from([0j, 0.15 - 0.3j, 0.6 + 0.2j]),
     dedup_tol=st.sampled_from([1e-12, 1e-6]),
@@ -435,6 +467,71 @@ def test_generic_dedup_matches_all_pairs_reference(group, depth, base, dedup_tol
     )
     want = list(_all_pairs_elements(group, depth, 10**4))
     assert list(orbits._generic_elements(group, depth, 10**4)) == want
+
+
+def _linear_scan(pairs):
+    """The (word, element) pairs kept when each is compared in turn with
+    every pair kept before it."""
+    kept = []
+    for pair in pairs:
+        if not any(orbits._same_element(pair[1], k[1]) for k in kept):
+            kept.append(pair)
+    return kept
+
+
+def _assert_admits_like_a_linear_scan(params):
+    """orbits._admit on elements with the given (a, lam), split at every
+    index into found elements and pending ones, against a linear scan;
+    returns the kept pairs."""
+    pairs = [(f"w{k}", DiskAutomorphism(a, lam)) for k, (a, lam) in enumerate(params)]
+    want = _linear_scan(pairs)
+    for split in range(len(pairs) + 1):
+        found = _linear_scan(pairs[:split])
+        keys = np.array([e.a for _, e in found], dtype=complex)
+        pending = pairs[split:]
+        keys = orbits._admit(found, keys, pending)
+        assert found == want and not pending
+        assert keys.tolist() == [e.a for _, e in want]
+    return want
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0]])
+@pytest.mark.parametrize("direction", [1.0, 1j, _unit(math.pi / 4), _unit(-2.0)])
+def test_a_chain_of_near_elements_is_decided_in_order(direction, order):
+    # A ~ B and B ~ C, but A and C differ by more than _ELEMENT_TOL
+    step = 0.75 * orbits._ELEMENT_TOL * direction
+    a = 0.3 + 0.2j
+    chain = [(a, _unit(0.7)), (a + step, _unit(0.7)), (a + 2.0 * step, _unit(0.7))]
+    elems = [DiskAutomorphism(*p) for p in chain]
+    assert orbits._same_element(elems[1], elems[0])
+    assert orbits._same_element(elems[2], elems[1])
+    assert not orbits._same_element(elems[2], elems[0])
+    kept = _assert_admits_like_a_linear_scan([chain[k] for k in order])
+    if order == [0, 1, 2]:
+        assert [e for _, e in kept] == [elems[0], elems[2]]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1], [2, 0, 1]])
+@pytest.mark.parametrize("axis", [1.0, 1j])
+def test_parameters_exactly_two_tolerances_apart(axis, order):
+    # keys 0, tol and 2 tol apart in one coordinate: the middle one is
+    # the same element as either end, the ends are not
+    tol = orbits._ELEMENT_TOL
+    base = 0.3j if axis == 1.0 else 0.3 + 0j
+    params = [(base + k * tol * axis, 1j) for k in (0, 1, 2)]
+    assert (params[2][0] - params[0][0]) == 2.0 * tol * axis
+    kept = _assert_admits_like_a_linear_scan([params[k] for k in order])
+    assert len(kept) == (1 if order[0] == 1 else 2)
+    assert len(_assert_admits_like_a_linear_scan([params[0], params[2]])) == 2
+
+
+def test_equal_parameters_with_distinct_factors_are_distinct_elements():
+    a, tol = -0.2 + 0.45j, orbits._ELEMENT_TOL
+    # a rotation of order 4 after a map gives four elements with one a
+    rotations = [(a, 1j**k) for k in range(4)]
+    assert len(_assert_admits_like_a_linear_scan(rotations)) == 4
+    near_factors = [(a, _unit(0.2)), (a, _unit(0.2 + 3.0 * tol)), (a, _unit(0.2 + 0.5 * tol))]
+    assert len(_assert_admits_like_a_linear_scan(near_factors)) == 2
 
 
 @pytest.mark.parametrize("dedup_tol", [1e-12, 1e-6])
@@ -691,3 +788,52 @@ def test_deeper_element_search_replaces_the_kept_one():
     assert deep == list(_all_pairs_elements(_shared_group(), 4, 10**4))
     assert list(orbits._generic_elements(group, 2, 10**4)) == shallow
     assert group == _shared_group() and repr(group) == repr(_shared_group())
+
+
+# -- a search past its cap ---------------------------------------------------
+
+
+def _free_group_of_three():
+    return generic_group([
+        canonicalize(1, -0.4, -0.4, 1),
+        canonicalize(1, -0.3j, 0.3j, 1),
+        canonicalize(1, 0.2 - 0.2j, 0.2 + 0.2j, 1),
+    ])
+
+
+def _rotation_group():
+    # z -> iz and z -> (z - 0.5)/(1 - 0.5 z)
+    return generic_group([canonicalize(1j, 0, 0, 1), canonicalize(1, -0.5, -0.5, 1)])
+
+
+def _composes(monkeypatch, search):
+    """(compositions made, the elements or the OrbitExplosion message)
+    of ``search()``."""
+    calls = []
+    compose = DiskAutomorphism.compose
+
+    def counted(self, other):
+        calls.append(None)
+        return compose(self, other)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(DiskAutomorphism, "compose", counted)
+        try:
+            result = search()
+        except OrbitExplosion as exc:
+            result = str(exc)
+    return len(calls), result
+
+
+# 4687 elements have words of length at most 5 in the free group.  At
+# cap 6 the half-turn's duplicate in _shared_group is filtered within
+# level 1, and a search to depth 1 must stop at the end of that level.
+@pytest.mark.parametrize("cap", [5, 6, 37, 100, 1000, 4000, 4687, 4688, 20000])
+@pytest.mark.parametrize("make", [_free_group_of_three, _shared_group, _rotation_group])
+@pytest.mark.parametrize("depth", [1, 7])
+def test_a_search_past_its_cap_composes_no_more_than_one_at_a_time(
+    monkeypatch, depth, make, cap
+):
+    got = _composes(monkeypatch, lambda: orbits._generic_elements(make(), depth, cap))
+    want = _composes(monkeypatch, lambda: list(_all_pairs_elements(make(), depth, cap)))
+    assert got == want
