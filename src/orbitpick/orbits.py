@@ -262,10 +262,10 @@ def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
     for m in mod[~inside].tolist():
         dropped_weight += max(1.0 - m, 0.0) + _DROPPED_WEIGHT
     kept = np.flatnonzero(inside)
-    points = candidates[kept].tolist()
+    points = candidates[kept]
+    p = points.tolist()
     accepted = kept[_distinct(
-        candidates[kept], 4.0 * dedup_tol,
-        lambda k, j: pseudo_hyperbolic(points[k], points[j]) <= dedup_tol,
+        points, 4.0 * dedup_tol, lambda k, j: pseudo_hyperbolic(p[k], p[j]) <= dedup_tol
     )]
     if accepted.size > cap:
         raise OrbitExplosion(f"orbit exceeded the cap of {cap} accepted points")
@@ -371,6 +371,7 @@ def _search_elements(group, n_max: int, cap: int) -> list:
     found = [("", DiskAutomorphism.identity())]
     keys = np.array([found[0][1].a])
     frontier = list(found)
+    margin = 1.0 - DISK_BOUNDARY_MARGIN
     for _ in range(n_max):
         level = len(found)
         pending = []
@@ -385,7 +386,6 @@ def _search_elements(group, n_max: int, cap: int) -> list:
                     if len(found) > cap:
                         return found
         keys = _admit(found, keys, pending)
-        margin = 1.0 - DISK_BOUNDARY_MARGIN
         frontier = [e for e in found[level:] if abs(e[1].a) < margin]
         if not frontier:
             break
@@ -399,9 +399,7 @@ def _admit(found: list, keys: np.ndarray, pending: list) -> np.ndarray:
     parameters of the new ``found``.  Its old elements are distinct: only
     those near a pending one are filtered, and not against each other.
     """
-    if not pending:
-        return keys
-    new = np.array([e.a for _, e in pending])
+    new = np.array([e.a for _, e in pending], dtype=complex)
     side = 2.0 * _ELEMENT_TOL
     near = np.ones(keys.size, dtype=bool)
     for old, t in ((keys.real, new.real), (keys.imag, new.imag)):

@@ -511,7 +511,7 @@ def test_a_chain_of_near_elements_is_decided_in_order(direction, order):
         assert [e for _, e in kept] == [elems[0], elems[2]]
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1], [2, 0, 1]])
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 0, 1]])
 @pytest.mark.parametrize("axis", [1.0, 1j])
 def test_parameters_exactly_two_tolerances_apart(axis, order):
     # keys 0, tol and 2 tol apart in one coordinate: the middle one is
