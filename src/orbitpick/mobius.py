@@ -13,7 +13,12 @@ divided by its modulus, so |lam| cannot drift off the unit circle in
 long composition chains.
 
 ``automorphism_images`` and ``iterate_images`` evaluate many maps at
-once in numpy, each value equal to the scalar call bit for bit.
+once in numpy, and the private ``_compose_grid`` composes many maps
+with each of a few letters, each value equal to the scalar call bit for
+bit.  They run the scalar methods' complex operations in real
+arithmetic, in Python's order.  A term abs(x) ** 2 stays Python's float
+power, which is libm's pow and can differ from x * x in the last bit,
+and complex results are filled part by part, which keeps signed zeros.
 
 The public constructor validates its parameters.  The library's own
 results (``compose``, ``canonicalize``, ``iterate_cyclic``) are built
@@ -39,6 +44,10 @@ DISK_BOUNDARY_MARGIN = 1e-14
 
 _UNIT_CIRCLE_TOL = 1e-12
 _PARAM_CLAMP = math.nextafter(1.0, 0.0)  # largest float strictly below 1
+
+# Below this many rows the scalar compositions of _compose_grid take less
+# time than its numpy pass (about 150 us at 64 rows either way).
+_FEW_ROWS = 64
 
 # Fixed deterministic probe grid used for map-equality checks.
 PROBE_GRID = tuple(
@@ -256,8 +265,7 @@ def automorphism_images(a, lam, z) -> np.ndarray:
 
     The complex operations of ``__call__`` run in real arithmetic in
     Python's order: the products, the float 1.0 promoted to 1.0 + 0.0j,
-    and the quotient by the scaled division of CPython's complex type,
-    which divides through by the larger part of the denominator.
+    and the quotient of ``_quotient``.
     """
     a = np.asarray(a, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
@@ -271,20 +279,117 @@ def automorphism_images(a, lam, z) -> np.ndarray:
     cai = -ai
     dr = 1.0 - (ar * zr - cai * zi)
     di = 0.0 - (ar * zi + cai * zr)
-    nr, ni, dr, di = np.broadcast_arrays(nr, ni, dr, di)
-    out = np.empty(dr.shape, dtype=complex)
-    wide = np.abs(dr) >= np.abs(di)
-    # |dr| >= |di|: divide through by dr
-    br, bi, pr, pi = dr[wide], di[wide], nr[wide], ni[wide]
-    ratio = bi / br
-    denom = br + bi * ratio
-    out.real[wide] = (pr + pi * ratio) / denom
-    out.imag[wide] = (pi - pr * ratio) / denom
-    # |di| > |dr|: divide through by di
-    tall = ~wide
-    br, bi, pr, pi = dr[tall], di[tall], nr[tall], ni[tall]
-    ratio = br / bi
-    denom = br * ratio + bi
-    out.real[tall] = (pr * ratio + pi) / denom
-    out.imag[tall] = (pi * ratio - pr) / denom
+    return _complex(*_quotient(nr, ni, dr, di))
+
+
+def _compose_grid(a, lam, letters, start: int = 0, stop: int | None = None):
+    """(a, lam, ok) of DiskAutomorphism(a[i], lam[i]).compose(letters[j])
+    over the rows k = i * len(letters) + j with start <= k < stop (by
+    default every row), each value equal to the scalar call bit for bit;
+    ``ok`` is False where that call raises ``NotDiskAutomorphism``.
+
+    A row the numpy pass of ``_compose_pass`` cannot take is composed by
+    the scalar ``compose``, and so is every row of a call with fewer
+    than ``_FEW_ROWS`` rows, where the scalar calls cost less than the
+    fixed cost of the pass.
+    """
+    a = np.asarray(a, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    if stop is None:
+        stop = a.size * len(letters)
+    i, j = np.divmod(np.arange(start, stop), len(letters))
+    if stop - start < _FEW_ROWS:
+        ar, ai, lr, li = np.empty((4, stop - start))
+        ok = np.zeros(stop - start, dtype=bool)
+    else:
+        ar, ai, lr, li, ok = _compose_pass(a, lam, letters, i, j)
+    for k in np.flatnonzero(~ok).tolist():
+        row = DiskAutomorphism._trusted(complex(a[i[k]]), complex(lam[i[k]]))
+        try:
+            phi = row.compose(letters[j[k]])
+        except NotDiskAutomorphism:
+            continue
+        ar[k], ai[k] = phi.a.real, phi.a.imag
+        lr[k], li[k] = phi.lam.real, phi.lam.imag
+        ok[k] = True
+    return _complex(ar, ai), _complex(lr, li), ok
+
+
+def _compose_pass(a, lam, letters, i, j):
+    """(re a, im a, re lam, im lam, ok) of the rows (a[i], lam[i]) after
+    letters[j], with ``ok`` False on the rows this pass cannot take: not
+    finite, in need of the clamp, with a subnormal |lam| or with a letter
+    whose inverse is not inside the disk.
+
+    The complex operations of ``compose`` run in real arithmetic in
+    Python's order, as in ``automorphism_images``, with each letter's
+    constants taken from its scalar methods.  The two terms abs(.) ** 2
+    are Python's float power, libm's pow, which can differ from x * x in
+    the last bit.
+    """
+    # each letter's lam * a, conj(lam), g(0) and g'(0), gathered for every row
+    consts = np.array(
+        [(g.lam * g.a, g.lam.conjugate(), g(0j), g.derivative(0j)) for g in letters],
+        dtype=complex,
+    ).T
+    iar, clr, g0r, gdr, iai, cli, g0i, gdi = np.concatenate((consts.real, consts.imag))[:, j]
+    sr, si, lr, li = a.real[i], a.imag[i], lam.real[i], lam.imag[i]
+    # the frontier rows [lo, hi) hold the requested ones
+    lo, hi = i[0], i[-1] + 1
+    with np.errstate(all="ignore"):
+        # conj(lam_g) * (ia - a_s) / (1.0 - conj(ia) * a_s), ia = lam_g * a_g
+        tr, ti = iar - sr, iai - si
+        ciai = -iai
+        ar, ai = _quotient(
+            clr * tr - cli * ti, clr * ti + cli * tr,
+            1.0 - (iar * sr - ciai * si), 0.0 - (iar * si + ciai * sr),
+        )
+        # the derivative at g(0) of the row's map: lam_s * (abs(a_s) ** 2
+        # - 1.0) / (den * den), den = 1.0 - conj(a_s) * g(0)
+        square = np.array([m ** 2 for m in np.hypot(a.real[lo:hi], a.imag[lo:hi]).tolist()])
+        s = (square - 1.0)[i - lo]
+        csi = -si
+        er = 1.0 - (sr * g0r - csi * g0i)
+        ei = 0.0 - (sr * g0i + csi * g0r)
+        dr, di = _quotient(lr * s - li * 0.0, lr * 0.0 + li * s,
+                           er * er - ei * ei, er * ei + ei * er)
+        # times g'(0), over abs(a) ** 2 - 1.0, then divided by its modulus
+        mod = np.hypot(ar, ai)
+        # capped at 2 so that no square overflows; those rows are redone
+        square = np.array([m ** 2 for m in np.minimum(mod, 2.0).tolist()])
+        lr, li = _quotient(dr * gdr - di * gdi, dr * gdi + di * gdr, square - 1.0, 0.0)
+        r = np.hypot(lr, li)
+        lr, li = _quotient(lr, li, r, 0.0)
+    inverts = np.array([abs(g.lam * g.a) < 1.0 for g in letters])
+    ok = (mod < 1.0) & np.isfinite(r) & (r >= sys.float_info.min) & inverts[j]
+    return ar, ai, lr, li, ok
+
+
+def _complex(re, im) -> np.ndarray:
+    # filled part by part: re + 1j * im would turn -0.0 into +0.0
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
+
+
+def _quotient(ar, ai, br, bi):
+    """The real and imaginary parts of (ar + ai j) / (br + bi j) over
+    broadcast arrays, by the scaled division of CPython's complex type,
+    which divides through by the larger part of the denominator."""
+    # |br| >= |bi|: divide through by br.  Computed for every entry, the
+    # others are replaced below.
+    with np.errstate(all="ignore"):
+        ratio = bi / br
+        denom = br + bi * ratio
+        re = (ar + ai * ratio) / denom
+        im = (ai - ar * ratio) / denom
+    # |bi| > |br|: divide through by bi
+    tall = np.abs(br) < np.abs(bi)
+    if tall.any():
+        tall = np.broadcast_to(tall, re.shape)
+        ar, ai, br, bi = (np.broadcast_to(v, re.shape)[tall] for v in (ar, ai, br, bi))
+        ratio = br / bi
+        denom = br * ratio + bi
+        re[tall] = (ar * ratio + ai) / denom
+        im[tall] = (ai * ratio - ar) / denom
+    return re, im

@@ -32,12 +32,17 @@ all-pairs scan gives.  Entries and words are built for accepted points
 only.  The generic search identifies group elements with the same
 filter on their parameters a, in clusters of side 2 * 1e-10.
 
-A generic presentation runs its element search once per depth: each
-level is filtered at its end, and as soon as it could pass the element
-cap, and one run to completion stays on the presentation for its
-lifetime.  Orbits of other base points, the stabilizer order and orbit
-kernels up to that depth then read the kept elements instead of
-composing them again.
+A generic presentation runs its element search once per depth.  Each
+level is composed in one numpy pass over the frontier and the letters,
+bit for bit the scalar compositions, in blocks of at most 65,536
+candidates and never more than could reach the element cap.  It is
+filtered at its end, and as soon as it could pass the cap, so a search
+past the cap composes the candidates a one-at-a-time search would.
+The search keeps parameters in arrays and builds words and elements
+for the kept ones only, and one run to completion stays on the
+presentation for its lifetime.  Orbits of other base points, the
+stabilizer order and orbit kernels up to that depth then read the kept
+elements instead of composing them again.
 
 For the cyclic and z2z2 kinds the word combinatorics are known in
 closed form and the candidates are the iterates of the stable tanh
@@ -53,16 +58,16 @@ folded into the tail bound.
 from __future__ import annotations
 
 import bisect
-import itertools
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NotDiskAutomorphism, OrbitExplosion
+from .errors import InputError, OrbitExplosion
 from .mobius import (
     DISK_BOUNDARY_MARGIN,
     DiskAutomorphism,
+    _compose_grid,
     automorphism_images,
     disk_point,
     iterate_cyclic,
@@ -82,6 +87,10 @@ _STABILIZER_CAP = 10**5  # group elements searched for stabilizer_order_origin
 # generic breadth-first search.  Elements whose parameters agree this
 # closely act identically at double precision.
 _ELEMENT_TOL = 1e-10
+
+# Candidates composed at a time by the element search, which bounds the
+# composer's temporary arrays on large levels.
+_BLOCK = 1 << 16
 
 # Bound used for each orbit point dropped for being numerically on the
 # boundary: its true weight 1 - |p| is below the representability
@@ -334,8 +343,8 @@ def _letters(group) -> list[tuple[str, DiskAutomorphism]]:
     return letters
 
 
-def _same_element(e1: DiskAutomorphism, e2: DiskAutomorphism) -> bool:
-    return abs(e1.a - e2.a) <= _ELEMENT_TOL and abs(e1.lam - e2.lam) <= _ELEMENT_TOL
+def _same_element(a1: complex, lam1: complex, a2: complex, lam2: complex) -> bool:
+    return abs(a1 - a2) <= _ELEMENT_TOL and abs(lam1 - lam2) <= _ELEMENT_TOL
 
 
 def _generic_elements(group, n_max: int, cap: int) -> list:
@@ -348,72 +357,101 @@ def _generic_elements(group, n_max: int, cap: int) -> list:
     depth m finds them.  A deeper request searches again.
     """
     kept = group._elements
-    if kept is not None and kept[0] >= n_max:
-        end = bisect.bisect_right(kept[1], n_max, key=lambda e: len(e[0]))
-        elements = kept[1][:end]
-    else:
-        elements = _search_elements(group, n_max, cap)
-    if len(elements) > cap:
+    if kept is None or kept[0] < n_max:
+        return _search_elements(group, n_max, cap)
+    end = bisect.bisect_right(kept[1], n_max, key=lambda e: len(e[0]))
+    _check_cap(end, cap)
+    return kept[1][:end]
+
+
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
         raise OrbitExplosion(f"group exploration exceeded the cap of {cap} elements")
-    return elements
 
 
 def _search_elements(group, n_max: int, cap: int) -> list:
     """Breadth-first search over words up to length ``n_max``; a search
     run to completion is kept on the group.
 
-    Each level's candidates are filtered at its end, and as soon as they
-    could pass ``cap``: a search past the cap stops at the first element
-    beyond it.  Branches whose parameter is numerically on the boundary
-    are pruned; their images are beyond double-precision resolution.
+    Each level's candidates are composed in frontier-then-letter order,
+    as many at a time as cannot pass ``cap``, and filtered at the end of
+    the level and as soon as they could pass it: a search past the cap
+    stops at the first element beyond it.  Words and elements are built
+    for the kept elements only.  Branches whose parameter is numerically
+    on the boundary are pruned; their images are beyond double-precision
+    resolution.
     """
     letters = _letters(group)
-    found = [("", DiskAutomorphism.identity())]
-    keys = np.array([found[0][1].a])
-    frontier = list(found)
+    maps = [g for _, g in letters]
+    identity = DiskAutomorphism.identity()
+    words = [""]
+    a, lam = np.array([identity.a]), np.array([identity.lam])
+    frontier = np.zeros(1, dtype=int)
+    _check_cap(len(words), cap)
     margin = 1.0 - DISK_BOUNDARY_MARGIN
     for _ in range(n_max):
-        level = len(found)
-        pending = []
-        for word, elem in frontier:
-            for ch, gen in letters:
-                try:
-                    pending.append((word + ch, elem.compose(gen)))
-                except NotDiskAutomorphism:
-                    continue
-                if len(found) + len(pending) > cap:
-                    keys = _admit(found, keys, pending)
-                    if len(found) > cap:
-                        return found
-        keys = _admit(found, keys, pending)
-        frontier = [e for e in found[level:] if abs(e[1].a) < margin]
-        if not frontier:
+        level = len(words)
+        front_a, front_lam = a[frontier], lam[frontier]
+        total = frontier.size * len(maps)
+        rows, new_a, new_lam = [], [], []  # the candidates composed and not yet filtered
+        start = pending = 0
+        while start < total:
+            stop = min(total, start + cap + 1 - len(words) - pending, start + _BLOCK)
+            got_a, got_lam, ok = _compose_grid(front_a, front_lam, maps, start, stop)
+            rows.append(start + np.flatnonzero(ok))
+            new_a.append(got_a[ok])
+            new_lam.append(got_lam[ok])
+            pending += rows[-1].size
+            start = stop
+            if start < total and len(words) + pending <= cap:
+                continue
+            new = np.concatenate(rows)
+            new_a, new_lam = np.concatenate(new_a), np.concatenate(new_lam)
+            keep = _admit(a, lam, new_a, new_lam)
+            a = np.concatenate((a, new_a[keep]))
+            lam = np.concatenate((lam, new_lam[keep]))
+            parent, letter = np.divmod(new[keep], len(maps))
+            words += [
+                words[p] + letters[c][0]
+                for p, c in zip(frontier[parent].tolist(), letter.tolist())
+            ]
+            _check_cap(len(words), cap)
+            rows, new_a, new_lam = [], [], []
+            pending = 0
+        inside = np.hypot(a.real[level:], a.imag[level:]) < margin  # abs(a), bit for bit
+        frontier = level + np.flatnonzero(inside)
+        if not frontier.size:
             break
+    found = [
+        (word, DiskAutomorphism._trusted(x, y))
+        for word, x, y in zip(words, a.tolist(), lam.tolist())
+    ]
     object.__setattr__(group, "_elements", (n_max, found))
     return found
 
 
-def _admit(found: list, keys: np.ndarray, pending: list) -> np.ndarray:
-    """Move to ``found``, with parameters ``keys``, the ``pending`` (word,
-    element) pairs that coincide with no element before them; returns the
-    parameters of the new ``found``.  Its old elements are distinct: only
-    those near a pending one are filtered, and not against each other.
+def _admit(a: np.ndarray, lam: np.ndarray, new_a: np.ndarray, new_lam: np.ndarray) -> np.ndarray:
+    """Mask of the new elements, with parameters ``new_a`` and
+    ``new_lam``, that coincide with no element before them: neither with
+    an earlier new one nor with a found one of parameters ``a`` and
+    ``lam``.  The found elements are distinct: only those near a new one
+    are filtered, and not against each other.
     """
-    new = np.array([e.a for _, e in pending], dtype=complex)
     side = 2.0 * _ELEMENT_TOL
-    near = np.ones(keys.size, dtype=bool)
-    for old, t in ((keys.real, new.real), (keys.imag, new.imag)):
+    near = np.ones(a.size, dtype=bool)
+    for old, t in ((a.real, new_a.real), (a.imag, new_a.imag)):
         t = np.sort(t)
         near &= np.searchsorted(t, old - side) < np.searchsorted(t, old + side, "right")
     near = np.flatnonzero(near)
-    both = [found[i] for i in near.tolist()] + pending
-    keep = _distinct(
-        np.concatenate((keys[near], new)), side,
-        lambda k, j: k >= near.size and _same_element(both[k][1], both[j][1]),
-    )[near.size:]
-    found.extend(itertools.compress(pending, keep.tolist()))
-    pending.clear()
-    return np.concatenate((keys, new[keep]))
+    keys = np.concatenate((a[near], new_a))
+    lams = np.concatenate((lam[near], new_lam))
+
+    def same(k, j):
+        return k >= near.size and _same_element(
+            keys.item(k), lams.item(k), keys.item(j), lams.item(j)
+        )
+
+    return _distinct(keys, side, same)[near.size:]
 
 
 def _tail_bound(group, base, n_max, dedup_tol, dropped_weight) -> float | None:

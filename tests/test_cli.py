@@ -136,10 +136,11 @@ def forbid_compose_after_the_orbit(monkeypatch):
     def forbid_compose_after(*args):
         orbit = enumerate_orbit(*args)
 
-        def compose(self, other):
+        def compose(*args):
             raise AssertionError("composed after the orbit was enumerated")
 
         monkeypatch.setattr(DiskAutomorphism, "compose", compose)
+        monkeypatch.setattr(orbits, "_compose_grid", compose)
         return orbit
 
     monkeypatch.setattr(orbits, "enumerate_orbit", forbid_compose_after)

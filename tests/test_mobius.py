@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from conftest import disk_points
 from hypothesis import strategies as st
 
+from orbitpick import mobius
 from orbitpick.errors import NotDiskAutomorphism, NotInDisk
 from orbitpick.mobius import (
     PROBE_GRID,
     DiskAutomorphism,
     _clamp_inside,
+    _compose_grid,
     _normalized,
     automorphism_images,
     canonicalize,
@@ -340,6 +342,94 @@ def test_library_constructions_reject_what_they_rejected(build, message):
     with pytest.raises(NotDiskAutomorphism) as info:
         build()
     assert str(info.value) == message
+
+
+def _grid_outcomes(rows, letters, start=0, stop=None):
+    """repr of (a, lam) of each row after each letter in row-then-letter
+    order, None where the composition raises NotDiskAutomorphism: from
+    the batched composer and from the scalar ``compose``.  ``repr``
+    shows the sign of a zero, which ``==`` does not.  The batched
+    composer is asked twice, with its numpy pass on every call of one
+    row or more and as it chooses, and must give the same both times."""
+    a = np.array([f.a for f in rows], dtype=complex)
+    lam = np.array([f.lam for f in rows], dtype=complex)
+    got = []
+    for few_rows in (1, mobius._FEW_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mobius, "_FEW_ROWS", few_rows)
+            got_a, got_lam, ok = _compose_grid(a, lam, letters, start, stop)
+        got.append([
+            (repr(x), repr(y)) if k else None
+            for x, y, k in zip(got_a.tolist(), got_lam.tolist(), ok.tolist())
+        ])
+    assert got[0] == got[1]
+    want = []
+    for f in rows:
+        for g in letters:
+            try:
+                phi = f.compose(g)
+            except NotDiskAutomorphism:
+                want.append(None)
+            else:
+                want.append((repr(phi.a), repr(phi.lam)))
+    return got[0], want[start:stop]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.one_of(automorphisms(), _SPECIAL), max_size=6),
+    letters=st.lists(st.one_of(automorphisms(), _SPECIAL), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_batched_compose_is_the_scalar_compose_bit_for_bit(rows, letters, data):
+    got, want = _grid_outcomes(rows, letters)
+    assert got == want
+    stop = data.draw(st.integers(0, len(want)))
+    start = data.draw(st.integers(0, stop))
+    assert _grid_outcomes(rows, letters, start, stop) == (want[start:stop],) * 2
+
+
+_SHIFT = iterate_cyclic(0.5, 1)
+# f after g rounds onto the unit circle and needs the clamp
+_RIM = (DiskAutomorphism(0.9744980225847203 + 0.22439608726194363j,
+                         0.98508954715344 + 0.1720423903839703j),
+        DiskAutomorphism(-0.9774514640321987 + 0.21115973920546866j,
+                         -0.42189459053566664 + 0.9066448888494008j))
+
+
+@pytest.mark.parametrize("rows,letters", [
+    # abs(a) ** 2 differs from abs(a) * abs(a) in the last bit
+    ([DiskAutomorphism(0.8047954432123002 + 0.5355822532381952j, 1j)],
+     [_SHIFT, _G, DiskAutomorphism(0j, -1j)]),
+    # inverse pairs and the identity: -0j among the parameters
+    ([_SHIFT.inverse(), _SHIFT, DiskAutomorphism.identity(), _G],
+     [_SHIFT, _SHIFT.inverse(), DiskAutomorphism.identity(), _G.inverse()]),
+    (_RIM[:1], _RIM[1:]),
+    # rotations, a = 0, and signed zeros in lam
+    ([DiskAutomorphism(0j, cmath.exp(2j * math.pi * k / 5)) for k in range(5)]
+     + [DiskAutomorphism(0j, 1j), DiskAutomorphism(0.5j, 1j)],
+     [DiskAutomorphism(0j, 1j), DiskAutomorphism(0j, complex(-0.0, 1.0)),
+      DiskAutomorphism(0j, 1.0 + 0j), _G]),
+    # non-finite rows, a row outside the disk and one whose subnormal
+    # |lam| is too coarse to renormalize by are skipped
+    ([_unchecked(_NAN, -1.0), _unchecked(0.1, _INF), _unchecked(1.5, -1.0),
+      _unchecked(0.5, complex(5e-324, 5e-324)), _G], [_G, _SHIFT]),
+    # a letter whose inverse has |a| = 1: every row after it is skipped
+    ([_G, _SHIFT], [_SHIFT, DiskAutomorphism(math.nextafter(1.0, 0.0), 1.0 + 1e-13)]),
+])
+def test_batched_compose_on_pinned_rows(rows, letters):
+    got, want = _grid_outcomes(rows, letters)
+    assert got == want
+
+
+def test_pinned_rows_show_what_they_pin():
+    a = 0.8047954432123002 + 0.5355822532381952j
+    assert abs(a) ** 2 != abs(a) * abs(a)
+    assert repr(_SHIFT.inverse().compose(_SHIFT).a) == "-0j"
+    assert abs(_clamp_inside(_RIM[0].compose(_RIM[1]).a)) < 1.0
+    assert abs(_SHIFT.inverse().a) < 1.0
+    with pytest.raises(NotDiskAutomorphism):
+        _G.compose(DiskAutomorphism(math.nextafter(1.0, 0.0), 1.0 + 1e-13))
 
 
 def test_normalized_clamps_a_parameter_on_the_circle():

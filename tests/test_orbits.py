@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -327,7 +328,8 @@ def _all_pairs_elements(group, n_max, cap):
                 except NotDiskAutomorphism:
                     continue
                 close = np.abs(params[:len(seen)] - cand.a) <= 2.0 * orbits._ELEMENT_TOL
-                if any(orbits._same_element(cand, seen[k]) for k in np.flatnonzero(close)):
+                if any(orbits._same_element(cand.a, cand.lam, seen[k].a, seen[k].lam)
+                       for k in np.flatnonzero(close)):
                     continue
                 if len(seen) >= cap:
                     raise OrbitExplosion(f"group exploration exceeded the cap of {cap} elements")
@@ -474,7 +476,8 @@ def _linear_scan(pairs):
     every pair kept before it."""
     kept = []
     for pair in pairs:
-        if not any(orbits._same_element(pair[1], k[1]) for k in kept):
+        if not any(orbits._same_element(pair[1].a, pair[1].lam, k[1].a, k[1].lam)
+                   for k in kept):
             kept.append(pair)
     return kept
 
@@ -487,11 +490,14 @@ def _assert_admits_like_a_linear_scan(params):
     want = _linear_scan(pairs)
     for split in range(len(pairs) + 1):
         found = _linear_scan(pairs[:split])
-        keys = np.array([e.a for _, e in found], dtype=complex)
         pending = pairs[split:]
-        keys = orbits._admit(found, keys, pending)
-        assert found == want and not pending
-        assert keys.tolist() == [e.a for _, e in want]
+        keep = orbits._admit(
+            *(np.array([getattr(e, name) for _, e in found], dtype=complex)
+              for name in ("a", "lam")),
+            *(np.array([getattr(e, name) for _, e in pending], dtype=complex)
+              for name in ("a", "lam")),
+        )
+        assert found + list(itertools.compress(pending, keep.tolist())) == want
     return want
 
 
@@ -503,9 +509,9 @@ def test_a_chain_of_near_elements_is_decided_in_order(direction, order):
     a = 0.3 + 0.2j
     chain = [(a, _unit(0.7)), (a + step, _unit(0.7)), (a + 2.0 * step, _unit(0.7))]
     elems = [DiskAutomorphism(*p) for p in chain]
-    assert orbits._same_element(elems[1], elems[0])
-    assert orbits._same_element(elems[2], elems[1])
-    assert not orbits._same_element(elems[2], elems[0])
+    assert orbits._same_element(*chain[1], *chain[0])
+    assert orbits._same_element(*chain[2], *chain[1])
+    assert not orbits._same_element(*chain[2], *chain[0])
     kept = _assert_admits_like_a_linear_scan([chain[k] for k in order])
     if order == [0, 1, 2]:
         assert [e for _, e in kept] == [elems[0], elems[2]]
@@ -760,11 +766,12 @@ def test_generic_element_search_runs_once_per_group(monkeypatch):
     group = _shared_group()
     first = enumerate_orbit(group, 0j, depth)
 
-    def composed_again(self, other):
+    def composed_again(*args):
         raise AssertionError("the element search ran again")
 
     with monkeypatch.context() as mp:
         mp.setattr(DiskAutomorphism, "compose", composed_again)
+        mp.setattr(orbits, "_compose_grid", composed_again)
         orders = [stabilizer_order_origin(group, m) for m in range(depth + 1)]
         other = enumerate_orbit(group, 0.2 - 0.1j, depth)
         pick = assemble_pick(PickProblem(nodes, targets, OrbitGramKernel(group, depth)))
@@ -806,23 +813,29 @@ def _rotation_group():
     return generic_group([canonicalize(1j, 0, 0, 1), canonicalize(1, -0.5, -0.5, 1)])
 
 
-def _composes(monkeypatch, search):
-    """(compositions made, the elements or the OrbitExplosion message)
-    of ``search()``."""
+def _composes(monkeypatch, owner, name, search):
+    """(compositions asked of ``owner.name``, the elements or the
+    OrbitExplosion message) of ``search()``.  ``name`` is the scalar
+    ``compose``, one composition a call, or the batched composer, one a
+    row."""
     calls = []
-    compose = DiskAutomorphism.compose
+    compose = getattr(owner, name)
 
-    def counted(self, other):
-        calls.append(None)
-        return compose(self, other)
+    def counted(*args):
+        if name == "compose":
+            calls.append(1)
+        else:
+            *_, start, stop = args
+            calls.append(stop - start)
+        return compose(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(DiskAutomorphism, "compose", counted)
+        mp.setattr(owner, name, counted)
         try:
             result = search()
         except OrbitExplosion as exc:
             result = str(exc)
-    return len(calls), result
+    return sum(calls), result
 
 
 # 4687 elements have words of length at most 5 in the free group.  At
@@ -834,6 +847,8 @@ def _composes(monkeypatch, search):
 def test_a_search_past_its_cap_composes_no_more_than_one_at_a_time(
     monkeypatch, depth, make, cap
 ):
-    got = _composes(monkeypatch, lambda: orbits._generic_elements(make(), depth, cap))
-    want = _composes(monkeypatch, lambda: list(_all_pairs_elements(make(), depth, cap)))
+    got = _composes(monkeypatch, orbits, "_compose_grid",
+                    lambda: orbits._generic_elements(make(), depth, cap))
+    want = _composes(monkeypatch, DiskAutomorphism, "compose",
+                     lambda: list(_all_pairs_elements(make(), depth, cap)))
     assert got == want
