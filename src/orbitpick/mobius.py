@@ -295,18 +295,23 @@ def _compose_grid(a, lam, letters, start: int = 0, stop: int | None = None):
     """
     a = np.asarray(a, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
+    width = len(letters)
     if stop is None:
-        stop = a.size * len(letters)
-    i, j = np.divmod(np.arange(start, stop), len(letters))
+        stop = a.size * width
     if stop - start < _FEW_ROWS:
         ar, ai, lr, li = np.empty((4, stop - start))
         ok = np.zeros(stop - start, dtype=bool)
     else:
-        ar, ai, lr, li, ok = _compose_pass(a, lam, letters, i, j)
+        # the pass composes whole rows of a; the requested ones are cut out
+        lo, hi = start // width, -(-stop // width)
+        cut = slice(start - lo * width, stop - lo * width)
+        ar, ai, lr, li, ok = (
+            v.ravel()[cut] for v in _compose_pass(a[lo:hi], lam[lo:hi], letters)
+        )
     for k in np.flatnonzero(~ok).tolist():
-        row = DiskAutomorphism._trusted(complex(a[i[k]]), complex(lam[i[k]]))
+        i, j = divmod(start + k, width)
         try:
-            phi = row.compose(letters[j[k]])
+            phi = DiskAutomorphism._trusted(complex(a[i]), complex(lam[i])).compose(letters[j])
         except NotDiskAutomorphism:
             continue
         ar[k], ai[k] = phi.a.real, phi.a.imag
@@ -315,11 +320,12 @@ def _compose_grid(a, lam, letters, start: int = 0, stop: int | None = None):
     return _complex(ar, ai), _complex(lr, li), ok
 
 
-def _compose_pass(a, lam, letters, i, j):
-    """(re a, im a, re lam, im lam, ok) of the rows (a[i], lam[i]) after
-    letters[j], with ``ok`` False on the rows this pass cannot take: not
-    finite, in need of the clamp, with a subnormal |lam| or with a letter
-    whose inverse is not inside the disk.
+def _compose_pass(a, lam, letters):
+    """(re a, im a, re lam, im lam, ok), each indexed [i, j], of the map
+    with parameters a[i] and lam[i] after letters[j], with ``ok`` False
+    where this pass does not apply: a value that is not finite, a
+    parameter in need of the clamp, a subnormal |lam| or a letter whose
+    inverse is not inside the disk.
 
     The complex operations of ``compose`` run in real arithmetic in
     Python's order, as in ``automorphism_images``, with each letter's
@@ -327,41 +333,41 @@ def _compose_pass(a, lam, letters, i, j):
     are Python's float power, libm's pow, which can differ from x * x in
     the last bit.
     """
-    # each letter's lam * a, conj(lam), g(0) and g'(0), gathered for every row
-    consts = np.array(
+    ia, cl, g0, gd = np.array(
         [(g.lam * g.a, g.lam.conjugate(), g(0j), g.derivative(0j)) for g in letters],
         dtype=complex,
     ).T
-    iar, clr, g0r, gdr, iai, cli, g0i, gdi = np.concatenate((consts.real, consts.imag))[:, j]
-    sr, si, lr, li = a.real[i], a.imag[i], lam.real[i], lam.imag[i]
-    # the frontier rows [lo, hi) hold the requested ones
-    lo, hi = i[0], i[-1] + 1
+    sr, si = a.real[:, None], a.imag[:, None]
+    lr, li = lam.real[:, None], lam.imag[:, None]
     with np.errstate(all="ignore"):
         # conj(lam_g) * (ia - a_s) / (1.0 - conj(ia) * a_s), ia = lam_g * a_g
-        tr, ti = iar - sr, iai - si
-        ciai = -iai
+        tr, ti = ia.real - sr, ia.imag - si
+        ciai = -ia.imag
         ar, ai = _quotient(
-            clr * tr - cli * ti, clr * ti + cli * tr,
-            1.0 - (iar * sr - ciai * si), 0.0 - (iar * si + ciai * sr),
+            cl.real * tr - cl.imag * ti, cl.real * ti + cl.imag * tr,
+            1.0 - (ia.real * sr - ciai * si), 0.0 - (ia.real * si + ciai * sr),
         )
+        del tr, ti  # the temporaries of a large block add up
         # the derivative at g(0) of the row's map: lam_s * (abs(a_s) ** 2
         # - 1.0) / (den * den), den = 1.0 - conj(a_s) * g(0)
-        square = np.array([m ** 2 for m in np.hypot(a.real[lo:hi], a.imag[lo:hi]).tolist()])
-        s = (square - 1.0)[i - lo]
+        s = np.array([m ** 2 for m in np.hypot(a.real, a.imag).tolist()])[:, None] - 1.0
         csi = -si
-        er = 1.0 - (sr * g0r - csi * g0i)
-        ei = 0.0 - (sr * g0i + csi * g0r)
+        er = 1.0 - (sr * g0.real - csi * g0.imag)
+        ei = 0.0 - (sr * g0.imag + csi * g0.real)
         dr, di = _quotient(lr * s - li * 0.0, lr * 0.0 + li * s,
                            er * er - ei * ei, er * ei + ei * er)
+        del er, ei
         # times g'(0), over abs(a) ** 2 - 1.0, then divided by its modulus
         mod = np.hypot(ar, ai)
         # capped at 2 so that no square overflows; those rows are redone
-        square = np.array([m ** 2 for m in np.minimum(mod, 2.0).tolist()])
-        lr, li = _quotient(dr * gdr - di * gdi, dr * gdi + di * gdr, square - 1.0, 0.0)
+        square = np.array([m ** 2 for m in np.minimum(mod, 2.0).ravel().tolist()])
+        lr, li = _quotient(dr * gd.real - di * gd.imag, dr * gd.imag + di * gd.real,
+                           square.reshape(mod.shape) - 1.0, 0.0)
+        del dr, di, square
         r = np.hypot(lr, li)
         lr, li = _quotient(lr, li, r, 0.0)
     inverts = np.array([abs(g.lam * g.a) < 1.0 for g in letters])
-    ok = (mod < 1.0) & np.isfinite(r) & (r >= sys.float_info.min) & inverts[j]
+    ok = (mod < 1.0) & np.isfinite(r) & (r >= sys.float_info.min) & inverts
     return ar, ai, lr, li, ok
 
 
