@@ -393,31 +393,27 @@ def _search_elements(group, n_max: int, cap: int) -> list:
         level = len(words)
         front_a, front_lam = a[frontier], lam[frontier]
         total = frontier.size * len(maps)
-        rows, new_a, new_lam = [], [], []  # the candidates composed and not yet filtered
-        start = pending = 0
+        chunks = []  # (row, a, lam) of the candidates composed and not yet filtered
+        start = 0
         while start < total:
+            pending = sum(row.size for row, _, _ in chunks)
             stop = min(total, start + cap + 1 - len(words) - pending, start + _BLOCK)
             got_a, got_lam, ok = _compose_grid(front_a, front_lam, maps, start, stop)
-            rows.append(start + np.flatnonzero(ok))
-            new_a.append(got_a[ok])
-            new_lam.append(got_lam[ok])
-            pending += rows[-1].size
+            chunks.append((start + np.flatnonzero(ok), got_a[ok], got_lam[ok]))
             start = stop
-            if start < total and len(words) + pending <= cap:
+            if start < total and len(words) + pending + chunks[-1][0].size <= cap:
                 continue
-            new = np.concatenate(rows)
-            new_a, new_lam = np.concatenate(new_a), np.concatenate(new_lam)
+            row, new_a, new_lam = (np.concatenate(c) for c in zip(*chunks))
+            chunks = []
             keep = _admit(a, lam, new_a, new_lam)
             a = np.concatenate((a, new_a[keep]))
             lam = np.concatenate((lam, new_lam[keep]))
-            parent, letter = np.divmod(new[keep], len(maps))
+            parent, letter = np.divmod(row[keep], len(maps))
             words += [
                 words[p] + letters[c][0]
                 for p, c in zip(frontier[parent].tolist(), letter.tolist())
             ]
             _check_cap(len(words), cap)
-            rows, new_a, new_lam = [], [], []
-            pending = 0
         inside = np.hypot(a.real[level:], a.imag[level:]) < margin  # abs(a), bit for bit
         frontier = level + np.flatnonzero(inside)
         if not frontier.size:

@@ -491,14 +491,15 @@ def _assert_admits_like_a_linear_scan(params):
     for split in range(len(pairs) + 1):
         found = _linear_scan(pairs[:split])
         pending = pairs[split:]
-        keep = orbits._admit(
-            *(np.array([getattr(e, name) for _, e in found], dtype=complex)
-              for name in ("a", "lam")),
-            *(np.array([getattr(e, name) for _, e in pending], dtype=complex)
-              for name in ("a", "lam")),
-        )
+        keep = orbits._admit(*_params(found), *_params(pending))
         assert found + list(itertools.compress(pending, keep.tolist())) == want
     return want
+
+
+def _params(pairs):
+    """The arrays of a and of lam of the (word, element) pairs."""
+    return (np.array([e.a for _, e in pairs], dtype=complex),
+            np.array([e.lam for _, e in pairs], dtype=complex))
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0]])
