@@ -387,8 +387,8 @@ def _quotient(ar, ai, br, bi):
     with np.errstate(all="ignore"):
         ratio = bi / br
         denom = br + bi * ratio
-        re = (ar + ai * ratio) / denom
-        im = (ai - ar * ratio) / denom
+        re = np.asarray((ar + ai * ratio) / denom)  # an array even for scalar parts
+        im = np.asarray((ai - ar * ratio) / denom)
     # |bi| > |br|: divide through by bi
     tall = np.abs(br) < np.abs(bi)
     if tall.any():

@@ -235,6 +235,8 @@ def test_automorphism_images_take_both_division_branches():
     assert {abs(d.real) >= abs(d.imag) for d in den} == {True, False}
     got = automorphism_images(m.a, m.lam, zs).tolist()
     assert [repr(v) for v in got] == [repr(m(z)) for z in zs]
+    for z in zs:  # one point at a time
+        assert repr(automorphism_images(m.a, m.lam, z).item()) == repr(m(z))
 
 
 def test_pseudo_hyperbolic_invariance():
