@@ -16,6 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import mul
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import (
     NoTailBound,
     TooCloseToBoundary,
 )
-from .mobius import DiskAutomorphism
+from .mobius import DiskAutomorphism, _complex, _quotient
 from .orbits import Orbit
 
 # Zeros with modulus at or below this threshold are counted as zeros at
@@ -33,6 +35,15 @@ from .orbits import Orbit
 _ORIGIN_TOL = 1e-12
 
 EVAL_RADIUS_LIMIT = 0.999
+
+# Below this many points ``evaluate_many`` multiplies each point's
+# factors in Python complex; from it on, one numpy pass over the points
+# per factor takes less time (the two cross at 250-300 points for 58
+# and for 116 zeros).
+_FEW_POINTS = 256
+# Factors (rows of few points) or points (the numpy pass) per block, so
+# that each temporary array stays at 256 KB.
+_BLOCK = 1 << 15
 
 # Character extraction probes: eight points well inside the disk.
 CHARACTER_PROBES = tuple(0.37 * cmath.exp(2j * cmath.pi * k / 8) for k in range(8))
@@ -70,6 +81,14 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return self.origin_multiplicity + len(self.zeros)
 
+    @cached_property
+    def _zero_parts(self) -> np.ndarray:
+        """Rows re zeta, im zeta, re p, im p over the zeros zeta and their
+        phases p = abs(zeta) / zeta, taken once by Python's division."""
+        phases = [abs(z) / z for z in self.zeros]
+        parts = [(z.real, z.imag, p.real, p.imag) for z, p in zip(self.zeros, phases)]
+        return np.array(parts, dtype=float).reshape(-1, 4).T
+
 
 def from_orbit(
     orbit: Orbit, stabilizer_order: int, strict: bool = True
@@ -104,23 +123,14 @@ def from_orbit(
     return BlaschkeProduct(origin, tuple(zeros), m * orbit.tail_bound)
 
 
-def product_value(b: BlaschkeProduct, z: complex) -> complex:
-    """Raw product value with no boundary guard and no clamping.
-
-    Factors are accumulated in stored zero order; used internally where
-    the evaluation point may be near or on the unit circle (boundary
-    quadrature of exact finite products).
-    """
-    v = complex(1.0)
-    for _ in range(b.origin_multiplicity):
-        v *= z
-    for zeta in b.zeros:
-        v *= (abs(zeta) / zeta) * (zeta - z) / (1.0 - zeta.conjugate() * z)
-    return v
-
-
 def product_values(b: BlaschkeProduct, zs: np.ndarray) -> np.ndarray:
-    """Vectorized ``product_value`` over an array of points."""
+    """Raw product values over an array of points in numpy complex
+    arithmetic, with no boundary guard and no clamping.
+
+    For the boundary quadrature of exact finite products, whose points
+    lie on the unit circle; the values can differ from ``evaluate_many``
+    in the last bits.
+    """
     zs = np.asarray(zs, dtype=complex)
     v = np.ones_like(zs)
     for _ in range(b.origin_multiplicity):
@@ -131,24 +141,88 @@ def product_values(b: BlaschkeProduct, zs: np.ndarray) -> np.ndarray:
 
 
 def evaluate(b: BlaschkeProduct, z: complex) -> tuple[complex, float]:
-    """Value and truncation error bound at an interior point.
+    """Value and truncation error bound at one interior point: the
+    one-point call of ``evaluate_many``."""
+    values, errors = evaluate_many(b, z)
+    return complex(values[0]), float(errors[0])
 
-    The value is the finite product in stored zero order, clamped onto
-    the closed unit disk; the error bound is
-    tail_weight * (1+|z|)/(1-|z|).  Raises ``TooCloseToBoundary`` for
-    |z| > 0.999, where the bound degenerates.
+
+def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Values and truncation error bounds at interior points, in the
+    flat order of ``zs``.
+
+    The value is the finite product z^m0 * prod_k p_k (zeta_k - z) /
+    (1.0 - conj(zeta_k) z), p_k = |zeta_k|/zeta_k, with its factors
+    multiplied in stored zero order and the result clamped onto the
+    closed unit disk; the error bound is tail_weight * (1+|z|)/(1-|z|).
+    Raises ``TooCloseToBoundary`` at the first point with |z| > 0.999,
+    where the bound degenerates.
+
+    Each value equals the one of Python's complex arithmetic bit for
+    bit, signed zeros included: the operations run in real arithmetic
+    in CPython's order (as in ``mobius.automorphism_images``) and moduli
+    are np.hypot, which is Python's abs, where np.abs of a complex array
+    can differ in the last bit.  Fewer than ``_FEW_POINTS`` points each
+    multiply a row of factors in Python complex; more points take one
+    numpy pass over the points per factor.  Blocks of ``_BLOCK`` factors
+    or points bound the temporaries.
     """
-    r = abs(z)
-    if r > EVAL_RADIUS_LIMIT + 1e-12:  # headroom for rounding of |z| itself
-        raise TooCloseToBoundary(
-            f"|z| = {r:.17g} exceeds the evaluation radius {EVAL_RADIUS_LIMIT}"
-        )
-    v = product_value(b, z)
-    m = abs(v)
-    if m > 1.0:
-        v /= m
-    err = b.tail_weight * (1.0 + r) / (1.0 - r)
-    return v, err
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    r, inside = _moduli(z)
+    if inside < z.size:
+        raise _too_close(r[inside])
+    parts = b._zero_parts
+    if z.size < _FEW_POINTS:
+        rows = max(1, _BLOCK // max(parts.shape[1], 1))
+        values = []
+        for s in range(0, z.size, rows):
+            block = z[s : s + rows, None]
+            factors = _complex(*_factors(block.real, block.imag, *parts))
+            for w, row in zip(block[:, 0].tolist(), factors.tolist()):
+                values.append(reduce(mul, [w] * b.origin_multiplicity + row, complex(1.0)))
+        v = np.array(values, dtype=complex)
+        vr, vi = v.real, v.imag
+    else:
+        vr, vi = np.ones(z.size), np.zeros(z.size)
+        for s in range(0, z.size, _BLOCK):
+            xr, xi = z.real[s : s + _BLOCK], z.imag[s : s + _BLOCK]
+            yr, yi = vr[s : s + _BLOCK], vi[s : s + _BLOCK]  # views, updated in place
+            for _ in range(b.origin_multiplicity):
+                yr[:], yi[:] = yr * xr - yi * xi, yr * xi + yi * xr
+            for zeta_phase in parts.T.tolist():
+                fr, fi = _factors(xr, xi, *zeta_phase)
+                yr[:], yi[:] = yr * fr - yi * fi, yr * fi + yi * fr
+    m = np.hypot(vr, vi)
+    out = m > 1.0
+    if out.any():
+        vr[out], vi[out] = _quotient(vr[out], vi[out], m[out], 0.0)
+    return _complex(vr, vi), b.tail_weight * (1.0 + r) / (1.0 - r)
+
+
+def _moduli(z: np.ndarray) -> tuple[np.ndarray, int]:
+    """|z| at each point, equal to Python's abs, and the index of the
+    first point beyond the evaluation radius (len(z) if there is none)."""
+    r = np.hypot(z.real, z.imag)
+    far = r > EVAL_RADIUS_LIMIT + 1e-12  # headroom for rounding of |z| itself
+    return r, int(np.argmax(far)) if far.any() else r.size
+
+
+def _too_close(r: float) -> TooCloseToBoundary:
+    return TooCloseToBoundary(
+        f"|z| = {float(r):.17g} exceeds the evaluation radius {EVAL_RADIUS_LIMIT}"
+    )
+
+
+def _factors(xr, xi, zr, zi, pr, pi):
+    """Real and imaginary parts of p * (zeta - z) / (1.0 - conj(zeta) *
+    z) over broadcast points z = xr + xi j, zeros zeta = zr + zi j and
+    phases p = pr + pi j, in the operations of Python's complex type."""
+    dr, di = zr - xr, zi - xi
+    ci = -zi  # conj(zeta) = zr + ci j
+    return _quotient(
+        pr * dr - pi * di, pr * di + pi * dr,
+        1.0 - (zr * xr - ci * xi), 0.0 - (zr * xi + ci * xr),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,21 +250,27 @@ def character_of(
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
+    images = np.array([g(z) for z in CHARACTER_PROBES])
+    # B(g(z)) and B(z) in one call for the probes before the first whose
+    # image is too close to the boundary; those are judged first, in order
+    radii, inside = _moduli(images)
+    pairs = np.stack([images, np.array(CHARACTER_PROBES)], axis=1)[:inside]
+    values, errors = (a.tolist() for a in evaluate_many(b, pairs))
     ratios = []
-    for z in CHARACTER_PROBES:
-        gz = g(z)
-        try:
-            num, num_err = evaluate(b, gz)
-            den, den_err = evaluate(b, z)
-        except TooCloseToBoundary as exc:
-            raise InconclusiveCharacter(
-                f"automorphism sends probe {z:.3f} too close to the boundary"
-            ) from exc
+    for k in range(inside):
+        num, den = values[2 * k : 2 * k + 2]
+        num_err, den_err = errors[2 * k : 2 * k + 2]
         if abs(den) <= 10.0 * den_err or abs(num) <= 10.0 * num_err:
             raise InconclusiveCharacter(
-                f"probe {z:.3f} lands too near a zero for the requested accuracy"
+                f"probe {CHARACTER_PROBES[k]:.3f} lands too near a zero for the "
+                "requested accuracy"
             )
         ratios.append(num / den)
+    if inside < len(images):
+        raise InconclusiveCharacter(
+            f"automorphism sends probe {CHARACTER_PROBES[inside]:.3f} too close "
+            "to the boundary"
+        ) from _too_close(radii[inside])
     ref = ratios[0] / abs(ratios[0])
     angles = sorted(cmath.phase(r * ref.conjugate()) for r in ratios)
     k = len(angles)

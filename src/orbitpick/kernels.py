@@ -211,9 +211,9 @@ def _szego_points(
         note = None if None in tails else max(tails)
         return [q for orbit in orbits for q in orbit], [len(o) for o in orbits], note
     if isinstance(spec, ComposedInnerKernel):
-        evals = [bl.evaluate(spec.inner, p) for p in points]
-        note = spec.power * max((err for _, err in evals), default=0.0)
-        return [v**spec.power for v, _ in evals], [1] * len(points), note
+        values, errors = bl.evaluate_many(spec.inner, points)
+        note = spec.power * max(errors.tolist(), default=0.0)
+        return [v**spec.power for v in values.tolist()], [1] * len(points), note
     return list(points), [1] * len(points), None
 
 
@@ -248,7 +248,7 @@ def dominance_check(
     if isinstance(k_sigma, OrbitGramKernel):
         raise UnsupportedVariant("dominance is defined for scalar kernels only")
     pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
-    bvals = [bl.evaluate(b_gamma, p)[0] for p in pts]
+    bvals, _ = bl.evaluate_many(b_gamma, pts)
     d = c * c * szego_matrix(bvals) - szego_matrix(_szego_points(k_sigma, pts)[0])
     return psd_check(d, tol=tol)
 

@@ -53,7 +53,7 @@ from .kernels import (
     szego_matrix,
 )
 from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, pencil_max, psd_check
-from .mobius import disk_point, iterate_images
+from .mobius import _complex, _quotient, disk_point, iterate_images
 from .orbits import GroupPresentation
 
 _NODE_TOL = 1e-10
@@ -263,6 +263,38 @@ def evaluate_interpolant(s: SchurInterpolant, z: complex) -> complex:
     return v
 
 
+def interpolant_values(s: SchurInterpolant, zs) -> np.ndarray:
+    """``evaluate_interpolant`` at every point, in the flat order of
+    ``zs``, each value equal to the scalar call bit for bit.
+
+    The recursion unwinds once in numpy across the points, with the
+    scalar call's complex operations run in real arithmetic in Python's
+    order and the modulus taken by np.hypot, which is Python's abs.
+    """
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    zr, zi = z.real, z.imag
+    vr, vi = np.zeros(z.size), np.zeros(z.size)  # v = 0j
+    for zk, rho in zip(reversed(s.nodes), reversed(s.schur_parameters)):
+        # u = v * (z - zk) / (1.0 - zk.conjugate() * z)
+        dr, di = zr - zk.real, zi - zk.imag
+        ck = -zk.imag
+        ur, ui = _quotient(
+            vr * dr - vi * di, vr * di + vi * dr,
+            1.0 - (zk.real * zr - ck * zi), 0.0 - (zk.real * zi + ck * zr),
+        )
+        # v = (u + rho) / (1.0 + rho.conjugate() * u)
+        cr = -rho.imag
+        vr, vi = _quotient(
+            ur + rho.real, ui + rho.imag,
+            1.0 + (rho.real * ur - cr * ui), 0.0 + (rho.real * ui + cr * ur),
+        )
+    m = np.hypot(vr, vi)
+    out = m > 1.0 + 1e-10
+    if out.any():
+        vr[out], vi[out] = _quotient(vr[out], vi[out], m[out], 0.0)
+    return _complex(vr, vi)
+
+
 def interpolate_disk(nodes, targets) -> SchurInterpolant:
     """Solve the disk problem f(z_j) = w_j with sup-norm at most 1.
 
@@ -343,6 +375,14 @@ class ComposedInterpolant:
 def evaluate_composed(f: ComposedInterpolant, z: complex) -> complex:
     v, _ = bl.evaluate(f.inner, z)
     return evaluate_interpolant(f.schur, v**f.power)
+
+
+def composed_values(f: ComposedInterpolant, zs) -> np.ndarray:
+    """``evaluate_composed`` at every point, in the flat order of ``zs``,
+    each value equal to the scalar call bit for bit; the powers stay
+    Python's, which turns an imaginary -0.0 into +0.0 even at power 1."""
+    values, _ = bl.evaluate_many(f.inner, zs)
+    return interpolant_values(f.schur, [v**f.power for v in values.tolist()])
 
 
 def interpolate_composed(

@@ -44,21 +44,33 @@ def random_finite_blaschke(rng, max_degree=3, zero_radius=0.7):
     return FiniteBlaschke(zeros, phase)
 
 
-def interpolant_values(schur, zs):
-    """Vectorized Schur-recursion evaluation over an array of points."""
-    zs = np.asarray(zs, dtype=complex)
-    v = np.zeros_like(zs)
-    for zk, rho in zip(reversed(schur.nodes), reversed(schur.schur_parameters)):
-        u = v * (zs - zk) / (1.0 - zk.conjugate() * zs)
-        v = (u + rho) / (1.0 + rho.conjugate() * u)
+def product_value(b, z):
+    """The product of ``blaschke.evaluate_many`` at one point, one zero
+    at a time in Python complex: the reference its values must equal."""
+    v = complex(1.0)
+    for _ in range(b.origin_multiplicity):
+        v *= z
+    for zeta in b.zeros:
+        v *= (abs(zeta) / zeta) * (zeta - z) / (1.0 - zeta.conjugate() * z)
     return v
 
 
-def composed_values(f, zs):
-    from orbitpick.blaschke import product_values
+def reference_evaluate(b, z):
+    """``blaschke.evaluate`` by the scalar loop: ``product_value``
+    clamped onto the closed disk, and the truncation error bound."""
+    from orbitpick.blaschke import EVAL_RADIUS_LIMIT
+    from orbitpick.errors import TooCloseToBoundary
 
-    inner = product_values(f.inner, np.asarray(zs, dtype=complex))
-    return interpolant_values(f.schur, inner**f.power)
+    r = abs(z)
+    if r > EVAL_RADIUS_LIMIT + 1e-12:
+        raise TooCloseToBoundary(
+            f"|z| = {r:.17g} exceeds the evaluation radius {EVAL_RADIUS_LIMIT}"
+        )
+    v = product_value(b, z)
+    m = abs(v)
+    if m > 1.0:
+        v /= m
+    return v, b.tail_weight * (1.0 + r) / (1.0 - r)
 
 
 _SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
@@ -75,3 +87,34 @@ def disk_points(draw):
     if kind == "rim":
         return (1.0 - draw(st.floats(1.1e-14, 1e-13))) * cmath.exp(1j * angle)
     return draw(st.floats(0.0, 0.99)) * cmath.exp(1j * angle)
+
+
+@st.composite
+def blaschke_products(draw):
+    """Products with 0-3 zeros at the origin and no other zeros, the
+    zeros of a cyclic or z2z2 orbit, or zeros drawn from ``disk_points``
+    (rim points included)."""
+    from orbitpick.blaschke import BlaschkeProduct, from_orbit
+    from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
+
+    kind = draw(st.sampled_from(["none", "cyclic", "z2z2", "drawn"]))
+    if kind == "drawn":
+        zeros = draw(st.lists(disk_points().filter(lambda z: abs(z) > 1e-12), max_size=6))
+    elif kind == "none":
+        zeros = ()
+    else:
+        group = (cyclic_group if kind == "cyclic" else z2z2_group)(draw(st.floats(0.2, 0.8)))
+        orbit = enumerate_orbit(group, 0j, draw(st.integers(0, 8 if kind == "cyclic" else 3)))
+        zeros = from_orbit(orbit, draw(st.integers(1, 2))).zeros
+    tail = draw(st.sampled_from([0.0, 1e-12, 0.25]))
+    return BlaschkeProduct(draw(st.integers(0, 3)), tuple(zeros), tail)
+
+
+@st.composite
+def evaluable_points(draw):
+    """Points ``blaschke.evaluate`` accepts: ``disk_points`` with the rim
+    ones pulled in to its radius, and points with 0.99 <= |z| <= 0.999."""
+    if draw(st.booleans()):
+        z = draw(disk_points())
+        return z if abs(z) <= 0.999 else 0.999 * z / abs(z)
+    return draw(st.floats(0.99, 0.999)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))

@@ -7,11 +7,7 @@ the failure report) and asserts the advertised tolerance.  Criteria 1,
 
 import numpy as np
 
-from conftest import (
-    composed_values,
-    random_finite_blaschke,
-    random_nodes,
-)
+from conftest import random_finite_blaschke, random_nodes
 from orbitpick import checks
 from orbitpick.blaschke import evaluate, from_orbit
 from orbitpick.kernels import (
@@ -28,6 +24,7 @@ from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import (
     PickProblem,
     assemble_pick,
+    composed_values,
     interpolate_composed,
     pick_norm,
 )

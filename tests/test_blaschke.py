@@ -1,14 +1,27 @@
 import cmath
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    blaschke_products,
+    disk_points,
+    evaluable_points,
+    product_value,
+    reference_evaluate,
+)
+from orbitpick import blaschke
 from orbitpick.blaschke import (
     BlaschkeProduct,
     character_of,
     evaluate,
+    evaluate_many,
     from_orbit,
-    product_value,
     product_values,
 )
 from orbitpick.errors import (
@@ -131,6 +144,85 @@ def test_vectorized_product_matches_scalar():
     vals = product_values(b, zs)
     for z, v in zip(zs, vals):
         assert abs(v - product_value(b, complex(z))) <= 1e-15
+
+
+def _reprs(pairs):
+    return [(repr(v), repr(err)) for v, err in pairs]
+
+
+def _evaluated(b, zs):
+    return _reprs(zip(*(a.tolist() for a in evaluate_many(b, zs))))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    b=blaschke_products(),
+    zs=st.lists(evaluable_points(), max_size=8),
+    few=st.sampled_from([1, 10**9]),  # the numpy pass, or rows in Python complex
+    block=st.sampled_from([1, 3, 1 << 15]),
+)
+def test_evaluate_many_is_the_scalar_loop_bit_for_bit(b, zs, few, block):
+    with mock.patch.object(blaschke, "_FEW_POINTS", few), \
+            mock.patch.object(blaschke, "_BLOCK", block):
+        got = _evaluated(b, zs)
+    want = [reference_evaluate(b, z) for z in zs]
+    assert got == _reprs(want)
+    for z, pair in zip(zs, want):
+        assert _reprs([evaluate(b, z)]) == _reprs([pair])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(b=blaschke_products(), zs=st.lists(disk_points(), min_size=1, max_size=6))
+def test_evaluate_many_refuses_the_first_point_the_scalar_loop_refuses(b, zs):
+    refused = None
+    for z in zs:
+        try:
+            reference_evaluate(b, z)
+        except TooCloseToBoundary as exc:
+            refused = str(exc)
+            break
+    if refused is None:
+        evaluate_many(b, zs)
+    else:
+        with pytest.raises(TooCloseToBoundary, match=f"^{re.escape(refused)}$"):
+            evaluate_many(b, zs)
+
+
+# |v| = 1.0000000000000002 before the clamp onto the closed disk
+_CLAMPED = (
+    BlaschkeProduct(0, (-0.7066825070539818 - 0.7075308009011896j,
+                        0.7986036655177537 - 0.6018572799439978j,
+                        0.1606882763597658 - 0.9870052065924007j), 0.0),
+    0.15499339867497178 + 0.9869032608960117j,
+)
+# 1.0 - conj(zeta) * z has a larger imaginary than real part, the
+# second branch of the quotient
+_TALL = (BlaschkeProduct(1, (0.975 + 0j,), 0.0), 0.975 * cmath.exp(0.25j * math.pi))
+
+
+@pytest.mark.parametrize("few", [1, 10**9])
+@pytest.mark.parametrize("b,z", [_CLAMPED, _TALL])
+def test_evaluate_many_on_pinned_points(b, z, few):
+    zs = [z, -z, z.conjugate()]
+    with mock.patch.object(blaschke, "_FEW_POINTS", few):
+        assert _evaluated(b, zs) == _reprs(reference_evaluate(b, w) for w in zs)
+
+
+def test_pinned_points_show_what_they_pin():
+    b, z = _CLAMPED
+    assert abs(product_value(b, z)) > 1.0
+    b, z = _TALL
+    den = 1.0 - b.zeros[0].conjugate() * z
+    assert abs(den.imag) > abs(den.real)
+
+
+def test_numpy_abs_is_not_pythons_abs_at_a_grid_point():
+    # why moduli are np.hypot: numpy's complex abs misses Python's by an
+    # ulp at this point of the 4096-point grid of ``interpolate``
+    grid = 0.999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    z = complex(grid[4])
+    assert np.abs(grid)[4] != abs(z)
+    assert np.hypot(grid.real, grid.imag)[4] == abs(z)
 
 
 def test_character_of_generator_is_minus_one():

@@ -1,11 +1,15 @@
+import cmath
+import math
 import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_finite_blaschke, random_nodes
+from conftest import blaschke_products, disk_points, random_finite_blaschke, random_nodes
 from orbitpick.blaschke import from_orbit
 from orbitpick.errors import (
     AliasedNodes,
@@ -25,14 +29,18 @@ from orbitpick.linalg import HermitianMatrix
 from orbitpick.mobius import pseudo_hyperbolic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import (
+    ComposedInterpolant,
     PickProblem,
+    SchurInterpolant,
     amenable_average,
     assemble_pick,
+    composed_values,
     evaluate_composed,
     evaluate_interpolant,
     feasibility,
     interpolate_composed,
     interpolate_disk,
+    interpolant_values,
     pick_norm,
 )
 
@@ -447,6 +455,65 @@ def test_interpolant_modulus_bounded():
         assert abs(evaluate_interpolant(s, z)) <= 1.0 + 1e-10
 
 
+@st.composite
+def schur_interpolants(draw):
+    """Recursions of up to 4 steps on ``disk_points`` nodes, with
+    parameters of modulus up to 1 + 1e-12, as the constructor allows."""
+    n = draw(st.integers(1, 4))
+    radii = st.floats(0.0, 1.0) | st.sampled_from([1.0 - 1e-13, 1.0 + 1e-12])
+    params = tuple(
+        draw(radii) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        for _ in range(n)
+    )
+    return SchurInterpolant(tuple(draw(disk_points()) for _ in range(n)), params)
+
+
+def _reprs(values):
+    return [repr(v) for v in values]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(s=schur_interpolants(), zs=st.lists(disk_points(), max_size=8))
+def test_interpolant_values_are_the_scalar_calls_bit_for_bit(s, zs):
+    got = interpolant_values(s, zs).tolist()
+    assert _reprs(got) == _reprs(evaluate_interpolant(s, z) for z in zs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    s=schur_interpolants(),
+    inner=blaschke_products(),
+    power=st.integers(1, 3),
+    zs=st.lists(disk_points().filter(lambda z: abs(z) <= 0.999), max_size=6),
+)
+def test_composed_values_are_the_scalar_calls_bit_for_bit(s, inner, power, zs):
+    f = ComposedInterpolant(s, inner, power)
+    got = composed_values(f, zs).tolist()
+    assert _reprs(got) == _reprs(evaluate_composed(f, z) for z in zs)
+
+
+# |v| = 1.0000086500999539 before the clamp at 1 + 1e-10: the outer
+# parameter is 1 + 1e-12 in modulus and nearly cancels the inner value
+_CLAMPED = (
+    SchurInterpolant((-0.9956268540996774 - 0.09341277076324468j, 0.1j),
+                     (0.9929533819531 - 0.1185056170391j,
+                      -0.9775417468863834 + 0.21074186365389821j)),
+    0.4337976905837918 - 0.24863540303860357j,
+)
+
+
+def test_interpolant_values_clamp_as_the_scalar_call_does():
+    s, z = _CLAMPED
+    v = 0j  # the recursion without the clamp
+    for zk, rho in zip(reversed(s.nodes), reversed(s.schur_parameters)):
+        u = v * (z - zk) / (1.0 - zk.conjugate() * z)
+        v = (u + rho) / (1.0 + rho.conjugate() * u)
+    assert abs(v) > 1.0 + 1e-10
+    zs = [z, 0.3 + 0j, z]
+    assert _reprs(interpolant_values(s, zs).tolist()) == _reprs(
+        evaluate_interpolant(s, w) for w in zs)
+
+
 def test_composed_identity_targets():
     b = orbit_product()
     spec = ComposedInnerKernel(b, 2)
@@ -565,13 +632,13 @@ def test_composed_kernel_evaluates_each_node_once(monkeypatch):
     from orbitpick import blaschke
 
     calls = []
-    real_evaluate = blaschke.evaluate
+    real_evaluate_many = blaschke.evaluate_many
 
-    def counting(b, z):
-        calls.append(z)
-        return real_evaluate(b, z)
+    def counting(b, zs):
+        calls.extend(np.ravel(zs))  # the points handed over
+        return real_evaluate_many(b, zs)
 
-    monkeypatch.setattr(blaschke, "evaluate", counting)
+    monkeypatch.setattr(blaschke, "evaluate_many", counting)
     spec = ComposedInnerKernel(orbit_product(), 2)
     nodes = (0.1 + 0.2j, -0.25 + 0.1j, 0.3 - 0.3j, 0.05j, -0.4 + 0j)
     targets = tuple(0.5 * spec.value(z) for z in nodes)
