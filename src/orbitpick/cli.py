@@ -408,7 +408,7 @@ def cmd_interpolate(doc, args):
         _fail("$.kernel.variant", "interpolation needs the szego or composed kernel")
     values = values_at(f, nodes).tolist()
     on_grid = values_at(f, grid)
-    sup = float(np.max(np.hypot(on_grid.real, on_grid.imag)))  # Python's abs, as np.abs is not
+    sup = float(np.max(np.hypot(on_grid.real, on_grid.imag)))  # np.abs can miss abs by an ulp
     residual = max(abs(v - w) for v, w in zip(values, targets))
     payload = {
         "interpolant": {

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blaschke_products, disk_points, random_finite_blaschke, random_nodes
-from orbitpick.blaschke import from_orbit
+from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
 from orbitpick.errors import (
     AliasedNodes,
     DuplicateNodes,
@@ -455,17 +455,24 @@ def test_interpolant_modulus_bounded():
         assert abs(evaluate_interpolant(s, z)) <= 1.0 + 1e-10
 
 
+# points and parameters on the real axis, with either sign of a zero
+# imaginary part: signed zeros survive the real arithmetic only if every
+# operation runs as in Python's complex type
+_REAL = st.floats(-0.99, 0.99).flatmap(
+    lambda x: st.sampled_from([complex(x, 0.0), complex(x, -0.0)]))
+_POINTS = disk_points() | _REAL
+
+
 @st.composite
 def schur_interpolants(draw):
-    """Recursions of up to 4 steps on ``disk_points`` nodes, with
-    parameters of modulus up to 1 + 1e-12, as the constructor allows."""
+    """Recursions of up to 4 steps, with parameters of modulus up to
+    1 + 1e-12, as the constructor allows."""
     n = draw(st.integers(1, 4))
     radii = st.floats(0.0, 1.0) | st.sampled_from([1.0 - 1e-13, 1.0 + 1e-12])
-    params = tuple(
-        draw(radii) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
-        for _ in range(n)
-    )
-    return SchurInterpolant(tuple(draw(disk_points()) for _ in range(n)), params)
+    turns = st.floats(0.0, 2.0 * math.pi).map(lambda t: cmath.exp(1j * t))
+    params = tuple(draw(radii) * draw(turns) for _ in range(n)) if draw(st.booleans()) \
+        else tuple(draw(_REAL) for _ in range(n))
+    return SchurInterpolant(tuple(draw(_POINTS) for _ in range(n)), params)
 
 
 def _reprs(values):
@@ -473,7 +480,7 @@ def _reprs(values):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(s=schur_interpolants(), zs=st.lists(disk_points(), max_size=8))
+@given(s=schur_interpolants(), zs=st.lists(_POINTS, max_size=8))
 def test_interpolant_values_are_the_scalar_calls_bit_for_bit(s, zs):
     got = interpolant_values(s, zs).tolist()
     assert _reprs(got) == _reprs(evaluate_interpolant(s, z) for z in zs)
@@ -484,7 +491,7 @@ def test_interpolant_values_are_the_scalar_calls_bit_for_bit(s, zs):
     s=schur_interpolants(),
     inner=blaschke_products(),
     power=st.integers(1, 3),
-    zs=st.lists(disk_points().filter(lambda z: abs(z) <= 0.999), max_size=6),
+    zs=st.lists(_POINTS.filter(lambda z: abs(z) <= 0.999), max_size=6),
 )
 def test_composed_values_are_the_scalar_calls_bit_for_bit(s, inner, power, zs):
     f = ComposedInterpolant(s, inner, power)
@@ -492,13 +499,28 @@ def test_composed_values_are_the_scalar_calls_bit_for_bit(s, inner, power, zs):
     assert _reprs(got) == _reprs(evaluate_composed(f, z) for z in zs)
 
 
-# |v| = 1.0000086500999539 before the clamp at 1 + 1e-10: the outer
-# parameter is 1 + 1e-12 in modulus and nearly cancels the inner value
+def test_composed_values_keep_pythons_power():
+    # B(z) = z * z has imaginary part -0.0 here; CPython computes v ** 1
+    # as 1 * v, which makes it +0.0, and the sign reaches the result
+    inner = BlaschkeProduct(2, (), 0.0)
+    f = ComposedInterpolant(
+        SchurInterpolant((0.3773169464035141 + 0j,), (complex(0.46449544709691737, -0.0),)),
+        inner, 1)
+    z = -0.0032541325822381673 + 0j
+    v, _ = evaluate(inner, z)
+    assert repr(v) != repr(v**1)
+    assert _reprs(composed_values(f, [z]).tolist()) == _reprs([evaluate_composed(f, z)])
+    kept = interpolant_values(f.schur, np.power(np.array([v]), 1))  # numpy's power
+    assert _reprs(kept.tolist()) != _reprs([evaluate_composed(f, z)])
+
+
+# |v| = 1 + 2.3e-10 before the clamp at 1 + 1e-10: the outer parameter
+# is 1 + 1e-12 in modulus and nearly cancels the inner value
 _CLAMPED = (
-    SchurInterpolant((-0.9956268540996774 - 0.09341277076324468j, 0.1j),
-                     (0.9929533819531 - 0.1185056170391j,
-                      -0.9775417468863834 + 0.21074186365389821j)),
-    0.4337976905837918 - 0.24863540303860357j,
+    SchurInterpolant((0.6850302631579848 + 0.7181841591667731j, 0.1j),
+                     (-0.8293283109662 - 0.5587616241582j,
+                      -0.9786754917354052 + 0.20541246767969687j)),
+    -0.08486534614700228 + 0.4927452415024923j,
 )
 
 
@@ -508,7 +530,7 @@ def test_interpolant_values_clamp_as_the_scalar_call_does():
     for zk, rho in zip(reversed(s.nodes), reversed(s.schur_parameters)):
         u = v * (z - zk) / (1.0 - zk.conjugate() * z)
         v = (u + rho) / (1.0 + rho.conjugate() * u)
-    assert abs(v) > 1.0 + 1e-10
+    assert 1.0 + 1e-10 < abs(v) < 1.0 + 1e-9
     zs = [z, 0.3 + 0j, z]
     assert _reprs(interpolant_values(s, zs).tolist()) == _reprs(
         evaluate_interpolant(s, w) for w in zs)
