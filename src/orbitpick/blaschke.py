@@ -255,15 +255,12 @@ def character_of(
     # image is too close to the boundary; those are judged first, in order
     radii, inside = _moduli(images)
     pairs = np.stack([images, np.array(CHARACTER_PROBES)], axis=1)[:inside]
-    values, errors = (a.tolist() for a in evaluate_many(b, pairs))
+    values, errors = (a.reshape(-1, 2).tolist() for a in evaluate_many(b, pairs))
     ratios = []
-    for k in range(inside):
-        num, den = values[2 * k : 2 * k + 2]
-        num_err, den_err = errors[2 * k : 2 * k + 2]
+    for z, (num, den), (num_err, den_err) in zip(CHARACTER_PROBES, values, errors):
         if abs(den) <= 10.0 * den_err or abs(num) <= 10.0 * num_err:
             raise InconclusiveCharacter(
-                f"probe {CHARACTER_PROBES[k]:.3f} lands too near a zero for the "
-                "requested accuracy"
+                f"probe {z:.3f} lands too near a zero for the requested accuracy"
             )
         ratios.append(num / den)
     if inside < len(images):

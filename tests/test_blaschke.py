@@ -264,6 +264,19 @@ def test_character_inconclusive_when_probe_hits_zero():
         character_of(b, iterate_cyclic(0.37, 1))
 
 
+def test_character_of_judges_the_probes_in_order():
+    # the images of probes 0 and 1 lie inside radius 0.999, that of
+    # probe 2 (0.37j) beyond it
+    g = DiskAutomorphism(0.999 + 0j, 1.0 + 0j)
+    with pytest.raises(InconclusiveCharacter, match=r"^automorphism sends probe "
+                       r"0\.000\+0\.370j too close to the boundary$") as info:
+        character_of(BlaschkeProduct(1, (), 0.0), g)
+    assert isinstance(info.value.__cause__, TooCloseToBoundary)
+    vanishing_at_probe_0 = BlaschkeProduct(1, (0.37 + 0j,), 0.0)
+    with pytest.raises(InconclusiveCharacter, match=r"^probe 0\.370\+0\.000j lands too near"):
+        character_of(vanishing_at_probe_0, g)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
 def test_character_of_rejects_bad_tolerance(tol):
     with pytest.raises(InputError, match="tolerance must be positive and finite"):
