@@ -16,8 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import mul
+from functools import cached_property
 
 import numpy as np
 
@@ -166,8 +165,23 @@ def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
     multiply a row of factors in Python complex; more points take one
     numpy pass over the points per factor.  Blocks of ``_BLOCK`` factors
     or points bound the temporaries.
+
+    A product keeps its last call with fewer than ``_FEW_POINTS``
+    points and answers the same points again from it: the verdict, the
+    norm and the construction of a composed-kernel problem each push the
+    same nodes through the product.  Every call returns fresh arrays.
     """
     z = np.asarray(zs, dtype=complex).reshape(-1)
+    if z.size >= _FEW_POINTS:
+        return _evaluate(b, z)
+    key = z.tobytes()
+    last = b.__dict__.get("_last_few")
+    if last is None or last[0] != key:
+        last = b.__dict__["_last_few"] = (key, *_evaluate(b, z))
+    return last[1].copy(), last[2].copy()
+
+
+def _evaluate(b: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, inside = _moduli(z)
     if inside < z.size:
         raise _too_close(r[inside])
@@ -179,7 +193,7 @@ def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
             block = z[s : s + rows, None]
             factors = _complex(*_factors(block.real, block.imag, *parts))
             for w, row in zip(block[:, 0].tolist(), factors.tolist()):
-                values.append(reduce(mul, [w] * b.origin_multiplicity + row, complex(1.0)))
+                values.append(math.prod([w] * b.origin_multiplicity + row, start=complex(1.0)))
         v = np.array(values, dtype=complex)
         vr, vi = v.real, v.imag
     else:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 from unittest import mock
@@ -203,9 +204,25 @@ _TALL = (BlaschkeProduct(1, (0.975 + 0j,), 0.0), 0.975 * cmath.exp(0.25j * math.
 @pytest.mark.parametrize("few", [1, 10**9])
 @pytest.mark.parametrize("b,z", [_CLAMPED, _TALL])
 def test_evaluate_many_on_pinned_points(b, z, few):
+    b = dataclasses.replace(b)  # a product with no call remembered
     zs = [z, -z, z.conjugate()]
     with mock.patch.object(blaschke, "_FEW_POINTS", few):
         assert _evaluated(b, zs) == _reprs(reference_evaluate(b, w) for w in zs)
+
+
+def test_evaluate_many_answers_a_repeated_call_from_memory(monkeypatch):
+    b = cyclic_product(0.5, 8)
+    zs = [0.1 + 0.2j, -0.3j]
+    calls = []
+    factors = blaschke._factors
+    monkeypatch.setattr(blaschke, "_factors", lambda *a: calls.append(a) or factors(*a))
+    values, _ = evaluate_many(b, zs)
+    values[0] = 5.0  # each call returns arrays of its own
+    assert _evaluated(b, np.array(zs)) == _reprs(reference_evaluate(b, z) for z in zs)
+    assert len(calls) == 1
+    evaluate_many(b, zs[:1])
+    evaluate_many(b, zs)
+    assert len(calls) == 3
 
 
 def test_pinned_points_show_what_they_pin():
