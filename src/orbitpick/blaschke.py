@@ -161,10 +161,7 @@ def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
     bit, signed zeros included: the operations run in real arithmetic
     in CPython's order (as in ``mobius.automorphism_images``) and moduli
     are np.hypot, which is Python's abs, where np.abs of a complex array
-    can differ in the last bit.  Fewer than ``_FEW_POINTS`` points each
-    multiply a row of factors in Python complex; more points take one
-    numpy pass over the points per factor.  Blocks of ``_BLOCK`` factors
-    or points bound the temporaries.
+    can differ in the last bit.
 
     A product keeps its last call with fewer than ``_FEW_POINTS``
     points and answers the same points again from it: the verdict, the
@@ -182,6 +179,10 @@ def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(b: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate_many`` without the memory.  Fewer than ``_FEW_POINTS``
+    points each multiply a row of factors in Python complex; more take
+    one numpy pass over the points per factor.  Blocks of ``_BLOCK``
+    factors or points bound the temporaries."""
     r, inside = _moduli(z)
     if inside < z.size:
         raise _too_close(r[inside])
