@@ -73,6 +73,21 @@ def reference_evaluate(b, z):
     return v, b.tail_weight * (1.0 + r) / (1.0 - r)
 
 
+def unclamped_composed_values(f, zs):
+    """A composed interpolant over an array of points in numpy complex
+    arithmetic, with neither the product nor the Schur recursion pulled
+    back onto the disk: for sup-norm checks, which the library's clamp
+    would make vacuous."""
+    from orbitpick.blaschke import product_values
+
+    w = product_values(f.inner, np.asarray(zs, dtype=complex)) ** f.power
+    v = np.zeros_like(w)
+    for zk, rho in zip(reversed(f.schur.nodes), reversed(f.schur.schur_parameters)):
+        u = v * (w - zk) / (1.0 - zk.conjugate() * w)
+        v = (u + rho) / (1.0 + rho.conjugate() * u)
+    return v
+
+
 _SIGNED_ZEROS = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
 
 
