@@ -84,9 +84,9 @@ class BlaschkeProduct:
     def _zero_parts(self) -> np.ndarray:
         """Rows re zeta, im zeta, re p, im p over the zeros zeta and their
         phases p = abs(zeta) / zeta, taken once by Python's division."""
-        phases = [abs(z) / z for z in self.zeros]
-        parts = [(z.real, z.imag, p.real, p.imag) for z, p in zip(self.zeros, phases)]
-        return np.array(parts, dtype=float).reshape(-1, 4).T
+        zeros = np.array(self.zeros, dtype=complex)
+        phases = np.array([abs(z) / z for z in self.zeros], dtype=complex)
+        return np.stack([zeros.real, zeros.imag, phases.real, phases.imag])
 
 
 def from_orbit(
@@ -141,8 +141,9 @@ def product_values(b: BlaschkeProduct, zs: np.ndarray) -> np.ndarray:
 
 def evaluate(b: BlaschkeProduct, z: complex) -> tuple[complex, float]:
     """Value and truncation error bound at one interior point: the
-    one-point call of ``evaluate_many``."""
-    values, errors = evaluate_many(b, z)
+    one-point call of ``evaluate_many``, which leaves its memory of
+    few-point calls alone."""
+    values, errors = _evaluate(b, np.array([z], dtype=complex))
     return complex(values[0]), float(errors[0])
 
 
