@@ -223,6 +223,9 @@ def test_evaluate_many_answers_a_repeated_call_from_memory(monkeypatch):
     evaluate_many(b, zs[:1])
     evaluate_many(b, zs)
     assert len(calls) == 3
+    assert repr(evaluate(b, zs[0])) == repr(reference_evaluate(b, zs[0]))
+    evaluate_many(b, zs)  # one point was computed afresh, the memory kept
+    assert len(calls) == 4
 
 
 def test_pinned_points_show_what_they_pin():
