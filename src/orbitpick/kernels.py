@@ -7,9 +7,9 @@ Three kernel variants are exposed:
   for phi an inner function vanishing at 0, given as a Blaschke product
   raised to an integer power; this is the kernel of the closed span of
   the powers of phi;
-* ``OrbitGramKernel``       -- the block kernel [K(g(z), h(w))] indexed
-  by truncated group orbits of the two arguments; it has no scalar
-  evaluation, only blocks.
+* ``OrbitGramKernel``       -- the orbit kernel [K(g(z), h(w))] indexed
+  by truncated group orbits of the two arguments; it is built only as
+  a matrix over the orbits of all the points.
 
 Every kernel matrix is a Szegő matrix at other points: the composed
 kernel's at the values phi(z_i), the orbit kernel's at the concatenated
@@ -143,19 +143,6 @@ def szego_matrix(zs, ws=None) -> np.ndarray:
     return k
 
 
-def kernel_eval(spec: KernelSpec, z: complex, w: complex) -> complex:
-    """Kernel value K(z, w); Hermitian in its arguments."""
-    z = disk_point(z)
-    w = disk_point(w)
-    if isinstance(spec, SzegoKernel):
-        return szego(z, w)
-    if isinstance(spec, ComposedInnerKernel):
-        return szego(spec.value(z), spec.value(w))
-    raise UnsupportedVariant(
-        "the orbit kernel has no scalar evaluation; use orbit_block"
-    )
-
-
 def check_distinct(points, tol: float, error: type, message: str) -> list[complex]:
     """Validated disk points, pairwise more than ``tol`` apart in the
     pseudo-hyperbolic metric.  The first pair i < j within ``tol``
@@ -183,16 +170,15 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
 
 
 def _orbit_points(
-    group: GroupPresentation, depth: int, z: complex, tails: list | None = None
+    group: GroupPresentation, depth: int, z: complex, tails: list
 ) -> list[complex]:
     """Orbit of ``z`` truncated to depth, restricted to the radius where
     kernel rows are numerically meaningful; the orbit's ``tail_bound``
-    is appended to ``tails`` when it is given."""
+    is appended to ``tails``."""
     # The benchmark tracer (bench/orbitbench/tracing.py) counts cut points
     # from the list this returns, so the tail bound leaves by ``tails``.
     orbit = enumerate_orbit(group, z, depth)
-    if tails is not None:
-        tails.append(orbit.tail_bound)
+    tails.append(orbit.tail_bound)
     return [p for p in orbit.points if abs(p) <= KERNEL_POINT_RADIUS]
 
 
@@ -215,20 +201,6 @@ def _szego_points(
         note = spec.power * max(errors.tolist(), default=0.0)
         return [v**spec.power for v in values.tolist()], [1] * len(points), note
     return list(points), [1] * len(points), None
-
-
-def orbit_block(
-    group: GroupPresentation, depth: int, z: complex, w: complex
-) -> np.ndarray:
-    """Matrix [K(g(z), h(w))] over the truncated orbits of z and w.
-
-    Rows and columns follow the deterministic orbit entry order, so the
-    depth-N block is the leading principal submatrix of the
-    depth-(N+1) block.
-    """
-    zs = _orbit_points(group, depth, disk_point(z))
-    ws = _orbit_points(group, depth, disk_point(w))
-    return szego_matrix(zs, ws)
 
 
 def dominance_check(

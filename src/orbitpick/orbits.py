@@ -509,36 +509,3 @@ def stabilizer_order_origin(
     images = automorphism_images([e.a for _, e in elements], [e.lam for _, e in elements], 0j)
     # np.hypot is abs(complex) bit for bit
     return int(np.count_nonzero(np.hypot(images.real, images.imag) <= DEFAULT_DEDUP_TOL))
-
-
-_Z2Z2_LETTER = {
-    "a": 0, "A": 0, "β": 0,  # half-turn
-    "b": 1, "B": 1, "γ": 1,  # involution
-}
-
-
-def z2z2_normal_form(word: str) -> tuple[int, bool]:
-    """Reduce a word in the two z2z2 generators to (m, has_half_turn).
-
-    With h the half-turn, g the involution and t = h g, every word
-    equals t^m or t^m h; both letters square to the identity and
-    h t h = t^{-1}.  The word is processed left to right (leftmost
-    letter acts last).  Accepts the orbit alphabet 'a'/'b' (case
-    ignored) as well as the Greek letters for the two generators.
-    """
-    m = 0
-    eps = 0
-    for ch in word:
-        try:
-            letter = _Z2Z2_LETTER[ch]
-        except KeyError:
-            raise InputError(f"word letter {ch!r} is not a z2z2 generator")
-        if letter == 0:
-            eps ^= 1
-        elif eps == 0:
-            m -= 1
-            eps = 1
-        else:
-            m += 1
-            eps = 0
-    return m, bool(eps)

@@ -264,12 +264,15 @@ def evaluate_interpolant(s: SchurInterpolant, z: complex) -> complex:
 
 
 def interpolant_values(s: SchurInterpolant, zs) -> np.ndarray:
-    """``evaluate_interpolant`` at every point, in the flat order of
-    ``zs``, each value equal to the scalar call bit for bit.
+    """The recursion of ``evaluate_interpolant`` at every point, in the
+    flat order of ``zs``, without its clamp: each value equals the
+    scalar call's bit for bit wherever the scalar call does not pull it
+    back onto the circle, so a grid check sees what the recursion
+    computed.
 
     The recursion unwinds once in numpy across the points, with the
     scalar call's complex operations run in real arithmetic in Python's
-    order and the modulus taken by np.hypot, which is Python's abs.
+    order.
     """
     z = np.asarray(zs, dtype=complex).reshape(-1)
     zr, zi = z.real, z.imag
@@ -288,10 +291,6 @@ def interpolant_values(s: SchurInterpolant, zs) -> np.ndarray:
             ur + rho.real, ui + rho.imag,
             1.0 + (rho.real * ur - cr * ui), 0.0 + (rho.real * ui + cr * ur),
         )
-    m = np.hypot(vr, vi)
-    out = m > 1.0 + 1e-10
-    if out.any():
-        vr[out], vi[out] = _quotient(vr[out], vi[out], m[out], 0.0)
     return _complex(vr, vi)
 
 
@@ -379,8 +378,10 @@ def evaluate_composed(f: ComposedInterpolant, z: complex) -> complex:
 
 def composed_values(f: ComposedInterpolant, zs) -> np.ndarray:
     """``evaluate_composed`` at every point, in the flat order of ``zs``,
-    each value equal to the scalar call bit for bit; the powers stay
-    Python's, which turns an imaginary -0.0 into +0.0 even at power 1."""
+    without the recursion's clamp: each value equals the scalar call's
+    bit for bit wherever the scalar call does not clamp.  The powers
+    stay Python's, which turns an imaginary -0.0 into +0.0 even at
+    power 1."""
     values, _ = bl.evaluate_many(f.inner, zs)
     return interpolant_values(f.schur, [v**f.power for v in values.tolist()])
 

@@ -1,5 +1,6 @@
 """Cross-module and process-level checks."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -7,12 +8,28 @@ import sys
 import numpy as np
 import pytest
 
+import orbitpick
 from orbitpick.blaschke import from_orbit
 from orbitpick.errors import OrbitExplosion
 from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel, gram
 from orbitpick.linalg import min_eig, psd_check
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import PickProblem, assemble_pick, pick_norm
+
+
+def test_exports_are_the_imported_names():
+    # a stale string in __all__ breaks only `from orbitpick import *`
+    with open(orbitpick.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(orbitpick.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    for name in orbitpick.__all__:
+        assert getattr(orbitpick, name) is not None
 
 
 def test_orbit_cap_raises():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
-from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
+from orbitpick.errors import DuplicatePoints, InputError
 from orbitpick.kernels import (
     ComposedInnerKernel,
     OrbitGramKernel,
@@ -15,8 +15,6 @@ from orbitpick.kernels import (
     boundary_gram_quadrature,
     dominance_check,
     gram,
-    kernel_eval,
-    orbit_block,
     szego,
     szego_matrix,
 )
@@ -32,18 +30,19 @@ def squared_orbit_products(a=0.5, depth=40):
 
 
 def test_szego_values():
-    k = SzegoKernel()
-    assert kernel_eval(k, 0.5 + 0j, 0.5 + 0j) == pytest.approx(4.0 / 3.0)
-    assert kernel_eval(k, 0j, 0.3 + 0.4j) == 1.0
+    assert szego(0.5 + 0j, 0.5 + 0j) == pytest.approx(4.0 / 3.0)
+    assert szego(0j, 0.3 + 0.4j) == 1.0
     z, w = 0.2 + 0.3j, -0.4 + 0.1j
-    assert kernel_eval(k, z, w) == kernel_eval(k, w, z).conjugate()
+    assert szego(z, w) == szego(w, z).conjugate()
+    k = gram(SzegoKernel(), [z, w]).entries
+    assert k[0, 1] == szego(z, w) and k[1, 0] == szego(w, z)
 
 
 def test_composed_kernel_at_zero_of_inner():
     b, _ = squared_orbit_products()
     k = ComposedInnerKernel(b, 2)
-    assert kernel_eval(k, 0.5 + 0j, 0.5 + 0j) == pytest.approx(1.0)  # B(0.5) = 0
-    assert kernel_eval(k, 0j, 0.1 + 0j) == pytest.approx(1.0)
+    assert gram(k, [0.5 + 0j]).entries[0, 0] == pytest.approx(1.0)  # B(0.5) = 0
+    assert gram(k, [0j, 0.1 + 0j]).entries[0, 1] == pytest.approx(1.0)
 
 
 def test_composed_kernel_consistency_with_szego():
@@ -53,19 +52,13 @@ def test_composed_kernel_consistency_with_szego():
         phi_z = k.value(z)
         phi_w = k.value(w)
         expect = 1.0 / (1.0 - phi_w.conjugate() * phi_z)
-        assert kernel_eval(k, z, w) == expect
+        assert gram(k, [z, w]).entries[0, 1] == expect
 
 
 def test_composed_kernel_requires_vanishing_inner():
     b = BlaschkeProduct(0, (0.5 + 0j,), 0.0)
     with pytest.raises(InputError):
         ComposedInnerKernel(b, 2)
-
-
-def test_kernel_eval_rejects_orbit_variant():
-    spec = OrbitGramKernel(cyclic_group(0.5), 3)
-    with pytest.raises(UnsupportedVariant):
-        kernel_eval(spec, 0j, 0.1 + 0j)
 
 
 def test_gram_szego_example():
@@ -130,31 +123,36 @@ def test_gram_is_hermitian_and_psd():
         assert min_eig(g) >= -1e-10 * (1 + np.max(g.diagonal().real))
 
 
-def test_orbit_block_depth_zero():
-    block = orbit_block(cyclic_group(0.5), 0, 0.2 + 0j, -0.1 + 0.3j)
-    assert block.shape == (1, 1)
-    # numpy and CPython complex division differ in the final bit
-    assert abs(block[0, 0] - kernel_eval(SzegoKernel(), 0.2 + 0j, -0.1 + 0.3j)) <= 1e-15
+def orbit_gram(group, depth, z):
+    return gram(OrbitGramKernel(group, depth), [z]).entries
 
 
-def test_orbit_block_cyclic_is_szego_gram():
-    block = orbit_block(cyclic_group(0.5), 1, 0j, 0j)
+def test_orbit_gram_depth_zero():
+    z, w = 0.2 + 0j, -0.1 + 0.3j
+    block = gram(OrbitGramKernel(cyclic_group(0.5), 0), [z, w]).entries
+    assert block.shape == (2, 2)
+    assert block[0, 1] == szego(z, w)
+    assert np.array_equal(orbit_gram(cyclic_group(0.5), 0, z), gram(SzegoKernel(), [z]).entries)
+
+
+def test_orbit_gram_cyclic_is_szego_gram():
+    block = orbit_gram(cyclic_group(0.5), 1, 0j)
     expect = gram(SzegoKernel(), [0j, -0.5 + 0j, 0.5 + 0j]).entries
     assert np.max(np.abs(block - expect)) <= 1e-12
     assert min_eig(block) >= -1e-10
 
 
-def test_orbit_block_z2z2_collapses_to_cyclic():
-    zc = orbit_block(cyclic_group(0.5), 1, 0j, 0j)
-    zz = orbit_block(z2z2_group(0.5), 2, 0j, 0j)
+def test_orbit_gram_z2z2_collapses_to_cyclic():
+    zc = orbit_gram(cyclic_group(0.5), 1, 0j)
+    zz = orbit_gram(z2z2_group(0.5), 2, 0j)
     assert zz.shape == zc.shape
     assert sorted(np.round(zz.flatten(), 10)) == sorted(np.round(zc.flatten(), 10))
 
 
-def test_orbit_block_nesting():
+def test_orbit_gram_nesting():
     group = z2z2_group(0.5)
-    small = orbit_block(group, 3, 0.2 + 0.1j, 0.2 + 0.1j)
-    big = orbit_block(group, 4, 0.2 + 0.1j, 0.2 + 0.1j)
+    small = orbit_gram(group, 3, 0.2 + 0.1j)
+    big = orbit_gram(group, 4, 0.2 + 0.1j)
     k = small.shape[0]
     assert np.array_equal(big[:k, :k], small)
 
@@ -166,14 +164,11 @@ def test_dominance_trivial_character_is_zero_matrix():
     rep = dominance_check(ComposedInnerKernel(b, 2), b2, 1.0, pts)
     assert rep.is_psd
     # reassemble to inspect the entries themselves
-    from orbitpick.blaschke import evaluate
-    from orbitpick.kernels import szego
-
-    for z in pts:
-        for w in pts:
+    k = gram(ComposedInnerKernel(b, 2), pts).entries
+    for i, z in enumerate(pts):
+        for j, w in enumerate(pts):
             lhs = szego(evaluate(b2, z)[0], evaluate(b2, w)[0])
-            rhs = kernel_eval(ComposedInnerKernel(b, 2), z, w)
-            assert abs(lhs - rhs) <= 1e-10
+            assert abs(lhs - k[i, j]) <= 1e-10
 
 
 def test_dominance_single_point_large_constant():

@@ -25,7 +25,6 @@ from orbitpick.orbits import (
     generic_group,
     stabilizer_order_origin,
     z2z2_group,
-    z2z2_normal_form,
 )
 from orbitpick.pick import PickProblem, assemble_pick
 
@@ -220,43 +219,6 @@ def test_stabilizer_order_rejects_negative_depth(group):
 def test_generic_orbit_has_no_tail_bound():
     orbit = enumerate_orbit(generic_group([iterate_cyclic(0.5, 1)]), 0j, 3)
     assert orbit.tail_bound is None
-
-
-def test_z2z2_normal_form_examples():
-    assert z2z2_normal_form("ab") == (1, False)      # half-turn then involution
-    assert z2z2_normal_form("aa") == (0, False)      # half-turn squared
-    assert z2z2_normal_form("b") == (-1, True)
-    assert z2z2_normal_form("βγ") == (1, False)
-    assert z2z2_normal_form("") == (0, False)
-    with pytest.raises(InputError):
-        z2z2_normal_form("abc")
-
-
-def test_z2z2_normal_form_against_maps():
-    # the reduced form of any word acts identically to the word itself
-    a = 0.5
-    group = z2z2_group(a)
-    half_turn, involution = group.generators
-    probes = [0.1, 0.3 + 0.2j, -0.45j, 0.2 - 0.3j, -0.6]
-
-    def word_map(word):
-        m = DiskAutomorphism.identity()
-        for ch in word:
-            m = m.compose(half_turn if ch == "a" else involution)
-        return m
-
-    def normal_map(m, has_half_turn):
-        out = iterate_cyclic(a, m)
-        if has_half_turn:
-            out = out.compose(half_turn)
-        return out
-
-    for word in ("b", "ab", "ba", "bab", "abab", "aabba", "babab"):
-        m, eps = z2z2_normal_form(word)
-        f = word_map(word)
-        g = normal_map(m, eps)
-        for z in probes:
-            assert abs(f(z) - g(z)) <= 1e-12
 
 
 def test_group_presentation_rejects_identity_generator():
