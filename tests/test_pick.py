@@ -487,7 +487,7 @@ def _scalar_clamp(values):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(s=schur_interpolants(), zs=st.lists(_POINTS, max_size=8))
-@example(  # |v| passes 1 + 1e-10 at 0, where the scalar call clamps
+@example(  # |v| passes 1 + 1e-10 at both points, where the scalar call clamps
     s=SchurInterpolant((0.5403023058681089 + 0.8414709848078484j, 0j),
                        (0.5403023058681398 + 0.8414709848078965j, 0.9999999999999 + 0j)),
     zs=[0j, 0.5 + 0j],
