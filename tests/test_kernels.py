@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
-from orbitpick.errors import DuplicatePoints, InputError
+from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
 from orbitpick.kernels import (
     ComposedInnerKernel,
     OrbitGramKernel,
@@ -169,6 +169,12 @@ def test_dominance_trivial_character_is_zero_matrix():
         for j, w in enumerate(pts):
             lhs = szego(evaluate(b2, z)[0], evaluate(b2, w)[0])
             assert abs(lhs - k[i, j]) <= 1e-10
+
+
+def test_dominance_rejects_orbit_variant():
+    _, b2 = squared_orbit_products()
+    with pytest.raises(UnsupportedVariant):
+        dominance_check(OrbitGramKernel(cyclic_group(0.5), 3), b2, 1.0, [0j, 0.1 + 0j])
 
 
 def test_dominance_single_point_large_constant():

@@ -548,6 +548,16 @@ def test_interpolant_values_report_what_the_scalar_call_clamps():
     assert repr(got[1]) == repr(evaluate_interpolant(s, 0.3 + 0j))
 
 
+def test_composed_values_report_what_the_scalar_call_clamps():
+    # phi(z) = z, so the composed grid check meets the pinned recursion
+    s, z = _CLAMPED
+    f = ComposedInterpolant(s, BlaschkeProduct(1, (), 0.0), 1)
+    got = composed_values(f, [z]).tolist()
+    assert 1.0 + 1e-10 < abs(got[0]) < 1.0 + 1e-9
+    assert _reprs(got) == _reprs(interpolant_values(s, [evaluate(f.inner, z)[0]]).tolist())
+    assert abs(evaluate_composed(f, z)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_composed_identity_targets():
     b = orbit_product()
     spec = ComposedInnerKernel(b, 2)
