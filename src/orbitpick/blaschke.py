@@ -26,7 +26,7 @@ from .errors import (
     NoTailBound,
     TooCloseToBoundary,
 )
-from .mobius import DiskAutomorphism, _complex, _quotient
+from .mobius import DiskAutomorphism, _automorphism_parts, _complex, _quotient
 from .orbits import Orbit
 
 # Zeros with modulus at or below this threshold are counted as zeros at
@@ -82,11 +82,11 @@ class BlaschkeProduct:
 
     @cached_property
     def _zero_parts(self) -> np.ndarray:
-        """Rows re zeta, im zeta, re p, im p over the zeros zeta and their
+        """Rows re p, im p, re zeta, im zeta over the zeros zeta and their
         phases p = abs(zeta) / zeta, taken once by Python's division."""
         zeros = np.array(self.zeros, dtype=complex)
         phases = np.array([abs(z) / z for z in self.zeros], dtype=complex)
-        return np.stack([zeros.real, zeros.imag, phases.real, phases.imag])
+        return np.stack([phases.real, phases.imag, zeros.real, zeros.imag])
 
 
 def from_orbit(
@@ -159,8 +159,8 @@ def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
     where the bound degenerates.
 
     Each value equals the one of Python's complex arithmetic bit for
-    bit, signed zeros included: the operations run in real arithmetic
-    in CPython's order (as in ``mobius.automorphism_images``) and moduli
+    bit, signed zeros included: each factor is the map of
+    ``mobius._automorphism_parts`` with a = zeta_k and lam = p_k, and moduli
     are np.hypot, which is Python's abs, where np.abs of a complex array
     can differ in the last bit.
 
@@ -193,7 +193,7 @@ def _evaluate(b: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         values = []
         for s in range(0, z.size, rows):
             block = z[s : s + rows, None]
-            factors = _complex(*_factors(block.real, block.imag, *parts))
+            factors = _complex(*_automorphism_parts(*parts, block.real, block.imag))
             for w, row in zip(block[:, 0].tolist(), factors.tolist()):
                 values.append(math.prod([w] * b.origin_multiplicity + row, start=complex(1.0)))
         v = np.array(values, dtype=complex)
@@ -205,8 +205,8 @@ def _evaluate(b: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
             yr, yi = vr[s : s + _BLOCK], vi[s : s + _BLOCK]  # views, updated in place
             for _ in range(b.origin_multiplicity):
                 yr[:], yi[:] = yr * xr - yi * xi, yr * xi + yi * xr
-            for zeta_phase in parts.T.tolist():
-                fr, fi = _factors(xr, xi, *zeta_phase)
+            for phase_zeta in parts.T.tolist():
+                fr, fi = _automorphism_parts(*phase_zeta, xr, xi)
                 yr[:], yi[:] = yr * fr - yi * fi, yr * fi + yi * fr
     m = np.hypot(vr, vi)
     out = m > 1.0
@@ -226,18 +226,6 @@ def _moduli(z: np.ndarray) -> tuple[np.ndarray, int]:
 def _too_close(r: float) -> TooCloseToBoundary:
     return TooCloseToBoundary(
         f"|z| = {float(r):.17g} exceeds the evaluation radius {EVAL_RADIUS_LIMIT}"
-    )
-
-
-def _factors(xr, xi, zr, zi, pr, pi):
-    """Real and imaginary parts of p * (zeta - z) / (1.0 - conj(zeta) *
-    z) over broadcast points z = xr + xi j, zeros zeta = zr + zi j and
-    phases p = pr + pi j, in the operations of Python's complex type."""
-    dr, di = zr - xr, zi - xi
-    ci = -zi  # conj(zeta) = zr + ci j
-    return _quotient(
-        pr * dr - pi * di, pr * di + pi * dr,
-        1.0 - (zr * xr - ci * xi), 0.0 - (zr * xi + ci * xr),
     )
 
 

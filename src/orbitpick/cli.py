@@ -8,8 +8,8 @@ float formatting (17 significant digits, lossless for doubles), and
 logs go to stderr.
 
 Exit codes: 0 = ok / feasible, 1 = well posed but infeasible,
-2 = malformed input or options, 3 = numerical failure or failed check,
-141 = stdout closed before the report was written.
+2 = malformed input or options, 3 = numerical failure, failed check
+or out of memory, 141 = stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -428,7 +428,11 @@ def cmd_amenable_average(doc, args):
     group = _parse_group(doc)
     point = _disk_pair(_section(doc, "point"), "$.point")
     power = _integer(_section(doc, "monomial_power"), "$.monomial_power")
+    if power < 0:
+        _fail("$.monomial_power", "monomial power must be nonnegative")
     terms = _integer(doc.get("terms", 10_000), "$.terms")
+    if terms < 0:
+        _fail("$.terms", "the window size must be nonnegative")
     value = pk.amenable_average(group, point, power, terms)
     return {"average": value, "terms": terms, "monomial_power": power}, EXIT_OK
 
@@ -543,6 +547,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # a depth, grid or window too large to allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     report = {"command": args.command, "version": __version__}
     report.update(payload)

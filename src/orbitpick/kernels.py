@@ -32,7 +32,7 @@ import numpy as np
 from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, UnsupportedVariant
 from .linalg import STRIP_ROWS, PsdReport, psd_check
-from .mobius import disk_point, pseudo_hyperbolic
+from .mobius import _denominator_parts, disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, enumerate_orbit
 
 # Orbit points beyond this radius are excluded from kernel blocks: the
@@ -89,7 +89,6 @@ KernelSpec = SzegoKernel | ComposedInnerKernel | OrbitGramKernel
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    points: tuple[complex, ...]
     entries: np.ndarray
     truncation_note: float | None = None
 
@@ -108,27 +107,24 @@ def _szego_block(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     the trailing ``+ 0.0`` undoes.
     """
     d = np.empty((z.shape[0], w.shape[1]), dtype=complex)
-    d.real = 1.0 - (w.real * z.real + w.imag * z.imag)
-    d.imag = 0.0 - (w.real * z.imag - w.imag * z.real)
+    d.real, d.imag = _denominator_parts(w.real, w.imag, z.real, z.imag)
     k = np.reciprocal(d, out=d)
     k += 0.0
     return k
 
 
-def szego_matrix(zs, ws=None) -> np.ndarray:
-    """[1 / (1 - conj(w_j) z_i)] over disk points, each entry equal to
-    the scalar ``szego`` bit for bit; with ``ws`` omitted, the Gram
-    matrix of ``zs``, mirrored from its strict upper triangle.
+def szego_matrix(zs) -> np.ndarray:
+    """The Gram matrix [1 / (1 - conj(z_j) z_i)] of disk points, each
+    entry equal to the scalar ``szego`` bit for bit, mirrored from its
+    strict upper triangle.
 
-    The Gram matrix computes only its upper triangle, in strips of
-    ``STRIP_ROWS`` rows that run from the strip's first column to the
-    last, so each strip stays in cache while it is written out twice:
-    as computed above the diagonal, and as its conjugate below it and
-    on the diagonal.
+    Only the upper triangle is computed, in strips of ``STRIP_ROWS``
+    rows that run from the strip's first column to the last, so each
+    strip stays in cache while it is written out twice: as computed
+    above the diagonal, and as its conjugate below it and on the
+    diagonal.
     """
     z = np.asarray(zs, dtype=complex).reshape(-1, 1)
-    if ws is not None:
-        return _szego_block(z, np.asarray(ws, dtype=complex).reshape(1, -1))
     n = z.shape[0]
     w = z.reshape(1, -1)
     k = np.empty((n, n), dtype=complex)
@@ -143,15 +139,15 @@ def szego_matrix(zs, ws=None) -> np.ndarray:
     return k
 
 
-def check_distinct(points, tol: float, error: type, message: str) -> list[complex]:
-    """Validated disk points, pairwise more than ``tol`` apart in the
-    pseudo-hyperbolic metric.  The first pair i < j within ``tol``
-    raises ``error(message.format(i=i, j=j, tol=tol))``."""
+def check_distinct(points, error: type, message: str) -> list[complex]:
+    """Validated disk points, pairwise more than ``_DISTINCT_TOL`` apart
+    in the pseudo-hyperbolic metric.  The first pair i < j within it
+    raises ``error(message.format(i=i, j=j, tol=_DISTINCT_TOL))``."""
     pts = [disk_point(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if pseudo_hyperbolic(pts[i], pts[j]) <= tol:
-                raise error(message.format(i=i, j=j, tol=tol))
+            if pseudo_hyperbolic(pts[i], pts[j]) <= _DISTINCT_TOL:
+                raise error(message.format(i=i, j=j, tol=_DISTINCT_TOL))
     return pts
 
 
@@ -162,11 +158,11 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     For the orbit variant the result is the block matrix over the
     truncated orbits of every point, in deterministic orbit order.
     """
-    pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
+    pts = check_distinct(points, DuplicatePoints, _COINCIDE)
     if not pts:
         raise InputError("at least one point is required")
     zs, _, note = _szego_points(spec, pts)
-    return GramMatrix(tuple(pts), szego_matrix(zs), note)
+    return GramMatrix(szego_matrix(zs), note)
 
 
 def _orbit_points(
@@ -208,7 +204,6 @@ def dominance_check(
     b_gamma: bl.BlaschkeProduct,
     c: float,
     points,
-    tol: float | None = None,
 ) -> PsdReport:
     """Positivity of c^2 K(B(z_i), B(z_j)) - K_sigma(z_i, z_j).
 
@@ -219,10 +214,10 @@ def dominance_check(
     """
     if isinstance(k_sigma, OrbitGramKernel):
         raise UnsupportedVariant("dominance is defined for scalar kernels only")
-    pts = check_distinct(points, _DISTINCT_TOL, DuplicatePoints, _COINCIDE)
+    pts = check_distinct(points, DuplicatePoints, _COINCIDE)
     bvals, _ = bl.evaluate_many(b_gamma, pts)
     d = c * c * szego_matrix(bvals) - szego_matrix(_szego_points(k_sigma, pts)[0])
-    return psd_check(d, tol=tol)
+    return psd_check(d)
 
 
 def boundary_gram_quadrature(
@@ -282,4 +277,4 @@ def boundary_gram_quadrature(
             v = means[n - m]
             g[n, m] = v
             g[m, n] = v.conjugate()
-    return GramMatrix((), g, truncation_note=note)
+    return GramMatrix(g, truncation_note=note)

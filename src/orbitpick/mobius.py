@@ -16,9 +16,11 @@ long composition chains.
 once in numpy, and the private ``_compose_grid`` composes many maps
 with each of a few letters, each value equal to the scalar call bit for
 bit.  They run the scalar methods' complex operations in real
-arithmetic, in Python's order.  A term abs(x) ** 2 stays Python's float
-power, which is libm's pow and can differ from x * x in the last bit,
-and complex results are filled part by part, which keeps signed zeros.
+arithmetic, in Python's order, stated once for the whole library in
+``_denominator_parts`` and ``_automorphism_parts``.  A term abs(x) ** 2
+stays Python's float power, which is libm's pow and can differ from
+x * x in the last bit, and complex results are filled part by part,
+which keeps signed zeros.
 
 The public constructor validates its parameters.  The library's own
 results (``compose``, ``canonicalize``, ``iterate_cyclic``) are built
@@ -140,8 +142,8 @@ class DiskAutomorphism:
         lam = num / (abs(a) ** 2 - 1.0)
         return _normalized(a, lam)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return abs(self.a) <= tol and abs(self.lam + 1.0) <= tol
+    def is_identity(self) -> bool:
+        return abs(self.a) <= 1e-12 and abs(self.lam + 1.0) <= 1e-12
 
 
 def _clamp_inside(a: complex) -> complex:
@@ -264,22 +266,10 @@ def automorphism_images(a, lam, z) -> np.ndarray:
     and points, each value equal to the scalar call bit for bit.
 
     The complex operations of ``__call__`` run in real arithmetic in
-    Python's order: the products, the float 1.0 promoted to 1.0 + 0.0j,
-    and the quotient of ``_quotient``.
+    Python's order, those of ``_automorphism_parts``.
     """
-    a = np.asarray(a, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    ar, ai, zr, zi = a.real, a.imag, z.real, z.imag
-    # lam * (a - z)
-    xr, xi = ar - zr, ai - zi
-    nr = lam.real * xr - lam.imag * xi
-    ni = lam.real * xi + lam.imag * xr
-    # 1.0 - a.conjugate() * z
-    cai = -ai
-    dr = 1.0 - (ar * zr - cai * zi)
-    di = 0.0 - (ar * zi + cai * zr)
-    return _complex(*_quotient(nr, ni, dr, di))
+    a, lam, z = (np.asarray(v, dtype=complex) for v in (a, lam, z))
+    return _complex(*_automorphism_parts(lam.real, lam.imag, a.real, a.imag, z.real, z.imag))
 
 
 def _compose_grid(a, lam, letters, start: int = 0, stop: int | None = None):
@@ -328,7 +318,7 @@ def _compose_pass(a, lam, letters):
     inverse is not inside the disk.
 
     The complex operations of ``compose`` run in real arithmetic in
-    Python's order, as in ``automorphism_images``, with each letter's
+    Python's order, through ``_automorphism_parts``, with each letter's
     constants taken from its scalar methods.  The two terms abs(.) ** 2
     are Python's float power, libm's pow, which can differ from x * x in
     the last bit.
@@ -341,19 +331,11 @@ def _compose_pass(a, lam, letters):
     lr, li = lam.real[:, None], lam.imag[:, None]
     with np.errstate(all="ignore"):
         # conj(lam_g) * (ia - a_s) / (1.0 - conj(ia) * a_s), ia = lam_g * a_g
-        tr, ti = ia.real - sr, ia.imag - si
-        ciai = -ia.imag
-        ar, ai = _quotient(
-            cl.real * tr - cl.imag * ti, cl.real * ti + cl.imag * tr,
-            1.0 - (ia.real * sr - ciai * si), 0.0 - (ia.real * si + ciai * sr),
-        )
-        del tr, ti  # the temporaries of a large block add up
+        ar, ai = _automorphism_parts(cl.real, cl.imag, ia.real, ia.imag, sr, si)
         # the derivative at g(0) of the row's map: lam_s * (abs(a_s) ** 2
         # - 1.0) / (den * den), den = 1.0 - conj(a_s) * g(0)
         s = np.array([m ** 2 for m in np.hypot(a.real, a.imag).tolist()])[:, None] - 1.0
-        csi = -si
-        er = 1.0 - (sr * g0.real - csi * g0.imag)
-        ei = 0.0 - (sr * g0.imag + csi * g0.real)
+        er, ei = _denominator_parts(sr, si, g0.real, g0.imag)
         dr, di = _quotient(lr * s - li * 0.0, lr * 0.0 + li * s,
                            er * er - ei * ei, er * ei + ei * er)
         del er, ei
@@ -369,6 +351,21 @@ def _compose_pass(a, lam, letters):
     inverts = np.array([abs(g.lam * g.a) < 1.0 for g in letters])
     ok = (mod < 1.0) & np.isfinite(r) & (r >= sys.float_info.min) & inverts
     return ar, ai, lr, li, ok
+
+
+def _denominator_parts(ar, ai, zr, zi):
+    """The real and imaginary parts of 1.0 - conj(a) * z over broadcast
+    arrays, in the operations of Python's complex type."""
+    cai = -ai
+    return 1.0 - (ar * zr - cai * zi), 0.0 - (ar * zi + cai * zr)
+
+
+def _automorphism_parts(lr, li, ar, ai, zr, zi):
+    """The real and imaginary parts of DiskAutomorphism(a, lam)(z) over
+    broadcast arrays, in the operations of Python's complex type."""
+    xr, xi = ar - zr, ai - zi
+    return _quotient(lr * xr - li * xi, lr * xi + li * xr,
+                     *_denominator_parts(ar, ai, zr, zi))
 
 
 def _complex(re, im) -> np.ndarray:

@@ -53,10 +53,9 @@ from .kernels import (
     szego_matrix,
 )
 from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, pencil_max, psd_check
-from .mobius import _complex, _quotient, disk_point, iterate_images
+from .mobius import _complex, _denominator_parts, _quotient, disk_point, iterate_images
 from .orbits import GroupPresentation
 
-_NODE_TOL = 1e-10
 _COINCIDE = "nodes {i} and {j} coincide"
 _ALIAS_TOL = 1e-10
 _TARGET_RESIDUAL = 1e-8
@@ -97,7 +96,7 @@ class PickProblem:
         if not np.all(np.isfinite(arrays)):
             raise InputError("targets must be finite")
         targets = tuple(arrays) if shape else tuple(complex(t) for t in arrays)
-        check_distinct(nodes, _NODE_TOL, DuplicateNodes, _COINCIDE)
+        check_distinct(nodes, DuplicateNodes, _COINCIDE)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
@@ -280,11 +279,8 @@ def interpolant_values(s: SchurInterpolant, zs) -> np.ndarray:
     for zk, rho in zip(reversed(s.nodes), reversed(s.schur_parameters)):
         # u = v * (z - zk) / (1.0 - zk.conjugate() * z)
         dr, di = zr - zk.real, zi - zk.imag
-        ck = -zk.imag
-        ur, ui = _quotient(
-            vr * dr - vi * di, vr * di + vi * dr,
-            1.0 - (zk.real * zr - ck * zi), 0.0 - (zk.real * zi + ck * zr),
-        )
+        ur, ui = _quotient(vr * dr - vi * di, vr * di + vi * dr,
+                           *_denominator_parts(zk.real, zk.imag, zr, zi))
         # v = (u + rho) / (1.0 + rho.conjugate() * u)
         cr = -rho.imag
         vr, vi = _quotient(

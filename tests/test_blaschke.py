@@ -214,8 +214,10 @@ def test_evaluate_many_answers_a_repeated_call_from_memory(monkeypatch):
     b = cyclic_product(0.5, 8)
     zs = [0.1 + 0.2j, -0.3j]
     calls = []
-    factors = blaschke._factors
-    monkeypatch.setattr(blaschke, "_factors", lambda *a: calls.append(a) or factors(*a))
+    factors = blaschke._automorphism_parts
+    monkeypatch.setattr(
+        blaschke, "_automorphism_parts", lambda *a: calls.append(a) or factors(*a)
+    )
     values, _ = evaluate_many(b, zs)
     values[0] = 5.0  # each call returns arrays of its own
     assert _evaluated(b, np.array(zs)) == _reprs(reference_evaluate(b, z) for z in zs)

@@ -357,6 +357,40 @@ def test_amenable_average_command(tmp_path, capsys):
     assert abs(complex(*report["average"]) - 1.0) <= 0.05
 
 
+AVERAGE = {
+    "group": {"kind": "cyclic", "a": 0.5},
+    "point": [0.3, 0.0],
+    "monomial_power": 2,
+    "terms": 20,
+}
+
+
+@pytest.mark.parametrize("field, message", [
+    ("terms", "$.terms: the window size must be nonnegative"),
+    ("monomial_power", "$.monomial_power: monomial power must be nonnegative"),
+])
+def test_amenable_average_names_the_negative_field(tmp_path, capsys, field, message):
+    code, out, err = run(tmp_path, capsys, dict(AVERAGE, **{field: -1}), "amenable-average")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+# Arrays of 2e15 + 1 and 1e15 int64 entries (14 and 7 PiB) exceed the
+# 128 TiB address space, so numpy refuses them before allocating.
+_HUGE = 10**15
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (dict(AVERAGE, terms=_HUGE), ("amenable-average",)),
+    ({"group": {"kind": "cyclic", "a": 0.5}}, ("orbit", "--depth", str(_HUGE))),
+])
+def test_out_of_memory_exits_three_without_a_traceback(tmp_path, capsys, doc, argv):
+    code, out, err = run(tmp_path, capsys, doc, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: out of memory")
+    assert "Traceback" not in err
+
+
 def test_verify_command(capsys):
     code = main(["verify", "--seed", "7", "--grid", "256"])
     out = capsys.readouterr()

@@ -116,7 +116,7 @@ def test_compose_with_identity_and_inverse():
         assert abs(ident.compose(g)(z) - g(z)) <= 1e-12
         assert abs(g.compose(ident)(z) - g(z)) <= 1e-12
     rt = g.compose(g.inverse())
-    assert rt.is_identity(1e-12)
+    assert rt.is_identity()
 
 
 def test_compose_associative_on_probes():
