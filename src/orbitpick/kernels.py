@@ -118,11 +118,11 @@ def szego_matrix(zs) -> np.ndarray:
     entry equal to the scalar ``szego`` bit for bit, mirrored from its
     strict upper triangle.
 
-    Only the upper triangle is computed, in strips of ``STRIP_ROWS``
-    rows that run from the strip's first column to the last, so each
-    strip stays in cache while it is written out twice: as computed
-    above the diagonal, and as its conjugate below it and on the
-    diagonal.
+    The Gram matrix computes only its upper triangle, in strips of
+    ``STRIP_ROWS`` rows that run from the strip's first column to the
+    last, so each strip stays in cache while it is written out twice:
+    as computed above the diagonal, and as its conjugate below it and
+    on the diagonal.
     """
     z = np.asarray(zs, dtype=complex).reshape(-1, 1)
     n = z.shape[0]
