@@ -32,7 +32,7 @@ import numpy as np
 from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, UnsupportedVariant
 from .linalg import STRIP_ROWS, PsdReport, psd_check
-from .mobius import _denominator_parts, disk_point, pseudo_hyperbolic
+from .mobius import _complex, _denominator_parts, disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, enumerate_orbit
 
 # Orbit points beyond this radius are excluded from kernel blocks: the
@@ -106,8 +106,7 @@ def _szego_block(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     division only by returning -0.0 where Python returns +0.0, which
     the trailing ``+ 0.0`` undoes.
     """
-    d = np.empty((z.shape[0], w.shape[1]), dtype=complex)
-    d.real, d.imag = _denominator_parts(w.real, w.imag, z.real, z.imag)
+    d = _complex(*_denominator_parts(w.real, w.imag, z.real, z.imag))
     k = np.reciprocal(d, out=d)
     k += 0.0
     return k

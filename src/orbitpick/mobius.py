@@ -16,11 +16,10 @@ long composition chains.
 once in numpy, and the private ``_compose_grid`` composes many maps
 with each of a few letters, each value equal to the scalar call bit for
 bit.  They run the scalar methods' complex operations in real
-arithmetic, in Python's order, stated once for the whole library in
-``_denominator_parts`` and ``_automorphism_parts``.  A term abs(x) ** 2
-stays Python's float power, which is libm's pow and can differ from
-x * x in the last bit, and complex results are filled part by part,
-which keeps signed zeros.
+arithmetic in Python's order, as ``_automorphism_parts`` states once
+for the library.  A term abs(x) ** 2 stays Python's float power, libm's
+pow, which can differ from x * x in the last bit, and complex results
+are filled part by part, which keeps signed zeros.
 
 The public constructor validates its parameters.  The library's own
 results (``compose``, ``canonicalize``, ``iterate_cyclic``) are built
@@ -268,7 +267,9 @@ def automorphism_images(a, lam, z) -> np.ndarray:
     The complex operations of ``__call__`` run in real arithmetic in
     Python's order, those of ``_automorphism_parts``.
     """
-    a, lam, z = (np.asarray(v, dtype=complex) for v in (a, lam, z))
+    a = np.asarray(a, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     return _complex(*_automorphism_parts(lam.real, lam.imag, a.real, a.imag, z.real, z.imag))
 
 
