@@ -8,8 +8,9 @@ float formatting (17 significant digits, lossless for doubles), and
 logs go to stderr.
 
 Exit codes: 0 = ok / feasible, 1 = well posed but infeasible,
-2 = malformed input or options, 3 = numerical failure, failed check
-or out of memory, 141 = stdout closed before the report was written.
+2 = malformed input or options, 3 = numerical failure (an overflowing
+power or an impossible array size among them), failed check or out of
+memory, 141 = stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -168,7 +169,11 @@ def _parse_group(doc: dict) -> orb.GroupPresentation:
     _fail("$.group.kind", "expected 'cyclic', 'z2z2', or 'generic'")
 
 
-def _parse_truncation(doc: dict, override_depth: int | None) -> tuple[int, bool]:
+def _truncation(doc: dict, args) -> tuple[orb.GroupPresentation, int, bool]:
+    """The file's group, the depth of every orbit the command truncates
+    (``--depth`` if given, else ``$.truncation.depth``, default 60) and
+    the strict flag."""
+    group = _parse_group(doc)
     obj = _section(doc, "truncation", required=False) or {}
     if not isinstance(obj, dict):
         _fail("$.truncation", "expected an object")
@@ -177,11 +182,19 @@ def _parse_truncation(doc: dict, override_depth: int | None) -> tuple[int, bool]
     strict = obj.get("strict", True)
     if not isinstance(strict, bool):
         _fail("$.truncation.strict", "expected a boolean")
-    if override_depth is not None:
-        depth = override_depth
+    kernel = doc.get("kernel")
+    if isinstance(kernel, dict) and "depth" in kernel:
+        _fail("$.kernel.depth", "the orbit depth is set by $.truncation.depth or --depth")
+    if args.depth is not None:
+        depth = args.depth
     if depth < 0:
         _fail("$.truncation.depth", "depth must be nonnegative")
-    return depth, strict
+    return group, depth, strict
+
+
+def _stabilizer_order(group: orb.GroupPresentation, depth: int) -> int:
+    # words up to the orbit's depth (at most 8), which its own search has found
+    return orb.stabilizer_order_origin(group, max_word_length=min(depth, 8))
 
 
 def _parse_nodes(doc: dict) -> tuple[complex, ...]:
@@ -230,8 +243,8 @@ def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | 
         power = _integer(obj.get("power", 1), "$.kernel.power")
         if power < 1:
             _fail("$.kernel.power", "power must be at least 1")
-        depth, strict = _parse_truncation(doc, args.depth)
-        orbit = orb.enumerate_orbit(_parse_group(doc), 0j, depth)
+        group, depth, strict = _truncation(doc, args)
+        orbit = orb.enumerate_orbit(group, 0j, depth)
         inner = bl.from_orbit(orbit, 1, strict=strict)
         try:
             return kn.ComposedInnerKernel(inner, power)
@@ -243,25 +256,15 @@ def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | 
 
 
 def _orbit_kernel(doc: dict, args) -> kn.OrbitGramKernel:
-    """The orbit kernel of the file's group, at depth ``--depth`` if given,
-    else the ``$.kernel.depth`` of an orbit-variant kernel, else
-    ``$.truncation.depth``; both sections are checked either way."""
-    depth, _ = _parse_truncation(doc, args.depth)
-    obj = doc.get("kernel")
-    own = obj.get("depth") if isinstance(obj, dict) and obj.get("variant") == "orbit" else None
-    if own is not None and _integer(own, "$.kernel.depth") < 0:
-        _fail("$.kernel.depth", "depth must be nonnegative")
-    if own is not None and args.depth is None:
-        depth = own
-    return kn.OrbitGramKernel(_parse_group(doc), depth)
+    group, depth, _strict = _truncation(doc, args)
+    return kn.OrbitGramKernel(group, depth)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_orbit(doc, args):
-    group = _parse_group(doc)
-    depth, _strict = _parse_truncation(doc, args.depth)
+    group, depth, _strict = _truncation(doc, args)
     base = doc.get("base", [0.0, 0.0])
     base = _disk_pair(base, "$.base")
     orbit = orb.enumerate_orbit(group, base, depth)
@@ -273,10 +276,7 @@ def cmd_orbit(doc, args):
         "partial_sum": orbit.partial_sum,
         "tail_bound": orbit.tail_bound,
         "dropped_boundary_points": orbit.dropped,
-        # words up to the orbit's depth (at most 8), which its own search has found
-        "stabilizer_order_origin": orb.stabilizer_order_origin(
-            group, max_word_length=min(depth, 8)
-        ),
+        "stabilizer_order_origin": _stabilizer_order(group, depth),
     }
     if orbit.tail_bound is None:
         payload["note"] = "no convergence certificate for generic presentations"
@@ -286,14 +286,12 @@ def cmd_orbit(doc, args):
 def _orbit_product(doc, args):
     """The group, the stabilizer power m (1 unless ``associated``) and
     the Blaschke product of the orbit of 0, each zero taken m times."""
-    group = _parse_group(doc)
-    depth, strict = _parse_truncation(doc, args.depth)
+    group, depth, strict = _truncation(doc, args)
     associated = doc.get("associated", False)
     if not isinstance(associated, bool):
         _fail("$.associated", "expected a boolean")
     orbit = orb.enumerate_orbit(group, 0j, depth)
-    # words up to the orbit's depth (at most 8), which its own search has found
-    m = orb.stabilizer_order_origin(group, max_word_length=min(depth, 8)) if associated else 1
+    m = _stabilizer_order(group, depth) if associated else 1
     return group, m, bl.from_orbit(orbit, m, strict=strict)
 
 
@@ -545,7 +543,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as exc:
+    except (NumericalError, OverflowError, ValueError) as exc:
+        # Past the schema checks the library reports bad input only as
+        # InputError: a ValueError here is numpy or math refusing the
+        # computation (an impossible array size, or LinAlgError from an
+        # eigen-solve that does not converge).
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:  # a depth, grid or window too large to allocate

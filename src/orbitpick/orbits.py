@@ -38,11 +38,11 @@ bit for bit the scalar compositions, in blocks of at most 65,536
 candidates and never more than could reach the element cap.  It is
 filtered at its end, and as soon as it could pass the cap, so a search
 past the cap composes the candidates a one-at-a-time search would.
-The search keeps parameters in arrays and builds words and elements
-for the kept ones only, and one run to completion stays on the
-presentation for its lifetime.  Orbits of other base points, the
-stabilizer order and orbit kernels up to that depth then read the kept
-elements instead of composing them again.
+The search keeps the elements it finds as their words plus two
+parameter arrays, building words for the kept elements only, and one
+run to completion stays on the presentation for its lifetime.  Orbits
+of other base points, the stabilizer order and orbit kernels up to
+that depth then read the kept arrays instead of composing them again.
 
 For the cyclic and z2z2 kinds the word combinatorics are known in
 closed form and the candidates are the iterates of the stable tanh
@@ -105,8 +105,8 @@ class GroupPresentation:
     kind: str
     a: float | None
     generators: tuple[DiskAutomorphism, ...]
-    # (depth, [(word, element), ...]) of the last element search of a
-    # generic presentation that ran to completion; see _generic_elements.
+    # (depth, words, a, lam) of the last element search of a generic
+    # presentation that ran to completion; see _generic_elements.
     _elements: tuple | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -136,6 +136,8 @@ def z2z2_group(a: float) -> GroupPresentation:
     a = float(a)
     if not -1.0 < a < 1.0 or a == 0.0:
         raise InputError(f"z2z2 parameter {a!r} must lie in (-1,1), nonzero")
+    if iterate_cyclic(a, 1).is_identity():
+        raise InputError("the translation z -> (z - a)/(1 - a z) is the identity map")
     half_turn = DiskAutomorphism(0j, complex(1.0))
     involution = DiskAutomorphism(complex(a), complex(1.0))
     return GroupPresentation(Z2Z2, a, (half_turn, involution))
@@ -219,14 +221,9 @@ def _candidates(group, base, n_max):
     if group.kind == GENERIC:
         # max_points bounds accepted points only: a nontrivial stabilizer
         # makes the element count exceed the point count.
-        elements = _generic_elements(group, n_max, DEFAULT_POINT_CAP)
-        images = automorphism_images(
-            [e.a for _, e in elements[1:]], [e.lam for _, e in elements[1:]], base
-        )
-
-        def word(k):
-            return elements[k][0]
-
+        words, a, lam = _generic_elements(group, n_max, DEFAULT_POINT_CAP)
+        images = automorphism_images(a[1:], lam[1:], base)
+        word = words.__getitem__
     else:
         # Level L >= 1 holds candidates 2L - 1 and 2L: cyclic a^L, A^L;
         # z2z2 the alternating words of length L starting with a, b.
@@ -347,9 +344,10 @@ def _same_element(a1: complex, lam1: complex, a2: complex, lam2: complex) -> boo
     return abs(a1 - a2) <= _ELEMENT_TOL and abs(lam1 - lam2) <= _ELEMENT_TOL
 
 
-def _generic_elements(group, n_max: int, cap: int) -> list:
-    """(word, element) for the distinct group elements of word length at
-    most ``n_max`` in BFS order; ``OrbitExplosion`` past ``cap`` elements.
+def _generic_elements(group, n_max: int, cap: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """(words, a, lam) of the distinct group elements of word length at
+    most ``n_max`` in BFS order, element k being the automorphism of
+    parameters a[k] and lam[k]; ``OrbitExplosion`` past ``cap`` elements.
 
     A search to depth m <= n, where n is the depth of the group's kept
     search, reads the words of length <= m from it: the breadth-first
@@ -359,9 +357,10 @@ def _generic_elements(group, n_max: int, cap: int) -> list:
     kept = group._elements
     if kept is None or kept[0] < n_max:
         return _search_elements(group, n_max, cap)
-    end = bisect.bisect_right(kept[1], n_max, key=lambda e: len(e[0]))
+    _, words, a, lam = kept
+    end = bisect.bisect_right(words, n_max, key=len)
     _check_cap(end, cap)
-    return kept[1][:end]
+    return words[:end], a[:end], lam[:end]
 
 
 def _check_cap(count: int, cap: int) -> None:
@@ -369,16 +368,16 @@ def _check_cap(count: int, cap: int) -> None:
         raise OrbitExplosion(f"group exploration exceeded the cap of {cap} elements")
 
 
-def _search_elements(group, n_max: int, cap: int) -> list:
+def _search_elements(group, n_max: int, cap: int) -> tuple[list, np.ndarray, np.ndarray]:
     """Breadth-first search over words up to length ``n_max``; a search
     run to completion is kept on the group.
 
     Each level's candidates are composed in frontier-then-letter order,
     as many at a time as cannot pass ``cap``, and filtered at the end of
     the level and as soon as they could pass it: a search past the cap
-    stops at the first element beyond it.  Words and elements are built
-    for the kept elements only.  Branches whose parameter is numerically
-    on the boundary are pruned; their images are beyond double-precision
+    stops at the first element beyond it.  Words are built for the kept
+    elements only.  Branches whose parameter is numerically on the
+    boundary are pruned; their images are beyond double-precision
     resolution.
     """
     letters = _letters(group)
@@ -418,12 +417,8 @@ def _search_elements(group, n_max: int, cap: int) -> list:
         frontier = level + np.flatnonzero(inside)
         if not frontier.size:
             break
-    found = [
-        (word, DiskAutomorphism._trusted(x, y))
-        for word, x, y in zip(words, a.tolist(), lam.tolist())
-    ]
-    object.__setattr__(group, "_elements", (n_max, found))
-    return found
+    object.__setattr__(group, "_elements", (n_max, words, a, lam))
+    return words, a, lam
 
 
 def _admit(a: np.ndarray, lam: np.ndarray, new_a: np.ndarray, new_lam: np.ndarray) -> np.ndarray:
@@ -505,7 +500,7 @@ def stabilizer_order_origin(
         return 1
     if group.kind == Z2Z2:
         return 2
-    elements = _generic_elements(group, max_word_length, _STABILIZER_CAP)
-    images = automorphism_images([e.a for _, e in elements], [e.lam for _, e in elements], 0j)
+    _, a, lam = _generic_elements(group, max_word_length, _STABILIZER_CAP)
+    images = automorphism_images(a, lam, 0j)
     # np.hypot is abs(complex) bit for bit
     return int(np.count_nonzero(np.hypot(images.real, images.imag) <= DEFAULT_DEDUP_TOL))

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpick import __version__, checks, cli, orbits
+from orbitpick import __version__, checks, cli, kernels, orbits
 from orbitpick.cli import main
 from orbitpick.mobius import DiskAutomorphism
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(tmp_path, capsys, doc, command, *flags):
@@ -251,36 +254,51 @@ def test_orbit_pick_check_command(tmp_path, capsys, kernel):
 
 ORBIT_DEPTHS = {
     "group": {"kind": "cyclic", "a": 0.5},
-    "truncation": {"depth": 3},
+    "truncation": {"depth": 15},
     "nodes": [[0.1, 0.2], [-0.3, 0.1]],
     "targets": [[0.0, 0.0], [0.0, 0.0]],
-    "kernel": {"variant": "orbit", "depth": 10},
+    "kernel": {"variant": "orbit"},
 }
 
 
-@pytest.mark.parametrize("flags, size, depth", [((), 28, 10), (("--depth", "3"), 14, 3)])
-def test_orbit_commands_resolve_one_depth(tmp_path, capsys, flags, size, depth):
-    # --depth, else the orbit kernel's own depth, else the truncation depth
-    for command in ("pick-check", "orbit-pick-check"):
+@pytest.mark.parametrize("flags, depth", [((), 15), (("--depth", "20"), 20)])
+def test_orbit_commands_resolve_one_depth(tmp_path, capsys, monkeypatch, flags, depth):
+    # --depth, else the truncation depth, for every orbit of every command
+    depths = []
+    enumerate_orbit = orbits.enumerate_orbit
+
+    def recorded(group, base, max_word_length, *rest):
+        depths.append(max_word_length)
+        return enumerate_orbit(group, base, max_word_length, *rest)
+
+    monkeypatch.setattr(orbits, "enumerate_orbit", recorded)
+    monkeypatch.setattr(kernels, "enumerate_orbit", recorded)
+    reports = {}
+    for command in ("orbit", "character", "pick-check", "orbit-pick-check"):
         code, out, _ = run(tmp_path, capsys, ORBIT_DEPTHS, command, *flags)
         assert code == 0
-        report = json.loads(out)
-        assert report["matrix_size"] == size
-    assert report["depth"] == depth
+        reports[command] = json.loads(out)
+    assert set(depths) == {depth}
+    # the base point and a^n, A^n for n <= depth
+    assert len(reports["orbit"]["entries"]) == 2 * depth + 1
+    assert reports["orbit-pick-check"]["depth"] == depth
+    assert reports["orbit-pick-check"]["matrix"] == reports["pick-check"]["matrix"]
 
 
 @pytest.mark.parametrize("section, value, path", [
-    ("kernel", {"variant": "orbit", "depth": -2}, "$.kernel.depth: depth must be nonnegative"),
-    ("kernel", {"variant": "orbit", "depth": 2.5}, "$.kernel.depth: expected an integer"),
+    ("kernel", {"variant": "orbit", "depth": 10}, "$.kernel.depth: the orbit depth is"),
+    ("kernel", {"variant": "composed", "power": 2, "depth": 10}, "$.kernel.depth: the orbit depth is"),
     ("truncation", [3], "$.truncation: expected an object"),
     ("truncation", {"depth": "3"}, "$.truncation.depth: expected an integer"),
     ("truncation", {"strict": 1}, "$.truncation.strict: expected a boolean"),
 ])
 @pytest.mark.parametrize("flags", [(), ("--depth", "3")])
-def test_orbit_commands_check_both_depths(tmp_path, capsys, section, value, path, flags):
-    # both depth sections are checked, whichever one sets the depth
+def test_orbit_commands_refuse_a_second_or_malformed_depth(
+    tmp_path, capsys, section, value, path, flags
+):
+    # the file is checked even when --depth sets the depth
     doc = dict(ORBIT_DEPTHS, **{section: value})
-    for command in ("pick-check", "orbit-pick-check"):
+    for command in ("orbit", "pick-check", "orbit-pick-check"):
         code, out, err = run(tmp_path, capsys, doc, command, *flags)
         assert (code, out) == (2, "")
         assert path in err
@@ -297,8 +315,9 @@ def test_pick_norm_uncertified_norm_exits_three(tmp_path, capsys):
     doc = {
         "group": {"kind": "z2z2", "a": 0.1},
         "nodes": [[0.1, 0.2], [-0.2, 0.05]],
+        "truncation": {"depth": 160},
         "targets": [[0.1, 0.0], [0.0, 0.2]],
-        "kernel": {"variant": "orbit", "depth": 160},
+        "kernel": {"variant": "orbit"},
     }
     code, out, err = run(tmp_path, capsys, doc, "pick-norm")
     assert code == 3
@@ -376,19 +395,53 @@ def test_amenable_average_names_the_negative_field(tmp_path, capsys, field, mess
 
 
 # Arrays of 2e15 + 1 and 1e15 int64 entries (14 and 7 PiB) exceed the
-# 128 TiB address space, so numpy refuses them before allocating.
+# 128 TiB address space, so numpy refuses them before allocating
+# (MemoryError).  Sizes past numpy's index range it refuses with a
+# ValueError, and powers past the float range overflow: nothing is
+# allocated either way.
 _HUGE = 10**15
+_BEYOND = str(10**20)
+_COMPOSED = dict(FEASIBLE, group={"kind": "cyclic", "a": 0.5}, truncation={"depth": 3},
+                 kernel={"variant": "composed", "power": 10**400})
 
 
-@pytest.mark.parametrize("doc, argv", [
-    (dict(AVERAGE, terms=_HUGE), ("amenable-average",)),
-    ({"group": {"kind": "cyclic", "a": 0.5}}, ("orbit", "--depth", str(_HUGE))),
+def _problem(name):
+    return json.loads((DATA / f"{name}_problem.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (dict(AVERAGE, terms=_HUGE), ("amenable-average",), "out of memory"),
+    ({"group": {"kind": "cyclic", "a": 0.5}}, ("orbit", "--depth", str(_HUGE)), "out of memory"),
+] + [
+    (_COMPOSED, (command,), "")
+    for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
+] + [
+    (dict(AVERAGE, monomial_power=10**400), ("amenable-average",), ""),
+    (dict(AVERAGE, terms=10**18), ("amenable-average",), ""),
+    (dict(AVERAGE, terms=10**30), ("amenable-average",), ""),
+    (FEASIBLE, ("interpolate", "--grid", _BEYOND), ""),
+] + [
+    (_problem(name), (command, "--depth", _BEYOND), "")
+    for name, command in (("cyclic40", "orbit"), ("orbit", "pick-check"),
+                          ("even", "pick-check"), ("cyclic120", "character"))
 ])
-def test_out_of_memory_exits_three_without_a_traceback(tmp_path, capsys, doc, argv):
+def test_out_of_memory_exits_three_without_a_traceback(tmp_path, capsys, doc, argv, message):
     code, out, err = run(tmp_path, capsys, doc, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure: out of memory")
+    assert err.startswith(f"numerical failure: {message}")
     assert "Traceback" not in err
+
+
+_TINY_Z2Z2 = dict(FEASIBLE, group={"kind": "z2z2", "a": 1e-17}, truncation={"depth": 3},
+                  kernel={"variant": "composed", "power": 2}, eval_points=[[0.1, 0.0]])
+
+
+@pytest.mark.parametrize("command", ["orbit", "blaschke-eval", "character", "kernel-gram",
+                                     "pick-check", "orbit-pick-check", "interpolate"])
+def test_a_z2z2_parameter_too_small_to_translate_exits_two(tmp_path, capsys, command):
+    code, out, err = run(tmp_path, capsys, _TINY_Z2Z2, command)
+    assert (code, out) == (2, "")
+    assert err == "error: $.group.a: the translation z -> (z - a)/(1 - a z) is the identity map\n"
 
 
 def test_verify_command(capsys):
@@ -453,8 +506,6 @@ def test_invalid_json(tmp_path, capsys):
 
 
 # -- reports pinned byte for byte -----------------------------------------------
-
-DATA = pathlib.Path(__file__).parent / "data"
 
 GOLDEN = [
     (problem, command, 0)

@@ -186,11 +186,9 @@ def test_deep_orbit_drops_unrepresentable_points():
 
 
 def test_z2z2_has_two_reduced_words_per_length():
-    from orbitpick.orbits import _generic_elements
-
     group = z2z2_group(0.5)
     counts = {}
-    for word, _elem in _generic_elements(group, 7, 10**4):
+    for word, _elem in _element_pairs(group, 7, 10**4):
         counts[len(word)] = counts.get(len(word), 0) + 1
     assert counts[0] == 1
     for length in range(1, 8):
@@ -226,6 +224,14 @@ def test_group_presentation_rejects_identity_generator():
         generic_group([DiskAutomorphism.identity()])
     with pytest.raises(InputError):
         cyclic_group(0.0)
+
+
+@pytest.mark.parametrize("make", [cyclic_group, z2z2_group])
+@pytest.mark.parametrize("a", [1e-12, 1e-17, -1e-300, 5e-324])
+def test_a_parameter_too_small_to_translate_is_refused(make, a):
+    # z -> (z - a)/(1 - a z) is then the identity map at double precision
+    with pytest.raises(InputError, match="identity map"):
+        make(a)
 
 
 def test_cyclic_orbit_weight_matches_iterates():
@@ -265,6 +271,16 @@ class _AllPairsCollector:
         w = 1.0 - mod
         self.entries.append(orbits.OrbitEntry(word, point, w))
         self.partial_sum += w
+
+
+def _element_pairs(group, n_max, cap):
+    """orbits._generic_elements as the (word, element) pairs that
+    _all_pairs_elements yields."""
+    words, a, lam = orbits._generic_elements(group, n_max, cap)
+    return [
+        (word, DiskAutomorphism._trusted(x, y))
+        for word, x, y in zip(words, a.tolist(), lam.tolist())
+    ]
 
 
 def _all_pairs_elements(group, n_max, cap):
@@ -403,7 +419,7 @@ def generic_presentations(draw):
     depth=st.integers(0, 4),
 )
 def test_stabilizer_count_is_the_per_element_count(group, depth):
-    elements = orbits._generic_elements(group, depth, 10**4)
+    elements = _element_pairs(group, depth, 10**4)
     want = sum(abs(e(0j)) <= orbits.DEFAULT_DEDUP_TOL for _, e in elements)
     assert stabilizer_order_origin(group, depth) == want
 
@@ -430,7 +446,7 @@ def test_generic_dedup_matches_all_pairs_reference(group, depth, base, dedup_tol
         _reference_orbit(group, base, depth, dedup_tol),
     )
     want = list(_all_pairs_elements(group, depth, 10**4))
-    assert list(orbits._generic_elements(group, depth, 10**4)) == want
+    assert _element_pairs(group, depth, 10**4) == want
 
 
 def _linear_scan(pairs):
@@ -654,7 +670,7 @@ def test_an_orbit_on_a_line_is_filtered_in_near_linear_time(monkeypatch):
         DiskAutomorphism(0.3j, -1.0 + 0j),
     ])
     depth = 5
-    candidates = len(list(orbits._generic_elements(group, depth, 10**4)))
+    candidates = len(_element_pairs(group, depth, 10**4))
     calls = []
 
     def counted(z, w):
@@ -696,10 +712,10 @@ def test_point_cap_fires_at_the_exact_count(group, base, depth):
 def test_element_cap_fires_at_the_exact_count():
     half_turn = DiskAutomorphism(0j, 1.0 + 0j)
     for group in (_free_group(), generic_group([half_turn, iterate_cyclic(0.4, 1)])):
-        full = list(orbits._generic_elements(group, 4, 10**4))
-        assert list(orbits._generic_elements(group, 4, len(full))) == full
+        full = _element_pairs(group, 4, 10**4)
+        assert _element_pairs(group, 4, len(full)) == full
         with pytest.raises(OrbitExplosion):
-            list(orbits._generic_elements(group, 4, len(full) - 1))
+            _element_pairs(group, 4, len(full) - 1)
 
 
 def test_point_cap_counts_points_not_elements():
@@ -752,11 +768,11 @@ def test_generic_element_search_runs_once_per_group(monkeypatch):
 
 def test_deeper_element_search_replaces_the_kept_one():
     group = _shared_group()
-    shallow = list(orbits._generic_elements(group, 2, 10**4))
-    deep = list(orbits._generic_elements(group, 4, 10**4))
+    shallow = _element_pairs(group, 2, 10**4)
+    deep = _element_pairs(group, 4, 10**4)
     assert group._elements[0] == 4
     assert deep == list(_all_pairs_elements(_shared_group(), 4, 10**4))
-    assert list(orbits._generic_elements(group, 2, 10**4)) == shallow
+    assert _element_pairs(group, 2, 10**4) == shallow
     assert group == _shared_group() and repr(group) == repr(_shared_group())
 
 
@@ -811,7 +827,7 @@ def test_a_search_past_its_cap_composes_no_more_than_one_at_a_time(
     monkeypatch, depth, make, cap
 ):
     got = _composes(monkeypatch, orbits, "_compose_grid",
-                    lambda: orbits._generic_elements(make(), depth, cap))
+                    lambda: _element_pairs(make(), depth, cap))
     want = _composes(monkeypatch, DiskAutomorphism, "compose",
                      lambda: list(_all_pairs_elements(make(), depth, cap)))
     assert got == want
