@@ -98,11 +98,9 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _section(doc: dict, key: str, required: bool = True):
+def _section(doc: dict, key: str):
     if key not in doc:
-        if required:
-            _fail(f"$.{key}", "required section is missing")
-        return None
+        _fail(f"$.{key}", "required section is missing")
     return doc[key]
 
 
@@ -174,7 +172,7 @@ def _truncation(doc: dict, args) -> tuple[orb.GroupPresentation, int, bool]:
     (``--depth`` if given, else ``$.truncation.depth``, default 60) and
     the strict flag."""
     group = _parse_group(doc)
-    obj = _section(doc, "truncation", required=False) or {}
+    obj = doc.get("truncation", {})
     if not isinstance(obj, dict):
         _fail("$.truncation", "expected an object")
     depth = obj.get("depth", 60)

@@ -13,6 +13,15 @@ read.  ``pencil_max`` solves the generalized problem behind extremal
 norms with one eigen-decomposition of K.  The 3x3 principal-minor
 routine at the end is independent of LAPACK and serves as its oracle.
 
+A matrix the library mirrored (its strict lower triangle the conjugate
+of its upper one, bit for bit, as the scalar Pick matrices of ``pick``
+are built) is factored as it stands, with its diagonal taken as real:
+the verdict shifts that diagonal in place and restores it afterwards.
+Any other matrix is factored as its Hermitian part 0.5 A + 0.5 A^H, a
+copy.  On a mirrored matrix both give LAPACK the same matrix: its
+lower triangle is its Hermitian part's, and its diagonal is read as
+real, as LAPACK reads a Hermitian matrix's diagonal.
+
 Validation and the Hermitian part each read the n x n entries a strip
 of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary;
 the part halves each entry before the sum, which cannot overflow.  The
@@ -82,15 +91,20 @@ class HermitianMatrix:
     double on both sides of the diagonal.
     """
 
+    _mirrored = False  # set by ``_adopt`` for a matrix the library mirrored
+
     def __init__(self, entries):
         self._validate(np.array(entries, dtype=complex))
 
     @classmethod
-    def _adopt(cls, a: np.ndarray) -> HermitianMatrix:
+    def _adopt(cls, a: np.ndarray, mirrored: bool = False) -> HermitianMatrix:
         """Validate a complex array the caller has just built and hands
-        over, and keep that array itself rather than a copy."""
+        over, and keep that array itself rather than a copy; ``mirrored``
+        says the caller wrote its strict lower triangle as the conjugate
+        of its upper one."""
         h = cls.__new__(cls)
         h._validate(a)
+        h._mirrored = mirrored
         return h
 
     def _validate(self, a: np.ndarray) -> None:
@@ -135,13 +149,17 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _solvable(a) -> np.ndarray:
-    """The Hermitian part 0.5 * A + 0.5 * A^H, halved first, in row strips."""
+    """The matrix LAPACK is given for A: the entries themselves when the
+    library mirrored A, else the Hermitian part 0.5 * A + 0.5 * A^H,
+    halved first, in row strips."""
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
+    if isinstance(a, HermitianMatrix) and a._mirrored:
+        return h
     # strips of the transpose: LAPACK reads the part in Fortran order
     out = np.empty((n, n), dtype=complex)
     for r0 in range(0, n, STRIP_ROWS):
@@ -191,10 +209,14 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     """Positive-semidefiniteness verdict with an explicit tolerance:
     does A + tol * I have a Cholesky factor?
 
-    A is taken as its Hermitian part 0.5 A + 0.5 A^H.  The default
-    tolerance 1e-10 * (1 + max diagonal) is anchored to the diagonal
-    because the matrices arising here scale with kernel magnitudes near
-    the boundary.  The report's ``min_eigenvalue`` is computed on first
+    A matrix the library mirrored is factored as it stands, with its
+    diagonal taken as real: the diagonal becomes re(diagonal) + tol in
+    place for the factorization and is restored bit for bit afterwards,
+    whatever the factorization raises.  Any other matrix is factored as
+    its Hermitian part 0.5 A + 0.5 A^H, a copy.  The default tolerance
+    1e-10 * (1 + max diagonal) is anchored to the diagonal because the
+    matrices arising here scale with kernel magnitudes near the
+    boundary.  The report's ``min_eigenvalue`` is computed on first
     read.
     """
     h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
@@ -203,13 +225,18 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
     shifted = _solvable(h)
-    shifted.flat[:: h.n + 1] += tol
+    # A mirrored matrix is shifted where it stands, so its diagonal is
+    # restored whatever the factorization raises.
+    diagonal = shifted.flat[:: h.n + 1]  # a copy
+    shifted.flat[:: h.n + 1] = diagonal.real + tol
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         is_psd = False
     else:
         is_psd = True
+    finally:
+        shifted.flat[:: h.n + 1] = diagonal
     report = PsdReport(math.nan, is_psd, tol)
     report._pending = h
     return report

@@ -16,8 +16,11 @@ validation of nodes and targets, distinct nodes included (``pick_norm``
 and the interpolants build one too, and take scalar targets only), and
 one alias check guards every composed-kernel entry point.
 Scalar weights are written into the kernel matrix a strip of rows at
-a time, and the weighted matrix is handed to ``linalg.HermitianMatrix``
-without a copy.
+a time, its lower triangle mirrored from its upper one as a Gram
+matrix's is, and the weighted matrix is handed to
+``linalg.HermitianMatrix`` without a copy, marked mirrored, so the
+verdict factors it where it stands.  Weights that would overflow the
+matrix raise ``NumericalError`` before it is built.
 Positivity at tolerance tol is one Cholesky attempt on A + tol * I
 (``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
@@ -66,6 +69,8 @@ _TARGET_RESIDUAL = 1e-8
 # exactly-unimodular reduced target this far off the circle.
 _DEGENERATE_LADDER = (1e-10, 1e-7, 1e-5, 1e-3)
 _BLOWUP_TOL = 1e-4
+# where a diagonal block of a scalar Pick matrix takes its mirror
+_STRICT_LOWER = np.tri(STRIP_ROWS, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +152,48 @@ def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[np.ndarray, list[i
     return szego_matrix(points), counts
 
 
+def _check_finite(targets, kmat: np.ndarray, scale: float) -> None:
+    """Raise ``NumericalError`` unless the matrix [(scale - w_i conj(w_j))
+    K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij, is finite, the
+    complex products' partial sums included.  |K_ij| <= max K_ii for a
+    Gram matrix, so the diagonal bounds every entry without a pass over
+    the matrix."""
+    if isinstance(targets[0], np.ndarray):
+        k, m = targets[0].shape[0], max(float(np.abs(t).max()) for t in targets)
+    else:
+        k, m = 1, max(map(abs, targets))
+    kmax = max(kmat.diagonal().real.tolist(), default=0.0)
+    # the factor 2 leaves room for rounding
+    if not math.isfinite(2.0 * (scale + k * m * m) * kmax):
+        raise NumericalError(
+            f"the weighted kernel matrix overflows: targets of modulus {m:.3g} "
+            f"against kernel entries up to {kmax:.3g}"
+        )
+
+
 def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
     """Apply the (1 - w_i conj(w_j)) resp. (I - W_i W_j^H) weights, each
     node's target carried by all of its rows; matrix weights are
     tensored onto each scalar entry, row index major.  Scalar weights
-    are written into ``kmat``, which the caller hands over."""
+    are written into ``kmat``, which the caller hands over, mirrored as
+    ``szego_matrix`` mirrors a Gram matrix: each strip of rows weights
+    its upper part and diagonal and writes their conjugate below."""
     rows = np.repeat(np.arange(len(counts)), counts)
     if not isinstance(targets[0], np.ndarray):
         w = np.array(targets, dtype=complex)[rows]
         wc = w.conj()
-        for r0 in range(0, len(w), STRIP_ROWS):
-            strip = kmat[r0 : r0 + STRIP_ROWS]
+        n = len(w)
+        for r0 in range(0, n, STRIP_ROWS):
+            r1 = min(r0 + STRIP_ROWS, n)
+            s = r1 - r0
+            upper = kmat[r0:r1, r0:]
             # weights * kmat, in this operand order: numpy's SIMD complex
             # multiply is not bitwise commutative
-            np.multiply(1.0 - np.outer(w[r0 : r0 + STRIP_ROWS], wc), strip, out=strip)
+            np.multiply(1.0 - np.outer(w[r0:r1], wc[r0:]), upper, out=upper)
+            if r1 < n:
+                np.conjugate(upper[:, s:].T, out=kmat[r1:, r0:r1])
+            block = upper[:, :s]
+            np.copyto(block, block.T.conj(), where=_STRICT_LOWER[:s, :s])
         return kmat
     k = targets[0].shape[0]
     eye = np.eye(k, dtype=complex)
@@ -180,7 +213,10 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     scalar entry is tensored with (I - W_i W_j^H), row index major.
     """
     kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
-    return HermitianMatrix._adopt(_weighted(problem.targets, counts, kmat))
+    _check_finite(problem.targets, kmat, 1.0)
+    return HermitianMatrix._adopt(
+        _weighted(problem.targets, counts, kmat), mirrored=not problem.matrix_valued
+    )
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
@@ -208,9 +244,11 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     if not any(targets):
         return 0.0
     kmat, counts = _kernel_rows(kernel, nodes, targets)
+    _check_finite(targets, kmat, 0.0)
     w = np.repeat(np.array(targets), counts)
     outer = np.outer(w, w.conj())
     c = math.sqrt(max(pencil_max(kmat, outer * kmat), 0.0))
+    _check_finite(targets, kmat, c * c)
     if not psd_check(HermitianMatrix._adopt((c * c - outer) * kmat)).is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "

@@ -444,6 +444,32 @@ def test_a_z2z2_parameter_too_small_to_translate_exits_two(tmp_path, capsys, com
     assert err == "error: $.group.a: the translation z -> (z - a)/(1 - a z) is the identity map\n"
 
 
+@pytest.mark.parametrize("command", ["pick-check", "pick-norm", "interpolate"])
+def test_an_overflowing_pick_matrix_exits_three_without_a_warning(tmp_path, command):
+    # valid, finite input whose weights 1 - w_i conj(w_j) overflow; a
+    # fresh process shows what reaches stderr, numpy's warnings included
+    doc = dict(FEASIBLE, nodes=[[0.1, 0.2], [-0.3, 0.1]], targets=[[1e200, 0.0], [0.0, 1e200]])
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "orbitpick.cli", command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("numerical failure: the weighted kernel matrix overflows")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [[], 0, False, "", None])
+@pytest.mark.parametrize("command", ["orbit", "orbit-pick-check"])
+def test_a_truncation_that_is_not_an_object_exits_two(tmp_path, capsys, command, value):
+    # a falsy section is not an absent one: it does not default the depth
+    code, out, err = run(tmp_path, capsys, dict(ORBIT_DEPTHS, truncation=value), command)
+    assert (code, out) == (2, "")
+    assert err == "error: $.truncation: expected an object\n"
+
+
 def test_verify_command(capsys):
     code = main(["verify", "--seed", "7", "--grid", "256"])
     out = capsys.readouterr()

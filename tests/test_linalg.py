@@ -209,9 +209,10 @@ def test_hermitian_matrix_keeps_its_messages(entries, message):
     with pytest.raises(InputError) as public:
         HermitianMatrix(entries)
     assert str(public.value) == message
-    with pytest.raises(InputError) as adopted:
-        HermitianMatrix._adopt(np.array(entries, dtype=complex))
-    assert str(adopted.value) == message
+    for mirrored in (False, True):
+        with pytest.raises(InputError) as adopted:
+            HermitianMatrix._adopt(np.array(entries, dtype=complex), mirrored=mirrored)
+        assert str(adopted.value) == message
 
 
 def test_hermitian_matrix_copies_what_it_is_given():
@@ -290,6 +291,45 @@ def test_psd_check_factors_the_whole_matrix_hermitian_part(monkeypatch, name, a,
     monkeypatch.setattr(np.linalg, "cholesky", record)
     assert psd_check(h, tol).is_psd == verdict
     assert factored[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name, a", [
+    call for call in _close_calls() if call[0] not in ("signed zeros", "1-ulp defect")
+], ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("offset", [1e-3, 0.0, -1e-3])
+def test_psd_check_factors_a_mirrored_matrix_where_it_stands(monkeypatch, name, a, offset):
+    n = a.shape[0]
+    a = a.copy()
+    a.flat[:: n + 1] += offset * np.max(np.abs(a))
+    lower = np.tril_indices(n, -1)
+    assert a[lower].tobytes() == a.T[lower].conj().tobytes()
+    h = HermitianMatrix._adopt(a.copy(), mirrored=True)
+    tol = default_psd_tolerance(h)
+    expected = 0.5 * a.conj().T + 0.5 * a
+    expected.flat[:: n + 1] += tol
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def record(m):
+        factored.append(m.copy())
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", record)
+    report = psd_check(h)
+    assert factored[0].tobytes() == expected.tobytes()
+    assert h.entries.tobytes() == a.tobytes()  # restored after a success or a failure
+    if offset:
+        assert report.is_psd == (offset > 0)
+    monkeypatch.undo()
+    assert report.min_eigenvalue.hex() == min_eig(HermitianMatrix(a)).hex()
+
+    def out_of_memory(m):
+        raise MemoryError
+
+    monkeypatch.setattr(np.linalg, "cholesky", out_of_memory)
+    with pytest.raises(MemoryError):
+        psd_check(h)
+    assert h.entries.tobytes() == a.tobytes()
 
 
 def _test_matrix(kind, n, seed):
@@ -374,3 +414,15 @@ def test_psd_check_rejects_bad_input_at_once(monkeypatch):
     for tol in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InputError, match="tolerance must be positive and finite"):
             psd_check(np.eye(2), tol=tol)
+
+
+def test_psd_check_keeps_its_guards_on_a_mirrored_matrix(monkeypatch):
+    monkeypatch.setattr(linalg, "min_eig", _boom)
+    big = HermitianMatrix._adopt(np.eye(1, dtype=complex), mirrored=True)
+    big.entries = np.zeros((MAX_DIMENSION + 1, MAX_DIMENSION + 1), dtype=complex)
+    with pytest.raises(InputError, match="exceeds the supported 2000"):
+        psd_check(big, tol=1.0)
+    # every orbit point beyond the kernel radius leaves no row
+    problem = PickProblem((0.9995j,), (0.1,), OrbitGramKernel(cyclic_group(0.5), 0))
+    with pytest.raises(InputError, match="empty matrix has no eigenvalues"):
+        feasibility(problem)

@@ -184,16 +184,26 @@ def test_assemble_pick_is_the_whole_matrix_formula_bit_for_bit(group, depth, nod
     problem = PickProblem(nodes, tuple(targets), OrbitGramKernel(group, depth))
     report = feasibility(problem)
     expected = _full_pick(problem)
+    entries = report.matrix.entries
     assert report.matrix.n > 300
-    assert report.matrix.entries.tobytes() == expected.tobytes()
+    if matrix:
+        assert entries.tobytes() == expected.tobytes()
+    else:
+        # the upper triangle and the diagonal are the formula's bits, and
+        # the strict lower triangle is their conjugate mirror
+        upper = np.triu_indices(report.matrix.n)
+        lower = np.tril_indices(report.matrix.n, -1)
+        assert entries[upper].tobytes() == expected[upper].tobytes()
+        assert entries[lower].tobytes() == entries.T[lower].conj().tobytes()
     assert report.psd.is_psd == (kind != "arbitrary")
     assert report.psd.is_psd == _solvable_verdict(expected, report.psd.tolerance_used)
 
 
-def test_feasibility_holds_at_most_three_and_a_half_matrices(monkeypatch):
-    # the kernel matrix is weighted in place and handed over without a
-    # copy, so the peak is the Pick matrix, the Cholesky input and the
-    # factor, plus strips
+def test_feasibility_holds_at_most_two_and_a_half_matrices(monkeypatch):
+    # the kernel matrix is weighted in place, mirrored and handed over
+    # without a copy, and the verdict factors it where it stands, so the
+    # traced peak is the Pick matrix and the factor, plus strips (numpy
+    # makes the Cholesky input outside the traced allocator)
     nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j)
     targets = (0.1, 0.2j, 0.05 + 0.05j, -0.1)
     problem = PickProblem(nodes, targets, OrbitGramKernel(cyclic_group(0.05), 120))
@@ -210,7 +220,7 @@ def test_feasibility_holds_at_most_three_and_a_half_matrices(monkeypatch):
     finally:
         tracemalloc.stop()
     assert n == 596
-    assert peak <= 3.5 * 16 * n * n
+    assert peak <= 2.5 * 16 * n * n
 
 
 def test_orbit_pick_depth_zero_equals_szego():
