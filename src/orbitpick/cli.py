@@ -107,8 +107,11 @@ def _section(doc: dict, key: str):
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
-    if v != v or v in (float("inf"), float("-inf")):
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        v = math.inf
+    if not math.isfinite(v):
         _fail(path, "number must be finite")
     return v
 

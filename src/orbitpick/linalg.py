@@ -13,19 +13,17 @@ read.  ``pencil_max`` solves the generalized problem behind extremal
 norms with one eigen-decomposition of K.  The 3x3 principal-minor
 routine at the end is independent of LAPACK and serves as its oracle.
 
-A matrix the library mirrored (its strict lower triangle the conjugate
-of its upper one, bit for bit, as the scalar Pick matrices of ``pick``
-are built) is factored as it stands, with its diagonal taken as real:
-the verdict shifts that diagonal in place and restores it afterwards.
-Any other matrix is factored as its Hermitian part 0.5 A + 0.5 A^H, a
-copy.  On a mirrored matrix both give LAPACK the same matrix: its
-lower triangle is its Hermitian part's, and its diagonal is read as
-real, as LAPACK reads a Hermitian matrix's diagonal.
+Every ``HermitianMatrix`` holds a matrix whose strict lower triangle
+is the conjugate of its upper one, and LAPACK is given that matrix as
+it stands, its diagonal read as real.  A matrix the library built
+mirrored (a Gram matrix of ``kernels.szego_matrix``, a scalar Pick
+matrix of ``pick``) is adopted without a copy; any other matrix is
+copied and replaced by its Hermitian part 0.5 A^H + 0.5 A.  A verdict
+shifts the diagonal in place and restores it afterwards.
 
 Validation and the Hermitian part each read the n x n entries a strip
 of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary;
-the part halves each entry before the sum, which cannot overflow.  The
-library's own Pick matrices reach ``HermitianMatrix`` without a copy.
+the part halves each entry before the sum, which cannot overflow.
 """
 
 from __future__ import annotations
@@ -85,26 +83,33 @@ class HermitianMatrix:
 
     Accepts any square array of finite entries whose conjugate-transpose
     defect max|A - A^H| is at most 1e-10 * (1 + max|entry|), and stores
-    a copy of the entries as given.  Validation reads the matrix in
-    strips of ``STRIP_ROWS`` rows, each with the upper part of its
-    columns and their mirror, since |a_ij - conj(a_ji)| is the same
-    double on both sides of the diagonal.
+    its Hermitian part 0.5 A^H + 0.5 A, written into a copy of the
+    entries.  Validation reads the matrix in strips of ``STRIP_ROWS``
+    rows, each with the upper part of its columns and their mirror,
+    since |a_ij - conj(a_ji)| is the same double on both sides of the
+    diagonal; the Hermitian part is written in the same strips.
     """
 
-    _mirrored = False  # set by ``_adopt`` for a matrix the library mirrored
-
     def __init__(self, entries):
-        self._validate(np.array(entries, dtype=complex))
+        a = np.array(entries, dtype=complex)
+        self._validate(a)
+        # Each strip reads and writes the entries whose smaller index
+        # lies in its rows, so it reads nothing an earlier strip wrote.
+        for r0 in range(0, a.shape[0], STRIP_ROWS):
+            rows = a[r0 : r0 + STRIP_ROWS, r0:]
+            below = a[r0 + STRIP_ROWS :, r0 : r0 + STRIP_ROWS]
+            upper = np.conjugate(a[r0:, r0 : r0 + STRIP_ROWS].T) * 0.5 + 0.5 * rows
+            lower = np.conjugate(rows[:, STRIP_ROWS:].T) * 0.5 + 0.5 * below
+            rows[...], below[...] = upper, lower
 
     @classmethod
-    def _adopt(cls, a: np.ndarray, mirrored: bool = False) -> HermitianMatrix:
-        """Validate a complex array the caller has just built and hands
-        over, and keep that array itself rather than a copy; ``mirrored``
-        says the caller wrote its strict lower triangle as the conjugate
-        of its upper one."""
+    def _adopt(cls, a: np.ndarray) -> HermitianMatrix:
+        """Validate a complex array the library has just built mirrored
+        (its strict lower triangle the conjugate of its upper one, as
+        ``kernels.szego_matrix`` and ``pick._weighted`` write them) and
+        keep that array itself rather than a copy."""
         h = cls.__new__(cls)
         h._validate(a)
-        h._mirrored = mirrored
         return h
 
     def _validate(self, a: np.ndarray) -> None:
@@ -149,25 +154,15 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _solvable(a) -> np.ndarray:
-    """The matrix LAPACK is given for A: the entries themselves when the
-    library mirrored A, else the Hermitian part 0.5 * A + 0.5 * A^H,
-    halved first, in row strips."""
+    """The matrix LAPACK is given for A: its entries, once they pass the
+    dimension guards."""
     h = _as_matrix(a)
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
-    if isinstance(a, HermitianMatrix) and a._mirrored:
-        return h
-    # strips of the transpose: LAPACK reads the part in Fortran order
-    out = np.empty((n, n), dtype=complex)
-    for r0 in range(0, n, STRIP_ROWS):
-        strip = out[r0 : r0 + STRIP_ROWS]
-        np.conjugate(h[r0 : r0 + STRIP_ROWS], out=strip)
-        strip *= 0.5
-        strip += 0.5 * h[:, r0 : r0 + STRIP_ROWS].T
-    return out.T
+    return h
 
 
 def min_eig(a) -> float:
@@ -209,15 +204,14 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     """Positive-semidefiniteness verdict with an explicit tolerance:
     does A + tol * I have a Cholesky factor?
 
-    A matrix the library mirrored is factored as it stands, with its
-    diagonal taken as real: the diagonal becomes re(diagonal) + tol in
-    place for the factorization and is restored bit for bit afterwards,
-    whatever the factorization raises.  Any other matrix is factored as
-    its Hermitian part 0.5 A + 0.5 A^H, a copy.  The default tolerance
-    1e-10 * (1 + max diagonal) is anchored to the diagonal because the
-    matrices arising here scale with kernel magnitudes near the
-    boundary.  The report's ``min_eigenvalue`` is computed on first
-    read.
+    The matrix ``HermitianMatrix`` holds (for an array, its Hermitian
+    part) is factored as it stands, with its diagonal taken as real: the
+    diagonal becomes re(diagonal) + tol in place for the factorization
+    and is restored bit for bit afterwards, whatever the factorization
+    raises.  The default tolerance 1e-10 * (1 + max diagonal) is
+    anchored to the diagonal because the matrices arising here scale
+    with kernel magnitudes near the boundary.  The report's
+    ``min_eigenvalue`` is computed on first read.
     """
     h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
     if tol is None:
@@ -225,8 +219,6 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
     shifted = _solvable(h)
-    # A mirrored matrix is shifted where it stands, so its diagonal is
-    # restored whatever the factorization raises.
     diagonal = shifted.flat[:: h.n + 1]  # a copy
     shifted.flat[:: h.n + 1] = diagonal.real + tol
     try:

@@ -17,9 +17,9 @@ and the interpolants build one too, and take scalar targets only), and
 one alias check guards every composed-kernel entry point.
 Scalar weights are written into the kernel matrix a strip of rows at
 a time, its lower triangle mirrored from its upper one as a Gram
-matrix's is, and the weighted matrix is handed to
-``linalg.HermitianMatrix`` without a copy, marked mirrored, so the
-verdict factors it where it stands.  Weights that would overflow the
+matrix's is, so ``linalg.HermitianMatrix`` adopts it without a copy and
+the verdict factors it where it stands; matrix-target Pick matrices are
+stored as their Hermitian part.  Weights that would overflow the
 matrix raise ``NumericalError`` before it is built.
 Positivity at tolerance tol is one Cholesky attempt on A + tol * I
 (``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
@@ -171,11 +171,12 @@ def _check_finite(targets, kmat: np.ndarray, scale: float) -> None:
         )
 
 
-def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
-    """Apply the (1 - w_i conj(w_j)) resp. (I - W_i W_j^H) weights, each
-    node's target carried by all of its rows; matrix weights are
-    tensored onto each scalar entry, row index major.  Scalar weights
-    are written into ``kmat``, which the caller hands over, mirrored as
+def _weighted(targets, counts: list[int], kmat: np.ndarray, scale=1.0) -> np.ndarray:
+    """Apply the (scale - w_i conj(w_j)) resp. (I - W_i W_j^H) weights,
+    scale 1 but in ``pick_norm``'s check, each node's target carried by
+    all of its rows; matrix weights are tensored onto each scalar entry,
+    row index major.  Scalar weights are written into ``kmat``, which the
+    caller hands over, mirrored for ``HermitianMatrix._adopt`` as
     ``szego_matrix`` mirrors a Gram matrix: each strip of rows weights
     its upper part and diagonal and writes their conjugate below."""
     rows = np.repeat(np.arange(len(counts)), counts)
@@ -189,7 +190,7 @@ def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
             upper = kmat[r0:r1, r0:]
             # weights * kmat, in this operand order: numpy's SIMD complex
             # multiply is not bitwise commutative
-            np.multiply(1.0 - np.outer(w[r0:r1], wc[r0:]), upper, out=upper)
+            np.multiply(scale - np.outer(w[r0:r1], wc[r0:]), upper, out=upper)
             if r1 < n:
                 np.conjugate(upper[:, s:].T, out=kmat[r1:, r0:r1])
             block = upper[:, :s]
@@ -214,9 +215,8 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     """
     kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
     _check_finite(problem.targets, kmat, 1.0)
-    return HermitianMatrix._adopt(
-        _weighted(problem.targets, counts, kmat), mirrored=not problem.matrix_valued
-    )
+    hold = HermitianMatrix if problem.matrix_valued else HermitianMatrix._adopt
+    return hold(_weighted(problem.targets, counts, kmat))
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
@@ -246,10 +246,11 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     kmat, counts = _kernel_rows(kernel, nodes, targets)
     _check_finite(targets, kmat, 0.0)
     w = np.repeat(np.array(targets), counts)
-    outer = np.outer(w, w.conj())
-    c = math.sqrt(max(pencil_max(kmat, outer * kmat), 0.0))
+    b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
+    c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     _check_finite(targets, kmat, c * c)
-    if not psd_check(HermitianMatrix._adopt((c * c - outer) * kmat)).is_psd:
+    check = HermitianMatrix._adopt(_weighted(targets, counts, kmat, c * c))
+    if not psd_check(check).is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "
             "target weight lies on directions the kernel matrix annihilates "

@@ -432,6 +432,27 @@ def test_out_of_memory_exits_three_without_a_traceback(tmp_path, capsys, doc, ar
     assert "Traceback" not in err
 
 
+_BIG = 10**400  # an integer literal of 401 digits, beyond the double range
+_GENERATOR = [[1.0, 0.0], [-0.5, 0.0], [-0.5, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("doc, command, path", [
+    (dict(FEASIBLE, nodes=[[_BIG, 0.0], [0.5, 0.0]]), "pick-check", "$.nodes[0][0]"),
+    (dict(FEASIBLE, targets=[[0.0, 0.0], [0.5, -_BIG]]), "pick-check", "$.targets[1][1]"),
+    ({"group": {"kind": "cyclic", "a": _BIG}}, "orbit", "$.group.a"),
+    ({"group": {"kind": "generic", "generators": [[_GENERATOR[0], [_BIG, 0.0]] + _GENERATOR[2:]]}},
+     "orbit", "$.group.generators[0][1][0]"),
+    ({"group": {"kind": "cyclic", "a": 0.5}, "base": [0.1, _BIG]}, "orbit", "$.base[1]"),
+    (dict(_problem("rotation4"), eval_points=[[0.3, 0.1], [_BIG, 0.45]]), "blaschke-eval",
+     "$.eval_points[1][0]"),
+    (dict(AVERAGE, point=[-_BIG, 0.2]), "amenable-average", "$.point[0]"),
+], ids=["node", "target", "group-a", "generator", "base", "eval-point", "point"])
+def test_an_integer_beyond_the_double_range_exits_two(tmp_path, capsys, doc, command, path):
+    code, out, err = run(tmp_path, capsys, doc, command)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: number must be finite\n"
+
+
 _TINY_Z2Z2 = dict(FEASIBLE, group={"kind": "z2z2", "a": 1e-17}, truncation={"depth": 3},
                   kernel={"variant": "composed", "power": 2}, eval_points=[[0.1, 0.0]])
 
@@ -567,6 +588,20 @@ def test_report_matches_golden(capsys, problem, command, exit_code):
     assert code == exit_code
     golden = (DATA / f"{problem}.{command}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("problem,command", [
+    (problem, command) for problem, command, code in GOLDEN
+    if command in ("pick-check", "kernel-gram") and code != 2
+])
+def test_every_printed_matrix_is_hermitian(problem, command):
+    report = json.loads((DATA / f"{problem}.{command}.out").read_text(encoding="utf-8"))
+    pairs = np.array(report["matrix" if command == "pick-check" else "entries"])
+    a = pairs[..., 0] + 1j * pairs[..., 1]
+    lower = np.tril_indices(a.shape[0], -1)
+    # compared as numbers: a Hermitian part and its mirror can differ in
+    # the sign of a zero
+    assert (a[lower] == a.T[lower].conj()).all()
 
 
 def test_verify_report_matches_golden(capsys):

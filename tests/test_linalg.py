@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from orbitpick.kernels import (
     ComposedInnerKernel,
     OrbitGramKernel,
     dominance_check,
+    gram,
     szego_matrix,
 )
 from orbitpick.linalg import (
@@ -209,10 +211,9 @@ def test_hermitian_matrix_keeps_its_messages(entries, message):
     with pytest.raises(InputError) as public:
         HermitianMatrix(entries)
     assert str(public.value) == message
-    for mirrored in (False, True):
-        with pytest.raises(InputError) as adopted:
-            HermitianMatrix._adopt(np.array(entries, dtype=complex), mirrored=mirrored)
-        assert str(adopted.value) == message
+    with pytest.raises(InputError) as adopted:
+        HermitianMatrix._adopt(np.array(entries, dtype=complex))
+    assert str(adopted.value) == message
 
 
 def test_hermitian_matrix_copies_what_it_is_given():
@@ -272,6 +273,7 @@ def test_psd_check_factors_the_whole_matrix_hermitian_part(monkeypatch, name, a,
         assert not np.isfinite(summed).all()
     else:
         assert summed.tobytes() == expected.tobytes()
+    assert h.entries.tobytes() == expected.tobytes()
     expected.flat[:: h.n + 1] += tol
     try:
         np.linalg.cholesky(expected)
@@ -303,7 +305,7 @@ def test_psd_check_factors_a_mirrored_matrix_where_it_stands(monkeypatch, name, 
     a.flat[:: n + 1] += offset * np.max(np.abs(a))
     lower = np.tril_indices(n, -1)
     assert a[lower].tobytes() == a.T[lower].conj().tobytes()
-    h = HermitianMatrix._adopt(a.copy(), mirrored=True)
+    h = HermitianMatrix._adopt(a.copy())
     tol = default_psd_tolerance(h)
     expected = 0.5 * a.conj().T + 0.5 * a
     expected.flat[:: n + 1] += tol
@@ -416,9 +418,26 @@ def test_psd_check_rejects_bad_input_at_once(monkeypatch):
             psd_check(np.eye(2), tol=tol)
 
 
+def test_psd_check_of_a_caller_array_holds_one_copy():
+    # the copy HermitianMatrix makes holds the Hermitian part and is
+    # factored where it stands: the traced peak beyond the caller's Gram
+    # array is that copy and the factor, plus strips
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j)
+    g = gram(OrbitGramKernel(cyclic_group(0.05), 120), nodes).entries
+    n = g.shape[0]
+    tracemalloc.start()
+    try:
+        report = psd_check(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 596 and report.is_psd
+    assert peak <= 2.5 * 16 * n * n
+
+
 def test_psd_check_keeps_its_guards_on_a_mirrored_matrix(monkeypatch):
     monkeypatch.setattr(linalg, "min_eig", _boom)
-    big = HermitianMatrix._adopt(np.eye(1, dtype=complex), mirrored=True)
+    big = HermitianMatrix._adopt(np.eye(1, dtype=complex))
     big.entries = np.zeros((MAX_DIMENSION + 1, MAX_DIMENSION + 1), dtype=complex)
     with pytest.raises(InputError, match="exceeds the supported 2000"):
         psd_check(big, tol=1.0)

@@ -187,7 +187,9 @@ def test_assemble_pick_is_the_whole_matrix_formula_bit_for_bit(group, depth, nod
     entries = report.matrix.entries
     assert report.matrix.n > 300
     if matrix:
-        assert entries.tobytes() == expected.tobytes()
+        # a matrix-target Pick matrix is stored as its Hermitian part
+        part = 0.5 * expected.conj().T + 0.5 * expected
+        assert entries.tobytes() == part.tobytes()
     else:
         # the upper triangle and the diagonal are the formula's bits, and
         # the strict lower triangle is their conjugate mirror
@@ -221,6 +223,30 @@ def test_feasibility_holds_at_most_two_and_a_half_matrices(monkeypatch):
         tracemalloc.stop()
     assert n == 596
     assert peak <= 2.5 * 16 * n * n
+
+
+def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
+    # K goes to the pencil adopted and the check matrix is weighted in
+    # place, so the one matrix pick_norm copies is the pencil's B
+    nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
+    kernel = OrbitGramKernel(cyclic_group(0.1), 120)
+    pick_norm(nodes, targets, kernel)
+    copied = []
+    init = HermitianMatrix.__init__
+
+    def recording_constructor(self, entries):
+        copied.append(np.shape(entries))
+        init(self, entries)
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", recording_constructor)
+    tracemalloc.start()
+    try:
+        pick_norm(nodes, targets, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert copied == [(150, 150)]
+    assert peak <= 6.5 * 16 * 150 * 150
 
 
 def test_orbit_pick_depth_zero_equals_szego():
