@@ -14,13 +14,13 @@ Three kernel variants are exposed:
 Every kernel matrix is a Szegő matrix at other points: the composed
 kernel's at the values phi(z_i), the orbit kernel's at the concatenated
 truncated orbits.  ``_szego_points`` is the one map from a kernel spec
-to those points, and ``szego_matrix`` the one builder; ``gram`` and the
-Pick matrices of ``pick`` are both built from the two.  The entries of
-``szego_matrix`` equal the scalar ``szego`` bit for bit, and a Gram
-matrix takes its strict upper triangle as computed and the rest as the
-conjugate mirror, so it is conjugate-symmetric exactly.  A Gram matrix
-computes only that upper triangle, a strip of rows at a time, so the
-complex reciprocal runs on about n (n + 1) / 2 entries rather than n^2.
+to those points, and ``szego_matrix`` the one builder, of Gram and
+scalar Pick matrices alike; ``gram`` and ``pick`` build from the two.
+The entries of ``szego_matrix`` equal the scalar ``szego`` bit for bit.
+It computes only the upper triangle, a strip of rows at a time, so the
+complex reciprocal runs on about n (n + 1) / 2 entries rather than n^2,
+and writes the rest as the conjugate mirror, so the matrix is
+conjugate-symmetric exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blaschke as bl
-from .errors import DuplicatePoints, InputError, UnsupportedVariant
-from .linalg import STRIP_ROWS, PsdReport, psd_check
+from .errors import DuplicatePoints, InputError, NumericalError, UnsupportedVariant
+from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, psd_check
 from .mobius import _complex, _denominator_parts, disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, enumerate_orbit
 
@@ -112,29 +112,35 @@ def _szego_block(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return k
 
 
-def szego_matrix(zs) -> np.ndarray:
+def szego_matrix(zs, w=None, scale=1.0) -> np.ndarray:
     """The Gram matrix [1 / (1 - conj(z_j) z_i)] of disk points, each
-    entry equal to the scalar ``szego`` bit for bit, mirrored from its
-    strict upper triangle.
+    entry equal to the scalar ``szego`` bit for bit, or with weights
+    ``w``, one per point, the scalar Pick matrix whose entries are the
+    Gram entries times (scale - w_i conj(w_j)).
 
-    The Gram matrix computes only its upper triangle, in strips of
-    ``STRIP_ROWS`` rows that run from the strip's first column to the
-    last, so each strip stays in cache while it is written out twice:
-    as computed above the diagonal, and as its conjugate below it and
-    on the diagonal.
+    It computes only its upper triangle, in strips of ``STRIP_ROWS``
+    rows from the diagonal on, so each strip stays in cache while it is
+    written out twice: weighted on and above the diagonal, whose entries
+    are the conjugates of those computed, and conjugated below it.
     """
     z = np.asarray(zs, dtype=complex).reshape(-1, 1)
     n = z.shape[0]
-    w = z.reshape(1, -1)
+    zr = z.reshape(1, -1)
     k = np.empty((n, n), dtype=complex)
-    strict_upper = ~np.tri(min(n, STRIP_ROWS), dtype=bool)
+    upper = ~np.tri(min(n, STRIP_ROWS), k=-1, dtype=bool)
     for r0 in range(0, n, STRIP_ROWS):
         r1 = min(r0 + STRIP_ROWS, n)
         s = r1 - r0
-        block = _szego_block(z[r0:r1], w[:, r0:])
+        block = _szego_block(z[r0:r1], zr[:, r0:])
+        d = np.arange(s)
+        block[d, d] = block[d, d].conj()
+        if w is not None:
+            # weights * block, in this operand order: numpy's SIMD
+            # complex multiply is not bitwise commutative
+            np.multiply(scale - np.outer(w[r0:r1], np.conj(w[r0:])), block, out=block)
         k[r0:r1, r1:] = block[:, s:]
         np.conjugate(block.T, out=k[r0:, r0:r1])
-        np.copyto(k[r0:r1, r0:r1], block[:, :s], where=strict_upper[:s, :s])
+        np.copyto(k[r0:r1, r0:r1], block[:, :s], where=upper[:s, :s])
     return k
 
 
@@ -185,10 +191,17 @@ def _szego_points(
     note: the points themselves (note None), their values phi(z) with
     one evaluation each (note ``power`` times the largest evaluation
     error bound), or their truncated orbits, concatenated in order
-    (note the largest orbit tail bound, None if any orbit has none)."""
+    (note the largest orbit tail bound, None if any orbit has none).
+    A point that would own no row raises ``NumericalError``."""
     if isinstance(spec, OrbitGramKernel):
         tails: list = []
         orbits = [_orbit_points(spec.group, spec.depth, p, tails) for p in points]
+        for i, orbit in enumerate(orbits):
+            if not orbit:
+                raise NumericalError(
+                    f"point {i} at {points[i]} has no orbit point to depth "
+                    f"{spec.depth} within the kernel radius {KERNEL_POINT_RADIUS}"
+                )
         note = None if None in tails else max(tails)
         return [q for orbit in orbits for q in orbit], [len(o) for o in orbits], note
     if isinstance(spec, ComposedInnerKernel):
@@ -216,7 +229,8 @@ def dominance_check(
     pts = check_distinct(points, DuplicatePoints, _COINCIDE)
     bvals, _ = bl.evaluate_many(b_gamma, pts)
     d = c * c * szego_matrix(bvals) - szego_matrix(_szego_points(k_sigma, pts)[0])
-    return psd_check(d)
+    # mirrored, as c^2 conj(x) - conj(y) = conj(c^2 x - y)
+    return psd_check(HermitianMatrix._adopt(d))
 
 
 def boundary_gram_quadrature(

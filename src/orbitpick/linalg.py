@@ -16,10 +16,10 @@ routine at the end is independent of LAPACK and serves as its oracle.
 Every ``HermitianMatrix`` holds a matrix whose strict lower triangle
 is the conjugate of its upper one, and LAPACK is given that matrix as
 it stands, its diagonal read as real.  A matrix the library built
-mirrored (a Gram matrix of ``kernels.szego_matrix``, a scalar Pick
-matrix of ``pick``) is adopted without a copy; any other matrix is
-copied and replaced by its Hermitian part 0.5 A^H + 0.5 A.  A verdict
-shifts the diagonal in place and restores it afterwards.
+mirrored (by ``kernels.szego_matrix``, or the difference of two such)
+is adopted without a copy; any other matrix is copied and replaced by
+its Hermitian part 0.5 A^H + 0.5 A.  A verdict shifts the diagonal in
+place and restores it afterwards.
 
 Validation and the Hermitian part each read the n x n entries a strip
 of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary;
@@ -37,7 +37,7 @@ from .errors import InputError
 
 MAX_DIMENSION = 2000
 # Rows per strip of the n x n passes that work a strip at a time (the
-# Gram matrix, the Pick weights, validation and the Hermitian part): a
+# Gram and scalar Pick matrices, validation and the Hermitian part): a
 # strip of a 1,200-row matrix and its temporaries stay in cache.
 STRIP_ROWS = 64
 # Relative eigenvalue floor below which ``pencil_max`` treats a
@@ -106,8 +106,8 @@ class HermitianMatrix:
     def _adopt(cls, a: np.ndarray) -> HermitianMatrix:
         """Validate a complex array the library has just built mirrored
         (its strict lower triangle the conjugate of its upper one, as
-        ``kernels.szego_matrix`` and ``pick._weighted`` write them) and
-        keep that array itself rather than a copy."""
+        ``kernels.szego_matrix`` writes Gram and scalar Pick matrices)
+        and keep that array itself rather than a copy."""
         h = cls.__new__(cls)
         h._validate(a)
         return h

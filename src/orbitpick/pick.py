@@ -15,9 +15,8 @@ orbits, each node's target carried by all of its rows.  So one
 validation of nodes and targets, distinct nodes included (``pick_norm``
 and the interpolants build one too, and take scalar targets only), and
 one alias check guards every composed-kernel entry point.
-Scalar weights are written into the kernel matrix a strip of rows at
-a time, its lower triangle mirrored from its upper one as a Gram
-matrix's is, so ``linalg.HermitianMatrix`` adopts it without a copy and
+A scalar Pick matrix is written by ``szego_matrix``, mirrored as a Gram
+matrix is, so ``linalg.HermitianMatrix`` adopts it without a copy and
 the verdict factors it where it stands; matrix-target Pick matrices are
 stored as their Hermitian part.  Weights that would overflow the
 matrix raise ``NumericalError`` before it is built.
@@ -53,9 +52,10 @@ from .kernels import (
     SzegoKernel,
     _szego_points,
     check_distinct,
+    szego,
     szego_matrix,
 )
-from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, pencil_max, psd_check
+from .linalg import HermitianMatrix, PsdReport, pencil_max, psd_check
 from .mobius import _complex, _denominator_parts, _quotient, disk_point, iterate_images
 from .orbits import GroupPresentation
 
@@ -69,8 +69,6 @@ _TARGET_RESIDUAL = 1e-8
 # exactly-unimodular reduced target this far off the circle.
 _DEGENERATE_LADDER = (1e-10, 1e-7, 1e-5, 1e-3)
 _BLOWUP_TOL = 1e-4
-# where a diagonal block of a scalar Pick matrix takes its mirror
-_STRICT_LOWER = np.tri(STRIP_ROWS, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,26 +141,26 @@ def _check_aliases(points, targets) -> list[int]:
     return [i for i in range(len(points)) if i not in collapsed]
 
 
-def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[np.ndarray, list[int]]:
-    """Kernel matrix at the nodes, one row per Szegő point, and the
+def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[list[complex], list[int]]:
+    """The Szegő points of the kernel at the nodes, one per row, and the
     number of rows each node owns; aliased composed nodes raise."""
     points, counts, _ = _szego_points(kernel, nodes)
     if isinstance(kernel, ComposedInnerKernel):
         _check_aliases(points, targets)
-    return szego_matrix(points), counts
+    return points, counts
 
 
-def _check_finite(targets, kmat: np.ndarray, scale: float) -> None:
+def _check_finite(targets, points, scale: float) -> None:
     """Raise ``NumericalError`` unless the matrix [(scale - w_i conj(w_j))
-    K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij, is finite, the
-    complex products' partial sums included.  |K_ij| <= max K_ii for a
-    Gram matrix, so the diagonal bounds every entry without a pass over
-    the matrix."""
+    K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij, is finite for
+    the Szegő matrix K at ``points``, the complex products' partial sums
+    included.  |K_ij| <= max K_ii = szego(p_i, p_i) for a Gram matrix,
+    so no matrix need be built first."""
     if isinstance(targets[0], np.ndarray):
         k, m = targets[0].shape[0], max(float(np.abs(t).max()) for t in targets)
     else:
         k, m = 1, max(map(abs, targets))
-    kmax = max(kmat.diagonal().real.tolist(), default=0.0)
+    kmax = max((szego(p, p).real for p in points), default=0.0)
     # the factor 2 leaves room for rounding
     if not math.isfinite(2.0 * (scale + k * m * m) * kmax):
         raise NumericalError(
@@ -171,31 +169,11 @@ def _check_finite(targets, kmat: np.ndarray, scale: float) -> None:
         )
 
 
-def _weighted(targets, counts: list[int], kmat: np.ndarray, scale=1.0) -> np.ndarray:
-    """Apply the (scale - w_i conj(w_j)) resp. (I - W_i W_j^H) weights,
-    scale 1 but in ``pick_norm``'s check, each node's target carried by
-    all of its rows; matrix weights are tensored onto each scalar entry,
-    row index major.  Scalar weights are written into ``kmat``, which the
-    caller hands over, mirrored for ``HermitianMatrix._adopt`` as
-    ``szego_matrix`` mirrors a Gram matrix: each strip of rows weights
-    its upper part and diagonal and writes their conjugate below."""
+def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
+    """The (I - W_i W_j^H) weights of matrix targets tensored onto each
+    scalar entry of ``kmat``, row index major, each node's target
+    carried by all of its rows."""
     rows = np.repeat(np.arange(len(counts)), counts)
-    if not isinstance(targets[0], np.ndarray):
-        w = np.array(targets, dtype=complex)[rows]
-        wc = w.conj()
-        n = len(w)
-        for r0 in range(0, n, STRIP_ROWS):
-            r1 = min(r0 + STRIP_ROWS, n)
-            s = r1 - r0
-            upper = kmat[r0:r1, r0:]
-            # weights * kmat, in this operand order: numpy's SIMD complex
-            # multiply is not bitwise commutative
-            np.multiply(scale - np.outer(w[r0:r1], wc[r0:]), upper, out=upper)
-            if r1 < n:
-                np.conjugate(upper[:, s:].T, out=kmat[r1:, r0:r1])
-            block = upper[:, :s]
-            np.copyto(block, block.T.conj(), where=_STRICT_LOWER[:s, :s])
-        return kmat
     k = targets[0].shape[0]
     eye = np.eye(k, dtype=complex)
     weights = np.array([[eye - ti @ tj.conj().T for tj in targets] for ti in targets])
@@ -213,10 +191,13 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     over the deterministic orbit orderings; for matrix targets each
     scalar entry is tensored with (I - W_i W_j^H), row index major.
     """
-    kmat, counts = _kernel_rows(problem.kernel, problem.nodes, problem.targets)
-    _check_finite(problem.targets, kmat, 1.0)
-    hold = HermitianMatrix if problem.matrix_valued else HermitianMatrix._adopt
-    return hold(_weighted(problem.targets, counts, kmat))
+    targets = problem.targets
+    points, counts = _kernel_rows(problem.kernel, problem.nodes, targets)
+    _check_finite(targets, points, 1.0)
+    if problem.matrix_valued:
+        return HermitianMatrix(_weighted(targets, counts, szego_matrix(points)))
+    w = np.repeat(np.array(targets), counts)
+    return HermitianMatrix._adopt(szego_matrix(points, w))
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
@@ -243,13 +224,15 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     nodes, targets = problem.nodes, problem.targets
     if not any(targets):
         return 0.0
-    kmat, counts = _kernel_rows(kernel, nodes, targets)
-    _check_finite(targets, kmat, 0.0)
+    points, counts = _kernel_rows(kernel, nodes, targets)
+    _check_finite(targets, points, 0.0)
     w = np.repeat(np.array(targets), counts)
+    kmat = szego_matrix(points)
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
-    _check_finite(targets, kmat, c * c)
-    check = HermitianMatrix._adopt(_weighted(targets, counts, kmat, c * c))
+    del kmat, b
+    _check_finite(targets, points, c * c)
+    check = HermitianMatrix._adopt(szego_matrix(points, w, c * c))
     if not psd_check(check).is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "

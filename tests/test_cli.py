@@ -482,6 +482,23 @@ def test_an_overflowing_pick_matrix_exits_three_without_a_warning(tmp_path, comm
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+# every orbit point of the first node lies beyond the kernel radius
+_ALL_CUT = {"group": {"kind": "cyclic", "a": 0.5}, "truncation": {"depth": 10},
+            "nodes": [[0.0, 0.9995], [0.1, 0.2]], "targets": [[5.0, 0.0], [0.1, 0.0]],
+            "kernel": {"variant": "orbit"}}
+
+
+@pytest.mark.parametrize("command", ["orbit-pick-check", "pick-check", "pick-norm",
+                                     "kernel-gram"])
+def test_a_node_with_no_kernel_row_exits_three(tmp_path, capsys, command):
+    # dropping the node's rows would drop its target 5: the check would
+    # pass and the norm would read 0.1
+    code, out, err = run(tmp_path, capsys, _ALL_CUT, command)
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: point 0 at 0.9995j has no orbit point to "
+                   "depth 10 within the kernel radius 0.999\n")
+
+
 @pytest.mark.parametrize("value", [[], 0, False, "", None])
 @pytest.mark.parametrize("command", ["orbit", "orbit-pick-check"])
 def test_a_truncation_that_is_not_an_object_exits_two(tmp_path, capsys, command, value):

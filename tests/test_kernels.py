@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
+from orbitpick.blaschke import BlaschkeProduct, evaluate, evaluate_many, from_orbit
 from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
 from orbitpick.kernels import (
     ComposedInnerKernel,
@@ -18,7 +18,7 @@ from orbitpick.kernels import (
     szego,
     szego_matrix,
 )
-from orbitpick.linalg import STRIP_ROWS, min_eig
+from orbitpick.linalg import STRIP_ROWS, HermitianMatrix, min_eig, psd_check
 from orbitpick.mobius import iterate_cyclic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, generic_group, z2z2_group
 
@@ -271,19 +271,67 @@ def _strip_points(n):
 
 
 _STRIP = STRIP_ROWS
+_WEIGHT = st.one_of(
+    st.builds(complex, _ZERO, _ZERO),
+    st.builds(complex, st.floats(-2.0, 2.0), _ZERO),
+    st.builds(complex, _ZERO, st.floats(-2.0, 2.0)),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+# 1 in a verdict, 0 and c^2 in pick_norm's overflow guard and check
+_SCALE = st.sampled_from([1.0, 0.0, 1.3 * 1.3])
+
+
+@st.composite
+def _weighted_points(draw):
+    """Disk points, without weights or with one weight each and a scale."""
+    zs = draw(st.lists(_DISK_POINTS, min_size=1, max_size=8))
+    if not draw(st.booleans()):
+        return zs, None, 1.0
+    return zs, draw(st.lists(_WEIGHT, min_size=len(zs), max_size=len(zs))), draw(_SCALE)
+
+
+def _strip_weights(n):
+    """n weights, two in three on an axis with either signed zero."""
+    rng = np.random.default_rng(n + 1)
+    ws = []
+    for i in range(n):
+        x, y = rng.uniform(-2.0, 2.0, 2).tolist()
+        zero = -0.0 if i % 2 else 0.0
+        ws.append([complex(x, zero), complex(zero, y), complex(x, y)][i % 3])
+    return ws
+
+
+def _scalar_pick(points, w, scale):
+    """(scale - w w^H) o G of the scalar Gram matrix G on and above the
+    diagonal, and its conjugate mirror below; G itself without w."""
+    g = _scalar_gram(points)
+    if w is None:
+        return g
+    w = np.array(w, dtype=complex)
+    p = (scale - np.outer(w, w.conj())) * g
+    lower = np.tril_indices(len(points), -1)
+    p[lower] = p.T[lower].conj()
+    return p
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(zs=st.lists(_DISK_POINTS, min_size=1, max_size=8))
-@example(zs=[0j])
-@example(zs=[0.5 + 0j, complex(-0.0, 0.25)])
-@example(zs=_strip_points(1))
-@example(zs=_strip_points(_STRIP - 1))
-@example(zs=_strip_points(_STRIP))
-@example(zs=_strip_points(_STRIP + 1))
-@example(zs=_strip_points(3 * _STRIP + 5))
-def test_szego_matrix_is_the_scalar_kernel_bit_for_bit(zs):
-    assert szego_matrix(zs).tobytes() == _scalar_gram(zs).tobytes()
+@given(case=_weighted_points())
+@example(case=([0j], None, 1.0))
+@example(case=([0j], [complex(-0.0, 0.0)], 0.0))
+@example(case=([0.5 + 0j, complex(-0.0, 0.25)], None, 1.0))
+@example(case=([0.5 + 0j, complex(-0.0, 0.25)], [0.3 + 0j, complex(-0.0, -0.5)], 1.0))
+@example(case=(_strip_points(1), None, 1.0))
+@example(case=(_strip_points(_STRIP - 1), None, 1.0))
+@example(case=(_strip_points(_STRIP), None, 1.0))
+@example(case=(_strip_points(_STRIP + 1), None, 1.0))
+@example(case=(_strip_points(3 * _STRIP + 5), None, 1.0))
+@example(case=(_strip_points(_STRIP - 1), _strip_weights(_STRIP - 1), 1.0))
+@example(case=(_strip_points(_STRIP), _strip_weights(_STRIP), 0.0))
+@example(case=(_strip_points(_STRIP + 1), _strip_weights(_STRIP + 1), 1.3 * 1.3))
+@example(case=(_strip_points(3 * _STRIP + 5), _strip_weights(3 * _STRIP + 5), 1.0))
+def test_szego_matrix_is_the_scalar_kernel_bit_for_bit(case):
+    zs, w, scale = case
+    assert szego_matrix(zs, w, scale).tobytes() == _scalar_pick(zs, w, scale).tobytes()
 
 
 def test_szego_matrix_covers_both_branches_of_complex_division():
@@ -297,3 +345,31 @@ def test_szego_matrix_covers_both_branches_of_complex_division():
     assert any(abs(x.imag) < abs(x.real) for x in d)
     assert szego_matrix(pts).tobytes() == _scalar_gram(pts).tobytes()
 
+
+
+def test_dominance_check_adopts_its_difference_matrix(monkeypatch):
+    # c^2 K(B) - K_sigma of two mirrored Gram matrices is mirrored, so
+    # it is held without a copy, with the verdicts of its Hermitian part
+    b, b2 = squared_orbit_products()
+    rng = np.random.default_rng(41)
+    cases = []
+    for i in range(16):
+        pts = [complex(*(0.9 * (rng.random(2) - 0.5))) for _ in range(1 + i % 6)]
+        spec = ComposedInnerKernel(b, 2) if i % 2 else SzegoKernel()
+        cases.append((spec, [0.0, 0.5, 1.0, 1.5][i % 4], pts))
+
+    def report(rep):
+        return rep.is_psd, rep.tolerance_used.hex(), rep.min_eigenvalue.hex()
+
+    expected = []
+    for spec, c, pts in cases:
+        d = c * c * szego_matrix(evaluate_many(b2, pts)[0]) - gram(spec, pts).entries
+        expected.append(report(psd_check(HermitianMatrix(d))))
+
+    def copying_constructor(self, entries):
+        raise AssertionError("dominance_check copied its difference matrix")
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", copying_constructor)
+    got = [report(dominance_check(spec, b2, c, pts)) for spec, c, pts in cases]
+    assert got == expected
+    assert {v[0] for v in got} == {True, False}

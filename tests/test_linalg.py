@@ -441,7 +441,5 @@ def test_psd_check_keeps_its_guards_on_a_mirrored_matrix(monkeypatch):
     big.entries = np.zeros((MAX_DIMENSION + 1, MAX_DIMENSION + 1), dtype=complex)
     with pytest.raises(InputError, match="exceeds the supported 2000"):
         psd_check(big, tol=1.0)
-    # every orbit point beyond the kernel radius leaves no row
-    problem = PickProblem((0.9995j,), (0.1,), OrbitGramKernel(cyclic_group(0.5), 0))
     with pytest.raises(InputError, match="empty matrix has no eigenvalues"):
-        feasibility(problem)
+        psd_check(HermitianMatrix._adopt(np.zeros((0, 0), dtype=complex)))

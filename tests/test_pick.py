@@ -422,6 +422,23 @@ def test_pick_norm_uncertified_orbit_norm_is_a_numerical_error():
         pick_norm((0.1 + 0.2j, -0.2 + 0.05j), (0.1 + 0j, 0.2j), kernel)
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_a_node_whose_orbit_is_all_cut_is_a_numerical_error(first):
+    # every orbit point of 0.9995i lies beyond the kernel radius, so the
+    # node would own no row and its target 5 would leave the matrix
+    nodes, targets = [0.9995j, 0.1 + 0.2j], [5.0, 0.1]
+    if not first:
+        nodes, targets = nodes[::-1], targets[::-1]
+    kernel = OrbitGramKernel(cyclic_group(0.5), 10)
+    message = rf"point {0 if first else 1} at 0\.9995j has no orbit point to depth 10"
+    with pytest.raises(NumericalError, match=message):
+        gram(kernel, nodes)
+    with pytest.raises(NumericalError, match=message):
+        feasibility(PickProblem(nodes, targets, kernel))
+    with pytest.raises(NumericalError, match=message):
+        pick_norm(nodes, targets, kernel)
+
+
 def test_pick_norm_feasibility_consistency():
     rng = np.random.default_rng(77)
     for _ in range(20):
