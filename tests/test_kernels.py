@@ -192,6 +192,34 @@ def test_dominance_fails_at_zero_constant():
     assert rep.min_eigenvalue < 0
 
 
+def test_dominance_check_adopts_its_difference_matrix(monkeypatch):
+    # c^2 K(B) - K_sigma of two mirrored Gram matrices is mirrored, so
+    # it is held without a copy, with the verdicts of its Hermitian part
+    b, b2 = squared_orbit_products()
+    rng = np.random.default_rng(41)
+    cases = []
+    for i in range(16):
+        pts = [complex(*(0.9 * (rng.random(2) - 0.5))) for _ in range(1 + i % 6)]
+        spec = ComposedInnerKernel(b, 2) if i % 2 else SzegoKernel()
+        cases.append((spec, [0.0, 0.5, 1.0, 1.5][i % 4], pts))
+
+    def report(rep):
+        return rep.is_psd, rep.tolerance_used.hex(), rep.min_eigenvalue.hex()
+
+    expected = []
+    for spec, c, pts in cases:
+        d = c * c * szego_matrix(evaluate_many(b2, pts)[0]) - gram(spec, pts).entries
+        expected.append(report(psd_check(HermitianMatrix(d))))
+
+    def copying_constructor(self, entries):
+        raise AssertionError("dominance_check copied its difference matrix")
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", copying_constructor)
+    got = [report(dominance_check(spec, b2, c, pts)) for spec, c, pts in cases]
+    assert got == expected
+    assert {v[0] for v in got} == {True, False}
+
+
 def test_boundary_gram_monomial():
     b = BlaschkeProduct(1, (), 0.0)  # b(z) = z
     g = boundary_gram_quadrature(b, 3, 4096)
@@ -344,32 +372,3 @@ def test_szego_matrix_covers_both_branches_of_complex_division():
     assert any(abs(x.imag) > abs(x.real) for x in d)
     assert any(abs(x.imag) < abs(x.real) for x in d)
     assert szego_matrix(pts).tobytes() == _scalar_gram(pts).tobytes()
-
-
-
-def test_dominance_check_adopts_its_difference_matrix(monkeypatch):
-    # c^2 K(B) - K_sigma of two mirrored Gram matrices is mirrored, so
-    # it is held without a copy, with the verdicts of its Hermitian part
-    b, b2 = squared_orbit_products()
-    rng = np.random.default_rng(41)
-    cases = []
-    for i in range(16):
-        pts = [complex(*(0.9 * (rng.random(2) - 0.5))) for _ in range(1 + i % 6)]
-        spec = ComposedInnerKernel(b, 2) if i % 2 else SzegoKernel()
-        cases.append((spec, [0.0, 0.5, 1.0, 1.5][i % 4], pts))
-
-    def report(rep):
-        return rep.is_psd, rep.tolerance_used.hex(), rep.min_eigenvalue.hex()
-
-    expected = []
-    for spec, c, pts in cases:
-        d = c * c * szego_matrix(evaluate_many(b2, pts)[0]) - gram(spec, pts).entries
-        expected.append(report(psd_check(HermitianMatrix(d))))
-
-    def copying_constructor(self, entries):
-        raise AssertionError("dominance_check copied its difference matrix")
-
-    monkeypatch.setattr(HermitianMatrix, "__init__", copying_constructor)
-    got = [report(dominance_check(spec, b2, c, pts)) for spec, c, pts in cases]
-    assert got == expected
-    assert {v[0] for v in got} == {True, False}
