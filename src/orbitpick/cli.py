@@ -339,7 +339,7 @@ def cmd_kernel_gram(doc, args):
     kernel = _parse_kernel(doc, args)
     nodes = _parse_nodes(doc)
     g = kn.gram(kernel, nodes)
-    rep = la.psd_check(g.entries, tol=args.tolerance)
+    rep = la.psd_check(la.HermitianMatrix._adopt(g.entries), tol=args.tolerance)
     payload = {
         "size": int(g.entries.shape[0]),
         "entries": g.entries,

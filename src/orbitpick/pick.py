@@ -26,9 +26,11 @@ largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
 eigen-solve on the numerical range of K and accepted only after that
 Cholesky check passes at c; a c the check rejects is reported as a
 ``NumericalError``.  Solutions on the disk itself are constructed by
-the classical Schur recursion; a problem posed on the span of powers
-of an inner function phi reduces to a disk problem at the points
-phi(z_j)^m and composes back.
+one pass of Schur's recursion in generator form (Kailath and Sayed,
+SIAM Review 37, 1995), which multiplies by each Blaschke factor where
+the classical form divides by it and amplifies rounding; a problem
+posed on the span of powers of an inner function phi reduces to a
+disk problem at the points phi(z_j)^m and composes back.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ from .orbits import GroupPresentation
 _COINCIDE = "nodes {i} and {j} coincide"
 _ALIAS_TOL = 1e-10
 _TARGET_RESIDUAL = 1e-8
-
-# Widths of the band around the unit circle treated as "the reduced
-# target reached the circle" (a singular Pick matrix), tried tightest
-# first.  Rounding in a near-singular reduction cascade can push an
-# exactly-unimodular reduced target this far off the circle.
-_DEGENERATE_LADDER = (1e-10, 1e-7, 1e-5, 1e-3)
-_BLOWUP_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +311,11 @@ def interpolate_disk(nodes, targets) -> SchurInterpolant:
     """Solve the disk problem f(z_j) = w_j with sup-norm at most 1.
 
     Requires the Szego-kernel Pick matrix to be positive within the
-    default tolerance; otherwise raises ``Infeasible``.  The free
-    parameter at every undetermined step is 0, which makes the returned
-    solution canonical; when the matrix is singular the recursion hits
-    a unimodular parameter and the result is the unique finite
-    Blaschke-type solution.
+    default tolerance; otherwise raises ``Infeasible``.  One pass of
+    ``_schur_recursion`` (generator form) builds the interpolant, with
+    the free parameter 0 at every undetermined step; when the matrix is
+    singular it reaches a unimodular parameter and the result is the
+    unique finite Blaschke-type solution.
     """
     problem = _scalar_problem(nodes, targets, SzegoKernel())
     nodes, targets = problem.nodes, problem.targets
@@ -329,46 +324,49 @@ def interpolate_disk(nodes, targets) -> SchurInterpolant:
         raise Infeasible(
             f"Pick matrix has min eigenvalue {report.psd.min_eigenvalue:.3e}"
         )
-    for band in _DEGENERATE_LADDER:
-        try:
-            s = _schur_recursion(nodes, targets, band)
-        except Infeasible:
-            continue
-        if all(
-            abs(evaluate_interpolant(s, z) - w) <= _TARGET_RESIDUAL
-            for z, w in zip(nodes, targets)
-        ):
-            return s
-    raise Infeasible(
-        "recursion could not reproduce the targets; the data sit on or "
-        "beyond the feasibility boundary"
-    )
+    s = _schur_recursion(nodes, targets)
+    if any(
+        abs(evaluate_interpolant(s, z) - w) > _TARGET_RESIDUAL
+        for z, w in zip(nodes, targets)
+    ):
+        raise Infeasible(
+            "recursion could not reproduce the targets; the data sit on or "
+            "beyond the feasibility boundary"
+        )
+    return s
 
 
-def _schur_recursion(nodes, targets, band: float) -> SchurInterpolant:
-    """One pass of the reduction, cutting to the unique boundary
-    solution whenever a reduced target comes within ``band`` of the
-    unit circle."""
-    n = len(nodes)
-    ws = list(targets)
+def _schur_recursion(nodes, targets) -> SchurInterpolant:
+    """Schur's reduction in generator form, in node order: node j
+    carries (a_j, b_j), initially (1, w_j), with reduced target
+    b_j / a_j.  Step k takes rho = b_k / a_k and maps each later pair to
+    ((a_j - conj(rho) b_j) beta_k(z_j), b_j - rho a_j) / sqrt(1 - |rho|^2),
+    with beta_k(z) = (z - z_k) / (1 - conj(z_k) z).  The first pair with
+    |b_k| >= |a_k| ends the pass with the unimodular parameter of phase
+    b_k conj(a_k): the boundary solution of rank k + 1."""
+    pairs = [(1.0 + 0j, w) for w in targets]
     params: list[complex] = []
     degenerate = None
-    for k in range(n):
-        rho = ws[k]
-        r = abs(rho)
-        if 1.0 - band <= r <= 1.0 + _BLOWUP_TOL:
-            params.append(rho / r)
+    for k, zk in enumerate(nodes):
+        a, b = pairs[k]
+        ma, mb = abs(a), abs(b)
+        if mb >= ma:
+            p = b * a.conjugate()
+            # p is 0 where a_j - conj(rho) b_j rounded to 0; any phase will do
+            params.append(p / abs(p) if p else 1.0 + 0j)
             degenerate = k + 1
             break
-        if r > 1.0:
-            raise Infeasible(
-                f"reduced target at step {k} has modulus {r:.17g} > 1"
-            )
+        rho = b / a
         params.append(rho)
-        for j in range(k + 1, n):
-            num = (ws[j] - rho) / (1.0 - rho.conjugate() * ws[j])
-            den = (nodes[j] - nodes[k]) / (1.0 - nodes[k].conjugate() * nodes[j])
-            ws[j] = num / den
+        r = mb / ma  # < 1, so 1 - |rho|^2 rounds to a positive value
+        scale = math.sqrt((1.0 - r) * (1.0 + r))
+        for j in range(k + 1, len(nodes)):
+            aj, bj = pairs[j]
+            beta = (nodes[j] - zk) / (1.0 - zk.conjugate() * nodes[j])
+            pairs[j] = (
+                (aj - rho.conjugate() * bj) / scale * beta,
+                (bj - rho * aj) / scale,
+            )
     return SchurInterpolant(
         nodes=nodes[: len(params)],
         schur_parameters=tuple(params),

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitpick import __version__, checks, cli, kernels, orbits
+from orbitpick import linalg as la
 from orbitpick.cli import main
 from orbitpick.mobius import DiskAutomorphism
 
@@ -233,6 +234,19 @@ def test_kernel_gram_command(tmp_path, capsys):
     assert report["psd"] is True
     assert report["size"] == 3
     assert report["entries"][1][1] == pytest.approx([4 / 3, 0.0], abs=1e-12)
+
+
+def test_kernel_gram_adopts_the_gram_matrix(capsys, monkeypatch):
+    # the Gram matrix szego_matrix writes is mirrored, so the verdict
+    # factors it where it stands, and the report prints the same bytes
+    golden = (DATA / "orbit.kernel-gram.out").read_text(encoding="utf-8")
+
+    def copying_constructor(self, entries):
+        raise AssertionError("kernel-gram copied its Gram matrix")
+
+    monkeypatch.setattr(la.HermitianMatrix, "__init__", copying_constructor)
+    assert main(["kernel-gram", str(DATA / "orbit_problem.json")]) == 0
+    assert capsys.readouterr().out == golden
 
 
 @pytest.mark.parametrize("kernel", [None, {"variant": "composed", "power": 2}])

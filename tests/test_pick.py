@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blaschke_products, disk_points, random_finite_blaschke, random_nodes
+from conftest import (
+    blaschke_products,
+    disk_points,
+    random_disk_point,
+    random_finite_blaschke,
+    random_nodes,
+)
 from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
 from orbitpick.errors import (
     AliasedNodes,
@@ -471,6 +477,17 @@ def test_interpolate_schwarz_equality_gives_identity():
         assert abs(evaluate_interpolant(s, z) - z) <= 1e-12
 
 
+def test_interpolate_stops_at_a_pair_that_rounds_to_zero():
+    # conj(w0) * w1 rounds to exactly 1, so the second pair is (0, b):
+    # its reduced target is infinite and the pass stops with parameter
+    # 1, which meets both targets to the residual guard
+    w0 = 1.0 - 2.0**-36
+    nodes, targets = (0j, 0.5 + 0j), (complex(w0), complex(1.0 / w0))
+    s = interpolate_disk(nodes, targets)
+    assert s.schur_parameters == (targets[0], 1.0 + 0j)
+    assert s.degenerate_rank == 2
+
+
 def test_interpolate_infeasible_raises():
     with pytest.raises(Infeasible):
         interpolate_disk((0j, 0.5 + 0j), (0j, 0.9 + 0j))
@@ -660,6 +677,68 @@ def test_composed_merges_consistent_aliases():
     targets = tuple(0.5 * spec.value(z) + 0.1 for z in nodes)
     f = interpolate_composed(nodes, targets, b, 2)
     assert f.schur.nodes == tuple(spec.value(nodes[i]) for i in (0, 1, 2))
+
+
+_GRID_4096 = 0.999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+
+
+def box_nodes(rng, count):
+    """``count`` nodes uniform in the square [-0.3, 0.3]^2."""
+    return tuple(complex(x, y) for x, y in rng.uniform(-0.3, 0.3, (count, 2)))
+
+
+def test_composed_interpolates_nodes_the_inner_map_crowds():
+    # the pushed-forward nodes lie within 1e-4 to 1e-5 of each other and
+    # the Pick matrix's least eigenvalue is -5.5e-16, where dividing each
+    # reduced target by a Blaschke factor amplifies rounding past 1e-8
+    b = orbit_product()
+    spec = ComposedInnerKernel(b, 2)
+    rng = np.random.default_rng(0)
+    rng.random(10)
+    nodes = box_nodes(rng, 8)
+    targets = tuple(0.5 * spec.value(z) for z in nodes)
+    f = interpolate_composed(nodes, targets, b, 2)
+    assert max(abs(evaluate_composed(f, z) - w) for z, w in zip(nodes, targets)) <= 1e-10
+    assert np.max(np.abs(composed_values(f, _GRID_4096))) <= 1.0 + 1e-12
+
+
+def test_disk_interpolates_fifty_nodes_in_a_small_square():
+    rng = np.random.default_rng(1)
+    nodes = box_nodes(rng, 50)
+    targets = tuple(0.5 * z for z in nodes)
+    s = interpolate_disk(nodes, targets)
+    assert max(abs(evaluate_interpolant(s, z) - w) for z, w in zip(nodes, targets)) <= 1e-10
+    assert np.max(np.abs(interpolant_values(s, _GRID_4096))) <= 1.0 + 1e-12
+
+
+def test_feasible_composed_data_never_yield_infeasible():
+    # 40 draws like the benchmark's composed classes with n >= 8: nodes
+    # the inner map crowds together, targets c * beta(phi(z)) for one
+    # Blaschke factor beta, so the data are feasible with norm c
+    rng = np.random.default_rng(26)
+    feasible = 0
+    for i in range(40):
+        group = (cyclic_group, z2z2_group)[i % 2](float(rng.uniform(0.3, 0.7)))
+        spec = ComposedInnerKernel(
+            from_orbit(enumerate_orbit(group, 0j, 60), 1), int(rng.integers(1, 3))
+        )
+        n = int(rng.choice((8, 12)))
+        while True:
+            nodes = []
+            while len(nodes) < n:
+                z = complex(*rng.uniform(-0.3, 0.3, 2))
+                if all(pseudo_hyperbolic(z, w) > 0.05 for w in nodes):
+                    nodes.append(z)
+            zeta = [spec.value(z) for z in nodes]
+            if min(abs(u - v) for k, u in enumerate(zeta) for v in zeta[:k]) > 1e-7:
+                break
+        alpha = random_disk_point(rng, 0.5)
+        c = rng.uniform(0.3, 0.9) * cmath.exp(2j * math.pi * rng.uniform())
+        targets = tuple(c * (v - alpha) / (1.0 - alpha.conjugate() * v) for v in zeta)
+        if feasibility(PickProblem(nodes, targets, spec)).psd.is_psd:
+            feasible += 1
+            interpolate_composed(nodes, targets, spec.inner, spec.power)
+    assert feasible == 40
 
 
 def test_amenable_average_monomials():
