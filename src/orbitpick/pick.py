@@ -11,26 +11,30 @@ and the extremal multiplier norm on the kernel span is the least c with
 (``kernels.szego_matrix``) at the points ``kernels._szego_points``
 gives: the nodes, their inner values, or their concatenated truncated
 orbits, each node's target carried by all of its rows.  So one
-``assemble_pick`` serves every kernel, ``PickProblem`` is the one
+``_kernel_rows`` gives every kernel's points, ``PickProblem`` is the one
 validation of nodes and targets, distinct nodes included (``pick_norm``
-and the interpolants build one too, and take scalar targets only), and
-one alias check guards every composed-kernel entry point.
-A scalar Pick matrix is written by ``szego_matrix``, mirrored as a Gram
-matrix is, so ``linalg.HermitianMatrix`` adopts it without a copy and
-the verdict factors it where it stands; matrix-target Pick matrices are
-stored as their Hermitian part.  Weights that would overflow the
-matrix raise ``NumericalError`` before it is built.
+and the interpolants build one too, and take scalar targets only), one
+alias check guards every composed-kernel entry point, and one
+``_pick_matrix`` builds the Pick matrix of ``assemble_pick``, of the
+interpolants' verdict and of ``pick_norm``'s check at c.  A scalar one
+is written by ``szego_matrix``, mirrored as a Gram matrix is, so
+``linalg.HermitianMatrix`` adopts it without a copy and the verdict
+factors it where it stands; matrix-target Pick matrices are stored as
+their Hermitian part.  Weights that would overflow the matrix raise
+``NumericalError`` before it is built.
 Positivity at tolerance tol is one Cholesky attempt on A + tol * I
 (``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
 eigen-solve on the numerical range of K and accepted only after that
 Cholesky check passes at c; a c the check rejects is reported as a
-``NumericalError``.  Solutions on the disk itself are constructed by
-one pass of Schur's recursion in generator form (Kailath and Sayed,
-SIAM Review 37, 1995), which multiplies by each Blaschke factor where
-the classical form divides by it and amplifies rounding; a problem
-posed on the span of powers of an inner function phi reduces to a
-disk problem at the points phi(z_j)^m and composes back.
+``NumericalError``.  Both interpolants are built by ``_interpolate``
+from the problem's Szegő points, the nodes or their values phi(z_j)
+under an inner function phi, so a composed problem is the disk problem
+at those points composed back, with the verdict ``feasibility`` gives:
+one Pick matrix and its Cholesky verdict, one pass of Schur's recursion
+in generator form (Kailath and Sayed, SIAM Review 37, 1995), which
+multiplies by each Blaschke factor where the classical form divides by
+it and amplifies rounding, and one residual check at every point.
 """
 
 from __future__ import annotations
@@ -136,13 +140,14 @@ def _check_aliases(points, targets) -> list[int]:
     return [i for i in range(len(points)) if i not in collapsed]
 
 
-def _kernel_rows(kernel: KernelSpec, nodes, targets) -> tuple[list[complex], list[int]]:
-    """The Szegő points of the kernel at the nodes, one per row, and the
-    number of rows each node owns; aliased composed nodes raise."""
-    points, counts, _ = _szego_points(kernel, nodes)
-    if isinstance(kernel, ComposedInnerKernel):
-        _check_aliases(points, targets)
-    return points, counts
+def _kernel_rows(problem: PickProblem) -> tuple[list[complex], list[int], list[int]]:
+    """The Szegő points of the problem's kernel at its nodes, one per
+    row, the number of rows each node owns and the indices of the nodes
+    no earlier node aliases; aliased composed nodes raise."""
+    points, counts, _ = _szego_points(problem.kernel, problem.nodes)
+    if isinstance(problem.kernel, ComposedInnerKernel):
+        return points, counts, _check_aliases(points, problem.targets)
+    return points, counts, list(range(len(counts)))
 
 
 def _check_finite(targets, points, scale: float) -> None:
@@ -164,16 +169,21 @@ def _check_finite(targets, points, scale: float) -> None:
         )
 
 
-def _weighted(targets, counts: list[int], kmat: np.ndarray) -> np.ndarray:
-    """The (I - W_i W_j^H) weights of matrix targets tensored onto each
-    scalar entry of ``kmat``, row index major, each node's target
-    carried by all of its rows."""
+def _pick_matrix(targets, points, counts: list[int], scale: float) -> HermitianMatrix:
+    """[(scale - w_i conj(w_j)) K_ij] for the Szegő matrix K at
+    ``points``, each node's target carried by all of its rows; matrix
+    targets take the blocks (scale I - W_i W_j^H) K_ij, row index major.
+    An overflow raises ``NumericalError`` before the matrix is built."""
+    _check_finite(targets, points, scale)
+    if not isinstance(targets[0], np.ndarray):
+        w = np.repeat(np.array(targets), counts)
+        return HermitianMatrix._adopt(szego_matrix(points, w, scale))
     rows = np.repeat(np.arange(len(counts)), counts)
     k = targets[0].shape[0]
-    eye = np.eye(k, dtype=complex)
+    eye = scale * np.eye(k, dtype=complex)
     weights = np.array([[eye - ti @ tj.conj().T for tj in targets] for ti in targets])
-    out = weights[rows][:, rows] * kmat[:, :, None, None]
-    return out.transpose(0, 2, 1, 3).reshape(k * len(rows), k * len(rows))
+    out = weights[rows][:, rows] * szego_matrix(points)[:, :, None, None]
+    return HermitianMatrix(out.transpose(0, 2, 1, 3).reshape(k * len(rows), -1))
 
 
 def assemble_pick(problem: PickProblem) -> HermitianMatrix:
@@ -186,13 +196,8 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     over the deterministic orbit orderings; for matrix targets each
     scalar entry is tensored with (I - W_i W_j^H), row index major.
     """
-    targets = problem.targets
-    points, counts = _kernel_rows(problem.kernel, problem.nodes, targets)
-    _check_finite(targets, points, 1.0)
-    if problem.matrix_valued:
-        return HermitianMatrix(_weighted(targets, counts, szego_matrix(points)))
-    w = np.repeat(np.array(targets), counts)
-    return HermitianMatrix._adopt(szego_matrix(points, w))
+    points, counts, _ = _kernel_rows(problem)
+    return _pick_matrix(problem.targets, points, counts, 1.0)
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
@@ -216,19 +221,17 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
-    nodes, targets = problem.nodes, problem.targets
+    targets = problem.targets
     if not any(targets):
         return 0.0
-    points, counts = _kernel_rows(kernel, nodes, targets)
+    points, counts, _ = _kernel_rows(problem)
     _check_finite(targets, points, 0.0)
     w = np.repeat(np.array(targets), counts)
     kmat = szego_matrix(points)
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     del kmat, b
-    _check_finite(targets, points, c * c)
-    check = HermitianMatrix._adopt(szego_matrix(points, w, c * c))
-    if not psd_check(check).is_psd:
+    if not psd_check(_pick_matrix(targets, points, counts, c * c)).is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "
             "target weight lies on directions the kernel matrix annihilates "
@@ -310,25 +313,28 @@ def interpolant_values(s: SchurInterpolant, zs) -> np.ndarray:
 def interpolate_disk(nodes, targets) -> SchurInterpolant:
     """Solve the disk problem f(z_j) = w_j with sup-norm at most 1.
 
-    Requires the Szego-kernel Pick matrix to be positive within the
-    default tolerance; otherwise raises ``Infeasible``.  One pass of
+    Built by ``_interpolate``: the Szegő-kernel Pick matrix that
+    ``feasibility`` factors must be positive within the default
+    tolerance, otherwise ``Infeasible`` is raised, and one pass of
     ``_schur_recursion`` (generator form) builds the interpolant, with
     the free parameter 0 at every undetermined step; when the matrix is
     singular it reaches a unimodular parameter and the result is the
     unique finite Blaschke-type solution.
     """
-    problem = _scalar_problem(nodes, targets, SzegoKernel())
-    nodes, targets = problem.nodes, problem.targets
-    report = feasibility(problem)
-    if not report.psd.is_psd:
-        raise Infeasible(
-            f"Pick matrix has min eigenvalue {report.psd.min_eigenvalue:.3e}"
-        )
-    s = _schur_recursion(nodes, targets)
-    if any(
-        abs(evaluate_interpolant(s, z) - w) > _TARGET_RESIDUAL
-        for z, w in zip(nodes, targets)
-    ):
+    return _interpolate(_scalar_problem(nodes, targets, SzegoKernel()))
+
+
+def _interpolate(problem: PickProblem) -> SchurInterpolant:
+    """The disk interpolant g with g(p_j) = w_j at the problem's Szegő
+    points p_j, the recursion run on the nodes no earlier node aliases."""
+    targets = problem.targets
+    points, counts, keep = _kernel_rows(problem)
+    psd = psd_check(_pick_matrix(targets, points, counts, 1.0))
+    if not psd.is_psd:
+        raise Infeasible(f"Pick matrix has min eigenvalue {psd.min_eigenvalue:.3e}")
+    s = _schur_recursion(tuple(points[i] for i in keep), tuple(targets[i] for i in keep))
+    residuals = (abs(evaluate_interpolant(s, p) - w) for p, w in zip(points, targets))
+    if any(r > _TARGET_RESIDUAL for r in residuals):
         raise Infeasible(
             "recursion could not reproduce the targets; the data sit on or "
             "beyond the feasibility boundary"
@@ -407,20 +413,14 @@ def interpolate_composed(
 ) -> ComposedInterpolant:
     """Interpolate in the span of powers of phi = inner^power.
 
-    Nodes are pushed through phi; nodes that collapse must carry equal
-    targets (they are merged), and the resulting disk problem is solved
-    by ``interpolate_disk``.  The returned function is g(phi(z)), with g
-    checked against every target at its pushed-forward node.
+    ``_interpolate`` builds the disk interpolant g at the points
+    phi(z_j).  Nodes that collapse under phi must carry equal targets;
+    only the first of each class enters the recursion, but the verdict
+    is the composed Pick matrix's, aliased rows included.  The returned
+    function is g(phi(z)), checked against every target.
     """
     problem = _scalar_problem(nodes, targets, ComposedInnerKernel(inner, power))
-    nodes, targets = problem.nodes, problem.targets
-    zeta, _, _ = _szego_points(problem.kernel, nodes)
-    keep = _check_aliases(zeta, targets)
-    g = interpolate_disk(tuple(zeta[i] for i in keep), tuple(targets[i] for i in keep))
-    for v, w in zip(zeta, targets):
-        if abs(evaluate_interpolant(g, v) - w) > _TARGET_RESIDUAL:
-            raise Infeasible("composed interpolant failed to reproduce a target")
-    return ComposedInterpolant(schur=g, inner=inner, power=power)
+    return ComposedInterpolant(schur=_interpolate(problem), inner=inner, power=power)
 
 
 def amenable_average(

@@ -844,3 +844,41 @@ def test_aliased_nodes_share_one_message():
     with pytest.raises(AliasedNodes, match=message):
         interpolate_composed(nodes, targets, spec.inner, 2)
 
+
+
+def test_composed_construction_decides_by_the_pick_check_matrix():
+    # the fourth node aliases the first under the even composed map; the
+    # 4-row Pick matrix reads -2.178e-10 against a tolerance of 2.0e-10
+    # while the merged 3-row one reads -1.80e-10, so a verdict on the
+    # merged matrix would contradict pick-check
+    spec = ComposedInnerKernel(
+        from_orbit(enumerate_orbit(z2z2_group(0.5), 0j, 120), 1), 2
+    )
+    nodes = (0.3 + 0.1j, -0.2 + 0.25j, 0.1 - 0.3j, -(0.3 + 0.1j))
+    c = 1.0000092931545244
+    targets = [c * (v - 0.02) / (1 - 0.02 * v) for v in map(spec.value, nodes[:3])]
+    targets = tuple(targets + targets[:1])
+    assert not feasibility(PickProblem(nodes, targets, spec)).psd.is_psd
+    with pytest.raises(Infeasible, match=r"^Pick matrix has min eigenvalue"):
+        interpolate_composed(nodes, targets, spec.inner, 2)
+
+
+def test_each_construction_validates_its_nodes_once(monkeypatch):
+    from orbitpick import pick
+
+    calls = []
+    real_check_distinct = pick.check_distinct
+
+    def counting(*args):
+        calls.append(args)
+        return real_check_distinct(*args)
+
+    monkeypatch.setattr(pick, "check_distinct", counting)
+    spec = ComposedInnerKernel(orbit_product(), 2)
+    nodes = (0.1 + 0.2j, -0.25 + 0.1j, 0.3 - 0.3j)
+    targets = tuple(0.5 * spec.value(z) for z in nodes)
+    interpolate_composed(nodes, targets, spec.inner, 2)
+    assert len(calls) == 1
+    calls.clear()
+    interpolate_disk(nodes, tuple(0.5 * z for z in nodes))
+    assert len(calls) == 1
