@@ -23,6 +23,7 @@ from orbitpick.errors import (
     Infeasible,
     InputError,
     NumericalError,
+    TooCloseToBoundary,
 )
 from orbitpick.kernels import (
     ComposedInnerKernel,
@@ -845,7 +846,6 @@ def test_aliased_nodes_share_one_message():
         interpolate_composed(nodes, targets, spec.inner, 2)
 
 
-
 def test_composed_construction_decides_by_the_pick_check_matrix():
     # the fourth node aliases the first under the even composed map; the
     # 4-row Pick matrix reads -2.178e-10 against a tolerance of 2.0e-10
@@ -882,3 +882,22 @@ def test_each_construction_validates_its_nodes_once(monkeypatch):
     calls.clear()
     interpolate_disk(nodes, tuple(0.5 * z for z in nodes))
     assert len(calls) == 1
+
+
+def test_composed_points_stay_inside_the_disk():
+    # a zero within one ulp of the circle: the inner map must vanish at
+    # the origin and nodes must lie within radius 0.999, so by Schwarz's
+    # lemma every point phi(z_j) does too and none needs validating again
+    zero = 1 - 1.1e-16
+    with pytest.raises(InputError, match="must vanish at the origin"):
+        interpolate_composed((0.5,), (0.3,), BlaschkeProduct(0, (zero,), 0.0), 1)
+    inner = BlaschkeProduct(1, (zero,), 0.0)
+    with pytest.raises(TooCloseToBoundary):
+        interpolate_composed((0.9995,), (0.3,), inner, 1)
+    nodes = (0.999 + 0j, 0.999j, -0.5 + 0j)
+    points = [evaluate(inner, z)[0] for z in nodes]
+    assert max(map(abs, points)) <= 0.999
+    targets = tuple(0.5 * p for p in points)
+    f = interpolate_composed(nodes, targets, inner, 1)
+    assert f.schur.nodes == tuple(points)
+    assert max(abs(f(z) - w) for z, w in zip(nodes, targets)) <= 1e-8
