@@ -192,7 +192,8 @@ def _szego_points(
     one evaluation each (note ``power`` times the largest evaluation
     error bound), or their truncated orbits, concatenated in order
     (note the largest orbit tail bound, None if any orbit has none).
-    A point that would own no row raises ``NumericalError``."""
+    A point that would own no row raises ``NumericalError``, and a spec
+    of no known variant ``UnsupportedVariant``."""
     if isinstance(spec, OrbitGramKernel):
         tails: list = []
         orbits = [_orbit_points(spec.group, spec.depth, p, tails) for p in points]
@@ -208,6 +209,8 @@ def _szego_points(
         values, errors = bl.evaluate_many(spec.inner, points)
         note = spec.power * max(errors.tolist(), default=0.0)
         return [v**spec.power for v in values.tolist()], [1] * len(points), note
+    if not isinstance(spec, SzegoKernel):
+        raise UnsupportedVariant(f"unknown kernel spec {spec!r}")
     return list(points), [1] * len(points), None
 
 

@@ -35,9 +35,9 @@ filter on their parameters a, in clusters of side 2 * 1e-10.
 A generic presentation runs its element search once per depth.  Each
 level is composed in one numpy pass over the frontier and the letters,
 bit for bit the scalar compositions, in blocks of at most 65,536
-candidates and never more than could reach the element cap.  It is
-filtered at its end, and as soon as it could pass the cap, so a search
-past the cap composes the candidates a one-at-a-time search would.
+candidates and never more than could reach the element cap.  Each
+block is filtered as soon as it is composed, so a search past the cap
+composes the candidates a one-at-a-time search would.
 The search keeps the elements it finds as their words plus two
 parameter arrays, building words for the kept elements only, and one
 run to completion stays on the presentation for its lifetime.  Orbits
@@ -373,9 +373,9 @@ def _search_elements(group, n_max: int, cap: int) -> tuple[list, np.ndarray, np.
     run to completion is kept on the group.
 
     Each level's candidates are composed in frontier-then-letter order,
-    as many at a time as cannot pass ``cap``, and filtered at the end of
-    the level and as soon as they could pass it: a search past the cap
-    stops at the first element beyond it.  Words are built for the kept
+    as many at a time as cannot pass ``cap``, and each block is filtered
+    as soon as it is composed: a search past the cap stops at the first
+    element beyond it.  Words are built for the kept
     elements only.  Branches whose parameter is numerically on the
     boundary are pruned; their images are beyond double-precision
     resolution.
@@ -392,27 +392,21 @@ def _search_elements(group, n_max: int, cap: int) -> tuple[list, np.ndarray, np.
         level = len(words)
         front_a, front_lam = a[frontier], lam[frontier]
         total = frontier.size * len(maps)
-        chunks = []  # (row, a, lam) of the candidates composed and not yet filtered
         start = 0
         while start < total:
-            pending = sum(row.size for row, _, _ in chunks)
-            stop = min(total, start + cap + 1 - len(words) - pending, start + _BLOCK)
+            stop = min(total, start + _BLOCK, start + cap + 1 - len(words))
             got_a, got_lam, ok = _compose_grid(front_a, front_lam, maps, start, stop)
-            chunks.append((start + np.flatnonzero(ok), got_a[ok], got_lam[ok]))
-            start = stop
-            if start < total and len(words) + pending + chunks[-1][0].size <= cap:
-                continue
-            row, new_a, new_lam = (np.concatenate(c) for c in zip(*chunks))
-            chunks = []
+            new_a, new_lam = got_a[ok], got_lam[ok]
             keep = _admit(a, lam, new_a, new_lam)
             a = np.concatenate((a, new_a[keep]))
             lam = np.concatenate((lam, new_lam[keep]))
-            parent, letter = np.divmod(row[keep], len(maps))
+            parent, letter = np.divmod(start + np.flatnonzero(ok)[keep], len(maps))
             words += [
                 words[p] + letters[c][0]
                 for p, c in zip(frontier[parent].tolist(), letter.tolist())
             ]
             _check_cap(len(words), cap)
+            start = stop
         inside = np.hypot(a.real[level:], a.imag[level:]) < margin  # abs(a), bit for bit
         frontier = level + np.flatnonzero(inside)
         if not frontier.size:

@@ -10,13 +10,13 @@ and the extremal multiplier norm on the kernel span is the least c with
 [(c^2 - w_i conj(w_j)) K] positive.  K is always a Szegő matrix
 (``kernels.szego_matrix``) at the points ``kernels._szego_points``
 gives: the nodes, their inner values, or their concatenated truncated
-orbits, each node's target carried by all of its rows.  So one
-``_kernel_rows`` gives every kernel's points, ``PickProblem`` is the one
-validation of nodes and targets, distinct nodes included (``pick_norm``
-and the interpolants build one too, and take scalar targets only), one
-alias check guards every composed-kernel entry point, and one
-``_pick_matrix`` builds the Pick matrix of ``assemble_pick``, of the
-interpolants' verdict and of ``pick_norm``'s check at c.  A scalar one
+orbits, each node's target carried by all of its rows.  So building a
+``PickProblem`` decides every fact of a problem once: it validates each
+node, distinct nodes included, computes those points, refuses a node
+that owns no row and runs the one alias check.  ``pick_norm`` and the
+interpolants build one too (scalar targets only), so they refuse what
+``pick-check`` refuses, and one ``_pick_matrix`` builds the Pick matrix
+of ``assemble_pick`` and of ``pick_norm``'s check at c.  A scalar one
 is written by ``szego_matrix``, mirrored as a Gram matrix is, so
 ``linalg.HermitianMatrix`` adopts it without a copy and the verdict
 factors it where it stands; matrix-target Pick matrices are stored as
@@ -40,7 +40,7 @@ it and amplifies rounding, and one residual check at every point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,14 +73,19 @@ _TARGET_RESIDUAL = 1e-8
 @dataclass(frozen=True, eq=False)
 class PickProblem:
     """Interpolation data: distinct nodes, scalar or square-matrix
-    targets of a uniform size, and the kernel to test against."""
+    targets of a uniform size, and the kernel to test against.  Building
+    one validates each node once and keeps in ``_rows`` the Szegő points
+    of the kernel, the rows each node owns and the nodes no earlier node
+    aliases, refusing a node that owns no row, a composed node too close
+    to the circle and aliased nodes whose targets differ."""
 
     nodes: tuple[complex, ...]
     targets: tuple
     kernel: KernelSpec
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = tuple(disk_point(z) for z in self.nodes)
+        nodes = tuple(check_distinct(self.nodes, DuplicateNodes, _COINCIDE))
         if not nodes:
             raise InputError("at least one node is required")
         if len(nodes) != len(self.targets):
@@ -98,9 +103,13 @@ class PickProblem:
         if not np.all(np.isfinite(arrays)):
             raise InputError("targets must be finite")
         targets = tuple(arrays) if shape else tuple(complex(t) for t in arrays)
-        check_distinct(nodes, DuplicateNodes, _COINCIDE)
+        points, counts, _ = _szego_points(self.kernel, nodes)
+        keep = list(range(len(nodes)))
+        if isinstance(self.kernel, ComposedInnerKernel):
+            keep = _check_aliases(points, targets)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "_rows", (points, counts, keep))
 
     @property
     def matrix_valued(self) -> bool:
@@ -140,16 +149,6 @@ def _check_aliases(points, targets) -> list[int]:
     return [i for i in range(len(points)) if i not in collapsed]
 
 
-def _kernel_rows(problem: PickProblem) -> tuple[list[complex], list[int], list[int]]:
-    """The Szegő points of the problem's kernel at its nodes, one per
-    row, the number of rows each node owns and the indices of the nodes
-    no earlier node aliases; aliased composed nodes raise."""
-    points, counts, _ = _szego_points(problem.kernel, problem.nodes)
-    if isinstance(problem.kernel, ComposedInnerKernel):
-        return points, counts, _check_aliases(points, problem.targets)
-    return points, counts, list(range(len(counts)))
-
-
 def _check_finite(targets, points, scale: float) -> None:
     """Raise ``NumericalError`` unless the matrix [(scale - w_i conj(w_j))
     K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij, is finite for
@@ -187,16 +186,13 @@ def _pick_matrix(targets, points, counts: list[int], scale: float) -> HermitianM
 
 
 def assemble_pick(problem: PickProblem) -> HermitianMatrix:
-    """Pick matrix of the problem, for every kernel variant.
-
-    For the composed kernel, nodes that the inner map sends to the same
-    point must carry equal targets; otherwise no function of the inner
-    map can interpolate and ``AliasedNodes`` is raised.  For the orbit
+    """Pick matrix of the problem at its Szegő points, for every kernel
+    variant; aliased composed nodes keep their rows.  For the orbit
     kernel the (i, j) block is (1 - w_i conj(w_j)) [K(g(z_i), h(z_j))]
     over the deterministic orbit orderings; for matrix targets each
     scalar entry is tensored with (I - W_i W_j^H), row index major.
     """
-    points, counts, _ = _kernel_rows(problem)
+    points, counts, _ = problem._rows
     return _pick_matrix(problem.targets, points, counts, 1.0)
 
 
@@ -224,7 +220,7 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     targets = problem.targets
     if not any(targets):
         return 0.0
-    points, counts, _ = _kernel_rows(problem)
+    points, counts, _ = problem._rows
     _check_finite(targets, points, 0.0)
     w = np.repeat(np.array(targets), counts)
     kmat = szego_matrix(points)
@@ -326,10 +322,11 @@ def interpolate_disk(nodes, targets) -> SchurInterpolant:
 
 def _interpolate(problem: PickProblem) -> SchurInterpolant:
     """The disk interpolant g with g(p_j) = w_j at the problem's Szegő
-    points p_j, the recursion run on the nodes no earlier node aliases."""
+    points p_j, if ``feasibility`` accepts the problem, the recursion run
+    on the nodes no earlier node aliases."""
     targets = problem.targets
-    points, counts, keep = _kernel_rows(problem)
-    psd = psd_check(_pick_matrix(targets, points, counts, 1.0))
+    points, _, keep = problem._rows
+    psd = feasibility(problem).psd
     if not psd.is_psd:
         raise Infeasible(f"Pick matrix has min eigenvalue {psd.min_eigenvalue:.3e}")
     s = _schur_recursion(tuple(points[i] for i in keep), tuple(targets[i] for i in keep))

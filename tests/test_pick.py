@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -24,6 +25,7 @@ from orbitpick.errors import (
     InputError,
     NumericalError,
     TooCloseToBoundary,
+    UnsupportedVariant,
 )
 from orbitpick.kernels import (
     ComposedInnerKernel,
@@ -765,6 +767,9 @@ def test_pick_problem_validation():
         PickProblem((0j,), (np.ones((2, 3)),), SzegoKernel())
     with pytest.raises(InputError, match="finite"):
         PickProblem((0j, 0.5 + 0j), (0.1 + 0j, complex("inf")), SzegoKernel())
+    # the nodes are validated first, distinct nodes included
+    with pytest.raises(DuplicateNodes):
+        PickProblem((0.1 + 0j, 0.1 + 0j), (0j, complex("inf")), SzegoKernel())
 
 
 @pytest.mark.parametrize("targets", [
@@ -882,6 +887,59 @@ def test_each_construction_validates_its_nodes_once(monkeypatch):
     calls.clear()
     interpolate_disk(nodes, tuple(0.5 * z for z in nodes))
     assert len(calls) == 1
+
+
+def test_a_problem_maps_each_node_through_disk_point_once(monkeypatch):
+    from orbitpick import kernels, mobius, pick
+
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return mobius.disk_point(z)
+
+    monkeypatch.setattr(pick, "disk_point", counting)
+    monkeypatch.setattr(kernels, "disk_point", counting)
+    nodes = (0.1 + 0.2j, -0.25 + 0.1j, 0.3 - 0.3j, 0.05j, -0.4 + 0j)
+    PickProblem(nodes, tuple(0.5 * z for z in nodes), SzegoKernel())
+    assert len(calls) == len(nodes)
+
+
+# (nodes, kernel, error) of problems whose refusal is decided by their
+# kernel rows: aliased composed nodes with unequal targets, an orbit node
+# that owns no row and a composed node beyond the evaluation radius
+ROW_FAULTS = {
+    "aliased": ((0.3 + 0j, -0.3 + 0j), ComposedInnerKernel(orbit_product(), 2), AliasedNodes),
+    "no-row": ((0.9995j, 0.1 + 0.2j), OrbitGramKernel(cyclic_group(0.5), 10), NumericalError),
+    "boundary": ((0.9995 + 0j, 0.1 + 0.2j), ComposedInnerKernel(orbit_product(), 2),
+                 TooCloseToBoundary),
+}
+
+
+@pytest.mark.parametrize("nodes, kernel, error", ROW_FAULTS.values(), ids=ROW_FAULTS.keys())
+def test_building_a_problem_decides_its_rows(nodes, kernel, error):
+    with pytest.raises(error):
+        PickProblem(nodes, (0.1 + 0j, 0.2 + 0j), kernel)
+
+
+@pytest.mark.parametrize(
+    "nodes, kernel, error", list(ROW_FAULTS.values())[1:], ids=list(ROW_FAULTS)[1:]
+)
+def test_pick_norm_with_zero_targets_refuses_what_feasibility_refuses(nodes, kernel, error):
+    targets = (0j, 0j)
+    with pytest.raises(error) as refused:
+        feasibility(PickProblem(nodes, targets, kernel))
+    with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+        pick_norm(nodes, targets, kernel)
+
+
+def test_unknown_kernel_specs_are_refused():
+    with pytest.raises(UnsupportedVariant):
+        feasibility(PickProblem((0.1 + 0j, 0.5 + 0j), (0j, 0.9 + 0j), "orbit"))
+    with pytest.raises(UnsupportedVariant):
+        gram(None, [0.1 + 0j, 0.5 + 0j])
+    with pytest.raises(UnsupportedVariant):
+        pick_norm((0j, 0.5 + 0j), (0j, 0.9 + 0j), object())
 
 
 def test_composed_points_stay_inside_the_disk():
