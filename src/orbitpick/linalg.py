@@ -1,25 +1,30 @@
 """Dense Hermitian positivity checks and eigenvalues.
 
-A positivity verdict at tolerance tol is one Cholesky attempt on
+A dense positivity verdict at tolerance tol is one Cholesky attempt on
 A + tol * I (numpy.linalg.cholesky): the verdict is "positive" iff the
 factorization succeeds.  Cholesky is backward stable, so a computed
 factor exists for a matrix within a small multiple of n * eps * ||A||
 of the input, and the verdict agrees with min eigenvalue >= -tol
 except when that eigenvalue lies within such a margin of -tol; the
-positivity tolerances below sit well above it.  No verdict needs the
-spectrum: the smallest eigenvalue a report carries is computed by
-LAPACK's Hermitian solver (numpy.linalg.eigvalsh) only when it is
-read.  ``pencil_max`` solves the generalized problem behind extremal
-norms with one eigen-decomposition of K.  The 3x3 principal-minor
-routine at the end is independent of LAPACK and serves as its oracle.
+positivity tolerances below sit well above it.  Scalar Pick matrices
+come here only when ``pick._pick_verdict``, which decides the same
+question on their two-column generator without building them, cannot
+decide; Gram, dominance and matrix-target Pick matrices always do.  No
+verdict needs the spectrum: the smallest eigenvalue a report carries
+is computed by LAPACK's Hermitian solver (numpy.linalg.eigvalsh) only
+when it is read.  ``pencil_max`` solves the generalized problem behind
+extremal norms with one eigen-decomposition of K.  The 3x3
+principal-minor routine at the end is independent of LAPACK and serves
+as its oracle.
 
 Every ``HermitianMatrix`` holds a matrix whose strict lower triangle
 is the conjugate of its upper one, and LAPACK is given that matrix as
 it stands, its diagonal read as real.  A matrix the library built
 mirrored (by ``kernels.szego_matrix``, or the difference of two such)
 is adopted without a copy; any other matrix is copied and replaced by
-its Hermitian part 0.5 A^H + 0.5 A.  A verdict shifts the diagonal in
-place and restores it afterwards.
+its Hermitian part 0.5 A^H + 0.5 A, or replaced in place when the
+library has just built it.  A verdict shifts the diagonal in place and
+restores it afterwards.
 
 Validation and the Hermitian part each read the n x n entries a strip
 of ``STRIP_ROWS`` rows at a time, so neither holds an n x n temporary;
@@ -64,6 +69,14 @@ class PsdReport:
         self.is_psd = is_psd
         self.tolerance_used = tolerance_used
 
+    @classmethod
+    def _deferred(cls, matrix, is_psd: bool, tolerance_used: float) -> PsdReport:
+        """A verdict on ``matrix`` whose smallest eigenvalue is computed
+        on first read."""
+        report = cls(math.nan, is_psd, tolerance_used)
+        report._pending = matrix
+        return report
+
     @property
     def min_eigenvalue(self) -> float:
         if self._pending is not None:
@@ -91,16 +104,7 @@ class HermitianMatrix:
     """
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=complex)
-        self._validate(a)
-        # Each strip reads and writes the entries whose smaller index
-        # lies in its rows, so it reads nothing an earlier strip wrote.
-        for r0 in range(0, a.shape[0], STRIP_ROWS):
-            rows = a[r0 : r0 + STRIP_ROWS, r0:]
-            below = a[r0 + STRIP_ROWS :, r0 : r0 + STRIP_ROWS]
-            upper = np.conjugate(a[r0:, r0 : r0 + STRIP_ROWS].T) * 0.5 + 0.5 * rows
-            lower = np.conjugate(rows[:, STRIP_ROWS:].T) * 0.5 + 0.5 * below
-            rows[...], below[...] = upper, lower
+        self._hermitize(np.array(entries, dtype=complex))
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> HermitianMatrix:
@@ -111,6 +115,33 @@ class HermitianMatrix:
         h = cls.__new__(cls)
         h._validate(a)
         return h
+
+    @classmethod
+    def _own(cls, a: np.ndarray) -> HermitianMatrix:
+        """Validate a complex array the library has just built and keep
+        it, replaced in place by its Hermitian part, rather than a copy
+        (as the constructor would)."""
+        h = cls.__new__(cls)
+        h._hermitize(a)
+        return h
+
+    def _hermitize(self, a: np.ndarray) -> None:
+        self._validate(a)
+        # Each strip reads and writes the entries whose smaller index
+        # lies in its rows, so it reads nothing an earlier strip wrote.
+        # Halving is exact and the sum commutes, so halving in place
+        # gives the bits of 0.5 A^H + 0.5 A with two strip temporaries.
+        for r0 in range(0, a.shape[0], STRIP_ROWS):
+            rows = a[r0 : r0 + STRIP_ROWS, r0:]
+            below = a[r0 + STRIP_ROWS :, r0 : r0 + STRIP_ROWS]
+            upper = np.conjugate(a[r0:, r0 : r0 + STRIP_ROWS].T)
+            upper *= 0.5
+            lower = np.conjugate(rows[:, STRIP_ROWS:].T)
+            lower *= 0.5
+            rows *= 0.5
+            rows += upper
+            below *= 0.5
+            below += lower
 
     def _validate(self, a: np.ndarray) -> None:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -195,9 +226,22 @@ def pencil_max(k, b) -> float:
 
 
 def default_psd_tolerance(a) -> float:
-    h = _as_matrix(a)
-    dmax = float(np.max(h.diagonal().real)) if h.size else 0.0
+    return _anchored_tolerance(_as_matrix(a).diagonal().real)
+
+
+def _anchored_tolerance(diagonal: np.ndarray) -> float:
+    """The default positivity tolerance 1e-10 * (1 + max diagonal) of a
+    matrix with this real diagonal.  It is anchored to the diagonal
+    because the matrices arising here scale with kernel magnitudes near
+    the boundary."""
+    dmax = float(np.max(diagonal)) if diagonal.size else 0.0
     return 1e-10 * (1.0 + max(dmax, 0.0))
+
+
+def _checked_tolerance(tol: float) -> float:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InputError("tolerance must be positive and finite")
+    return tol
 
 
 def psd_check(a, tol: float | None = None) -> PsdReport:
@@ -208,16 +252,11 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
     part) is factored as it stands, with its diagonal taken as real: the
     diagonal becomes re(diagonal) + tol in place for the factorization
     and is restored bit for bit afterwards, whatever the factorization
-    raises.  The default tolerance 1e-10 * (1 + max diagonal) is
-    anchored to the diagonal because the matrices arising here scale
-    with kernel magnitudes near the boundary.  The report's
-    ``min_eigenvalue`` is computed on first read.
+    raises.  The default tolerance is ``default_psd_tolerance``.  The
+    report's ``min_eigenvalue`` is computed on first read.
     """
     h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
-    if tol is None:
-        tol = default_psd_tolerance(h)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InputError("tolerance must be positive and finite")
+    tol = _checked_tolerance(default_psd_tolerance(h) if tol is None else tol)
     shifted = _solvable(h)
     diagonal = shifted.flat[:: h.n + 1]  # a copy
     shifted.flat[:: h.n + 1] = diagonal.real + tol
@@ -229,9 +268,7 @@ def psd_check(a, tol: float | None = None) -> PsdReport:
         is_psd = True
     finally:
         shifted.flat[:: h.n + 1] = diagonal
-    report = PsdReport(math.nan, is_psd, tol)
-    report._pending = h
-    return report
+    return PsdReport._deferred(h, is_psd, tol)
 
 
 def brute_force_psd_3x3(a, tol: float = 1e-12) -> bool:

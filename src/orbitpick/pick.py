@@ -15,24 +15,30 @@ orbits, each node's target carried by all of its rows.  So building a
 node, distinct nodes included, computes those points, refuses a node
 that owns no row and runs the one alias check.  ``pick_norm`` and the
 interpolants build one too (scalar targets only), so they refuse what
-``pick-check`` refuses, and one ``_pick_matrix`` builds the Pick matrix
-of ``assemble_pick`` and of ``pick_norm``'s check at c.  A scalar one
-is written by ``szego_matrix``, mirrored as a Gram matrix is, so
-``linalg.HermitianMatrix`` adopts it without a copy and the verdict
-factors it where it stands; matrix-target Pick matrices are stored as
-their Hermitian part.  Weights that would overflow the matrix raise
-``NumericalError`` before it is built.
-Positivity at tolerance tol is one Cholesky attempt on A + tol * I
-(``linalg.psd_check``); no verdict computes eigenvalues.  c^2 is the
+``pick-check`` refuses.  ``assemble_pick`` builds the Pick matrix; a
+scalar one is written by ``szego_matrix``, mirrored as a Gram matrix
+is, and a matrix-target one is written block by block into one array
+and stored as its Hermitian part.  Weights that would overflow raise
+``NumericalError`` before anything is built.
+
+A scalar verdict at tolerance tol asks what one Cholesky attempt on
+A + tol * I would answer, min eigenvalue(A) >= -tol, but without A:
+A - Z A Z^H = G J G^H for Z = diag(points), so ``_pick_verdict`` runs
+the generalized Schur algorithm with symmetric pivoting on the
+two-column generator G = [1, w], in O(N) memory and O(rN) time for r
+pivots, and certifies either answer from G.  Matrices it cannot decide
+that way, within about tol of singular, are assembled and factored by
+``linalg.psd_check``, and so are matrix-target Pick matrices, the one
+exception, since the recursion has no block form here.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
-eigen-solve on the numerical range of K and accepted only after that
-Cholesky check passes at c; a c the check rejects is reported as a
-``NumericalError``.  Both interpolants are built by ``_interpolate``
-from the problem's Szegő points, the nodes or their values phi(z_j)
-under an inner function phi, so a composed problem is the disk problem
-at those points composed back, with the verdict ``feasibility`` gives:
-one Pick matrix and its Cholesky verdict, one pass of Schur's recursion
-in generator form (Kailath and Sayed, SIAM Review 37, 1995), which
+eigen-solve on the numerical range of K and accepted only after the
+same verdict, at generator [c, w], passes at c; a c it rejects is
+reported as a ``NumericalError``.  Both interpolants are built by
+``_interpolate`` from the problem's Szegő points, the nodes or their
+values phi(z_j) under an inner function phi, so a composed problem is
+the disk problem at those points composed back, with the verdict
+``feasibility`` gives, one pass of Schur's recursion in generator form
+(Kailath and Sayed, SIAM Review 37, 1995), in node order, which
 multiplies by each Blaschke factor where the classical form divides by
 it and amplifies rounding, and one residual check at every point.
 """
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +68,14 @@ from .kernels import (
     szego,
     szego_matrix,
 )
-from .linalg import HermitianMatrix, PsdReport, pencil_max, psd_check
+from .linalg import (
+    HermitianMatrix,
+    PsdReport,
+    _anchored_tolerance,
+    _checked_tolerance,
+    pencil_max,
+    psd_check,
+)
 from .mobius import _complex, _denominator_parts, _quotient, disk_point, iterate_images
 from .orbits import GroupPresentation
 
@@ -118,8 +132,32 @@ class PickProblem:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
+    """A verdict, the Pick matrix it is about and, for scalar targets,
+    ``rank``: the number of pivots ``_pick_verdict`` took before it
+    decided or left the verdict to ``psd_check`` (None for matrix
+    targets).  For a matrix that is positive within the tolerance it is
+    the matrix's numerical rank at that tolerance."""
+
     psd: PsdReport
     matrix: HermitianMatrix
+    rank: int | None = None
+
+
+class _PickMatrix(HermitianMatrix):
+    """The Pick matrix of a scalar problem: its dimension is the row
+    count of the problem's Szegő points, and its entries are assembled
+    by ``assemble_pick`` on first read and kept."""
+
+    def __init__(self, problem: PickProblem):
+        self._problem = problem
+
+    @property
+    def n(self) -> int:
+        return len(self._problem._rows[0])
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return assemble_pick(self._problem).entries
 
 
 def _scalar_problem(nodes, targets, kernel: KernelSpec) -> PickProblem:
@@ -168,38 +206,228 @@ def _check_finite(targets, points, scale: float) -> None:
         )
 
 
-def _pick_matrix(targets, points, counts: list[int], scale: float) -> HermitianMatrix:
-    """[(scale - w_i conj(w_j)) K_ij] for the Szegő matrix K at
-    ``points``, each node's target carried by all of its rows; matrix
-    targets take the blocks (scale I - W_i W_j^H) K_ij, row index major.
-    An overflow raises ``NumericalError`` before the matrix is built."""
-    _check_finite(targets, points, scale)
-    if not isinstance(targets[0], np.ndarray):
-        w = np.repeat(np.array(targets), counts)
-        return HermitianMatrix._adopt(szego_matrix(points, w, scale))
-    rows = np.repeat(np.arange(len(counts)), counts)
-    k = targets[0].shape[0]
-    eye = scale * np.eye(k, dtype=complex)
-    weights = np.array([[eye - ti @ tj.conj().T for tj in targets] for ti in targets])
-    out = weights[rows][:, rows] * szego_matrix(points)[:, :, None, None]
-    return HermitianMatrix(out.transpose(0, 2, 1, 3).reshape(k * len(rows), -1))
-
-
 def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     """Pick matrix of the problem at its Szegő points, for every kernel
     variant; aliased composed nodes keep their rows.  For the orbit
     kernel the (i, j) block is (1 - w_i conj(w_j)) [K(g(z_i), h(z_j))]
     over the deterministic orbit orderings; for matrix targets each
-    scalar entry is tensored with (I - W_i W_j^H), row index major.
-    """
+    scalar entry is tensored with (I - W_i W_j^H), row index major, and
+    the matrix is stored as its Hermitian part.  An overflow raises
+    ``NumericalError`` before the matrix is built."""
+    targets = problem.targets
     points, counts, _ = problem._rows
-    return _pick_matrix(problem.targets, points, counts, 1.0)
+    _check_finite(targets, points, 1.0)
+    if not problem.matrix_valued:
+        w = np.repeat(np.array(targets), counts)
+        return HermitianMatrix._adopt(szego_matrix(points, w))
+    # each node's block of rows written in place: no N x N temporary
+    k, n = targets[0].shape[0], len(points)
+    eye = np.eye(k, dtype=complex)
+    kmat = szego_matrix(points)
+    out = np.empty((n, k, n, k), dtype=complex)
+    ends = np.cumsum(counts).tolist()
+    rows = [slice(e - c, e) for e, c in zip(ends, counts)]
+    for ti, ri in zip(targets, rows):
+        for tj, rj in zip(targets, rows):
+            for (r, s), weight in np.ndenumerate(eye - ti @ tj.conj().T):
+                # weight * kernel, in this operand order: numpy's SIMD
+                # complex multiply is not bitwise commutative
+                np.multiply(weight, kmat[ri, rj], out=out[ri, r, rj, s])
+    del kmat
+    return HermitianMatrix._own(out.reshape(k * n, k * n))
 
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
-    """Assemble the Pick matrix of the problem and test positivity."""
-    mat = assemble_pick(problem)
-    return FeasibilityReport(psd=psd_check(mat, tol=tol), matrix=mat)
+    """Positivity of the problem's Pick matrix at tolerance ``tol``
+    (default 1e-10 * (1 + max diagonal)).
+
+    Scalar targets are decided by ``_pick_verdict`` on the matrix's
+    two-column generator, which builds no matrix: the report's matrix
+    is assembled only when its entries or its smallest eigenvalue are
+    read.  The Pick matrix is assembled and given to
+    ``linalg.psd_check``, one Cholesky attempt, only where the
+    recursion leaves the verdict undecided, and for matrix targets, the
+    one exception, since the recursion has no block form here.
+    """
+    is_psd = rank = None
+    if not problem.matrix_valued:
+        points, counts, _ = problem._rows
+        is_psd, rank, tol = _pick_verdict(problem.targets, points, counts, 1.0, tol)
+    if is_psd is None:
+        mat = assemble_pick(problem)
+        return FeasibilityReport(psd_check(mat, tol=tol), mat, rank)
+    mat = _PickMatrix(problem)
+    return FeasibilityReport(PsdReport._deferred(mat, is_psd, tol), mat, rank)
+
+
+def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | None):
+    """(is_psd, rank, tol) for P = [(c^2 - w_i conj(w_j)) / (1 - p_i conj(p_j))],
+    the scalar Pick matrix at scale c^2 of the Szegő points p, each
+    node's target w carried by all of its rows, decided on its generator
+    (generalized Schur algorithm: Kailath and Sayed, SIAM Review 37,
+    1995; symmetric pivoting, Gu, SIMAX 19, 1998).  is_psd is None
+    when the generator cannot decide.
+
+    P - Z P Z^H = G J G^H with Z = diag(p), J = diag(1, -1) and the
+    generator G = [c, w], and each step works on G alone in O(N).  It
+    reads the diagonal of the current Schur complement S, d_i = (|g_i1|^2
+    - |g_i2|^2) / (1 - |p_i|^2).  Both verdicts certify the answer of a
+    Cholesky attempt on P + tol I, min eigenvalue(P) >= -tol:
+    - infeasible once some d_i < -tol u_i^2: the vector x_i that
+      eliminates the pivots from row i has x_i^H P x_i = d_i, and u_i
+      bounds its norm;
+    - feasible once max d <= tol and ``_negative_part`` bounds
+      -min eigenvalue(S), and so -min eigenvalue(P), by tol, or once
+      every row is a pivot.
+    Any other d_i < -tol, or a stop the bound does not certify, leaves
+    the verdict undecided: a matrix within about tol of singular, as at
+    the extremal norm, whose answer lies in entries the diagonal does
+    not show.  Otherwise the step pivots on the largest d_k: the
+    hyperbolic rotation with rho = g_k2 / g_k1 zeroes g_k2 (in the mixed
+    form of Bojanczyk, Brent, van Dooren and de Hoog, SISSC 8, 1987),
+    column 1 is multiplied by (p - p_k) / (1 - conj(p_k) p) and row k is
+    dropped.  ``rank`` counts the pivots taken.
+
+    tol defaults to 1e-10 * (1 + max diagonal) of P, with the diagonal
+    computed as ``szego_matrix`` writes it, so it is the tolerance
+    ``psd_check`` would use, bit for bit.  Targets whose weights would
+    overflow raise ``NumericalError`` first, and so does a generator
+    that overflows on the way.
+    """
+    _check_finite(targets, points, c * c)
+    p = np.array(points, dtype=complex)
+    b = np.repeat(np.array(targets, dtype=complex), counts)
+    q, qi = _denominator_parts(p.real, p.imag, p.real, p.imag)  # 1 - |p|^2
+    if tol is None:
+        # the diagonal szego_matrix writes, in its operations
+        k = np.reciprocal(_complex(q, qi))
+        k += 0.0
+        tol = _anchored_tolerance(((c * c - b * np.conj(b)) * np.conj(k)).real)
+    tol = _checked_tolerance(tol)
+    n = p.size
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            is_psd, rank = _schur_steps(np.full(n, c, dtype=complex), b, p, q, tol)
+    except FloatingPointError as exc:
+        raise NumericalError(f"the Pick matrix's generator overflows: {exc}") from exc
+    return is_psd, rank, tol
+
+
+# Rows at which ``_schur_steps`` moves to Python's complex arithmetic: a
+# numpy step costs about 30 µs at any size, a Python one about 1.2 µs a
+# row (2 cores, numpy 2.4).
+_PYTHON_ROWS = 24
+
+
+def _schur_steps(a, b, p, q, tol: float):
+    """(is_psd, rank) of ``_pick_verdict``'s recursion on the generator
+    [a, b] at the points p with q = 1 - |p|^2, in numpy while more than
+    ``_PYTHON_ROWS`` rows remain and then in ``_python_steps``."""
+    n = a.size
+    u = np.ones(n)
+    for rank in range(n):
+        if a.size <= _PYTHON_ROWS:
+            return _python_steps(*(v.tolist() for v in (a, b, p, q, u)), rank, tol)
+        d = _sq(a)
+        d -= _sq(b)
+        d /= q
+        k = d.argmax()
+        dk, dmin = float(d[k]), float(d[d.argmin()])
+        if dmin < -tol and (d < -tol * u * u).any():
+            return False, rank
+        if dk <= tol:
+            return _negative_part(a, b, q) <= tol or None, rank
+        if dmin < -tol:
+            return None, rank
+        ak, bk, pk, qk = complex(a[k]), complex(b[k]), complex(p[k]), float(q[k])
+        s = math.sqrt(dk * qk) / abs(ak)  # sqrt(1 - |rho|^2)
+        f = math.sqrt(qk / dk) * u[k]
+        last = a.size - 1  # row k is dropped: the last row takes its place
+        for v in (a, b, p, q, u):
+            v[k] = v[last]
+        a, b, p, q, u = a[:last], b[:last], p[:last], q[:last], u[:last]
+        rho = bk / ak
+        a -= b * rho.conjugate()
+        a *= 1.0 / s
+        b *= s
+        b -= a * rho
+        beta = p * -pk.conjugate()
+        beta += 1.0
+        # x_i - conj(S_ik) / d_k x_k eliminates row i from here on, and
+        # |S_ik| = |a_i| sqrt(d_k q_k) / |beta_i| once row k reads (., 0)
+        t = np.abs(a)
+        t /= np.abs(beta)
+        t *= f
+        u += t
+        t = p - pk
+        t /= beta
+        a *= t
+    return True, n
+
+
+def _python_steps(a, b, p, q, u, rank: int, tol: float):
+    """``_schur_steps`` on lists, one Python complex operation per entry."""
+    n = rank + len(a)
+    for rank in range(rank, n):
+        d = [(x.real * x.real + x.imag * x.imag - (y.real * y.real + y.imag * y.imag)) / r
+             for x, y, r in zip(a, b, q)]
+        dk, dmin = max(d), min(d)
+        if not math.isfinite(sum(d)):
+            raise FloatingPointError("overflow in the generator")
+        k = d.index(dk)
+        if dmin < -tol and any(di < -tol * ui * ui for di, ui in zip(d, u)):
+            return False, rank
+        if dk <= tol:
+            return _negative_part(*map(np.array, (a, b, q))) <= tol or None, rank
+        if dmin < -tol:
+            return None, rank
+        ak, bk, pk, qk, uk = a[k], b[k], p[k], q[k], u[k]
+        for v in (a, b, p, q, u):  # row k is dropped: the last row takes its place
+            v[k] = v[-1]
+            v.pop()
+        s = math.sqrt(dk * qk) / abs(ak)
+        f, rho = math.sqrt(qk / dk) * uk, bk / ak
+        rhoc, pkc = rho.conjugate(), pk.conjugate()
+        for i, (x, y, z) in enumerate(zip(a, b, p)):
+            x = (x - y * rhoc) / s
+            b[i] = s * y - x * rho
+            beta = 1.0 - pkc * z
+            u[i] += abs(x) / abs(beta) * f
+            a[i] = x * ((z - pk) / beta)
+    return True, n
+
+
+def _sq(v: np.ndarray) -> np.ndarray:
+    return v.real * v.real + v.imag * v.imag
+
+
+def _negative_part(a, b, q) -> float:
+    """A bound nu >= -min eigenvalue(S) for S = [(a_i conj(a_j) - b_i
+    conj(b_j)) / (1 - p_i conj(p_j))] with q = 1 - |p|^2: the negative
+    eigenvalue of the rank-2 matrix x x^H - y y^H, x = a / sqrt(q),
+    y = b / sqrt(q), since S is its Schur product with the positive
+    matrix [sqrt(q_i q_j) / (1 - p_i conj(p_j))] of unit diagonal.
+
+    With y = mu x + e, e orthogonal to x, that matrix acts on the span
+    of x and e as [[X (1 - |mu|^2), -mu sqrt(X E)], [., -E]] for
+    X = |x|^2 and E = |e|^2, whose eigenvalues multiply to -X E, so the
+    negative one is taken from the positive one without cancellation.
+    """
+    r = 1.0 / np.sqrt(q)
+    x, y = a * r, b * r
+    xx = float(_sq(x).sum())
+    if xx == 0.0:
+        return float(_sq(y).sum())
+    mu = complex(np.vdot(x, y)) / xx
+    ee = float(_sq(y - mu * x).sum())
+    m = abs(mu)
+    alpha = xx * ((1.0 - m) * (1.0 + m))
+    if ee == 0.0:
+        return max(-alpha, 0.0)
+    root = math.hypot(0.5 * (alpha + ee), m * math.sqrt(xx * ee))
+    if alpha >= ee:
+        return ee * xx / (0.5 * (alpha - ee) + root)
+    return root - 0.5 * (alpha - ee)
 
 
 def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
@@ -209,12 +437,13 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
 
     c^2 is the largest eigenvalue of the pencil (w w^H) o K - t K, found
     by one eigen-solve on the numerical range of K (``pencil_max``).  c
-    is returned only if the positivity check the verdicts use, one
-    Cholesky attempt on the matrix at c plus its tolerance, accepts it,
-    so a norm <= 1 comes with a feasible verdict.  When the check
-    rejects it, target weight sits on directions K annihilates at
-    double precision, no norm is certified and ``NumericalError`` is
-    raised.
+    is returned only if the verdict ``feasibility`` would give for the
+    matrix at c accepts it, so a norm <= 1 comes with a feasible
+    verdict: ``_pick_verdict`` on the generator [c, w] at the default
+    tolerance, or one Cholesky attempt on that matrix where the
+    recursion cannot decide.  When it rejects c, target weight sits on directions K
+    annihilates at double precision, no norm is certified and
+    ``NumericalError`` is raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     targets = problem.targets
@@ -227,7 +456,10 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     del kmat, b
-    if not psd_check(_pick_matrix(targets, points, counts, c * c)).is_psd:
+    is_psd, _, tol = _pick_verdict(targets, points, counts, c, None)
+    if is_psd is None:
+        is_psd = psd_check(HermitianMatrix._adopt(szego_matrix(points, w, c * c)), tol).is_psd
+    if not is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "
             "target weight lies on directions the kernel matrix annihilates "

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import pathlib
 import re
 import tracemalloc
 import warnings
@@ -33,8 +35,9 @@ from orbitpick.kernels import (
     SzegoKernel,
     _szego_points,
     gram,
+    szego_matrix,
 )
-from orbitpick.linalg import HermitianMatrix
+from orbitpick.linalg import HermitianMatrix, min_eig, psd_check
 from orbitpick.mobius import pseudo_hyperbolic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import (
@@ -51,7 +54,10 @@ from orbitpick.pick import (
     interpolate_disk,
     interpolant_values,
     pick_norm,
+    _pick_verdict,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def orbit_product(a=0.5, depth=60):
@@ -210,11 +216,9 @@ def test_assemble_pick_is_the_whole_matrix_formula_bit_for_bit(group, depth, nod
     assert report.psd.is_psd == _solvable_verdict(expected, report.psd.tolerance_used)
 
 
-def test_feasibility_holds_at_most_two_and_a_half_matrices(monkeypatch):
-    # the kernel matrix is weighted in place, mirrored and handed over
-    # without a copy, and the verdict factors it where it stands, so the
-    # traced peak is the Pick matrix and the factor, plus strips (numpy
-    # makes the Cholesky input outside the traced allocator)
+def test_feasibility_builds_no_pick_matrix(monkeypatch):
+    # a scalar verdict runs on the matrix's two-column generator, so the
+    # traced peak is a few vectors of n entries, not the n x n matrix
     nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j)
     targets = (0.1, 0.2j, 0.05 + 0.05j, -0.1)
     problem = PickProblem(nodes, targets, OrbitGramKernel(cyclic_group(0.05), 120))
@@ -226,17 +230,20 @@ def test_feasibility_holds_at_most_two_and_a_half_matrices(monkeypatch):
     monkeypatch.setattr(HermitianMatrix, "__init__", copying_constructor)
     tracemalloc.start()
     try:
-        feasibility(problem)
+        report = feasibility(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert n == 596
-    assert peak <= 2.5 * 16 * n * n
+    assert not report.psd.is_psd
+    assert peak <= 16 * 16 * n
 
 
 def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
-    # K goes to the pencil adopted and the check matrix is weighted in
-    # place, so the one matrix pick_norm copies is the pencil's B
+    # K goes to the pencil adopted and the check at c reads the
+    # generator, or here, where that cannot decide, the matrix at c
+    # written in place, so the one matrix pick_norm copies is the
+    # pencil's B and the peak is the pencil's
     nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
     kernel = OrbitGramKernel(cyclic_group(0.1), 120)
     pick_norm(nodes, targets, kernel)
@@ -255,7 +262,174 @@ def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
     finally:
         tracemalloc.stop()
     assert copied == [(150, 150)]
-    assert peak <= 6.5 * 16 * 150 * 150
+    assert peak <= 5.0 * 16 * 150 * 150
+
+
+def test_matrix_target_assembly_holds_at_most_two_matrices():
+    # each node's blocks are written into one array and its Hermitian
+    # part is taken in place
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j)
+    targets = tuple(np.array([[w, 0.0], [0.1 * w, -0.5 * w]]) for w in (0.1, 0.2j))
+    problem = PickProblem(nodes, targets, OrbitGramKernel(cyclic_group(0.1), 120))
+    n = assemble_pick(problem).n
+    tracemalloc.start()
+    try:
+        assemble_pick(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 300
+    assert peak <= 2.0 * 16 * n * n
+
+
+def test_szego4_verdict_pivots_on_every_row():
+    doc = json.loads((DATA / "szego4_problem.json").read_text(encoding="utf-8"))
+    nodes = tuple(complex(*z) for z in doc["nodes"])
+    targets = tuple(complex(*w) for w in doc["targets"])
+    report = feasibility(PickProblem(nodes, targets, SzegoKernel()))
+    assert report.psd.is_psd and report.rank == report.matrix.n == 4
+
+
+# three nodes of radius at most 0.5 whose cyclic a = 0.02 orbits to
+# depth 200 give 1,125 rows
+_DEEP_NODES = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j)
+_DEEP_KERNEL = OrbitGramKernel(cyclic_group(0.02), 200)
+
+
+def test_a_thousand_row_orbit_verdict_allocates_no_matrix():
+    # 22.5 MB for one 1,125-row matrix; the verdict holds vectors only
+    problem = PickProblem(_DEEP_NODES, (0.5, 0.5, 0.5), _DEEP_KERNEL)
+    feasibility(problem)
+    tracemalloc.start()
+    try:
+        report = feasibility(problem)
+        n = report.matrix.n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 1125
+    assert report.psd.is_psd
+    assert report.rank < 150
+    assert peak <= 1 << 20
+
+
+def _cholesky_verdict(problem, tol=None):
+    return psd_check(assemble_pick(problem), tol).is_psd
+
+
+def _generator_verdict(problem, c=1.0, tol=None):
+    """The recursion's own verdict, None where it defers to Cholesky."""
+    points, counts, _ = problem._rows
+    return _pick_verdict(problem.targets, points, counts, c, tol)[0]
+
+
+def _differential_problems():
+    """Seeded Szegő problems of 3 to 40 nodes (the larger ones cross
+    from numpy to Python arithmetic mid-recursion), composed problems
+    whose nodes the inner map crowds, and orbit problems, each with
+    targets from a function of norm 0.9 or 1.1 and with arbitrary ones."""
+    rng = np.random.default_rng(29)
+    inner = orbit_product()
+    spec = ComposedInnerKernel(inner, 2)
+    problems = []
+    for n in (3, 5, 8, 12, 30, 40):
+        nodes = random_nodes(rng, n, min_separation=0.05)
+        f = random_finite_blaschke(rng)
+        for c in (0.9, 1.1):
+            problems.append(PickProblem(nodes, tuple(c * f(z) for z in nodes), SzegoKernel()))
+        targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in nodes)
+        problems.append(PickProblem(nodes, targets, SzegoKernel()))
+    for n in (3, 6):
+        nodes = box_nodes(rng, n)
+        f = random_finite_blaschke(rng)
+        for c in (0.9, 1.1):
+            problems.append(PickProblem(nodes, tuple(c * f(spec.value(z)) for z in nodes), spec))
+    for group, depth in ((cyclic_group(0.1), 60), (z2z2_group(0.2), 40)):
+        nodes = random_nodes(rng, 2, rmax=0.5)
+        for kind in ("invariant", "real", "arbitrary"):
+            problems.append(PickProblem(
+                nodes, tuple(_orbit_targets(group, nodes, kind)), OrbitGramKernel(group, depth)))
+    return problems
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6], ids=["default-tol", "tol-1e-6"])
+def test_the_generator_verdict_is_the_cholesky_verdict(tol, recursion):
+    problems = _differential_problems()
+    decided = 0
+    for problem in problems:
+        report = feasibility(problem, tol)
+        assert report.psd.is_psd == _cholesky_verdict(problem, tol)
+        assert 0 <= report.rank <= report.matrix.n
+        verdict = _generator_verdict(problem, tol=tol)
+        decided += verdict is not None
+        assert verdict in (None, report.psd.is_psd)
+        if tol is None:
+            # the report's matrix and eigenvalue are today's, assembled on read
+            entries = assemble_pick(problem).entries
+            assert report.matrix.entries.tobytes() == entries.tobytes()
+            assert report.psd.tolerance_used == psd_check(entries).tolerance_used
+            assert report.psd.min_eigenvalue == min_eig(entries)
+    assert decided == len(problems)
+
+
+def test_the_generator_decides_pick_norms_check_as_cholesky_does():
+    for problem in _differential_problems():
+        if problem.kernel == SzegoKernel():
+            c = pick_norm(problem.nodes, problem.targets, problem.kernel)
+            points, counts, _ = problem._rows
+            w = np.repeat(np.array(problem.targets), counts)
+            at_c = psd_check(HermitianMatrix(szego_matrix(points, w, c * c)))
+            assert at_c.is_psd and _generator_verdict(problem, c) is True
+
+
+@pytest.fixture(params=["numpy", "mixed"])
+def recursion(request, monkeypatch):
+    """Run the recursion in numpy alone, or, as by default, in numpy
+    down to ``_PYTHON_ROWS`` rows and in Python complex after."""
+    if request.param == "numpy":
+        monkeypatch.setattr("orbitpick.pick._PYTHON_ROWS", 0)
+    return request.param
+
+
+def test_checks_just_below_the_extremal_norm_never_contradict_cholesky(recursion):
+    # at 1 - 1e-9 times the norm the matrix is within about tol of
+    # singular: a Schur-complement diagonal below -tol proves nothing
+    # until its elimination vector's norm is counted, so these are
+    # left undecided rather than refused
+    undecided = 0
+    for seed in range(200, 400):
+        rng = np.random.default_rng(seed)
+        nodes = random_nodes(rng, int(rng.integers(3, 13)))
+        targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in nodes)
+        problem = PickProblem(nodes, targets, SzegoKernel())
+        c = (1 - 1e-9) * pick_norm(nodes, targets, SzegoKernel())
+        at_c = psd_check(HermitianMatrix(szego_matrix(nodes, np.array(targets), c * c)))
+        verdict = _generator_verdict(problem, c)
+        assert verdict in (None, at_c.is_psd)
+        undecided += verdict is None
+    assert undecided > 0
+
+
+@pytest.mark.parametrize("targets, feasible", [
+    # the constant 0.5 is an invariant interpolant
+    ((0.5, 0.5, 0.5), True),
+    # no function of norm 1 takes order-one distinct values on whole orbits
+    ((0.6 - 0.3j, -0.6j, 0.45 + 0.3j), False),
+], ids=["constant", "distinct"])
+def test_deep_orbit_verdicts_with_known_answers(targets, feasible):
+    problem = PickProblem(_DEEP_NODES, targets, _DEEP_KERNEL)
+    assert _generator_verdict(problem) is feasible
+    assert feasibility(problem).psd.is_psd is feasible
+    assert _cholesky_verdict(problem) is feasible
+
+
+def test_distinct_unimodular_targets_are_left_to_cholesky():
+    # every Pick diagonal entry is 0, so the diagonal the recursion reads
+    # says nothing; the off-diagonal entries make the matrix indefinite
+    problem = PickProblem((0j, 0.5 + 0j), (1 + 0j, 1j), SzegoKernel())
+    assert _generator_verdict(problem) is None
+    report = feasibility(problem)
+    assert not report.psd.is_psd and report.rank == 0
 
 
 def test_orbit_pick_depth_zero_equals_szego():
