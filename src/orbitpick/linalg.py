@@ -191,9 +191,15 @@ def _solvable(a) -> np.ndarray:
     n = h.shape[0]
     if n == 0:
         raise InputError("empty matrix has no eigenvalues")
+    _check_dimension(n)
+    return h
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse a matrix, assembled or not, of more than ``MAX_DIMENSION``
+    rows."""
     if n > MAX_DIMENSION:
         raise InputError(f"matrix dimension {n} exceeds the supported {MAX_DIMENSION}")
-    return h
 
 
 def min_eig(a) -> float:

@@ -72,6 +72,7 @@ from .linalg import (
     HermitianMatrix,
     PsdReport,
     _anchored_tolerance,
+    _check_dimension,
     _checked_tolerance,
     pencil_max,
     psd_check,
@@ -292,7 +293,9 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
     computed as ``szego_matrix`` writes it, so it is the tolerance
     ``psd_check`` would use, bit for bit.  Targets whose weights would
     overflow raise ``NumericalError`` first, and so does a generator
-    that overflows on the way.
+    that overflows on the way; a P of more than ``MAX_DIMENSION`` rows
+    raises ``InputError`` before any step, as an assembled one does in
+    ``psd_check``.
     """
     _check_finite(targets, points, c * c)
     p = np.array(points, dtype=complex)
@@ -305,6 +308,7 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
         tol = _anchored_tolerance(((c * c - b * np.conj(b)) * np.conj(k)).real)
     tol = _checked_tolerance(tol)
     n = p.size
+    _check_dimension(n)
     try:
         with np.errstate(over="raise", invalid="raise"):
             is_psd, rank = _schur_steps(np.full(n, c, dtype=complex), b, p, q, tol)
@@ -313,21 +317,12 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
     return is_psd, rank, tol
 
 
-# Rows at which ``_schur_steps`` moves to Python's complex arithmetic: a
-# numpy step costs about 30 µs at any size, a Python one about 1.2 µs a
-# row (2 cores, numpy 2.4).
-_PYTHON_ROWS = 24
-
-
 def _schur_steps(a, b, p, q, tol: float):
     """(is_psd, rank) of ``_pick_verdict``'s recursion on the generator
-    [a, b] at the points p with q = 1 - |p|^2, in numpy while more than
-    ``_PYTHON_ROWS`` rows remain and then in ``_python_steps``."""
+    [a, b] at the points p with q = 1 - |p|^2."""
     n = a.size
     u = np.ones(n)
     for rank in range(n):
-        if a.size <= _PYTHON_ROWS:
-            return _python_steps(*(v.tolist() for v in (a, b, p, q, u)), rank, tol)
         d = _sq(a)
         d -= _sq(b)
         d /= q
@@ -362,38 +357,6 @@ def _schur_steps(a, b, p, q, tol: float):
         t = p - pk
         t /= beta
         a *= t
-    return True, n
-
-
-def _python_steps(a, b, p, q, u, rank: int, tol: float):
-    """``_schur_steps`` on lists, one Python complex operation per entry."""
-    n = rank + len(a)
-    for rank in range(rank, n):
-        d = [(x.real * x.real + x.imag * x.imag - (y.real * y.real + y.imag * y.imag)) / r
-             for x, y, r in zip(a, b, q)]
-        dk, dmin = max(d), min(d)
-        if not math.isfinite(sum(d)):
-            raise FloatingPointError("overflow in the generator")
-        k = d.index(dk)
-        if dmin < -tol and any(di < -tol * ui * ui for di, ui in zip(d, u)):
-            return False, rank
-        if dk <= tol:
-            return _negative_part(*map(np.array, (a, b, q))) <= tol or None, rank
-        if dmin < -tol:
-            return None, rank
-        ak, bk, pk, qk, uk = a[k], b[k], p[k], q[k], u[k]
-        for v in (a, b, p, q, u):  # row k is dropped: the last row takes its place
-            v[k] = v[-1]
-            v.pop()
-        s = math.sqrt(dk * qk) / abs(ak)
-        f, rho = math.sqrt(qk / dk) * uk, bk / ak
-        rhoc, pkc = rho.conjugate(), pk.conjugate()
-        for i, (x, y, z) in enumerate(zip(a, b, p)):
-            x = (x - y * rhoc) / s
-            b[i] = s * y - x * rho
-            beta = 1.0 - pkc * z
-            u[i] += abs(x) / abs(beta) * f
-            a[i] = x * ((z - pk) / beta)
     return True, n
 
 

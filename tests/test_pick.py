@@ -239,6 +239,56 @@ def test_feasibility_builds_no_pick_matrix(monkeypatch):
     assert peak <= 16 * 16 * n
 
 
+def test_an_undecided_verdict_holds_at_most_two_and_a_half_matrices(monkeypatch):
+    # distinct unimodular targets make every Schur-complement diagonal
+    # entry 0, so the recursion leaves the verdict to one Cholesky
+    # attempt on the assembled matrix: the kernel matrix is weighted in
+    # place, mirrored and handed over without a copy and factored where
+    # it stands, so the traced peak is the Pick matrix and the factor,
+    # plus strips (numpy makes the Cholesky input outside the traced
+    # allocator)
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j)
+    targets = (1 + 0j, 1j, -1 + 0j, -1j)
+    problem = PickProblem(nodes, targets, OrbitGramKernel(cyclic_group(0.05), 120))
+    n = feasibility(problem).matrix.n
+
+    def copying_constructor(self, entries):
+        raise AssertionError("the verdict path copied its own Pick matrix")
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", copying_constructor)
+    tracemalloc.start()
+    try:
+        report = feasibility(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 596
+    assert _generator_verdict(problem) is None
+    assert not report.psd.is_psd and report.rank == 0
+    assert peak <= 2.5 * 16 * n * n
+
+
+def test_verdicts_refuse_more_rows_than_the_supported_dimension(monkeypatch):
+    # the guard psd_check applies to an assembled matrix holds on the
+    # generator too, before any recursion step or matrix is built
+    def boom(*args):
+        raise AssertionError("a refused problem reached the recursion")
+
+    monkeypatch.setattr("orbitpick.pick._schur_steps", boom)
+    monkeypatch.setattr("orbitpick.pick.assemble_pick", boom)
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j, -0.2 - 0.3j, -0.1 + 0.4j)
+    kernel = OrbitGramKernel(cyclic_group(0.02), 200)
+    for targets in ((0.5,) * 6, (0.6, -0.6j, 0.45, -0.3, 0.3j, 0.1)):
+        problem = PickProblem(nodes, targets, kernel)
+        assert len(problem._rows[0]) == 2223
+        with pytest.raises(InputError, match="matrix dimension 2223 exceeds the supported 2000"):
+            feasibility(problem)
+    rng = np.random.default_rng(2001)
+    radii, angles = 0.9 * np.sqrt(rng.random(2001)), 2 * np.pi * rng.random(2001)
+    with pytest.raises(InputError, match="matrix dimension 2001 exceeds the supported 2000"):
+        interpolate_disk(tuple(radii * np.exp(1j * angles)), (0.1,) * 2001)
+
+
 def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
     # K goes to the pencil adopted and the check at c reads the
     # generator, or here, where that cannot decide, the matrix at c
@@ -324,10 +374,9 @@ def _generator_verdict(problem, c=1.0, tol=None):
 
 
 def _differential_problems():
-    """Seeded Szegő problems of 3 to 40 nodes (the larger ones cross
-    from numpy to Python arithmetic mid-recursion), composed problems
-    whose nodes the inner map crowds, and orbit problems, each with
-    targets from a function of norm 0.9 or 1.1 and with arbitrary ones."""
+    """Seeded Szegő problems of 3 to 40 nodes, composed problems whose
+    nodes the inner map crowds, and orbit problems, each with targets
+    from a function of norm 0.9 or 1.1 and with arbitrary ones."""
     rng = np.random.default_rng(29)
     inner = orbit_product()
     spec = ComposedInnerKernel(inner, 2)
@@ -353,7 +402,7 @@ def _differential_problems():
 
 
 @pytest.mark.parametrize("tol", [None, 1e-6], ids=["default-tol", "tol-1e-6"])
-def test_the_generator_verdict_is_the_cholesky_verdict(tol, recursion):
+def test_the_generator_verdict_is_the_cholesky_verdict(tol):
     problems = _differential_problems()
     decided = 0
     for problem in problems:
@@ -382,16 +431,7 @@ def test_the_generator_decides_pick_norms_check_as_cholesky_does():
             assert at_c.is_psd and _generator_verdict(problem, c) is True
 
 
-@pytest.fixture(params=["numpy", "mixed"])
-def recursion(request, monkeypatch):
-    """Run the recursion in numpy alone, or, as by default, in numpy
-    down to ``_PYTHON_ROWS`` rows and in Python complex after."""
-    if request.param == "numpy":
-        monkeypatch.setattr("orbitpick.pick._PYTHON_ROWS", 0)
-    return request.param
-
-
-def test_checks_just_below_the_extremal_norm_never_contradict_cholesky(recursion):
+def test_checks_just_below_the_extremal_norm_never_contradict_cholesky():
     # at 1 - 1e-9 times the norm the matrix is within about tol of
     # singular: a Schur-complement diagonal below -tol proves nothing
     # until its elimination vector's norm is counted, so these are
