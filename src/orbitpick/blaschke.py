@@ -44,6 +44,14 @@ _FEW_POINTS = 256
 # that each temporary array stays at 256 KB.
 _BLOCK = 1 << 15
 
+# ``product_values`` divides once per chunk of at most ``_CHUNK`` zeros,
+# closed early once the chunk's weight prod(1 - |zeta|) drops below
+# ``_CHUNK_FLOOR``; it accepts |z| up to 1 + ``_CIRCLE_SLACK``, the
+# rounding of a computed point of the unit circle.
+_CHUNK = 64
+_CHUNK_FLOOR = 1e-150
+_CIRCLE_SLACK = 1e-15
+
 # Character extraction probes: eight points well inside the disk.
 CHARACTER_PROBES = tuple(0.37 * cmath.exp(2j * cmath.pi * k / 8) for k in range(8))
 
@@ -123,20 +131,54 @@ def from_orbit(
 
 
 def product_values(b: BlaschkeProduct, zs: np.ndarray) -> np.ndarray:
-    """Raw product values over an array of points in numpy complex
-    arithmetic, with no boundary guard and no clamping.
+    """Raw product values over an array of points with |z| <= 1, in
+    numpy complex arithmetic, with no clamping.
 
     For the boundary quadrature of exact finite products, whose points
-    lie on the unit circle; the values can differ from ``evaluate_many``
-    in the last bits.
+    lie on circles of radius 1 and less.  Each chunk of zeros multiplies
+    its numerators zeta_k - z into one array and its denominators
+    1 - conj(zeta_k) z into another, then divides once; the phases
+    |zeta_k|/zeta_k multiply in once at the end.  A chunk closes after
+    ``_CHUNK`` zeros, or earlier once its weight prod(1 - |zeta_k|)
+    falls below ``_CHUNK_FLOOR``.  For |z| <= 1, |1 - conj(zeta) z| >=
+    1 - |zeta|, so each denominator product stays above about 1e-166
+    and both products stay below 2**_CHUNK: no division overflows or
+    divides by an underflowed product.  The values can differ from a
+    per-zero loop and from ``evaluate_many`` in the last bits.  Raises
+    ``InputError`` for a point beyond the unit circle (by more than the
+    rounding of |z|) or not finite.
     """
     zs = np.asarray(zs, dtype=complex)
+    if not (np.hypot(zs.real, zs.imag) <= 1.0 + _CIRCLE_SLACK).all():
+        raise InputError("product_values takes points with |z| <= 1")
     v = np.ones_like(zs)
     for _ in range(b.origin_multiplicity):
-        v = v * zs
-    for zeta in b.zeros:
-        v = v * ((abs(zeta) / zeta) * (zeta - zs) / (1.0 - zeta.conjugate() * zs))
+        v *= zs
+    num, den, factor = np.empty_like(zs), np.empty_like(zs), np.empty_like(zs)
+    for chunk in _chunks(b.zeros):
+        num.fill(1.0)
+        den.fill(1.0)
+        for zeta in chunk:
+            num *= np.subtract(zeta, zs, out=factor)
+            np.multiply(zs, zeta.conjugate(), out=factor)
+            den *= np.subtract(1.0, factor, out=factor)
+        v *= np.divide(num, den, out=num)
+    v *= math.prod([abs(zeta) / zeta for zeta in b.zeros], start=complex(1.0))
     return v
+
+
+def _chunks(zeros: tuple[complex, ...]):
+    """Consecutive chunks of ``zeros`` for ``product_values``: each closes
+    after ``_CHUNK`` zeros or at the zero that takes its weight
+    prod(1 - |zeta|) below ``_CHUNK_FLOOR``."""
+    start, weight = 0, 1.0
+    for k, zeta in enumerate(zeros):
+        weight *= 1.0 - abs(zeta)
+        if k + 1 - start == _CHUNK or weight < _CHUNK_FLOOR:
+            yield zeros[start : k + 1]
+            start, weight = k + 1, 1.0
+    if start < len(zeros):
+        yield zeros[start:]
 
 
 def evaluate(b: BlaschkeProduct, z: complex) -> tuple[complex, float]:

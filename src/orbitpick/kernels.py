@@ -263,6 +263,11 @@ def boundary_gram_quadrature(
     the worst deviation of |B| from 1 over the boundary nodes is
     reported as ``truncation_note``, certifying the unimodularity the
     off-diagonal reduction relies on.
+
+    B is evaluated on both circles by ``blaschke.product_values``: chunks
+    of zeros whose numerators and denominators multiply separately, one
+    complex division per chunk.  Its values, and so the entries and the
+    note, can differ from a per-zero product in the last bits.
     """
     if b.origin_multiplicity < 1:
         raise InputError("the product must vanish at the origin")

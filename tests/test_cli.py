@@ -339,6 +339,22 @@ def test_pick_norm_uncertified_norm_exits_three(tmp_path, capsys):
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a composed power whose "
+                   "character is not trivial gives no bound on the invariant norm")
+def test_pick_norm_refuses_a_composed_power_with_a_nontrivial_character(tmp_path, capsys):
+    # cyclic a = 0.5 has character -1 at power 1: today pick-norm prints
+    # 4.0528952553666482 and exits 0
+    doc = {
+        "group": {"kind": "cyclic", "a": 0.5},
+        "truncation": {"depth": 60},
+        "nodes": [[0.1, 0.2], [-0.3, 0.1]],
+        "targets": [[0.1, 0.0], [0.0, 0.2]],
+        "kernel": {"variant": "composed", "power": 1},
+    }
+    code, out, _ = run(tmp_path, capsys, doc, "pick-norm")
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("command", ["pick-norm", "interpolate"])
 def test_matrix_targets_to_scalar_commands_exit_two(capsys, command):
     assert main([command, str(DATA / "matrix_problem.json")]) == 2
@@ -794,3 +810,119 @@ def test_large_orbit_pick_report_matches_the_reference(tmp_path, capsys):
     assert payload["matrix_size"] > 400
     report = {"command": "orbit-pick-check", "version": __version__, **payload}
     assert out == _reference_render(report) + "\n"
+
+
+# -- seeded mutation fuzz over the data files ------------------------------------
+
+# numbers no field accepts as it stands: huge, negative, not finite, out of
+# the disk, or an integer beyond the double range
+_BAD_NUMBERS = [1e300, -1e300, -1, -0.5, 0, 1.5, float("nan"), float("inf"),
+                float("-inf"), 10**400]
+_BAD_VALUES = ["x", "", [], {}, None, True, 1, [[0.1]]]
+
+
+def _paths(doc, prefix=()):
+    """Every path to a dict value or list item below ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    """A copy of ``doc`` with the item at ``path`` replaced, or deleted
+    when ``value`` is ``_DELETE``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+_DELETE = object()
+
+
+def _mutants(text, rng):
+    """One mutant of the JSON ``text`` for each kind of damage: a dropped
+    key, a value of another type, a bad number, an emptied list and the
+    text cut short."""
+    doc = json.loads(text)
+    paths = list(_paths(doc))
+
+    def pick(candidates):
+        return candidates[int(rng.integers(len(candidates)))]
+
+    def value_at(path):
+        return json.loads(json.dumps(doc)) if not path else _value(doc, path)
+
+    keyed = [p for p in paths if isinstance(_value(doc, p[:-1]), dict)]
+    numbers = [p for p in paths
+               if isinstance(value_at(p), (int, float)) and not isinstance(value_at(p), bool)]
+    lists = [p for p in paths if isinstance(value_at(p), list)]
+    yield json.dumps(_replace(doc, pick(keyed), _DELETE))
+    yield json.dumps(_replace(doc, pick(paths), pick(_BAD_VALUES)))
+    if numbers:
+        yield json.dumps(_replace(doc, pick(numbers), pick(_BAD_NUMBERS)))
+    if lists:
+        yield json.dumps(_replace(doc, pick(lists), []))
+    yield text[: int(rng.integers(len(text)))]
+
+
+def _value(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _commands(doc):
+    """The commands that read a problem file with these top-level keys."""
+    if "nodes" in doc:
+        scalar = ["kernel-gram", "pick-check", "pick-norm", "interpolate"]
+        return scalar + (["orbit-pick-check"] if "group" in doc else [])
+    if "point" in doc:
+        return ["amenable-average"]
+    return ["orbit", "character"] + (["blaschke-eval"] if "eval_points" in doc else [])
+
+
+def _default_generic_search(text):
+    """Whether ``text`` asks for a generic group's orbit at the default
+    depth 60: a breadth-first search of more than 10 s, the cost the
+    README names for the ``orbit`` command on such groups."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return False
+    group, truncation = doc.get("group"), doc.get("truncation", {})
+    return (isinstance(group, dict) and group.get("kind") == "generic"
+            and isinstance(truncation, dict) and "depth" not in truncation)
+
+
+def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
+    """Seeded damage to every data file, run through each command that
+    reads the file: every exit is 0-3, nothing escapes main, and a
+    refusal (exit 2 or 3) prints no report.  threads596 is left out:
+    its 596-row commands take seconds each.  So are mutants that leave a
+    generic group without a depth (``_default_generic_search``)."""
+    rng = np.random.default_rng(20260)
+    path = tmp_path / "mutant.json"
+    for source in sorted(DATA.glob("*_problem.json")):
+        if source.name == "threads596_problem.json":
+            continue
+        text = source.read_text(encoding="utf-8")
+        commands = _commands(json.loads(text))
+        for _round in range(2):
+            for mutant in _mutants(text, rng):
+                if _default_generic_search(mutant):
+                    continue
+                path.write_text(mutant, encoding="utf-8")
+                for command in commands:
+                    code = main([command, str(path)])
+                    out = capsys.readouterr().out
+                    label = f"{command} on {source.name} mutated to {mutant[:200]}"
+                    assert code in (0, 1, 2, 3), label
+                    assert code < 2 or out == "", label

@@ -611,6 +611,19 @@ def mpmath_szego_norm(nodes, targets):
         return float(mpmath.sqrt(max(mpmath.eigh(m, eigvals_only=True))))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the pencil norm is wrong "
+                   "or refused on well-conditioned n = 16 data")
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_pick_norm_matches_mpmath_at_sixteen_nodes(seed):
+    # reads 1.0042e5, 1.0528e5 and NumericalError against the references
+    # 1.2462e6, 1.5033e5 and 7.2285e4
+    rng = np.random.default_rng(seed)
+    nodes = random_nodes(rng, 16)
+    targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(16))
+    ref = mpmath_szego_norm(nodes, targets)
+    assert abs(pick_norm(nodes, targets, SzegoKernel()) - ref) <= 1e-12 * ref
+
+
 @pytest.mark.parametrize("n", [6, 12])
 def test_pick_norm_matches_mpmath(n):
     # a backward-stable solve moves the norm by up to about eps * cond(K)
