@@ -814,8 +814,8 @@ def test_large_orbit_pick_report_matches_the_reference(tmp_path, capsys):
 
 # -- seeded mutation fuzz over the data files ------------------------------------
 
-# numbers no field accepts as it stands: huge, negative, not finite, out of
-# the disk, or an integer beyond the double range
+# huge, negative, zero, not finite, out of the disk, or an integer beyond
+# the double range
 _BAD_NUMBERS = [1e300, -1e300, -1, -0.5, 0, 1.5, float("nan"), float("inf"),
                 float("-inf"), 10**400]
 _BAD_VALUES = ["x", "", [], {}, None, True, 1, [[0.1]]]
@@ -828,6 +828,9 @@ def _paths(doc, prefix=()):
         yield prefix + (key,)
         if isinstance(value, (dict, list)):
             yield from _paths(value, prefix + (key,))
+
+
+_DELETE = object()
 
 
 def _replace(doc, path, value):
@@ -844,9 +847,6 @@ def _replace(doc, path, value):
     return doc
 
 
-_DELETE = object()
-
-
 def _mutants(text, rng):
     """One mutant of the JSON ``text`` for each kind of damage: a dropped
     key, a value of another type, a bad number, an emptied list and the
@@ -857,13 +857,9 @@ def _mutants(text, rng):
     def pick(candidates):
         return candidates[int(rng.integers(len(candidates)))]
 
-    def value_at(path):
-        return json.loads(json.dumps(doc)) if not path else _value(doc, path)
-
     keyed = [p for p in paths if isinstance(_value(doc, p[:-1]), dict)]
-    numbers = [p for p in paths
-               if isinstance(value_at(p), (int, float)) and not isinstance(value_at(p), bool)]
-    lists = [p for p in paths if isinstance(value_at(p), list)]
+    numbers = [p for p in paths if type(_value(doc, p)) in (int, float)]
+    lists = [p for p in paths if isinstance(_value(doc, p), list)]
     yield json.dumps(_replace(doc, pick(keyed), _DELETE))
     yield json.dumps(_replace(doc, pick(paths), pick(_BAD_VALUES)))
     if numbers:
