@@ -172,14 +172,16 @@ def _parse_group(doc: dict) -> orb.GroupPresentation:
 
 def _truncation(doc: dict, args) -> tuple[orb.GroupPresentation, int, bool]:
     """The file's group, the depth of every orbit the command truncates
-    (``--depth`` if given, else ``$.truncation.depth``, default 60) and
-    the strict flag."""
+    (``--depth`` if given, else ``$.truncation.depth``, default 60; a
+    generic presentation has no default, as its breadth-first search to
+    depth 60 runs for more than 10 s) and the strict flag."""
     group = _parse_group(doc)
     obj = doc.get("truncation", {})
     if not isinstance(obj, dict):
         _fail("$.truncation", "expected an object")
-    depth = obj.get("depth", 60)
-    depth = _integer(depth, "$.truncation.depth")
+    if "depth" not in obj and group.kind == orb.GENERIC and args.depth is None:
+        _fail("$.truncation.depth", "a generic presentation needs an explicit depth")
+    depth = _integer(obj.get("depth", 60), "$.truncation.depth")
     strict = obj.get("strict", True)
     if not isinstance(strict, bool):
         _fail("$.truncation.strict", "expected a boolean")

@@ -264,10 +264,20 @@ def boundary_gram_quadrature(
     reported as ``truncation_note``, certifying the unimodularity the
     off-diagonal reduction relies on.
 
-    B is evaluated on both circles by ``blaschke.product_values``: chunks
+    Both circles are sampled on the fold of order s that ``_fold`` reads
+    from the zeros, B(z) = z^((s - 1) m0) C(z^s) with m0 zeros at the
+    origin.  s = 2 when the zeros off the origin are closed under
+    negation, as a multiset and exactly in floating point, and every
+    square zeta^2 is a valid zero (above the origin tolerance, inside
+    the disk): C has one zero zeta^2 per pair +-zeta, every integrand
+    is a function of w = z^2, and each mean over the n_quad nodes z is
+    the mean over the n_quad / 2 nodes w, at half the factors each.
+    Otherwise s = 1 and C = B.
+
+    C is evaluated on both circles by ``blaschke.product_values``: chunks
     of zeros whose numerators and denominators multiply separately, one
     complex division per chunk.  Its values, and so the entries and the
-    note, can differ from a per-zero product in the last bits.
+    note, can differ from a per-zero product of B in the last bits.
     """
     if b.origin_multiplicity < 1:
         raise InputError("the product must vanish at the origin")
@@ -275,27 +285,60 @@ def boundary_gram_quadrature(
         raise InputError("n_quad must be a power of two, at least 1024")
     if max_power < 0:
         raise InputError("max_power must be nonnegative")
-    angles = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    nodes = np.exp(1j * angles)
-    moduli = np.abs(bl.product_values(b, nodes))
+    moduli, inner_sq = _circle_values(b, n_quad)
+    k = moduli.size
     note = float(np.max(np.abs(moduli - 1.0)))
-    inner_sq = bl.product_values(b, INTERIOR_MEAN_RADIUS * nodes) ** 2
     # means of B^(2d) for d = 0 .. max_power over the interior circle
     means = np.empty(max_power + 1, dtype=complex)
-    power = np.ones(n_quad, dtype=complex)
+    power = np.ones(k, dtype=complex)
     means[0] = 1.0
     for d in range(1, max_power + 1):
         power = power * inner_sq
-        means[d] = np.sum(power) / n_quad
+        means[d] = np.sum(power) / k
     g = np.empty((max_power + 1, max_power + 1), dtype=complex)
-    mod_pow = np.ones(n_quad)
+    mod_pow = np.ones(k)
     mod_sq = moduli**4
     for n in range(max_power + 1):
         if n > 0:
             mod_pow = mod_pow * mod_sq
-        g[n, n] = complex(float(np.sum(mod_pow) / n_quad))
+        g[n, n] = complex(float(np.sum(mod_pow) / k))
         for m in range(n):
             v = means[n - m]
             g[n, m] = v
             g[m, n] = v.conjugate()
     return GramMatrix(g, truncation_note=note)
+
+
+def _circle_values(b: bl.BlaschkeProduct, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples ``boundary_gram_quadrature`` averages, at the n_quad / s
+    nodes w_k = exp(2 pi i k s / n_quad) of the fold of order s: |B| on
+    the unit circle and B^2 on the interior circle, |B(z_k)| = |C(w_k)|
+    and B(r z_k)^2 = u^((s - 1) m0) C(u)^2 with u = r^s w_k."""
+    s, c = _fold(b)
+    k = n_quad // s
+    angles = 2.0 * np.pi * np.arange(k) / k
+    nodes = np.exp(1j * angles)
+    moduli = np.abs(bl.product_values(c, nodes))
+    inner = INTERIOR_MEAN_RADIUS**s * nodes
+    inner_sq = bl.product_values(c, inner) ** 2
+    for _ in range((s - 1) * b.origin_multiplicity):
+        inner_sq *= inner
+    return moduli, inner_sq
+
+
+def _fold(b: bl.BlaschkeProduct) -> tuple[int, bl.BlaschkeProduct]:
+    """The fold order s and the product C of ``boundary_gram_quadrature``,
+    with B(z) = z^((s - 1) m0) C(z^s).  The zeros split at the imaginary
+    axis, by the sign of Re, or of Im where Re = 0; they are closed
+    under negation when the sorted upper half equals the sorted negated
+    lower half.  A square that ``BlaschkeProduct`` refuses (|zeta^2| up
+    to the origin tolerance, or rounded onto the circle) leaves s = 1."""
+    upper, lower = [], []
+    for zeta in b.zeros:
+        (upper if (zeta.real, zeta.imag) > (0.0, 0.0) else lower).append(zeta)
+    if sorted((z.real, z.imag) for z in upper) != sorted((-z.real, -z.imag) for z in lower):
+        return 1, b
+    try:
+        return 2, bl.BlaschkeProduct(0, tuple(z * z for z in upper), 0.0)
+    except InputError:
+        return 1, b

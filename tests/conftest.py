@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
+from mpmath import libmp
 
 
 def random_disk_point(rng, rmax):
@@ -53,6 +55,37 @@ def product_value(b, z):
     for zeta in b.zeros:
         v *= (abs(zeta) / zeta) * (zeta - z) / (1.0 - zeta.conjugate() * z)
     return v
+
+
+def mp_product(b, zs):
+    """Product values at 40 digits, the zeros and the double points taken
+    as exact and mpmath points at their own precision; numerators and
+    denominators multiply separately, then one division.  Written on
+    mpmath's low-level functions, about 1.5 times as fast as mpc objects."""
+    prec = libmp.dps_to_prec(40)
+    one = (libmp.fone, libmp.fzero)
+
+    def mpc(z):
+        if isinstance(z, mpmath.mpc):
+            return z._mpc_
+        return libmp.from_float(float(z.real)), libmp.from_float(float(z.imag))
+
+    zeros = [(mpc(zeta), mpc(zeta.conjugate())) for zeta in b.zeros]
+    phase = one
+    for zeta, _conj in zeros:
+        modulus = (libmp.mpc_abs(zeta, prec), libmp.fzero)
+        phase = libmp.mpc_mul(phase, libmp.mpc_div(modulus, zeta, prec), prec)
+    values = []
+    for z in zs:
+        p = mpc(z)
+        num = den = one
+        for zeta, conj in zeros:
+            num = libmp.mpc_mul(num, libmp.mpc_sub(zeta, p, prec), prec)
+            den = libmp.mpc_mul(den, libmp.mpc_sub(one, libmp.mpc_mul(conj, p, prec), prec), prec)
+        for _ in range(b.origin_multiplicity):
+            num = libmp.mpc_mul(num, p, prec)
+        values.append(mpmath.mpc(*libmp.mpc_div(libmp.mpc_mul(num, phase, prec), den, prec)))
+    return values
 
 
 def reference_evaluate(b, z):

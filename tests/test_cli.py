@@ -483,6 +483,23 @@ def test_an_integer_beyond_the_double_range_exits_two(tmp_path, capsys, doc, com
     assert err == f"error: {path}: number must be finite\n"
 
 
+@pytest.mark.parametrize("truncation", [None, {}, {"strict": False}])
+@pytest.mark.parametrize("command", ["orbit", "character"])
+def test_a_generic_group_without_a_depth_exits_two(tmp_path, capsys, command, truncation):
+    doc = {"group": THREE_GENERATORS}
+    if truncation is not None:
+        doc["truncation"] = truncation
+    code, out, err = run(tmp_path, capsys, doc, command)
+    assert (code, out) == (2, "")
+    assert err == "error: $.truncation.depth: a generic presentation needs an explicit depth\n"
+
+
+def test_a_generic_group_takes_its_depth_from_the_option(tmp_path, capsys):
+    code, out, _ = run(tmp_path, capsys, {"group": THREE_GENERATORS}, "orbit", "--depth", "2")
+    assert code == 0
+    assert max(len(e["word"]) for e in json.loads(out)["entries"]) == 2
+
+
 _TINY_Z2Z2 = dict(FEASIBLE, group={"kind": "z2z2", "a": 1e-17}, truncation={"depth": 3},
                   kernel={"variant": "composed", "power": 2}, eval_points=[[0.1, 0.0]])
 
@@ -885,25 +902,11 @@ def _commands(doc):
     return ["orbit", "character"] + (["blaschke-eval"] if "eval_points" in doc else [])
 
 
-def _default_generic_search(text):
-    """Whether ``text`` asks for a generic group's orbit at the default
-    depth 60: a breadth-first search of more than 10 s, the cost the
-    README names for the ``orbit`` command on such groups."""
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        return False
-    group, truncation = doc.get("group"), doc.get("truncation", {})
-    return (isinstance(group, dict) and group.get("kind") == "generic"
-            and isinstance(truncation, dict) and "depth" not in truncation)
-
-
 def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
     """Seeded damage to every data file, run through each command that
     reads the file: every exit is 0-3, nothing escapes main, and a
     refusal (exit 2 or 3) prints no report.  threads596 is left out:
-    its 596-row commands take seconds each.  So are mutants that leave a
-    generic group without a depth (``_default_generic_search``)."""
+    its 596-row commands take seconds each."""
     rng = np.random.default_rng(20260)
     path = tmp_path / "mutant.json"
     for source in sorted(DATA.glob("*_problem.json")):
@@ -913,8 +916,6 @@ def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
         commands = _commands(json.loads(text))
         for _round in range(2):
             for mutant in _mutants(text, rng):
-                if _default_generic_search(mutant):
-                    continue
                 path.write_text(mutant, encoding="utf-8")
                 for command in commands:
                     code = main([command, str(path)])

@@ -1,12 +1,22 @@
 import cmath
 import math
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpick.blaschke import BlaschkeProduct, evaluate, evaluate_many, from_orbit
+from conftest import blaschke_products, mp_product
+from orbitpick import kernels
+from orbitpick.blaschke import (
+    BlaschkeProduct,
+    evaluate,
+    evaluate_many,
+    from_orbit,
+    product_values,
+)
 from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
 from orbitpick.kernels import (
     ComposedInnerKernel,
@@ -19,7 +29,7 @@ from orbitpick.kernels import (
     szego_matrix,
 )
 from orbitpick.linalg import STRIP_ROWS, HermitianMatrix, min_eig, psd_check
-from orbitpick.mobius import iterate_cyclic
+from orbitpick.mobius import DiskAutomorphism, iterate_cyclic
 from orbitpick.orbits import cyclic_group, enumerate_orbit, generic_group, z2z2_group
 
 
@@ -248,6 +258,153 @@ def test_boundary_gram_input_validation():
         boundary_gram_quadrature(b, 2, 1536)  # not a power of two
     with pytest.raises(InputError):
         boundary_gram_quadrature(BlaschkeProduct(0, (0.5 + 0j,), 0.0), 2, 1024)
+
+
+# -- the fold of the boundary quadrature ----------------------------------------
+
+
+def _unfolded_quadrature(b, max_power, n_quad):
+    """``boundary_gram_quadrature`` with s = 1 for every product: B at
+    all n_quad nodes of both circles.  The Gram matrix and the note."""
+    nodes = np.exp(1j * (2.0 * np.pi * np.arange(n_quad) / n_quad))
+    moduli = np.abs(product_values(b, nodes))
+    inner_sq = product_values(b, 0.5 * nodes) ** 2
+    means, power = [1.0], np.ones(n_quad, dtype=complex)
+    for _ in range(max_power):
+        power = power * inner_sq
+        means.append(np.sum(power) / n_quad)
+    g = np.empty((max_power + 1, max_power + 1), dtype=complex)
+    mod_pow = np.ones(n_quad)
+    for n in range(max_power + 1):
+        if n > 0:
+            mod_pow = mod_pow * moduli**4
+        g[n, n] = complex(float(np.sum(mod_pow) / n_quad))
+        for m in range(n):
+            g[n, m], g[m, n] = means[n - m], means[n - m].conjugate()
+    return g, float(np.max(np.abs(moduli - 1.0)))
+
+
+def _orbit_product(kind, a, depth):
+    group = (cyclic_group if kind == "cyclic" else z2z2_group)(a)
+    return from_orbit(enumerate_orbit(group, 0j, depth), 1)
+
+
+def _symmetric_rim(eps):
+    half = (1.0 - eps) * np.exp(2j * np.pi * np.random.default_rng(31).random(150))
+    return BlaschkeProduct(1, tuple(complex(z) for z in np.concatenate([half, -half])), 0.0)
+
+
+# the orbit products of 0 of the orbit-block benchmark classes, at their
+# nominal a and depth, and 300 zeros at the rim closed under negation
+_SYMMETRIC = {
+    **{f"{kind} {a}": partial(_orbit_product, kind, a, depth) for kind, a, depth in (
+        ("cyclic", 0.10, 120), ("z2z2", 0.10, 160), ("cyclic", 0.05, 160),
+        ("z2z2", 0.05, 200), ("cyclic", 0.02, 200))},
+    "rim 1e-9": partial(_symmetric_rim, 1e-9),
+    "rim 1e-13": partial(_symmetric_rim, 1e-13),
+}
+
+
+def _sample_errors(b, n_quad=1024, step=16):
+    """Worst relative errors of the quadrature's samples, folded and
+    plain, at every ``step``-th node z_k, k < n_quad / 2: |B| on the unit
+    circle and B^2 on the circle of radius 1/2.  Each is measured against
+    the 40-digit product of the original zeros at its own nodes: the
+    plain rule's are the doubles z_k, the fold's the square roots of its
+    doubles w_k = exp(4 pi i k / n_quad)."""
+    moduli, inner_sq = kernels._circle_values(b, n_quad)
+    assert moduli.size == n_quad // 2
+    k = np.arange(0, n_quad // 2, step)
+    z = np.exp(1j * (2.0 * np.pi * np.arange(n_quad) / n_quad))[k]
+    w = np.exp(1j * (2.0 * np.pi * np.arange(n_quad // 2) / (n_quad // 2)))[k]
+
+    def error(circle, inner, at):
+        with mpmath.workdps(40):
+            at = [mpmath.mpc(p) for p in at]
+            on, off = mp_product(b, at), mp_product(b, [p / 2 for p in at])
+            return max(
+                *(float(abs(abs(r) - float(m)) / abs(r)) for m, r in zip(circle, on)),
+                *(float(abs(r * r - complex(v)) / abs(r * r)) for v, r in zip(inner, off)),
+            )
+
+    with mpmath.workdps(40):
+        roots = [mpmath.sqrt(mpmath.mpc(p)) for p in w]
+    folded = error(moduli[k], inner_sq[k], roots)
+    plain = error(np.abs(product_values(b, z)), product_values(b, 0.5 * z) ** 2, z)
+    return folded, plain
+
+
+@pytest.mark.parametrize("name", _SYMMETRIC)
+def test_the_folded_samples_are_as_accurate_as_the_plain_ones(name):
+    folded, plain = _sample_errors(_SYMMETRIC[name]())
+    assert folded <= 2.0 * plain
+
+
+@pytest.mark.parametrize("name", _SYMMETRIC)
+def test_the_folded_gram_matrix_is_the_identity(name):
+    b = _SYMMETRIC[name]()
+    g = boundary_gram_quadrature(b, 3, 4096)
+    assert np.max(np.abs(g.entries - np.eye(4))) <= 1e-13
+    assert g.truncation_note <= 2.0 * _unfolded_quadrature(b, 3, 4096)[1]
+
+
+def _square_on_the_circle():
+    # |zeta| < 1, but zeta * zeta rounds to modulus 1
+    zeta = 0.9970009933142884 - 0.07738875454691198j
+    assert abs(zeta) < 1.0 <= abs(zeta * zeta)
+    return BlaschkeProduct(1, (zeta, -zeta), 0.0)
+
+
+def _pair_off_by_one_ulp():
+    zeros = list(_orbit_product("cyclic", 0.5, 20).zeros)
+    zeros[-1] = complex(np.nextafter(zeros[-1].real, 1.0), zeros[-1].imag)
+    return BlaschkeProduct(1, tuple(zeros), 0.0)
+
+
+_UNFOLDED = {
+    "one unpaired zero": lambda: BlaschkeProduct(
+        1, _orbit_product("cyclic", 0.5, 20).zeros + (0.3j,), 0.0),
+    "a pair off by one ulp": _pair_off_by_one_ulp,
+    "generic orbit": lambda: from_orbit(enumerate_orbit(generic_group([
+        iterate_cyclic(0.4, 1), DiskAutomorphism(0.3 - 0.1j, 0.6 + 0.8j)]), 0j, 3), 1, strict=False),
+    # squares 1e-14, below the origin tolerance 1e-12 of BlaschkeProduct
+    "pair at 1e-7": lambda: BlaschkeProduct(2, (0.5, -0.5, 1e-7, -1e-7), 0.0),
+    "square on the circle": _square_on_the_circle,
+}
+
+
+@pytest.mark.parametrize("name", _UNFOLDED)
+def test_products_not_closed_under_negation_keep_the_plain_quadrature(name):
+    b = _UNFOLDED[name]()
+    assert kernels._fold(b) == (1, b)
+    g = boundary_gram_quadrature(b, 3, 1024)
+    plain, note = _unfolded_quadrature(b, 3, 1024)
+    assert g.entries.tobytes() == plain.tobytes()
+    assert g.truncation_note == note
+
+
+def test_the_fold_pairs_zeros_as_a_multiset():
+    # +-0.5 twice, +-0.25i and -0.0 + 0.3i against 0.0 - 0.3i: Re = 0
+    # is split by Im, whatever the sign of the zero
+    zeros = (0.5, -0.5, 0.5, 0.25j, -0.5, -0.25j, complex(-0.0, 0.3), complex(0.0, -0.3))
+    s, c = kernels._fold(BlaschkeProduct(3, zeros, 0.0))
+    assert s == 2 and c.origin_multiplicity == 0
+    assert sorted(c.zeros, key=lambda z: (z.real, z.imag)) == [-(0.3 * 0.3), -0.0625, 0.25, 0.25]
+    assert kernels._fold(BlaschkeProduct(1, zeros[:-1], 0.0))[0] == 1
+    assert kernels._fold(BlaschkeProduct(1, (0.5, -0.5, 0.5), 0.0))[0] == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(blaschke_products())
+def test_the_fold_changes_the_gram_matrix_only_by_rounding(b):
+    if b.origin_multiplicity < 1:
+        b = BlaschkeProduct(1, b.zeros, 0.0)
+    g = boundary_gram_quadrature(b, 2, 1024)
+    plain, _ = _unfolded_quadrature(b, 2, 1024)
+    if kernels._fold(b)[0] == 1:
+        assert g.entries.tobytes() == plain.tobytes()
+    else:
+        assert np.max(np.abs(g.entries - plain)) <= 1e-13
 
 
 # -- szego_matrix against the scalar kernel -------------------------------------
