@@ -81,7 +81,7 @@ class BlaschkeProduct:
             m = abs(z)
             if m <= _ORIGIN_TOL:
                 raise InputError("zeros at the origin go in origin_multiplicity")
-            if m >= 1.0:
+            if not m < 1.0:  # a NaN modulus fails every comparison
                 raise InputError("zeros must lie inside the open disk")
 
     @property

@@ -328,17 +328,28 @@ def _circle_values(b: bl.BlaschkeProduct, n_quad: int) -> tuple[np.ndarray, np.n
 
 def _fold(b: bl.BlaschkeProduct) -> tuple[int, bl.BlaschkeProduct]:
     """The fold order s and the product C of ``boundary_gram_quadrature``,
-    with B(z) = z^((s - 1) m0) C(z^s).  The zeros split at the imaginary
-    axis, by the sign of Re, or of Im where Re = 0; they are closed
-    under negation when the sorted upper half equals the sorted negated
-    lower half.  A square that ``BlaschkeProduct`` refuses (|zeta^2| up
-    to the origin tolerance, or rounded onto the circle) leaves s = 1."""
-    upper, lower = [], []
-    for zeta in b.zeros:
-        (upper if (zeta.real, zeta.imag) > (0.0, 0.0) else lower).append(zeta)
-    if sorted((z.real, z.imag) for z in upper) != sorted((-z.real, -z.imag) for z in lower):
+    with B(z) = z^((s - 1) m0) C(z^s): s = 2 when ``_negation_half``
+    pairs the zeros.  A square that ``BlaschkeProduct`` refuses
+    (|zeta^2| up to the origin tolerance, or rounded onto the circle)
+    leaves s = 1."""
+    upper = _negation_half(b.zeros)
+    if upper is None:
         return 1, b
     try:
         return 2, bl.BlaschkeProduct(0, tuple(z * z for z in upper), 0.0)
     except InputError:
         return 1, b
+
+
+def _negation_half(values) -> list[complex] | None:
+    """The values above the imaginary axis, in their given order, if the
+    others are exactly their negations, as a multiset and in floating
+    point; otherwise None.  The values split by the sign of Re, or of Im
+    where Re = 0, so a value at 0 falls below and is never paired, and
+    an odd count never pairs either."""
+    upper, lower = [], []
+    for v in values:
+        (upper if (v.real, v.imag) > (0.0, 0.0) else lower).append(v)
+    if sorted((v.real, v.imag) for v in upper) != sorted((-v.real, -v.imag) for v in lower):
+        return None
+    return upper

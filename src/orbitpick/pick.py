@@ -33,7 +33,14 @@ exception, since the recursion has no block form here.  c^2 is the
 largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
 eigen-solve on the numerical range of K and accepted only after the
 same verdict, at generator [c, w], passes at c; a c it rejects is
-reported as a ``NumericalError``.  Both interpolants are built by
+reported as a ``NumericalError``.  Where each node's rows are closed
+under negation, exactly in floating point, as a z2z2 orbit cut at the
+kernel radius is, the half-turn folds the pencil: over the pairs +-p,
+K = [[A, C], [C, A]], and the basis [[I, I], [I, -I]] / sqrt(2) splits
+it into the even block ((w w^H) o S, S), S the Szegő matrix at the
+squares p^2, and an odd block congruent to it by diag(p), so the
+eigen-solve runs at half size on the squares; the verdict at c still
+reads every row.  Both interpolants are built by
 ``_interpolate`` from the problem's Szegő points, the nodes or their
 values phi(z_j) under an inner function phi, so a composed problem is
 the disk problem at those points composed back, with the verdict
@@ -63,6 +70,7 @@ from .kernels import (
     ComposedInnerKernel,
     KernelSpec,
     SzegoKernel,
+    _negation_half,
     _szego_points,
     check_distinct,
     szego,
@@ -399,14 +407,17 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     the span of the kernel functions at the nodes; scalar targets only.
 
     c^2 is the largest eigenvalue of the pencil (w w^H) o K - t K, found
-    by one eigen-solve on the numerical range of K (``pencil_max``).  c
+    by one eigen-solve on the numerical range of K (``pencil_max``).
+    When ``_pencil_rows`` pairs every node's rows as +-p, both halves of
+    the pencil have the eigenvalues of the one at the squares p^2 with
+    the same targets, and that half-size pencil is solved instead.  c
     is returned only if the verdict ``feasibility`` would give for the
     matrix at c accepts it, so a norm <= 1 comes with a feasible
-    verdict: ``_pick_verdict`` on the generator [c, w] at the default
-    tolerance, or one Cholesky attempt on that matrix where the
-    recursion cannot decide.  When it rejects c, target weight sits on directions K
-    annihilates at double precision, no norm is certified and
-    ``NumericalError`` is raised.
+    verdict: ``_pick_verdict`` on the generator [c, w] at all the rows
+    and the default tolerance, or one Cholesky attempt on that matrix
+    where the recursion cannot decide.  When it rejects c, target weight
+    sits on directions K annihilates at double precision, no norm is
+    certified and ``NumericalError`` is raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     targets = problem.targets
@@ -414,13 +425,15 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
         return 0.0
     points, counts, _ = problem._rows
     _check_finite(targets, points, 0.0)
-    w = np.repeat(np.array(targets), counts)
-    kmat = szego_matrix(points)
+    pencil_points, pencil_counts = _pencil_rows(points, counts)
+    w = np.repeat(np.array(targets), pencil_counts)
+    kmat = szego_matrix(pencil_points)
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     del kmat, b
     is_psd, _, tol = _pick_verdict(targets, points, counts, c, None)
     if is_psd is None:
+        w = np.repeat(np.array(targets), counts)
         is_psd = psd_check(HermitianMatrix._adopt(szego_matrix(points, w, c * c)), tol).is_psd
     if not is_psd:
         raise NumericalError(
@@ -429,6 +442,23 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
             "at double precision"
         )
     return c
+
+
+def _pencil_rows(points, counts: list[int]) -> tuple[list[complex], list[int]]:
+    """The Szegő points and rows per node of ``pick_norm``'s pencil: the
+    squares of each node's rows above the imaginary axis, half as many,
+    when ``_negation_half`` pairs the rows of every node; otherwise the
+    problem's own."""
+    if any(count % 2 for count in counts):
+        return points, counts
+    halves, end = [], 0
+    for count in counts:
+        half = _negation_half(points[end : end + count])
+        if half is None:
+            return points, counts
+        halves.append(half)
+        end += count
+    return [p * p for half in halves for p in half], [count // 2 for count in counts]
 
 
 @dataclass(frozen=True)

@@ -387,3 +387,14 @@ def test_invariants_rejected():
         BlaschkeProduct(0, (1.0 + 0j,), 0.0)
     with pytest.raises(InputError):
         BlaschkeProduct(0, (), -1.0)
+
+
+@pytest.mark.parametrize("zero", [
+    complex("nan"), complex(0.5, math.nan), complex(math.nan, 0.5),
+    complex("inf"), complex(0.5, -math.inf), complex(math.inf, math.nan),
+])
+def test_non_finite_zeros_rejected(zero):
+    # abs(nan) fails both the origin and the disk comparison, so the
+    # disk test is written to fail on NaN
+    with pytest.raises(InputError, match="zeros must lie inside the open disk"):
+        BlaschkeProduct(1, (0.5, zero), 0.0)

@@ -19,6 +19,7 @@ from conftest import (
     random_finite_blaschke,
     random_nodes,
 )
+from orbitpick import pick
 from orbitpick.blaschke import BlaschkeProduct, evaluate, from_orbit
 from orbitpick.errors import (
     AliasedNodes,
@@ -54,6 +55,7 @@ from orbitpick.pick import (
     interpolate_disk,
     interpolant_values,
     pick_norm,
+    _pencil_rows,
     _pick_verdict,
 )
 
@@ -289,13 +291,9 @@ def test_verdicts_refuse_more_rows_than_the_supported_dimension(monkeypatch):
         interpolate_disk(tuple(radii * np.exp(1j * angles)), (0.1,) * 2001)
 
 
-def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
-    # K goes to the pencil adopted and the check at c reads the
-    # generator, or here, where that cannot decide, the matrix at c
-    # written in place, so the one matrix pick_norm copies is the
-    # pencil's B and the peak is the pencil's
-    nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
-    kernel = OrbitGramKernel(cyclic_group(0.1), 120)
+def _norm_copies_and_peak(monkeypatch, nodes, targets, kernel):
+    """The shapes ``HermitianMatrix`` copies and the traced peak of one
+    warm ``pick_norm`` call."""
     pick_norm(nodes, targets, kernel)
     copied = []
     init = HermitianMatrix.__init__
@@ -311,6 +309,29 @@ def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return copied, peak
+
+
+def test_pick_norm_copies_only_the_pencil_b(monkeypatch):
+    # K goes to the pencil adopted and the check at c reads the
+    # generator, or here, where that cannot decide, the matrix at c
+    # written in place, so the one matrix pick_norm copies is the
+    # pencil's B and the peak is the pencil's
+    nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
+    kernel = OrbitGramKernel(cyclic_group(0.1), 120)
+    copied, peak = _norm_copies_and_peak(monkeypatch, nodes, targets, kernel)
+    assert copied == [(150, 150)]
+    assert peak <= 5.0 * 16 * 150 * 150
+
+
+def test_the_folded_pick_norm_copies_only_the_half_size_b(monkeypatch):
+    # 300 z2z2 rows closed under negation: the pencil is solved on the
+    # 150 squared rows, so its B is the one matrix copied, and with
+    # invariant targets the generator decides the check at c, so no
+    # 300-row matrix is built and the peak is the half-size pencil's
+    nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.3, 0.3)
+    kernel = OrbitGramKernel(z2z2_group(0.1), 160)
+    copied, peak = _norm_copies_and_peak(monkeypatch, nodes, targets, kernel)
     assert copied == [(150, 150)]
     assert peak <= 5.0 * 16 * 150 * 150
 
@@ -652,10 +673,102 @@ def test_pick_norm_orbit_equivalent_nodes():
 def test_pick_norm_uncertified_orbit_norm_is_a_numerical_error():
     # non-invariant targets on a deep z2z2 orbit kernel: the target
     # weight sits on directions K annihilates at double precision, so
-    # the eigen-solve's norm fails the positivity check
+    # the eigen-solve's norm fails the positivity check.  The 300 rows
+    # fold, and the check still runs on all of them.
     kernel = OrbitGramKernel(z2z2_group(0.1), 160)
+    nodes = (0.1 + 0.2j, -0.2 + 0.05j)
+    points, counts, _ = _szego_points(kernel, nodes)
+    assert _pencil_rows(points, counts)[1] == [75, 75]
     with pytest.raises(NumericalError, match="annihilates"):
-        pick_norm((0.1 + 0.2j, -0.2 + 0.05j), (0.1 + 0j, 0.2j), kernel)
+        pick_norm(nodes, (0.1 + 0j, 0.2j), kernel)
+
+
+def mpmath_pencil_norm(points, w, dps):
+    """The largest eigenvalue of the pencil (D_w K D_w^H, K) is c^2 for
+    c = sigma_max(L^-1 D_w L), K = L L^H the Szegő matrix at the points.
+    L and the lower triangular L^-1 D_w L are computed at dps digits;
+    rounding the product to double before its SVD moves c by a few eps
+    relative."""
+    with mpmath.workdps(dps):
+        z = [mpmath.mpc(p) for p in points]
+        n = len(z)
+        chol = [[None] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j, n):
+                s = 1 / (1 - z[i] * mpmath.conj(z[j]))
+                s -= mpmath.fdot(chol[i][:j], chol[j][:j], conjugate=True)
+                chol[i][j] = mpmath.sqrt(s.real) if i == j else s / chol[j][j]
+        m = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            column = []
+            for i in range(j, n):
+                x = (w[i] * chol[i][j] - mpmath.fdot(chol[i][j:i], column)) / chol[i][i]
+                column.append(x)
+                m[i, j] = complex(x)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _z2z2_draw(rng):
+    a = float(rng.uniform(0.6, 0.85))
+    k = int(rng.integers(2, 4))
+    nodes = rng.uniform(0.1, 0.6, k) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+    targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(k))
+    return a, tuple(complex(z) for z in nodes), targets
+
+
+_RNG = np.random.default_rng(7)
+_FOLDING_DRAWS = [_z2z2_draw(_RNG) for _ in range(12)]
+
+
+@pytest.mark.parametrize("a, nodes, targets", _FOLDING_DRAWS)
+def test_the_folded_pick_norm_matches_mpmath(a, nodes, targets):
+    # depth 30 reaches the kernel radius, so each orbit is cut there
+    # closed under negation and the pencil is solved on the squared
+    # rows; it must be as accurate as a backward-stable solve of the
+    # whole pencil, about eps * cond(K) relative (draw 8: a = 0.606,
+    # 66 rows, cond(K) = 1e18, 2.3e-2 off on either path)
+    kernel = OrbitGramKernel(z2z2_group(a), 30)
+    points, counts, _ = _szego_points(kernel, nodes)
+    assert _pencil_rows(points, counts)[1] == [c // 2 for c in counts]
+    z = np.array(points)
+    cond = np.linalg.cond(1.0 / (1.0 - np.outer(z, z.conj())))
+    w = np.repeat(np.array(targets), counts)
+    ref = mpmath_pencil_norm(points, w, 20 + math.ceil(math.log10(cond)))
+    bound = max(1e-8, np.finfo(float).eps * cond)
+    assert abs(pick_norm(nodes, targets, kernel) - ref) <= bound * ref
+
+
+def _unfolded_problems():
+    rng = np.random.default_rng(11)
+    for _ in range(4):  # depth L lists 2L + 1 orbit points, none cut
+        group, depth = z2z2_group(float(rng.uniform(0.4, 0.6))), int(rng.integers(3, 9))
+        nodes = random_nodes(rng, int(rng.integers(2, 4)))
+        targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in nodes)
+        yield nodes, targets, OrbitGramKernel(group, depth)
+    nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
+    yield nodes, targets, OrbitGramKernel(cyclic_group(0.1), 120)  # 75 rows each
+    yield nodes, targets, OrbitGramKernel(cyclic_group(0.2), 80)  # 38 rows each, unpaired
+    yield nodes, targets, ComposedInnerKernel(orbit_product(0.5, 60), 2)
+    nodes = random_nodes(np.random.default_rng(3), 6)
+    yield nodes, tuple(0.1 * z for z in nodes), SzegoKernel()
+
+
+@pytest.mark.parametrize("nodes, targets, kernel", list(_unfolded_problems()))
+def test_pick_norm_without_a_fold_is_unchanged(monkeypatch, nodes, targets, kernel):
+    # rows not closed under negation keep the whole pencil: the same
+    # norm, or the same refusal, bit for bit, as with the fold turned off
+    points, counts, _ = _szego_points(kernel, nodes)
+    assert _pencil_rows(points, counts) == (points, counts)
+
+    def outcome():
+        try:
+            return pick_norm(nodes, targets, kernel)
+        except NumericalError as exc:
+            return str(exc)
+
+    folded = outcome()
+    monkeypatch.setattr(pick, "_pencil_rows", lambda points, counts: (points, counts))
+    assert outcome() == folded
 
 
 @pytest.mark.parametrize("first", [True, False])
