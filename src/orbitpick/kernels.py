@@ -33,7 +33,7 @@ from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, NumericalError, UnsupportedVariant
 from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, psd_check
 from .mobius import _complex, _denominator_parts, disk_point, pseudo_hyperbolic
-from .orbits import GroupPresentation, enumerate_orbit
+from .orbits import GroupPresentation, _orbit_array
 
 # Orbit points beyond this radius are excluded from kernel blocks: the
 # kernel diagonal 1/(1-|p|^2) past it overwhelms double precision and
@@ -170,48 +170,42 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     return GramMatrix(szego_matrix(zs), note)
 
 
-def _orbit_points(
-    group: GroupPresentation, depth: int, z: complex, tails: list
-) -> list[complex]:
-    """Orbit of ``z`` truncated to depth, restricted to the radius where
-    kernel rows are numerically meaningful; the orbit's ``tail_bound``
-    is appended to ``tails``."""
-    # The benchmark tracer (bench/orbitbench/tracing.py) counts cut points
-    # from the list this returns, so the tail bound leaves by ``tails``.
-    orbit = enumerate_orbit(group, z, depth)
-    tails.append(orbit.tail_bound)
-    return [p for p in orbit.points if abs(p) <= KERNEL_POINT_RADIUS]
-
-
 def _szego_points(
     spec: KernelSpec, points
-) -> tuple[list[complex], list[int], float | None]:
+) -> tuple[np.ndarray, list[int], float | None]:
     """Points whose Szegő matrix is the kernel matrix of ``spec`` at
-    ``points``, the number of them each point owns, and the truncation
-    note: the points themselves (note None), their values phi(z) with
-    one evaluation each (note ``power`` times the largest evaluation
-    error bound), or their truncated orbits, concatenated in order
-    (note the largest orbit tail bound, None if any orbit has none).
-    A point that would own no row raises ``NumericalError``, and a spec
-    of no known variant ``UnsupportedVariant``."""
+    ``points``, as one array, the number of them each point owns, and the
+    truncation note: the points themselves (note None), their values
+    phi(z) with one evaluation each (note ``power`` times the largest
+    evaluation error bound), or their truncated orbits cut at
+    ``KERNEL_POINT_RADIUS``, concatenated in order (note the largest
+    orbit tail bound, None if any orbit has none).  Each orbit is the
+    array ``orbits._orbit_array`` builds, with no entries or words.  A
+    point that would own no row raises ``NumericalError``, and a spec of
+    no known variant ``UnsupportedVariant``."""
     if isinstance(spec, OrbitGramKernel):
-        tails: list = []
-        orbits = [_orbit_points(spec.group, spec.depth, p, tails) for p in points]
+        orbits, tails = [], []
+        for p in points:
+            orbit, tail = _orbit_array(spec.group, p, spec.depth)
+            # np.hypot is abs(p), bit for bit
+            orbits.append(orbit[np.hypot(orbit.real, orbit.imag) <= KERNEL_POINT_RADIUS])
+            tails.append(tail)
         for i, orbit in enumerate(orbits):
-            if not orbit:
+            if not orbit.size:
                 raise NumericalError(
                     f"point {i} at {points[i]} has no orbit point to depth "
                     f"{spec.depth} within the kernel radius {KERNEL_POINT_RADIUS}"
                 )
         note = None if None in tails else max(tails)
-        return [q for orbit in orbits for q in orbit], [len(o) for o in orbits], note
+        return np.concatenate(orbits), [o.size for o in orbits], note
     if isinstance(spec, ComposedInnerKernel):
         values, errors = bl.evaluate_many(spec.inner, points)
         note = spec.power * max(errors.tolist(), default=0.0)
-        return [v**spec.power for v in values.tolist()], [1] * len(points), note
+        zs = np.array([v**spec.power for v in values.tolist()], dtype=complex)
+        return zs, [1] * len(points), note
     if not isinstance(spec, SzegoKernel):
         raise UnsupportedVariant(f"unknown kernel spec {spec!r}")
-    return list(points), [1] * len(points), None
+    return np.array(points, dtype=complex), [1] * len(points), None
 
 
 def dominance_check(
@@ -313,14 +307,17 @@ def _circle_values(b: bl.BlaschkeProduct, n_quad: int) -> tuple[np.ndarray, np.n
     """The samples ``boundary_gram_quadrature`` averages, at the n_quad / s
     nodes w_k = exp(2 pi i k s / n_quad) of the fold of order s: |B| on
     the unit circle and B^2 on the interior circle, |B(z_k)| = |C(w_k)|
-    and B(r z_k)^2 = u^((s - 1) m0) C(u)^2 with u = r^s w_k."""
+    and B(r z_k)^2 = u^((s - 1) m0) C(u)^2 with u = r^s w_k.  C is
+    evaluated once, at the nodes of both circles joined into one array,
+    which gives each value the bits of a call on its circle alone."""
     s, c = _fold(b)
     k = n_quad // s
     angles = 2.0 * np.pi * np.arange(k) / k
     nodes = np.exp(1j * angles)
-    moduli = np.abs(bl.product_values(c, nodes))
     inner = INTERIOR_MEAN_RADIUS**s * nodes
-    inner_sq = bl.product_values(c, inner) ** 2
+    values = bl.product_values(c, np.concatenate((nodes, inner)))
+    moduli = np.abs(values[:k])
+    inner_sq = values[k:] ** 2
     for _ in range((s - 1) * b.origin_multiplicity):
         inner_sq *= inner
     return moduli, inner_sq

@@ -235,10 +235,10 @@ def iterate_cyclic(a: float, n: int) -> DiskAutomorphism:
     return DiskAutomorphism._trusted(complex(_iterate_parameter(a, n)), complex(-1.0))
 
 
-def _iterate_parameter(a: float, n: int) -> float:
+def _iterate_parameter(a: float, n: int, atanh_a: float | None = None) -> float:
     if abs(n) <= 1:
         return n * a  # avoid the last-bit wobble of tanh(atanh(a))
-    an = math.tanh(n * math.atanh(a))
+    an = math.tanh(n * (math.atanh(a) if atanh_a is None else atanh_a))
     if abs(an) >= 1.0:
         an = math.copysign(_PARAM_CLAMP, an)
     return an
@@ -250,11 +250,12 @@ def iterate_images(a: float, ns, z) -> np.ndarray:
 
     The parameter of a negative power is the negated parameter of the
     positive one, as ``math.tanh`` and ``math.copysign`` are odd to the
-    last bit, so each tanh is taken once.
+    last bit, so each tanh is taken once, and atanh(a) once per call.
     """
     ns = np.asarray(ns)
     top = int(np.max(np.abs(ns), initial=0))
-    table = np.array([_iterate_parameter(a, n) for n in range(top + 1)])
+    h = math.atanh(a)
+    table = np.array([_iterate_parameter(a, n, h) for n in range(top + 1)])
     params = table[np.abs(ns)]
     np.negative(params, out=params, where=ns < 0)
     return automorphism_images(params, complex(-1.0), z)

@@ -28,9 +28,11 @@ parts, jump by more than 4 * dedup_tol, and every duplicate of a point
 lies in its cluster.  A point alone in its cluster is accepted without
 a comparison; the others are compared in enumeration order with the
 accepted points of their cluster, so the accepted orbit is the one an
-all-pairs scan gives.  Entries and words are built for accepted points
-only.  The generic search identifies group elements with the same
-filter on their parameters a, in clusters of side 2 * 1e-10.
+all-pairs scan gives.  ``enumerate_orbit`` builds entries and words
+for the accepted points only; ``_orbit_array``, which gives orbit-kernel
+rows, returns the accepted points as one array and builds neither.  The
+generic search identifies group elements with the same filter on their
+parameters a, in clusters of side 2 * 1e-10.
 
 A generic presentation runs its element search once per depth.  Each
 level is composed in one numpy pass over the frontier and the letters,
@@ -193,15 +195,19 @@ def enumerate_orbit(
     ``max_points`` accepted points raise ``OrbitExplosion``; a generic
     presentation finds that out after its element search.
     """
-    base = disk_point(base)
-    if max_word_length < 0:
-        raise InputError("max_word_length must be nonnegative")
-    if not 0.0 < dedup_tol <= 1e-6:
-        raise InputError("dedup_tol must lie in (0, 1e-6]")
-    candidates, word = _candidates(group, base, max_word_length)
-    entries, partial_sum, dropped, dropped_weight = _filter(
-        candidates, word, dedup_tol, max_points
+    base, candidates, word, (mod, accepted, dropped, dropped_weight), tail = _accept(
+        group, base, max_word_length, dedup_tol, max_points
     )
+    # entries and words for the accepted points only; the sum adds its
+    # terms in candidate order
+    entries = []
+    partial_sum = 0.0
+    for k, p, m in zip(
+        accepted.tolist(), candidates[accepted].tolist(), mod[accepted].tolist()
+    ):
+        w = 1.0 - m
+        entries.append(OrbitEntry(word(k), p, w))
+        partial_sum += w
     return Orbit(
         group=group,
         base=base,
@@ -209,10 +215,36 @@ def enumerate_orbit(
         dedup_tol=dedup_tol,
         entries=tuple(entries),
         partial_sum=partial_sum,
-        tail_bound=_tail_bound(group, base, max_word_length, dedup_tol, dropped_weight),
+        tail_bound=tail,
         dropped=dropped,
         dropped_weight=dropped_weight,
     )
+
+
+def _orbit_array(group: GroupPresentation, base: complex, max_word_length: int):
+    """(points, tail_bound): the points of ``enumerate_orbit(group, base,
+    max_word_length)`` as one array, in entry order, and its tail bound,
+    without entries or words."""
+    _, candidates, _, (_, accepted, _, _), tail = _accept(
+        group, base, max_word_length, DEFAULT_DEDUP_TOL, DEFAULT_POINT_CAP
+    )
+    return candidates[accepted], tail
+
+
+def _accept(group, base, n_max: int, dedup_tol: float, cap: int):
+    """(base, candidates, word, filtered, tail_bound): the validated
+    base, the orbit's candidate points in enumeration order with
+    ``word(k)`` the word of candidate k, what ``_filter`` keeps of them
+    and the orbit's tail bound."""
+    base = disk_point(base)
+    if n_max < 0:
+        raise InputError("max_word_length must be nonnegative")
+    if not 0.0 < dedup_tol <= 1e-6:
+        raise InputError("dedup_tol must lie in (0, 1e-6]")
+    candidates, word = _candidates(group, base, n_max)
+    filtered = _filter(candidates, dedup_tol, cap)
+    tail = _tail_bound(group, base, n_max, dedup_tol, filtered[3])
+    return base, candidates, word, filtered, tail
 
 
 def _candidates(group, base, n_max):
@@ -251,16 +283,16 @@ def _candidates(group, base, n_max):
     return np.concatenate(([base], images)), word
 
 
-def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
-    """(entries, partial_sum, dropped, dropped_weight) of an orbit from
-    its candidate points in enumeration order; ``word(k)`` is the word of
-    candidate k.
+def _filter(candidates: np.ndarray, dedup_tol: float, cap: int):
+    """(mod, accepted, dropped, dropped_weight) of an orbit from its
+    candidate points in enumeration order: their moduli, the indices of
+    the accepted ones, and the number dropped with a bound on their
+    weight.
 
     A candidate is dropped if |p| >= 1 - DISK_BOUNDARY_MARGIN, rejected
     if it lies within ``dedup_tol`` of an earlier accepted point, and
     accepted otherwise; more than ``cap`` accepted points raise
-    ``OrbitExplosion``.  Entries and words are built for the accepted
-    points only, and both sums add their terms in candidate order.
+    ``OrbitExplosion``.  The weight adds its terms in candidate order.
     """
     mod = np.hypot(candidates.real, candidates.imag)  # abs(p), bit for bit
     inside = mod < 1.0 - DISK_BOUNDARY_MARGIN
@@ -275,15 +307,7 @@ def _filter(candidates: np.ndarray, word, dedup_tol: float, cap: int):
     )]
     if accepted.size > cap:
         raise OrbitExplosion(f"orbit exceeded the cap of {cap} accepted points")
-    entries = []
-    partial_sum = 0.0
-    for k, p, m in zip(
-        accepted.tolist(), candidates[accepted].tolist(), mod[accepted].tolist()
-    ):
-        w = 1.0 - m
-        entries.append(OrbitEntry(word(k), p, w))
-        partial_sum += w
-    return entries, partial_sum, candidates.size - kept.size, dropped_weight
+    return mod, accepted, candidates.size - kept.size, dropped_weight
 
 
 def _distinct(keys: np.ndarray, side: float, same) -> np.ndarray:

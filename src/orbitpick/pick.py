@@ -73,7 +73,6 @@ from .kernels import (
     _negation_half,
     _szego_points,
     check_distinct,
-    szego,
     szego_matrix,
 )
 from .linalg import (
@@ -129,7 +128,7 @@ class PickProblem:
         points, counts, _ = _szego_points(self.kernel, nodes)
         keep = list(range(len(nodes)))
         if isinstance(self.kernel, ComposedInnerKernel):
-            keep = _check_aliases(points, targets)
+            keep = _check_aliases(points.tolist(), targets)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "_rows", (points, counts, keep))
@@ -196,17 +195,18 @@ def _check_aliases(points, targets) -> list[int]:
     return [i for i in range(len(points)) if i not in collapsed]
 
 
-def _check_finite(targets, points, scale: float) -> None:
+def _check_finite(targets, points: np.ndarray, scale: float) -> None:
     """Raise ``NumericalError`` unless the matrix [(scale - w_i conj(w_j))
     K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij, is finite for
     the Szegő matrix K at ``points``, the complex products' partial sums
-    included.  |K_ij| <= max K_ii = szego(p_i, p_i) for a Gram matrix,
-    so no matrix need be built first."""
+    included.  |K_ij| <= max K_ii = 1 / (1 - max |p_i|^2) for a Gram
+    matrix, bit for bit the largest szego(p_i, p_i), so no matrix need
+    be built first."""
     if isinstance(targets[0], np.ndarray):
         k, m = targets[0].shape[0], max(float(np.abs(t).max()) for t in targets)
     else:
         k, m = 1, max(map(abs, targets))
-    kmax = max((szego(p, p).real for p in points), default=0.0)
+    kmax = 1.0 / (1.0 - float(_sq(points).max()))
     # the factor 2 leaves room for rounding
     if not math.isfinite(2.0 * (scale + k * m * m) * kmax):
         raise NumericalError(
@@ -444,16 +444,16 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     return c
 
 
-def _pencil_rows(points, counts: list[int]) -> tuple[list[complex], list[int]]:
+def _pencil_rows(points: np.ndarray, counts: list[int]) -> tuple[np.ndarray | list, list[int]]:
     """The Szegő points and rows per node of ``pick_norm``'s pencil: the
     squares of each node's rows above the imaginary axis, half as many,
     when ``_negation_half`` pairs the rows of every node; otherwise the
     problem's own."""
     if any(count % 2 for count in counts):
         return points, counts
-    halves, end = [], 0
+    halves, end, rows = [], 0, points.tolist()
     for count in counts:
-        half = _negation_half(points[end : end + count])
+        half = _negation_half(rows[end : end + count])
         if half is None:
             return points, counts
         halves.append(half)
@@ -550,7 +550,7 @@ def _interpolate(problem: PickProblem) -> SchurInterpolant:
     points p_j, if ``feasibility`` accepts the problem, the recursion run
     on the nodes no earlier node aliases."""
     targets = problem.targets
-    points, _, keep = problem._rows
+    points, keep = problem._rows[0].tolist(), problem._rows[2]
     psd = feasibility(problem).psd
     if not psd.is_psd:
         raise Infeasible(f"Pick matrix has min eigenvalue {psd.min_eigenvalue:.3e}")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpick import __version__, checks, cli, kernels, orbits
+from orbitpick import __version__, checks, cli, orbits
 from orbitpick import linalg as la
 from orbitpick.cli import main
 from orbitpick.mobius import DiskAutomorphism
@@ -277,16 +277,16 @@ ORBIT_DEPTHS = {
 
 @pytest.mark.parametrize("flags, depth", [((), 15), (("--depth", "20"), 20)])
 def test_orbit_commands_resolve_one_depth(tmp_path, capsys, monkeypatch, flags, depth):
-    # --depth, else the truncation depth, for every orbit of every command
+    # --depth, else the truncation depth, for every orbit of every command:
+    # orbits and kernel rows alike are accepted by orbits._accept
     depths = []
-    enumerate_orbit = orbits.enumerate_orbit
+    accept = orbits._accept
 
     def recorded(group, base, max_word_length, *rest):
         depths.append(max_word_length)
-        return enumerate_orbit(group, base, max_word_length, *rest)
+        return accept(group, base, max_word_length, *rest)
 
-    monkeypatch.setattr(orbits, "enumerate_orbit", recorded)
-    monkeypatch.setattr(kernels, "enumerate_orbit", recorded)
+    monkeypatch.setattr(orbits, "_accept", recorded)
     reports = {}
     for command in ("orbit", "character", "pick-check", "orbit-pick-check"):
         code, out, _ = run(tmp_path, capsys, ORBIT_DEPTHS, command, *flags)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import blaschke_products, mp_product
-from orbitpick import kernels
+from orbitpick import kernels, orbits
 from orbitpick.blaschke import (
     BlaschkeProduct,
     evaluate,
@@ -17,8 +17,14 @@ from orbitpick.blaschke import (
     from_orbit,
     product_values,
 )
-from orbitpick.errors import DuplicatePoints, InputError, UnsupportedVariant
+from orbitpick.errors import (
+    DuplicatePoints,
+    InputError,
+    OrbitExplosion,
+    UnsupportedVariant,
+)
 from orbitpick.kernels import (
+    KERNEL_POINT_RADIUS,
     ComposedInnerKernel,
     OrbitGramKernel,
     SzegoKernel,
@@ -165,6 +171,53 @@ def test_orbit_gram_nesting():
     big = orbit_gram(group, 4, 0.2 + 0.1j)
     k = small.shape[0]
     assert np.array_equal(big[:k, :k], small)
+
+
+# -- orbit-kernel rows ------------------------------------------------------------
+
+
+_GENERIC = generic_group([iterate_cyclic(0.4, 1), DiskAutomorphism(0.3 - 0.1j, 0.6 + 0.8j)])
+_ROW_CASES = {
+    "cyclic": (cyclic_group(0.3), 12, (0.1 + 0.2j, -0.4 + 0.1j)),
+    # the half-turn fixes 0, so the dedup rejects candidates
+    "z2z2 base 0": (z2z2_group(0.5), 9, (0j, 0.2 - 0.3j)),
+    "generic": (_GENERIC, 3, (0j, 0.1 + 0.1j)),
+    # points past 1 - 1e-14 are dropped, and more past 0.999 are cut
+    "boundary drops": (cyclic_group(0.5), 40, (0.1 + 0.2j, -0.2j)),
+}
+
+
+@pytest.mark.parametrize("name", _ROW_CASES)
+def test_orbit_rows_are_the_enumerated_orbits_cut_at_the_kernel_radius(name):
+    group, depth, nodes = _ROW_CASES[name]
+    rows, counts, note = kernels._szego_points(OrbitGramKernel(group, depth), nodes)
+    want, want_counts, tails = [], [], []
+    for z in nodes:
+        orbit = enumerate_orbit(group, z, depth)
+        points, tail = orbits._orbit_array(group, z, depth)
+        assert points.tobytes() == np.array(orbit.points).tobytes()
+        assert tail == orbit.tail_bound
+        cut = [p for p in orbit.points if abs(p) <= KERNEL_POINT_RADIUS]
+        want += cut
+        want_counts.append(len(cut))
+        tails.append(orbit.tail_bound)
+        if name == "z2z2 base 0" and z == 0:
+            assert len(orbit.entries) + orbit.dropped < 2 * depth + 1
+        if name == "boundary drops":
+            assert orbit.dropped > 0 and len(cut) < len(orbit.entries)
+    assert rows.tobytes() == np.array(want).tobytes()
+    assert counts == want_counts
+    assert note == (None if None in tails else max(tails))
+    assert gram(OrbitGramKernel(group, depth), nodes).truncation_note == note
+
+
+def test_orbit_rows_raise_past_the_point_cap(monkeypatch):
+    monkeypatch.setattr(orbits, "DEFAULT_POINT_CAP", 20)
+    with pytest.raises(OrbitExplosion, match="^orbit exceeded the cap of 20 accepted points$"):
+        kernels._szego_points(OrbitGramKernel(cyclic_group(0.5), 10), [0.1 + 0.2j])
+    # 19 accepted points are within the cap
+    assert len(enumerate_orbit(cyclic_group(0.5), 0.1 + 0.2j, 9).entries) == 19
+    kernels._szego_points(OrbitGramKernel(cyclic_group(0.5), 9), [0.1 + 0.2j])
 
 
 def test_dominance_trivial_character_is_zero_matrix():
@@ -381,6 +434,29 @@ def test_products_not_closed_under_negation_keep_the_plain_quadrature(name):
     plain, note = _unfolded_quadrature(b, 3, 1024)
     assert g.entries.tobytes() == plain.tobytes()
     assert g.truncation_note == note
+
+
+def _two_pass_samples(b, n_quad):
+    """``kernels._circle_values`` with one ``product_values`` call per
+    circle."""
+    s, c = kernels._fold(b)
+    k = n_quad // s
+    nodes = np.exp(1j * (2.0 * np.pi * np.arange(k) / k))
+    inner = kernels.INTERIOR_MEAN_RADIUS**s * nodes
+    inner_sq = product_values(c, inner) ** 2
+    for _ in range((s - 1) * b.origin_multiplicity):
+        inner_sq *= inner
+    return np.abs(product_values(c, nodes)), inner_sq
+
+
+@pytest.mark.parametrize("n_quad", [1024, 4096])
+@pytest.mark.parametrize("name", [*_SYMMETRIC, *_UNFOLDED])
+def test_one_pass_circle_samples_equal_two_passes(name, n_quad):
+    b = {**_SYMMETRIC, **_UNFOLDED}[name]()
+    moduli, inner_sq = kernels._circle_values(b, n_quad)
+    want_moduli, want_inner_sq = _two_pass_samples(b, n_quad)
+    assert moduli.tobytes() == want_moduli.tobytes()
+    assert inner_sq.tobytes() == want_inner_sq.tobytes()
 
 
 def test_the_fold_pairs_zeros_as_a_multiset():

@@ -188,6 +188,27 @@ def test_iterate_cyclic_huge_power_is_clamped_inside():
     assert abs(g(0.3 + 0j) + 1.0) <= 1e-10  # deep forward iterates approach -1
 
 
+# the orbit-block benchmark's a values (nominal, and the ends of its
+# 0.9-1.1 spread) with their depths, and parameters whose deep powers clamp
+_TABLE_CASES = [
+    *((f * a, depth) for a, depth in ((0.10, 160), (0.05, 200), (0.02, 200))
+      for f in (0.9, 1.0, 1.1)),
+    (0.5, 200), (-0.5, 200), (0.999, 60), (-0.3, 400),
+]
+
+
+@pytest.mark.parametrize("a, top", _TABLE_CASES)
+def test_iterate_images_parameters_equal_iterate_parameter_bit_for_bit(monkeypatch, a, top):
+    # atanh(a) is taken once per call; each parameter must still be the
+    # one _iterate_parameter computes alone, |n| <= 1 and clamps included
+    ns = np.arange(-top, top + 1)
+    want = np.array([mobius._iterate_parameter(a, n) for n in ns.tolist()])
+    if abs(a) >= 0.3:
+        assert math.nextafter(1.0, 0.0) in want
+    monkeypatch.setattr(mobius, "automorphism_images", lambda params, lam, z: params)
+    assert iterate_images(a, ns, 0j).tobytes() == want.tobytes()
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     a=st.floats(1e-3, 0.999) | st.floats(-0.999, -1e-3) | st.sampled_from([0.5, -0.5]),

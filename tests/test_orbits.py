@@ -371,15 +371,19 @@ def _offer_all(collector, candidates):
 
 
 def _assert_filters_like_reference(points, dedup_tol):
-    """orbits._filter on the points as candidates with words w0, w1, ...,
-    against the reference; returns the entries."""
-    entries, partial_sum, dropped, dropped_weight = orbits._filter(
-        np.array(points, dtype=complex).reshape(-1), "w{}".format, dedup_tol, 10**4
-    )
+    """orbits._filter on the points as candidates, their entries given
+    words w0, w1, ... as enumerate_orbit builds them, against the
+    reference; returns the entries."""
+    candidates = np.array(points, dtype=complex).reshape(-1)
+    mod, accepted, dropped, dropped_weight = orbits._filter(candidates, dedup_tol, 10**4)
+    entries = [
+        orbits.OrbitEntry(f"w{k}", p, 1.0 - m)
+        for k, p, m in zip(accepted.tolist(), candidates[accepted].tolist(),
+                           mod[accepted].tolist())
+    ]
     want = _offer_all(_AllPairsCollector(dedup_tol, 10**4),
                       ((f"w{k}", p) for k, p in enumerate(points)))
     assert entries == want.entries  # words, points and weights, bitwise
-    assert partial_sum == want.partial_sum
     assert dropped == want.dropped
     assert dropped_weight == want.dropped_weight
     return entries
