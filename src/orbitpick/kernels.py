@@ -45,9 +45,11 @@ _DISTINCT_TOL = 1e-10
 _COINCIDE = "points {i} and {j} coincide within {tol}"
 
 # Interior circle used for the analytic part of the boundary Gram
-# integrals; any radius in (0, 1) gives the same mean, and 1/2 keeps
-# the equispaced rule's aliasing terms at 0.5**n_quad, i.e. zero.
+# integrals; any radius in (0, 1) gives the same mean, and at 1/2 the
+# equispaced rule's aliasing terms at INTERIOR_NODES nodes are of order
+# 0.5**INTERIOR_NODES = 2**-128, i.e. zero.
 INTERIOR_MEAN_RADIUS = 0.5
+INTERIOR_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,9 @@ def boundary_gram_quadrature(
     * the circle average of an analytic function is radius independent,
       so the off-diagonal means may be taken over an interior circle,
       where the equispaced rule's aliasing terms carry the factor
-      INTERIOR_MEAN_RADIUS**n_quad and vanish at double precision.
+      INTERIOR_MEAN_RADIUS**INTERIOR_NODES = 2**-128 and vanish at
+      double precision (Trefethen and Weideman, SIAM Review 56, 2014):
+      ``n_quad`` sets the boundary rule only.
 
     The diagonal is the plain equispaced boundary average of |B|^(4n);
     the worst deviation of |B| from 1 over the boundary nodes is
@@ -264,9 +268,11 @@ def boundary_gram_quadrature(
     negation, as a multiset and exactly in floating point, and every
     square zeta^2 is a valid zero (above the origin tolerance, inside
     the disk): C has one zero zeta^2 per pair +-zeta, every integrand
-    is a function of w = z^2, and each mean over the n_quad nodes z is
-    the mean over the n_quad / 2 nodes w, at half the factors each.
-    Otherwise s = 1 and C = B.
+    is a function of w = z^2, and each mean over n nodes z is the mean
+    over n / s nodes w, at half the factors each.  Otherwise s = 1 and
+    C = B.  The interior circle of radius r^s in w then takes
+    INTERIOR_NODES / s nodes, and its aliasing factor stays
+    (r^s)**(INTERIOR_NODES / s) = r**INTERIOR_NODES.
 
     C is evaluated on both circles by ``blaschke.product_values``: chunks
     of zeros whose numerators and denominators multiply separately, one
@@ -284,11 +290,11 @@ def boundary_gram_quadrature(
     note = float(np.max(np.abs(moduli - 1.0)))
     # means of B^(2d) for d = 0 .. max_power over the interior circle
     means = np.empty(max_power + 1, dtype=complex)
-    power = np.ones(k, dtype=complex)
+    power = np.ones(inner_sq.size, dtype=complex)
     means[0] = 1.0
     for d in range(1, max_power + 1):
         power = power * inner_sq
-        means[d] = np.sum(power) / k
+        means[d] = np.sum(power) / inner_sq.size
     g = np.empty((max_power + 1, max_power + 1), dtype=complex)
     mod_pow = np.ones(k)
     mod_sq = moduli**4
@@ -304,17 +310,18 @@ def boundary_gram_quadrature(
 
 
 def _circle_values(b: bl.BlaschkeProduct, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
-    """The samples ``boundary_gram_quadrature`` averages, at the n_quad / s
-    nodes w_k = exp(2 pi i k s / n_quad) of the fold of order s: |B| on
-    the unit circle and B^2 on the interior circle, |B(z_k)| = |C(w_k)|
-    and B(r z_k)^2 = u^((s - 1) m0) C(u)^2 with u = r^s w_k.  C is
+    """The samples ``boundary_gram_quadrature`` averages on the fold of
+    order s: |B| at the n_quad / s nodes w_k = exp(2 pi i k s / n_quad)
+    of the unit circle, |B(z_k)| = |C(w_k)|, and B^2 at INTERIOR_NODES / s
+    nodes of the interior circle, B(r z)^2 = u^((s - 1) m0) C(u)^2 with
+    u = r^s w_k at every (n_quad / INTERIOR_NODES)-th w_k.  C is
     evaluated once, at the nodes of both circles joined into one array,
     which gives each value the bits of a call on its circle alone."""
     s, c = _fold(b)
     k = n_quad // s
     angles = 2.0 * np.pi * np.arange(k) / k
     nodes = np.exp(1j * angles)
-    inner = INTERIOR_MEAN_RADIUS**s * nodes
+    inner = INTERIOR_MEAN_RADIUS**s * nodes[:: n_quad // INTERIOR_NODES]
     values = bl.product_values(c, np.concatenate((nodes, inner)))
     moduli = np.abs(values[:k])
     inner_sq = values[k:] ** 2
@@ -333,20 +340,24 @@ def _fold(b: bl.BlaschkeProduct) -> tuple[int, bl.BlaschkeProduct]:
     if upper is None:
         return 1, b
     try:
-        return 2, bl.BlaschkeProduct(0, tuple(z * z for z in upper), 0.0)
+        return 2, bl.BlaschkeProduct(0, tuple(z * z for z in upper.tolist()), 0.0)
     except InputError:
         return 1, b
 
 
-def _negation_half(values) -> list[complex] | None:
-    """The values above the imaginary axis, in their given order, if the
-    others are exactly their negations, as a multiset and in floating
-    point; otherwise None.  The values split by the sign of Re, or of Im
-    where Re = 0, so a value at 0 falls below and is never paired, and
-    an odd count never pairs either."""
-    upper, lower = [], []
-    for v in values:
-        (upper if (v.real, v.imag) > (0.0, 0.0) else lower).append(v)
-    if sorted((v.real, v.imag) for v in upper) != sorted((-v.real, -v.imag) for v in lower):
-        return None
-    return upper
+def _negation_half(values, counts=None) -> np.ndarray | None:
+    """The values above the imaginary axis, in their given order, if in
+    each run of consecutive values, of the lengths ``counts`` (one run by
+    default), the others are exactly their negations, as a multiset and
+    in floating point; otherwise None.  The values split by the sign of
+    Re, or of Im where Re = 0, so a value at 0 falls below and is never
+    paired, and an odd run never pairs either.  Sorting, like ``==``,
+    takes -0.0 and 0.0 as equal."""
+    v = np.asarray(values, dtype=complex)
+    run = np.repeat(np.arange(len(counts)), counts) if counts else np.zeros(v.size, dtype=int)
+    upper = (v.real > 0.0) | ((v.real == 0.0) & (v.imag > 0.0))
+    a, b, ra, rb = v[upper], -v[~upper], run[upper], run[~upper]
+    ia, ib = np.lexsort((a.imag, a.real, ra)), np.lexsort((b.imag, b.real, rb))
+    if np.array_equal(ra[ia], rb[ib]) and np.array_equal(a[ia], b[ib]):
+        return a
+    return None

@@ -39,8 +39,9 @@ kernel radius is, the half-turn folds the pencil: over the pairs +-p,
 K = [[A, C], [C, A]], and the basis [[I, I], [I, -I]] / sqrt(2) splits
 it into the even block ((w w^H) o S, S), S the Szegő matrix at the
 squares p^2, and an odd block congruent to it by diag(p), so the
-eigen-solve runs at half size on the squares; the verdict at c still
-reads every row.  Both interpolants are built by
+eigen-solve runs at half size on the squares, and so does every verdict
+on such rows, ``feasibility``'s and the check at c alike.  Both
+interpolants are built by
 ``_interpolate`` from the problem's Szegő points, the nodes or their
 values phi(z_j) under an inner function phi, so a composed problem is
 the disk problem at those points composed back, with the verdict
@@ -144,7 +145,10 @@ class FeasibilityReport:
     ``rank``: the number of pivots ``_pick_verdict`` took before it
     decided or left the verdict to ``psd_check`` (None for matrix
     targets).  For a matrix that is positive within the tolerance it is
-    the matrix's numerical rank at that tolerance."""
+    the matrix's numerical rank at that tolerance.  Where the rows fold
+    (``_pick_verdict``), it counts the pivots on the half-size P' at
+    tol / 2, so a positive verdict reports the numerical rank of P',
+    half the Pick matrix's rank in exact arithmetic."""
 
     psd: PsdReport
     matrix: HermitianMatrix
@@ -253,15 +257,17 @@ def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityRe
     Scalar targets are decided by ``_pick_verdict`` on the matrix's
     two-column generator, which builds no matrix: the report's matrix
     is assembled only when its entries or its smallest eigenvalue are
-    read.  The Pick matrix is assembled and given to
-    ``linalg.psd_check``, one Cholesky attempt, only where the
+    read.  Rows that ``_pencil_rows`` pairs as +-p are decided at half
+    size, on the squares.  The whole Pick matrix is assembled and given
+    to ``linalg.psd_check``, one Cholesky attempt, only where the
     recursion leaves the verdict undecided, and for matrix targets, the
     one exception, since the recursion has no block form here.
     """
     is_psd = rank = None
     if not problem.matrix_valued:
         points, counts, _ = problem._rows
-        is_psd, rank, tol = _pick_verdict(problem.targets, points, counts, 1.0, tol)
+        is_psd, rank, tol = _pick_verdict(
+            problem.targets, points, counts, 1.0, tol, _pencil_rows(points, counts))
     if is_psd is None:
         mat = assemble_pick(problem)
         return FeasibilityReport(psd_check(mat, tol=tol), mat, rank)
@@ -269,13 +275,20 @@ def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityRe
     return FeasibilityReport(PsdReport._deferred(mat, is_psd, tol), mat, rank)
 
 
-def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | None):
+def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | None, half):
     """(is_psd, rank, tol) for P = [(c^2 - w_i conj(w_j)) / (1 - p_i conj(p_j))],
     the scalar Pick matrix at scale c^2 of the Szegő points p, each
     node's target w carried by all of its rows, decided on its generator
     (generalized Schur algorithm: Kailath and Sayed, SIAM Review 37,
     1995; symmetric pivoting, Gu, SIMAX 19, 1998).  is_psd is None
     when the generator cannot decide.
+
+    ``half``, the rows ``_pencil_rows`` gives, folds the verdict when
+    they are fewer: with every node's rows paired as +-p, P is unitarily
+    similar to diag(2 P', D 2 P' D^H), P' the same matrix at the squares
+    p^2 and D = diag(p), and the recursion runs on P' at tol / 2.  That
+    is exact: P + tol I >= 0 iff 2 P' + tol I >= 0, which gives
+    D 2 P' D^H + tol I >= tol (I - D D^H) >= 0, as |p| < 1.
 
     P - Z P Z^H = G J G^H with Z = diag(p), J = diag(1, -1) and the
     generator G = [c, w], and each step works on G alone in O(N).  It
@@ -297,13 +310,13 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
     column 1 is multiplied by (p - p_k) / (1 - conj(p_k) p) and row k is
     dropped.  ``rank`` counts the pivots taken.
 
-    tol defaults to 1e-10 * (1 + max diagonal) of P, with the diagonal
-    computed as ``szego_matrix`` writes it, so it is the tolerance
-    ``psd_check`` would use, bit for bit.  Targets whose weights would
-    overflow raise ``NumericalError`` first, and so does a generator
-    that overflows on the way; a P of more than ``MAX_DIMENSION`` rows
-    raises ``InputError`` before any step, as an assembled one does in
-    ``psd_check``.
+    tol defaults to 1e-10 * (1 + max diagonal) of P, folded or not, with
+    the diagonal computed from all the rows as ``szego_matrix`` writes
+    it, so it is the tolerance ``psd_check`` would use, bit for bit.
+    Targets whose weights would overflow raise ``NumericalError`` first,
+    and so does a generator that overflows on the way; a P of more than
+    ``MAX_DIMENSION`` rows raises ``InputError`` before any step, as an
+    assembled one does in ``psd_check``.
     """
     _check_finite(targets, points, c * c)
     p = np.array(points, dtype=complex)
@@ -314,12 +327,16 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
         k = np.reciprocal(_complex(q, qi))
         k += 0.0
         tol = _anchored_tolerance(((c * c - b * np.conj(b)) * np.conj(k)).real)
-    tol = _checked_tolerance(tol)
-    n = p.size
-    _check_dimension(n)
+    tol = step_tol = _checked_tolerance(tol)
+    _check_dimension(p.size)
+    if len(half[0]) < p.size:
+        p = np.array(half[0], dtype=complex)
+        b = np.repeat(np.array(targets, dtype=complex), half[1])
+        q, _ = _denominator_parts(p.real, p.imag, p.real, p.imag)
+        step_tol = 0.5 * tol
     try:
         with np.errstate(over="raise", invalid="raise"):
-            is_psd, rank = _schur_steps(np.full(n, c, dtype=complex), b, p, q, tol)
+            is_psd, rank = _schur_steps(np.full(p.size, c, dtype=complex), b, p, q, step_tol)
     except FloatingPointError as exc:
         raise NumericalError(f"the Pick matrix's generator overflows: {exc}") from exc
     return is_psd, rank, tol
@@ -413,11 +430,12 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     the same targets, and that half-size pencil is solved instead.  c
     is returned only if the verdict ``feasibility`` would give for the
     matrix at c accepts it, so a norm <= 1 comes with a feasible
-    verdict: ``_pick_verdict`` on the generator [c, w] at all the rows
-    and the default tolerance, or one Cholesky attempt on that matrix
-    where the recursion cannot decide.  When it rejects c, target weight
-    sits on directions K annihilates at double precision, no norm is
-    certified and ``NumericalError`` is raised.
+    verdict: ``_pick_verdict`` on the generator [c, w] at the default
+    tolerance of all the rows, on the pencil's rows (one pairing
+    decision per problem), or one Cholesky attempt on the whole matrix
+    at c where the recursion cannot decide.  When it rejects c, target
+    weight sits on directions K annihilates at double precision, no
+    norm is certified and ``NumericalError`` is raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     targets = problem.targets
@@ -425,13 +443,13 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
         return 0.0
     points, counts, _ = problem._rows
     _check_finite(targets, points, 0.0)
-    pencil_points, pencil_counts = _pencil_rows(points, counts)
-    w = np.repeat(np.array(targets), pencil_counts)
-    kmat = szego_matrix(pencil_points)
+    half = _pencil_rows(points, counts)
+    w = np.repeat(np.array(targets), half[1])
+    kmat = szego_matrix(half[0])
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     del kmat, b
-    is_psd, _, tol = _pick_verdict(targets, points, counts, c, None)
+    is_psd, _, tol = _pick_verdict(targets, points, counts, c, None, half)
     if is_psd is None:
         w = np.repeat(np.array(targets), counts)
         is_psd = psd_check(HermitianMatrix._adopt(szego_matrix(points, w, c * c)), tol).is_psd
@@ -444,21 +462,19 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     return c
 
 
-def _pencil_rows(points: np.ndarray, counts: list[int]) -> tuple[np.ndarray | list, list[int]]:
-    """The Szegő points and rows per node of ``pick_norm``'s pencil: the
-    squares of each node's rows above the imaginary axis, half as many,
-    when ``_negation_half`` pairs the rows of every node; otherwise the
-    problem's own."""
-    if any(count % 2 for count in counts):
+def _pencil_rows(points: np.ndarray, counts: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The Szegő points and rows per node of ``pick_norm``'s pencil and
+    of the verdicts: the squares of each node's rows above the imaginary
+    axis, half as many, when ``_negation_half`` pairs the rows of every
+    node; otherwise the problem's own.  Each square is Python's p * p
+    in real arithmetic, bit for bit."""
+    # an odd count never pairs: Szegő and composed problems, one row per
+    # node, skip the array test and its tens of microseconds
+    half = None if any(count % 2 for count in counts) else _negation_half(points, counts)
+    if half is None:
         return points, counts
-    halves, end, rows = [], 0, points.tolist()
-    for count in counts:
-        half = _negation_half(rows[end : end + count])
-        if half is None:
-            return points, counts
-        halves.append(half)
-        end += count
-    return [p * p for half in halves for p in half], [count // 2 for count in counts]
+    x, y = half.real, half.imag
+    return _complex(x * x - y * y, x * y + y * x), [count // 2 for count in counts]
 
 
 @dataclass(frozen=True)

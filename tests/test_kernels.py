@@ -318,14 +318,15 @@ def test_boundary_gram_input_validation():
 
 def _unfolded_quadrature(b, max_power, n_quad):
     """``boundary_gram_quadrature`` with s = 1 for every product: B at
-    all n_quad nodes of both circles.  The Gram matrix and the note."""
+    all n_quad nodes of the unit circle and at INTERIOR_NODES of them
+    scaled to radius 1/2.  The Gram matrix and the note."""
     nodes = np.exp(1j * (2.0 * np.pi * np.arange(n_quad) / n_quad))
     moduli = np.abs(product_values(b, nodes))
-    inner_sq = product_values(b, 0.5 * nodes) ** 2
-    means, power = [1.0], np.ones(n_quad, dtype=complex)
+    inner_sq = product_values(b, 0.5 * nodes[:: n_quad // kernels.INTERIOR_NODES]) ** 2
+    means, power = [1.0], np.ones(inner_sq.size, dtype=complex)
     for _ in range(max_power):
         power = power * inner_sq
-        means.append(np.sum(power) / n_quad)
+        means.append(np.sum(power) / inner_sq.size)
     g = np.empty((max_power + 1, max_power + 1), dtype=complex)
     mod_pow = np.ones(n_quad)
     for n in range(max_power + 1):
@@ -361,12 +362,13 @@ _SYMMETRIC = {
 def _sample_errors(b, n_quad=1024, step=16):
     """Worst relative errors of the quadrature's samples, folded and
     plain, at every ``step``-th node z_k, k < n_quad / 2: |B| on the unit
-    circle and B^2 on the circle of radius 1/2.  Each is measured against
-    the 40-digit product of the original zeros at its own nodes: the
-    plain rule's are the doubles z_k, the fold's the square roots of its
-    doubles w_k = exp(4 pi i k / n_quad)."""
+    circle and B^2 on the circle of radius 1/2, whose samples sit at every
+    (n_quad / INTERIOR_NODES)-th node, so ``step`` must be a multiple of
+    that.  Each is measured against the 40-digit product of the original
+    zeros at its own nodes: the plain rule's are the doubles z_k, the
+    fold's the square roots of its doubles w_k = exp(4 pi i k / n_quad)."""
     moduli, inner_sq = kernels._circle_values(b, n_quad)
-    assert moduli.size == n_quad // 2
+    assert moduli.size == n_quad // 2 and inner_sq.size == kernels.INTERIOR_NODES // 2
     k = np.arange(0, n_quad // 2, step)
     z = np.exp(1j * (2.0 * np.pi * np.arange(n_quad) / n_quad))[k]
     w = np.exp(1j * (2.0 * np.pi * np.arange(n_quad // 2) / (n_quad // 2)))[k]
@@ -382,7 +384,7 @@ def _sample_errors(b, n_quad=1024, step=16):
 
     with mpmath.workdps(40):
         roots = [mpmath.sqrt(mpmath.mpc(p)) for p in w]
-    folded = error(moduli[k], inner_sq[k], roots)
+    folded = error(moduli[k], inner_sq[k // (n_quad // kernels.INTERIOR_NODES)], roots)
     plain = error(np.abs(product_values(b, z)), product_values(b, 0.5 * z) ** 2, z)
     return folded, plain
 
@@ -442,7 +444,7 @@ def _two_pass_samples(b, n_quad):
     s, c = kernels._fold(b)
     k = n_quad // s
     nodes = np.exp(1j * (2.0 * np.pi * np.arange(k) / k))
-    inner = kernels.INTERIOR_MEAN_RADIUS**s * nodes
+    inner = kernels.INTERIOR_MEAN_RADIUS**s * nodes[:: n_quad // kernels.INTERIOR_NODES]
     inner_sq = product_values(c, inner) ** 2
     for _ in range((s - 1) * b.origin_multiplicity):
         inner_sq *= inner
@@ -459,6 +461,59 @@ def test_one_pass_circle_samples_equal_two_passes(name, n_quad):
     assert inner_sq.tobytes() == want_inner_sq.tobytes()
 
 
+def _n_quad_interior_means(b, max_power, n_quad):
+    """The means of B^(2d), d = 1 .. max_power, by the n_quad-node rule
+    for the interior circle: all n_quad / s nodes of the fold, as many
+    as the boundary circle has, with the library's operations."""
+    s, c = kernels._fold(b)
+    k = n_quad // s
+    inner = kernels.INTERIOR_MEAN_RADIUS**s * np.exp(1j * (2.0 * np.pi * np.arange(k) / k))
+    inner_sq = product_values(c, inner) ** 2
+    for _ in range((s - 1) * b.origin_multiplicity):
+        inner_sq *= inner
+    means, power = [], np.ones(k, dtype=complex)
+    for _ in range(max_power):
+        power = power * inner_sq
+        means.append(np.sum(power) / k)
+    return np.array(means)
+
+
+@pytest.mark.parametrize("name", [*_SYMMETRIC, *_UNFOLDED])
+def test_the_interior_means_match_the_n_quad_rule_and_mpmath(name):
+    # the off-diagonal entries are the means of B^2, B^4 and B^6 over
+    # INTERIOR_NODES / s nodes; their exact value is 0, up to aliasing
+    # terms below 0.5**128 and the rounding of the nodes.  With delta the
+    # worst error of the samples B(r z)^2 against 40 digits and vmax
+    # their largest modulus, each mean over n nodes is within
+    # 3 delta + 2 (3 + n) eps vmax of its 40-digit value at the same
+    # doubles (|v^d - V^d| <= d delta, the powers and the sum rounding)
+    b = {**_SYMMETRIC, **_UNFOLDED}[name]()
+    s = kernels._fold(b)[0]
+    g = {n: boundary_gram_quadrature(b, 3, n).entries for n in (1024, 4096)}
+    off = ~np.eye(4, dtype=bool)
+    # n_quad sets the boundary rule only: the interior nodes are the same
+    assert g[1024][off].tobytes() == g[4096][off].tobytes()
+    means = g[4096][1:, 0]
+    _, inner_sq = kernels._circle_values(b, 4096)
+    m = inner_sq.size
+    assert m == kernels.INTERIOR_NODES // s
+    w = np.exp(1j * (2.0 * np.pi * np.arange(4096 // s) / (4096 // s)))[:: 4096 // kernels.INTERIOR_NODES]
+    with mpmath.workdps(40):
+        at = [mpmath.sqrt(mpmath.mpc(p)) if s == 2 else mpmath.mpc(p) for p in w]
+        exact = [v * v for v in mp_product(b, [p / 2 for p in at])]
+        delta = max(float(abs(v - complex(x))) for v, x in zip(exact, inner_sq))
+        vmax = max(float(abs(v)) for v in exact)
+        reference = [complex(sum(v**d for v in exact) / m) for d in (1, 2, 3)]
+    eps = np.finfo(float).eps
+
+    def bound(n):
+        return 3.0 * delta + 2.0 * (3 + n) * eps * vmax
+
+    assert np.max(np.abs(means - reference)) <= bound(m)
+    n_quad_means = _n_quad_interior_means(b, 3, 4096)
+    assert np.max(np.abs(means - n_quad_means)) <= 2.0 * 0.5**128 + bound(m) + bound(4096 // s)
+
+
 def test_the_fold_pairs_zeros_as_a_multiset():
     # +-0.5 twice, +-0.25i and -0.0 + 0.3i against 0.0 - 0.3i: Re = 0
     # is split by Im, whatever the sign of the zero
@@ -468,6 +523,51 @@ def test_the_fold_pairs_zeros_as_a_multiset():
     assert sorted(c.zeros, key=lambda z: (z.real, z.imag)) == [-(0.3 * 0.3), -0.0625, 0.25, 0.25]
     assert kernels._fold(BlaschkeProduct(1, zeros[:-1], 0.0))[0] == 1
     assert kernels._fold(BlaschkeProduct(1, (0.5, -0.5, 0.5), 0.0))[0] == 1
+
+
+def test_the_fold_pairs_rows_within_each_run():
+    # closed under negation as a whole, but not within the runs [2, 2]
+    values = (0.5, -0.3, 0.3, -0.5)
+    assert kernels._negation_half(values).tolist() == [0.5, 0.3]
+    assert kernels._negation_half(values, [2, 2]) is None
+    assert kernels._negation_half((0.5, 0.3, -0.3, -0.5), [2, 2]) is None
+    assert kernels._negation_half((0.5, -0.5, -0.3, 0.3), [2, 2]).tolist() == [0.5, 0.3]
+    # rows at 0, of either sign, fall below and never pair; nor do odd runs
+    assert kernels._negation_half((0j, complex(-0.0, -0.0))) is None
+    assert kernels._negation_half((0.5, -0.5, 0.5), [3]) is None
+
+
+def _python_negation_half(values):
+    """The pairing test as a loop over Python tuples: split by
+    (Re, Im) > (0, 0), then compare the sorted (Re, Im) above with the
+    sorted (-Re, -Im) below."""
+    upper, lower = [], []
+    for v in values:
+        (upper if (v.real, v.imag) > (0.0, 0.0) else lower).append(v)
+    if sorted((v.real, v.imag) for v in upper) != sorted((-v.real, -v.imag) for v in lower):
+        return None
+    return upper
+
+
+_PAIRING_PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, -0.25, math.nextafter(0.5, 1.0)])
+_PAIRING_VALUES = st.lists(st.builds(complex, _PAIRING_PARTS, _PAIRING_PARTS), max_size=4)
+# runs of arbitrary values, and runs closed under negation in any order
+_PAIRING_RUNS = st.one_of(
+    _PAIRING_VALUES, _PAIRING_VALUES.flatmap(lambda vs: st.permutations(vs + [-v for v in vs])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAIRING_RUNS, min_size=1, max_size=4))
+def test_the_fold_pairing_is_the_tuple_loop_run_by_run(runs):
+    # signed zeros, values at 0, one-ulp neighbours and repeats: the
+    # array test pairs exactly where the loop pairs every run
+    values = [v for run in runs for v in run]
+    halves = [_python_negation_half(run) for run in runs]
+    want = None if None in halves else [v for half in halves for v in half]
+    got = kernels._negation_half(values, [len(run) for run in runs])
+    assert (got if got is None else got.tolist()) == want
+    whole = kernels._negation_half(values)
+    assert (whole if whole is None else whole.tolist()) == _python_negation_half(values)
 
 
 @settings(max_examples=40, deadline=None)

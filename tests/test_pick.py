@@ -391,7 +391,7 @@ def _cholesky_verdict(problem, tol=None):
 def _generator_verdict(problem, c=1.0, tol=None):
     """The recursion's own verdict, None where it defers to Cholesky."""
     points, counts, _ = problem._rows
-    return _pick_verdict(problem.targets, points, counts, c, tol)[0]
+    return _pick_verdict(problem.targets, points, counts, c, tol, _pencil_rows(points, counts))[0]
 
 
 def _differential_problems():
@@ -645,6 +645,22 @@ def test_pick_norm_matches_mpmath_at_sixteen_nodes(seed):
     assert abs(pick_norm(nodes, targets, SzegoKernel()) - ref) <= 1e-12 * ref
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absolute tolerance "
+                   "accepts well-conditioned n = 16 data far past their norm")
+@pytest.mark.parametrize("norm", [1.01, 10.0])
+def test_feasibility_refuses_sixteen_nodes_past_their_norm(norm):
+    # seed 3 of the data above, targets scaled to a reference norm of
+    # 1.01 or 10: the smallest Pick eigenvalue is negative, but below
+    # the tolerance 1e-10 (1 + max diagonal) in modulus, so the verdict
+    # reads feasible at both (and at 2)
+    rng = np.random.default_rng(3)
+    nodes = random_nodes(rng, 16)
+    targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(16))
+    scale = norm / mpmath_szego_norm(nodes, targets)
+    report = feasibility(PickProblem(nodes, tuple(scale * w for w in targets), SzegoKernel()))
+    assert not report.psd.is_psd
+
+
 @pytest.mark.parametrize("n", [6, 12])
 def test_pick_norm_matches_mpmath(n):
     # a backward-stable solve moves the norm by up to about eps * cond(K)
@@ -668,6 +684,35 @@ def test_pick_norm_orbit_equivalent_nodes():
     targets = (0.2 + 0j, -0.1 + 0j)
     with pytest.raises(NumericalError):
         pick_norm(nodes, targets, OrbitGramKernel(group, 40))
+
+
+_CONSTANT_TARGET_KERNELS = {
+    "z2z2": OrbitGramKernel(z2z2_group(0.1), 160),
+    "cyclic": OrbitGramKernel(cyclic_group(0.1), 120),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the orbit pencil norm of "
+                   "constant targets exceeds the constant by 3e-5 to 1.6e-4 relative")
+@pytest.mark.parametrize("kind", _CONSTANT_TARGET_KERNELS)
+def test_pick_norm_of_constant_orbit_targets_is_the_constant(kind):
+    # the constant 0.1 interpolates with norm 0.1; the pencil reads
+    # 0.10000598 (z2z2, its rows folded) and 0.10000300 (cyclic) here,
+    # other digits of the same size under other BLAS kernels
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j)
+    value = pick_norm(nodes, (0.1, 0.1), _CONSTANT_TARGET_KERNELS[kind])
+    assert abs(value - 0.1) <= 1e-8 * 0.1
+
+
+@pytest.mark.parametrize("kind", _CONSTANT_TARGET_KERNELS)
+def test_pick_norm_of_constant_orbit_targets_stays_within_its_known_error(kind):
+    # the expected failure above, held to the error it has today (3.0e-5
+    # to 8.7e-5 relative across OpenBLAS's default, Haswell and Prescott
+    # kernels and numpy's baseline dispatch), so that a change to the
+    # pencil or to the check at c cannot move it unseen
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j)
+    value = pick_norm(nodes, (0.1, 0.1), _CONSTANT_TARGET_KERNELS[kind])
+    assert 0.1 < value <= 0.1 * (1.0 + 2e-4)
 
 
 def test_pick_norm_uncertified_orbit_norm_is_a_numerical_error():
@@ -748,6 +793,8 @@ def _unfolded_problems():
     nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
     yield nodes, targets, OrbitGramKernel(cyclic_group(0.1), 120)  # 75 rows each
     yield nodes, targets, OrbitGramKernel(cyclic_group(0.2), 80)  # 38 rows each, unpaired
+    # a row at 0: the half-turn fixes the node 0, and that row never pairs
+    yield (0j, 0.1 + 0.2j), (0.3, 0.2j), OrbitGramKernel(z2z2_group(0.1), 160)
     yield nodes, targets, ComposedInnerKernel(orbit_product(0.5, 60), 2)
     nodes = random_nodes(np.random.default_rng(3), 6)
     yield nodes, tuple(0.1 * z for z in nodes), SzegoKernel()
@@ -769,6 +816,81 @@ def test_pick_norm_without_a_fold_is_unchanged(monkeypatch, nodes, targets, kern
     folded = outcome()
     monkeypatch.setattr(pick, "_pencil_rows", lambda points, counts: (points, counts))
     assert outcome() == folded
+
+
+@pytest.mark.parametrize("nodes, targets, kernel", list(_unfolded_problems()))
+def test_verdicts_without_a_fold_are_unchanged(monkeypatch, nodes, targets, kernel):
+    # cyclic, odd-count, row-at-0, composed and Szegő rows keep the
+    # verdict on all rows, bit for bit as with the fold turned off
+    problem = PickProblem(nodes, targets, kernel)
+    points, counts, _ = problem._rows
+    assert _pencil_rows(points, counts) == (points, counts)
+
+    def outcome():
+        reports = [feasibility(problem, tol) for tol in (None, 1e-6)]
+        return [(r.psd.is_psd, r.rank, r.psd.tolerance_used.hex()) for r in reports]
+
+    folded = outcome()
+    monkeypatch.setattr(pick, "_pencil_rows", lambda points, counts: (points, counts))
+    assert outcome() == folded
+
+
+@pytest.mark.parametrize("factor, feasible", [(1.5, False), (2.5, True)])
+def test_the_folded_verdict_runs_at_half_the_tolerance(factor, feasible):
+    # z2z2 a = 0.9999 cuts the node's orbit to the rows +-p, so P' is
+    # the 1 x 1 matrix [d] with d = (1 - |w|^2) / (1 - |p|^4) < 0, and
+    # P + tol I >= 0 iff 2 d + tol >= 0: at tol = 1.5 |d| the matrix is
+    # not positive and at 2.5 |d| it is, and the recursion on P' at
+    # tol / 2 decides both as Cholesky does
+    node, w = 0.3 + 0.2j, 1.1
+    problem = PickProblem((node,), (w,), OrbitGramKernel(z2z2_group(0.9999), 3))
+    points, counts, _ = problem._rows
+    assert counts == [2] and points.tolist() == [node, -node]
+    d = (1.0 - w * w) / (1.0 - abs(node) ** 4)
+    tol = -factor * d
+    verdict = _pick_verdict(problem.targets, points, counts, 1.0, tol, _pencil_rows(points, counts))
+    assert verdict[:2] == (feasible, 0)
+    assert feasibility(problem, tol).psd.is_psd is feasible
+    assert psd_check(assemble_pick(problem), tol).is_psd is feasible
+
+
+def _order_one_z2z2_draws():
+    """z2z2 problems whose verdicts are not all feasible: a in [0.2, 0.5],
+    2 to 6 nodes off the axes at radius 0.8 to 0.97, depth 60 (each
+    orbit is cut at the kernel radius, closed under negation), and
+    arbitrary targets scaled to pencil norms 2, 1.11, 1.01, 0.99, 0.91
+    and 0.5."""
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        a, n = float(rng.uniform(0.2, 0.5)), int(rng.integers(2, 7))
+        angles = rng.uniform(0.2, 0.5 * np.pi - 0.2, n) + 0.5 * np.pi * rng.integers(0, 4, n)
+        nodes = tuple(complex(z) for z in rng.uniform(0.8, 0.97, n) * np.exp(1j * angles))
+        targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(n))
+        kernel = OrbitGramKernel(z2z2_group(a), 60)
+        norm = pick_norm(nodes, targets, kernel)
+        for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+            yield PickProblem(nodes, tuple(w / (f * norm) for w in targets), kernel)
+
+
+def test_the_folded_verdict_is_the_cholesky_verdict():
+    # P + tol I >= 0 iff 2 P' + tol I >= 0 for P' the Pick matrix at the
+    # squared rows: the verdict runs on P' at tol / 2 and must give
+    # Cholesky's answer on the whole assembled matrix wherever it decides
+    decided = {True: 0, False: 0}
+    for problem in _order_one_z2z2_draws():
+        points, counts, _ = problem._rows
+        half = _pencil_rows(points, counts)
+        assert len(half[0]) * 2 == len(points) and half[1] == [c // 2 for c in counts]
+        verdict, rank, tol = _pick_verdict(problem.targets, points, counts, 1.0, None, half)
+        report, matrix = feasibility(problem), assemble_pick(problem)
+        assert report.psd.tolerance_used == tol == psd_check(matrix).tolerance_used
+        cholesky = psd_check(matrix, tol).is_psd
+        assert report.psd.is_psd == cholesky
+        if verdict is not None:
+            assert verdict == cholesky
+            assert report.rank == rank <= len(half[0])
+            decided[verdict] += 1
+    assert decided[True] >= 40 and decided[False] >= 20
 
 
 @pytest.mark.parametrize("first", [True, False])
