@@ -26,6 +26,7 @@ from .errors import (
     NoTailBound,
     TooCloseToBoundary,
 )
+from .linalg import _checked_tolerance
 from .mobius import DiskAutomorphism, _automorphism_parts, _complex, _quotient
 from .orbits import Orbit
 
@@ -294,8 +295,7 @@ def character_of(
     make the extraction unreliable and raise ``InconclusiveCharacter``,
     as does a residual above ``tol``, which must be positive and finite.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InputError("tolerance must be positive and finite")
+    _checked_tolerance(tol)
     images = np.array([g(z) for z in CHARACTER_PROBES])
     # B(g(z)) and B(z) in one call for the probes before the first whose
     # image is too close to the boundary; those are judged first, in order

@@ -107,7 +107,7 @@ def schur_roundtrip(rng, grid_n: int):
     """Target residual and grid norm above 1 of ten seeded disk
     interpolants of degree-2 Blaschke data scaled by 0.9."""
     worst = 0.0
-    grid = 0.999 * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+    grid = bl.EVAL_RADIUS_LIMIT * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     for _ in range(10):
         n = int(rng.integers(1, 5))
         nodes = []

@@ -390,7 +390,7 @@ def cmd_interpolate(doc, args):
     nodes = _parse_nodes(doc)
     targets = _parse_targets(doc, len(nodes))
     grid_n = args.grid
-    grid = 0.999 * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+    grid = bl.EVAL_RADIUS_LIMIT * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     if isinstance(kernel, kn.ComposedInnerKernel):
         f = pk.interpolate_composed(nodes, targets, kernel.inner, kernel.power)
         schur = f.schur

@@ -332,32 +332,39 @@ def _circle_values(b: bl.BlaschkeProduct, n_quad: int) -> tuple[np.ndarray, np.n
 
 def _fold(b: bl.BlaschkeProduct) -> tuple[int, bl.BlaschkeProduct]:
     """The fold order s and the product C of ``boundary_gram_quadrature``,
-    with B(z) = z^((s - 1) m0) C(z^s): s = 2 when ``_negation_half``
-    pairs the zeros.  A square that ``BlaschkeProduct`` refuses
-    (|zeta^2| up to the origin tolerance, or rounded onto the circle)
-    leaves s = 1."""
-    upper = _negation_half(b.zeros)
-    if upper is None:
+    with B(z) = z^((s - 1) m0) C(z^s): s = 2 when ``_negation_squares``
+    pairs the zeros, and C's zeros are their squares.  A square that
+    ``BlaschkeProduct`` refuses (|zeta^2| up to the origin tolerance, or
+    rounded onto the circle) leaves s = 1."""
+    squares = _negation_squares(b.zeros)
+    if squares is None:
         return 1, b
     try:
-        return 2, bl.BlaschkeProduct(0, tuple(z * z for z in upper.tolist()), 0.0)
+        return 2, bl.BlaschkeProduct(0, tuple(squares.tolist()), 0.0)
     except InputError:
         return 1, b
 
 
-def _negation_half(values, counts=None) -> np.ndarray | None:
-    """The values above the imaginary axis, in their given order, if in
-    each run of consecutive values, of the lengths ``counts`` (one run by
-    default), the others are exactly their negations, as a multiset and
-    in floating point; otherwise None.  The values split by the sign of
-    Re, or of Im where Re = 0, so a value at 0 falls below and is never
-    paired, and an odd run never pairs either.  Sorting, like ``==``,
-    takes -0.0 and 0.0 as equal."""
+def _negation_squares(values, counts=None) -> np.ndarray | None:
+    """The squares of the values above the imaginary axis, in their given
+    order, if in each run of consecutive values, of the lengths
+    ``counts`` (one run by default), the others are exactly their
+    negations, as a multiset and in floating point; otherwise None.
+    Each square is Python's p * p in real arithmetic, bit for bit.  The
+    values split by the sign of Re, or of Im where Re = 0, so a value at
+    0 falls below and is never paired.  Sorting, like ``==``, takes -0.0
+    and 0.0 as equal."""
+    counts = counts or [len(values)]
+    # an odd run never pairs: Szegő and composed rows, one per node,
+    # skip the array test and its tens of microseconds
+    if any(count % 2 for count in counts):
+        return None
     v = np.asarray(values, dtype=complex)
-    run = np.repeat(np.arange(len(counts)), counts) if counts else np.zeros(v.size, dtype=int)
+    run = np.repeat(np.arange(len(counts)), counts)
     upper = (v.real > 0.0) | ((v.real == 0.0) & (v.imag > 0.0))
     a, b, ra, rb = v[upper], -v[~upper], run[upper], run[~upper]
     ia, ib = np.lexsort((a.imag, a.real, ra)), np.lexsort((b.imag, b.real, rb))
-    if np.array_equal(ra[ia], rb[ib]) and np.array_equal(a[ia], b[ib]):
-        return a
-    return None
+    if not (np.array_equal(ra[ia], rb[ib]) and np.array_equal(a[ia], b[ib])):
+        return None
+    x, y = a.real, a.imag
+    return _complex(x * x - y * y, x * y + y * x)

@@ -21,34 +21,37 @@ is, and a matrix-target one is written block by block into one array
 and stored as its Hermitian part.  Weights that would overflow raise
 ``NumericalError`` before anything is built.
 
-A scalar verdict at tolerance tol asks what one Cholesky attempt on
-A + tol * I would answer, min eigenvalue(A) >= -tol, but without A:
-A - Z A Z^H = G J G^H for Z = diag(points), so ``_pick_verdict`` runs
-the generalized Schur algorithm with symmetric pivoting on the
-two-column generator G = [1, w], in O(N) memory and O(rN) time for r
-pivots, and certifies either answer from G.  Matrices it cannot decide
-that way, within about tol of singular, are assembled and factored by
-``linalg.psd_check``, and so are matrix-target Pick matrices, the one
-exception, since the recursion has no block form here.  c^2 is the
-largest eigenvalue of the pencil ((w w^H) o K, K), taken by one
-eigen-solve on the numerical range of K and accepted only after the
-same verdict, at generator [c, w], passes at c; a c it rejects is
-reported as a ``NumericalError``.  Where each node's rows are closed
-under negation, exactly in floating point, as a z2z2 orbit cut at the
-kernel radius is, the half-turn folds the pencil: over the pairs +-p,
-K = [[A, C], [C, A]], and the basis [[I, I], [I, -I]] / sqrt(2) splits
-it into the even block ((w w^H) o S, S), S the Szegő matrix at the
-squares p^2, and an odd block congruent to it by diag(p), so the
-eigen-solve runs at half size on the squares, and so does every verdict
-on such rows, ``feasibility``'s and the check at c alike.  Both
-interpolants are built by
-``_interpolate`` from the problem's Szegő points, the nodes or their
-values phi(z_j) under an inner function phi, so a composed problem is
-the disk problem at those points composed back, with the verdict
-``feasibility`` gives, one pass of Schur's recursion in generator form
-(Kailath and Sayed, SIAM Review 37, 1995), in node order, which
-multiplies by each Blaschke factor where the classical form divides by
-it and amplifies rounding, and one residual check at every point.
+Every scalar verdict goes through one entry, ``_pick_verdict(problem,
+c, tol)``: positivity of the Pick matrix P at scale c^2, as one
+Cholesky attempt on P + tol * I would answer it, min eigenvalue(P) >=
+-tol.  ``feasibility`` asks it at c = 1, ``pick_norm`` at its norm c,
+and the interpolants through ``feasibility``.  It decides without P:
+P - Z P Z^H = G J G^H for Z = diag(points), so the generalized Schur
+algorithm with symmetric pivoting runs on the two-column generator
+G = [c, w], in O(N) memory and O(rN) time for r pivots, and certifies
+either answer from G.  A P it cannot decide that way, within about tol
+of singular, is assembled at c^2 by the builder ``assemble_pick`` uses
+and factored by ``linalg.psd_check``, and so are matrix-target Pick
+matrices, the one exception, since the recursion has no block form
+here.  A problem decides once, on its first verdict or norm, whether
+each node's rows are closed under negation, exactly in floating point,
+as a z2z2 orbit cut at the kernel radius is (``PickProblem._folded``).
+Then the half-turn folds the verdicts and the pencil: over the pairs
++-p, K = [[A, C], [C, A]], and the basis [[I, I], [I, -I]] / sqrt(2)
+splits it into the even block ((w w^H) o S, S), S the Szegő matrix at
+the squares p^2, and an odd block congruent to it by diag(p), so both
+run at half size on the squares.  c^2 is the largest eigenvalue of the
+pencil ((w w^H) o K, K), taken by one eigen-solve on the numerical
+range of K and accepted only after the verdict at c passes; a c it
+rejects is reported as a ``NumericalError``.  Both interpolants are
+built by ``_interpolate`` from the problem's Szegő points, the nodes or
+their values phi(z_j) under an inner function phi, so a composed
+problem is the disk problem at those points composed back, with the
+verdict ``feasibility`` gives, one pass of Schur's recursion in
+generator form (Kailath and Sayed, SIAM Review 37, 1995), in node
+order, which multiplies by each Blaschke factor where the classical
+form divides by it and amplifies rounding, and one residual check at
+every point.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .kernels import (
     ComposedInnerKernel,
     KernelSpec,
     SzegoKernel,
-    _negation_half,
+    _negation_squares,
     _szego_points,
     check_distinct,
     szego_matrix,
@@ -138,6 +141,20 @@ class PickProblem:
     def matrix_valued(self) -> bool:
         return isinstance(self.targets[0], np.ndarray)
 
+    @cached_property
+    def _folded(self) -> tuple[np.ndarray, list[int]]:
+        """The Szegő points and rows per node that the verdicts and
+        ``pick_norm``'s pencil run on: the squares of each node's rows
+        above the imaginary axis, half as many, when
+        ``_negation_squares`` pairs the rows of every node as +-p;
+        otherwise ``_rows``' own.  Decided on first read, so a problem
+        that reaches no verdict never pays for the array test."""
+        points, counts, _ = self._rows
+        squares = _negation_squares(points, counts)
+        if squares is None:
+            return points, counts
+        return squares, [count // 2 for count in counts]
+
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
@@ -156,12 +173,12 @@ class FeasibilityReport:
 
 
 class _PickMatrix(HermitianMatrix):
-    """The Pick matrix of a scalar problem: its dimension is the row
-    count of the problem's Szegő points, and its entries are assembled
-    by ``assemble_pick`` on first read and kept."""
+    """The Pick matrix of a scalar problem at scale c^2: its dimension is
+    the row count of the problem's Szegő points, and its entries are
+    assembled by ``_assembled`` on first read and kept."""
 
-    def __init__(self, problem: PickProblem):
-        self._problem = problem
+    def __init__(self, problem: PickProblem, scale: float):
+        self._problem, self._scale = problem, scale
 
     @property
     def n(self) -> int:
@@ -169,7 +186,7 @@ class _PickMatrix(HermitianMatrix):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return assemble_pick(self._problem).entries
+        return _assembled(self._problem, self._scale).entries
 
 
 def _scalar_problem(nodes, targets, kernel: KernelSpec) -> PickProblem:
@@ -227,15 +244,21 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
     scalar entry is tensored with (I - W_i W_j^H), row index major, and
     the matrix is stored as its Hermitian part.  An overflow raises
     ``NumericalError`` before the matrix is built."""
+    return _assembled(problem, 1.0)
+
+
+def _assembled(problem: PickProblem, scale: float) -> HermitianMatrix:
+    """``assemble_pick``'s matrix at scale c^2 = ``scale``: entries
+    (scale - w_i conj(w_j)) K_ij, resp. blocks (scale I - W_i W_j^H) K_ij."""
     targets = problem.targets
     points, counts, _ = problem._rows
-    _check_finite(targets, points, 1.0)
+    _check_finite(targets, points, scale)
     if not problem.matrix_valued:
         w = np.repeat(np.array(targets), counts)
-        return HermitianMatrix._adopt(szego_matrix(points, w))
+        return HermitianMatrix._adopt(szego_matrix(points, w, scale))
     # each node's block of rows written in place: no N x N temporary
     k, n = targets[0].shape[0], len(points)
-    eye = np.eye(k, dtype=complex)
+    eye = scale * np.eye(k, dtype=complex)
     kmat = szego_matrix(points)
     out = np.empty((n, k, n, k), dtype=complex)
     ends = np.cumsum(counts).tolist()
@@ -252,43 +275,33 @@ def assemble_pick(problem: PickProblem) -> HermitianMatrix:
 
 def feasibility(problem: PickProblem, tol: float | None = None) -> FeasibilityReport:
     """Positivity of the problem's Pick matrix at tolerance ``tol``
-    (default 1e-10 * (1 + max diagonal)).
-
-    Scalar targets are decided by ``_pick_verdict`` on the matrix's
-    two-column generator, which builds no matrix: the report's matrix
-    is assembled only when its entries or its smallest eigenvalue are
-    read.  Rows that ``_pencil_rows`` pairs as +-p are decided at half
-    size, on the squares.  The whole Pick matrix is assembled and given
-    to ``linalg.psd_check``, one Cholesky attempt, only where the
-    recursion leaves the verdict undecided, and for matrix targets, the
-    one exception, since the recursion has no block form here.
-    """
-    is_psd = rank = None
-    if not problem.matrix_valued:
-        points, counts, _ = problem._rows
-        is_psd, rank, tol = _pick_verdict(
-            problem.targets, points, counts, 1.0, tol, _pencil_rows(points, counts))
-    if is_psd is None:
-        mat = assemble_pick(problem)
-        return FeasibilityReport(psd_check(mat, tol=tol), mat, rank)
-    mat = _PickMatrix(problem)
-    return FeasibilityReport(PsdReport._deferred(mat, is_psd, tol), mat, rank)
+    (default 1e-10 * (1 + max diagonal)): ``_pick_verdict`` at c = 1.
+    A scalar verdict builds no matrix unless the recursion leaves it
+    undecided; the report's matrix is assembled when its entries or its
+    smallest eigenvalue are read."""
+    return _pick_verdict(problem, 1.0, tol)
 
 
-def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | None, half):
-    """(is_psd, rank, tol) for P = [(c^2 - w_i conj(w_j)) / (1 - p_i conj(p_j))],
-    the scalar Pick matrix at scale c^2 of the Szegő points p, each
-    node's target w carried by all of its rows, decided on its generator
+def _pick_verdict(problem: PickProblem, c: float, tol: float | None) -> FeasibilityReport:
+    """The verdict on the problem's Pick matrix at scale c^2, for scalar
+    targets P = [(c^2 - w_i conj(w_j)) / (1 - p_i conj(p_j))] at its
+    Szegő points p, each node's target w carried by all of its rows: the
+    one entry through which ``feasibility``, ``pick_norm``'s check at c
+    and the interpolants decide.  A scalar P is decided on its generator
     (generalized Schur algorithm: Kailath and Sayed, SIAM Review 37,
-    1995; symmetric pivoting, Gu, SIMAX 19, 1998).  is_psd is None
-    when the generator cannot decide.
+    1995; symmetric pivoting, Gu, SIMAX 19, 1998), and the report's
+    matrix is assembled only when its entries or its smallest eigenvalue
+    are read.  Where the generator cannot decide, and for matrix
+    targets, since the recursion has no block form here, the matrix is
+    assembled at c^2 by the builder ``assemble_pick`` uses and factored
+    by ``linalg.psd_check``, one Cholesky attempt.
 
-    ``half``, the rows ``_pencil_rows`` gives, folds the verdict when
-    they are fewer: with every node's rows paired as +-p, P is unitarily
-    similar to diag(2 P', D 2 P' D^H), P' the same matrix at the squares
-    p^2 and D = diag(p), and the recursion runs on P' at tol / 2.  That
-    is exact: P + tol I >= 0 iff 2 P' + tol I >= 0, which gives
-    D 2 P' D^H + tol I >= tol (I - D D^H) >= 0, as |p| < 1.
+    The recursion runs on the problem's ``_folded`` rows.  When every
+    node's rows pair as +-p, P is unitarily similar to diag(2 P',
+    D 2 P' D^H), P' the same matrix at the squares p^2 and D = diag(p),
+    and the recursion runs on P' at tol / 2.  That is exact: P + tol I
+    >= 0 iff 2 P' + tol I >= 0, which gives D 2 P' D^H + tol I >=
+    tol (I - D D^H) >= 0, as |p| < 1.
 
     P - Z P Z^H = G J G^H with Z = diag(p), J = diag(1, -1) and the
     generator G = [c, w], and each step works on G alone in O(N).  It
@@ -308,7 +321,7 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
     hyperbolic rotation with rho = g_k2 / g_k1 zeroes g_k2 (in the mixed
     form of Bojanczyk, Brent, van Dooren and de Hoog, SISSC 8, 1987),
     column 1 is multiplied by (p - p_k) / (1 - conj(p_k) p) and row k is
-    dropped.  ``rank`` counts the pivots taken.
+    dropped.  The report's ``rank`` counts the pivots taken.
 
     tol defaults to 1e-10 * (1 + max diagonal) of P, folded or not, with
     the diagonal computed from all the rows as ``szego_matrix`` writes
@@ -318,33 +331,40 @@ def _pick_verdict(targets, points, counts: list[int], c: float, tol: float | Non
     ``MAX_DIMENSION`` rows raises ``InputError`` before any step, as an
     assembled one does in ``psd_check``.
     """
-    _check_finite(targets, points, c * c)
-    p = np.array(points, dtype=complex)
-    b = np.repeat(np.array(targets, dtype=complex), counts)
-    q, qi = _denominator_parts(p.real, p.imag, p.real, p.imag)  # 1 - |p|^2
-    if tol is None:
-        # the diagonal szego_matrix writes, in its operations
-        k = np.reciprocal(_complex(q, qi))
-        k += 0.0
-        tol = _anchored_tolerance(((c * c - b * np.conj(b)) * np.conj(k)).real)
-    tol = step_tol = _checked_tolerance(tol)
-    _check_dimension(p.size)
-    if len(half[0]) < p.size:
-        p = np.array(half[0], dtype=complex)
-        b = np.repeat(np.array(targets, dtype=complex), half[1])
-        q, _ = _denominator_parts(p.real, p.imag, p.real, p.imag)
-        step_tol = 0.5 * tol
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            is_psd, rank = _schur_steps(np.full(p.size, c, dtype=complex), b, p, q, step_tol)
-    except FloatingPointError as exc:
-        raise NumericalError(f"the Pick matrix's generator overflows: {exc}") from exc
-    return is_psd, rank, tol
+    is_psd = rank = None
+    if not problem.matrix_valued:  # the recursion has no block form here
+        targets = problem.targets
+        points, counts, _ = problem._rows
+        _check_finite(targets, points, c * c)
+        b = np.repeat(np.array(targets, dtype=complex), counts)
+        q, qi = _denominator_parts(points.real, points.imag, points.real, points.imag)  # 1 - |p|^2
+        if tol is None:
+            # the diagonal szego_matrix writes, in its operations
+            k = np.reciprocal(_complex(q, qi)) + 0.0
+            tol = _anchored_tolerance(((c * c - b * np.conj(b)) * np.conj(k)).real)
+        tol = _checked_tolerance(tol)
+        _check_dimension(points.size)
+        p, half = problem._folded
+        if p is not points:
+            b = np.repeat(np.array(targets, dtype=complex), half)
+            q, _ = _denominator_parts(p.real, p.imag, p.real, p.imag)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                is_psd, rank = _schur_steps(c, b, p.copy(), q, tol if p is points else 0.5 * tol)
+        except FloatingPointError as exc:
+            raise NumericalError(f"the Pick matrix's generator overflows: {exc}") from exc
+    if is_psd is None:
+        mat = _assembled(problem, c * c)
+        return FeasibilityReport(psd_check(mat, tol=tol), mat, rank)
+    mat = _PickMatrix(problem, c * c)
+    return FeasibilityReport(PsdReport._deferred(mat, is_psd, tol), mat, rank)
 
 
-def _schur_steps(a, b, p, q, tol: float):
+def _schur_steps(c: float, b, p, q, tol: float):
     """(is_psd, rank) of ``_pick_verdict``'s recursion on the generator
-    [a, b] at the points p with q = 1 - |p|^2."""
+    [c, b] at the points p with q = 1 - |p|^2; b, p and q are
+    overwritten."""
+    a = np.full(p.size, c, dtype=complex)
     n = a.size
     u = np.ones(n)
     for rank in range(n):
@@ -424,57 +444,34 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     the span of the kernel functions at the nodes; scalar targets only.
 
     c^2 is the largest eigenvalue of the pencil (w w^H) o K - t K, found
-    by one eigen-solve on the numerical range of K (``pencil_max``).
-    When ``_pencil_rows`` pairs every node's rows as +-p, both halves of
-    the pencil have the eigenvalues of the one at the squares p^2 with
-    the same targets, and that half-size pencil is solved instead.  c
-    is returned only if the verdict ``feasibility`` would give for the
-    matrix at c accepts it, so a norm <= 1 comes with a feasible
-    verdict: ``_pick_verdict`` on the generator [c, w] at the default
-    tolerance of all the rows, on the pencil's rows (one pairing
-    decision per problem), or one Cholesky attempt on the whole matrix
-    at c where the recursion cannot decide.  When it rejects c, target
-    weight sits on directions K annihilates at double precision, no
-    norm is certified and ``NumericalError`` is raised.
+    by one eigen-solve on the numerical range of K (``pencil_max``), at
+    the problem's ``_folded`` rows: where every node's rows pair as +-p,
+    both halves of the pencil have the eigenvalues of the one at the
+    squares p^2 with the same targets, and that half-size pencil is
+    solved instead.  c is returned only if ``_pick_verdict`` at c, the
+    verdict ``feasibility`` gives at 1, accepts it, so a norm <= 1 comes
+    with a feasible verdict.  When it rejects c, target weight sits on
+    directions K annihilates at double precision, no norm is certified
+    and ``NumericalError`` is raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     targets = problem.targets
     if not any(targets):
         return 0.0
-    points, counts, _ = problem._rows
-    _check_finite(targets, points, 0.0)
-    half = _pencil_rows(points, counts)
-    w = np.repeat(np.array(targets), half[1])
-    kmat = szego_matrix(half[0])
+    _check_finite(targets, problem._rows[0], 0.0)
+    points, counts = problem._folded
+    w = np.repeat(np.array(targets), counts)
+    kmat = szego_matrix(points)
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     del kmat, b
-    is_psd, _, tol = _pick_verdict(targets, points, counts, c, None, half)
-    if is_psd is None:
-        w = np.repeat(np.array(targets), counts)
-        is_psd = psd_check(HermitianMatrix._adopt(szego_matrix(points, w, c * c)), tol).is_psd
-    if not is_psd:
+    if not _pick_verdict(problem, c, None).psd.is_psd:
         raise NumericalError(
             f"the positivity check rejects the extremal norm {c:.6g}: the "
             "target weight lies on directions the kernel matrix annihilates "
             "at double precision"
         )
     return c
-
-
-def _pencil_rows(points: np.ndarray, counts: list[int]) -> tuple[np.ndarray, list[int]]:
-    """The Szegő points and rows per node of ``pick_norm``'s pencil and
-    of the verdicts: the squares of each node's rows above the imaginary
-    axis, half as many, when ``_negation_half`` pairs the rows of every
-    node; otherwise the problem's own.  Each square is Python's p * p
-    in real arithmetic, bit for bit."""
-    # an odd count never pairs: Szegő and composed problems, one row per
-    # node, skip the array test and its tens of microseconds
-    half = None if any(count % 2 for count in counts) else _negation_half(points, counts)
-    if half is None:
-        return points, counts
-    x, y = half.real, half.imag
-    return _complex(x * x - y * y, x * y + y * x), [count // 2 for count in counts]
 
 
 @dataclass(frozen=True)

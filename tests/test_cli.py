@@ -355,6 +355,43 @@ def test_pick_norm_refuses_a_composed_power_with_a_nontrivial_character(tmp_path
     assert (code, out) == (2, "")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: nodes whose inner values lie "
+                   "below the inner product's own error bound are refused as aliased")
+@pytest.mark.parametrize("command", ["pick-check", "pick-norm", "interpolate"])
+def test_composed_nodes_below_the_error_bound_are_not_malformed(tmp_path, capsys, command):
+    # |B| at the nodes is 1.1e-8 and 1.0e-10, below B's certified error
+    # bound of 6e-6: today each command exits 2 with "collapse"
+    doc = {
+        "group": {"kind": "z2z2", "a": 0.1},
+        "truncation": {"depth": 160},
+        "nodes": [[0.1, 0.2], [-0.2, 0.05]],
+        "targets": [[0.1, 0.0], [0.0, 0.2]],
+        "kernel": {"variant": "composed", "power": 2},
+    }
+    code, _, _ = run(tmp_path, capsys, doc, command)
+    assert code != 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 21: interpolate has no invariant "
+                   "interpolant for the orbit kernel")
+def test_interpolate_with_an_orbit_kernel_on_z2z2(tmp_path, capsys):
+    # targets (0.1, 0.2i) scaled to the invariant norm 0.9 (item 6's
+    # 30966.3828240); the composed B^2 kernel interpolates these with
+    # residual 8.6e-22 and grid sup 0.891, while the orbit kernel exits 2
+    scale = 0.9 / 30966.3828240
+    doc = {
+        "group": {"kind": "z2z2", "a": 0.3},
+        "truncation": {"depth": 60},
+        "nodes": [[0.1, 0.2], [-0.3, 0.1]],
+        "targets": [[0.1 * scale, 0.0], [0.0, 0.2 * scale]],
+        "kernel": {"variant": "orbit"},
+    }
+    code, out, _ = run(tmp_path, capsys, doc, "interpolate")
+    assert code == 0
+    report = json.loads(out)
+    assert report["target_residual"] <= 1e-12 and report["grid_norm"] <= 1.0
+
+
 @pytest.mark.parametrize("command", ["pick-norm", "interpolate"])
 def test_matrix_targets_to_scalar_commands_exit_two(capsys, command):
     assert main([command, str(DATA / "matrix_problem.json")]) == 2

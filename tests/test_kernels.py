@@ -528,13 +528,13 @@ def test_the_fold_pairs_zeros_as_a_multiset():
 def test_the_fold_pairs_rows_within_each_run():
     # closed under negation as a whole, but not within the runs [2, 2]
     values = (0.5, -0.3, 0.3, -0.5)
-    assert kernels._negation_half(values).tolist() == [0.5, 0.3]
-    assert kernels._negation_half(values, [2, 2]) is None
-    assert kernels._negation_half((0.5, 0.3, -0.3, -0.5), [2, 2]) is None
-    assert kernels._negation_half((0.5, -0.5, -0.3, 0.3), [2, 2]).tolist() == [0.5, 0.3]
+    assert kernels._negation_squares(values).tolist() == [0.5 * 0.5, 0.3 * 0.3]
+    assert kernels._negation_squares(values, [2, 2]) is None
+    assert kernels._negation_squares((0.5, 0.3, -0.3, -0.5), [2, 2]) is None
+    assert kernels._negation_squares((0.5, -0.5, -0.3, 0.3), [2, 2]).tolist() == [0.25, 0.3 * 0.3]
     # rows at 0, of either sign, fall below and never pair; nor do odd runs
-    assert kernels._negation_half((0j, complex(-0.0, -0.0))) is None
-    assert kernels._negation_half((0.5, -0.5, 0.5), [3]) is None
+    assert kernels._negation_squares((0j, complex(-0.0, -0.0))) is None
+    assert kernels._negation_squares((0.5, -0.5, 0.5), [3]) is None
 
 
 def _python_negation_half(values):
@@ -556,18 +556,28 @@ _PAIRING_RUNS = st.one_of(
     _PAIRING_VALUES, _PAIRING_VALUES.flatmap(lambda vs: st.permutations(vs + [-v for v in vs])))
 
 
+def _python_squares(values):
+    """Python's p * p of each value, or None, as the bits of its parts."""
+    return None if values is None else [((v * v).real.hex(), (v * v).imag.hex()) for v in values]
+
+
+def _squares(got):
+    return None if got is None else [(v.real.hex(), v.imag.hex()) for v in got.tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_PAIRING_RUNS, min_size=1, max_size=4))
 def test_the_fold_pairing_is_the_tuple_loop_run_by_run(runs):
     # signed zeros, values at 0, one-ulp neighbours and repeats: the
-    # array test pairs exactly where the loop pairs every run
+    # array test pairs exactly where the loop pairs every run, and its
+    # squares are Python's p * p bit for bit, signed zeros included
     values = [v for run in runs for v in run]
     halves = [_python_negation_half(run) for run in runs]
     want = None if None in halves else [v for half in halves for v in half]
-    got = kernels._negation_half(values, [len(run) for run in runs])
-    assert (got if got is None else got.tolist()) == want
-    whole = kernels._negation_half(values)
-    assert (whole if whole is None else whole.tolist()) == _python_negation_half(values)
+    got = kernels._negation_squares(values, [len(run) for run in runs])
+    assert _squares(got) == _python_squares(want)
+    whole = kernels._negation_squares(values)
+    assert _squares(whole) == _python_squares(_python_negation_half(values))
 
 
 @settings(max_examples=40, deadline=None)

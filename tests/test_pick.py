@@ -39,8 +39,8 @@ from orbitpick.kernels import (
     szego_matrix,
 )
 from orbitpick.linalg import HermitianMatrix, min_eig, psd_check
-from orbitpick.mobius import pseudo_hyperbolic
-from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
+from orbitpick.mobius import canonicalize, pseudo_hyperbolic
+from orbitpick.orbits import cyclic_group, enumerate_orbit, generic_group, z2z2_group
 from orbitpick.pick import (
     ComposedInterpolant,
     PickProblem,
@@ -55,7 +55,6 @@ from orbitpick.pick import (
     interpolate_disk,
     interpolant_values,
     pick_norm,
-    _pencil_rows,
     _pick_verdict,
 )
 
@@ -277,7 +276,7 @@ def test_verdicts_refuse_more_rows_than_the_supported_dimension(monkeypatch):
         raise AssertionError("a refused problem reached the recursion")
 
     monkeypatch.setattr("orbitpick.pick._schur_steps", boom)
-    monkeypatch.setattr("orbitpick.pick.assemble_pick", boom)
+    monkeypatch.setattr("orbitpick.pick._assembled", boom)
     nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j, -0.2 - 0.3j, -0.1 + 0.4j)
     kernel = OrbitGramKernel(cyclic_group(0.02), 200)
     for targets in ((0.5,) * 6, (0.6, -0.6j, 0.45, -0.3, 0.3j, 0.1)):
@@ -389,9 +388,10 @@ def _cholesky_verdict(problem, tol=None):
 
 
 def _generator_verdict(problem, c=1.0, tol=None):
-    """The recursion's own verdict, None where it defers to Cholesky."""
-    points, counts, _ = problem._rows
-    return _pick_verdict(problem.targets, points, counts, c, tol, _pencil_rows(points, counts))[0]
+    """The recursion's own verdict, None where it defers to Cholesky:
+    only a verdict left to Cholesky assembles the report's matrix."""
+    report = _pick_verdict(problem, c, tol)
+    return report.psd.is_psd if isinstance(report.matrix, pick._PickMatrix) else None
 
 
 def _differential_problems():
@@ -613,23 +613,29 @@ def test_pick_norm_scaling():
     assert abs(tiny - 1e-9 * base) <= 1e-8 * 1e-9 * base
 
 
-def mpmath_szego_norm(nodes, targets):
-    """Extremal norm at 50 digits: c^2 is the largest eigenvalue of
-    L^-1 (w w^H o K) L^-H with K = L L^H."""
-    with mpmath.workdps(50):
-        zs = [mpmath.mpc(z) for z in nodes]
-        ws = [mpmath.mpc(w) for w in targets]
-        n = len(zs)
-        k = mpmath.matrix(n, n)
-        b = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                k[i, j] = 1 / (1 - zs[i] * mpmath.conj(zs[j]))
-                b[i, j] = ws[i] * mpmath.conj(ws[j]) * k[i, j]
-        linv = mpmath.inverse(mpmath.cholesky(k))
-        m = linv * b * linv.transpose_conj()
-        m = (m + m.transpose_conj()) / 2
-        return float(mpmath.sqrt(max(mpmath.eigh(m, eigvals_only=True))))
+def mpmath_pencil_norm(points, w, dps):
+    """The largest eigenvalue of the pencil (D_w K D_w^H, K) is c^2 for
+    c = sigma_max(L^-1 D_w L), K = L L^H the Szegő matrix at the points.
+    L and the lower triangular L^-1 D_w L are computed at dps digits;
+    rounding the product to double before its SVD moves c by a few eps
+    relative."""
+    with mpmath.workdps(dps):
+        z = [mpmath.mpc(p) for p in points]
+        n = len(z)
+        chol = [[None] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j, n):
+                s = 1 / (1 - z[i] * mpmath.conj(z[j]))
+                s -= mpmath.fdot(chol[i][:j], chol[j][:j], conjugate=True)
+                chol[i][j] = mpmath.sqrt(s.real) if i == j else s / chol[j][j]
+        m = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            column = []
+            for i in range(j, n):
+                x = (w[i] * chol[i][j] - mpmath.fdot(chol[i][j:i], column)) / chol[i][i]
+                column.append(x)
+                m[i, j] = complex(x)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the pencil norm is wrong "
@@ -641,7 +647,7 @@ def test_pick_norm_matches_mpmath_at_sixteen_nodes(seed):
     rng = np.random.default_rng(seed)
     nodes = random_nodes(rng, 16)
     targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(16))
-    ref = mpmath_szego_norm(nodes, targets)
+    ref = mpmath_pencil_norm(nodes, targets, 50)
     assert abs(pick_norm(nodes, targets, SzegoKernel()) - ref) <= 1e-12 * ref
 
 
@@ -656,7 +662,7 @@ def test_feasibility_refuses_sixteen_nodes_past_their_norm(norm):
     rng = np.random.default_rng(3)
     nodes = random_nodes(rng, 16)
     targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(16))
-    scale = norm / mpmath_szego_norm(nodes, targets)
+    scale = norm / mpmath_pencil_norm(nodes, targets, 50)
     report = feasibility(PickProblem(nodes, tuple(scale * w for w in targets), SzegoKernel()))
     assert not report.psd.is_psd
 
@@ -668,7 +674,7 @@ def test_pick_norm_matches_mpmath(n):
     rng = np.random.default_rng(1)
     nodes = random_nodes(rng, n)
     targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(n))
-    ref = mpmath_szego_norm(nodes, targets)
+    ref = mpmath_pencil_norm(nodes, targets, 50)
     z = np.array(nodes)
     cond = np.linalg.cond(1.0 / (1.0 - np.outer(z, z.conj())))
     bound = max(1e-8, np.finfo(float).eps * cond)
@@ -684,6 +690,18 @@ def test_pick_norm_orbit_equivalent_nodes():
     targets = (0.2 + 0j, -0.1 + 0j)
     with pytest.raises(NumericalError):
         pick_norm(nodes, targets, OrbitGramKernel(group, 40))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the radius cut leaves the "
+                   "same 30 orbit rows at every depth")
+@pytest.mark.parametrize("depth, norm", [(2, 1.433), (6, 1.784)])
+def test_the_schottky_orbit_norm_grows_with_depth(depth, norm):
+    # the a = 0.95 Schottky pair; the uncut kernel, scaled by |g'|^(1/2),
+    # gives about 1.433 and 1.784, and the library 1.3772103664961242 at both
+    gens = [canonicalize(1, 0.95, 0.95, 1), canonicalize(1, 0.95j, -0.95j, 1)]
+    kernel = OrbitGramKernel(generic_group(gens), depth)
+    value = pick_norm((0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j), kernel)
+    assert value == pytest.approx(norm, abs=1e-3)
 
 
 _CONSTANT_TARGET_KERNELS = {
@@ -721,36 +739,10 @@ def test_pick_norm_uncertified_orbit_norm_is_a_numerical_error():
     # the eigen-solve's norm fails the positivity check.  The 300 rows
     # fold, and the check still runs on all of them.
     kernel = OrbitGramKernel(z2z2_group(0.1), 160)
-    nodes = (0.1 + 0.2j, -0.2 + 0.05j)
-    points, counts, _ = _szego_points(kernel, nodes)
-    assert _pencil_rows(points, counts)[1] == [75, 75]
+    nodes, targets = (0.1 + 0.2j, -0.2 + 0.05j), (0.1 + 0j, 0.2j)
+    assert PickProblem(nodes, targets, kernel)._folded[1] == [75, 75]
     with pytest.raises(NumericalError, match="annihilates"):
-        pick_norm(nodes, (0.1 + 0j, 0.2j), kernel)
-
-
-def mpmath_pencil_norm(points, w, dps):
-    """The largest eigenvalue of the pencil (D_w K D_w^H, K) is c^2 for
-    c = sigma_max(L^-1 D_w L), K = L L^H the Szegő matrix at the points.
-    L and the lower triangular L^-1 D_w L are computed at dps digits;
-    rounding the product to double before its SVD moves c by a few eps
-    relative."""
-    with mpmath.workdps(dps):
-        z = [mpmath.mpc(p) for p in points]
-        n = len(z)
-        chol = [[None] * n for _ in range(n)]
-        for j in range(n):
-            for i in range(j, n):
-                s = 1 / (1 - z[i] * mpmath.conj(z[j]))
-                s -= mpmath.fdot(chol[i][:j], chol[j][:j], conjugate=True)
-                chol[i][j] = mpmath.sqrt(s.real) if i == j else s / chol[j][j]
-        m = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            column = []
-            for i in range(j, n):
-                x = (w[i] * chol[i][j] - mpmath.fdot(chol[i][j:i], column)) / chol[i][i]
-                column.append(x)
-                m[i, j] = complex(x)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+        pick_norm(nodes, targets, kernel)
 
 
 def _z2z2_draw(rng):
@@ -774,7 +766,7 @@ def test_the_folded_pick_norm_matches_mpmath(a, nodes, targets):
     # 66 rows, cond(K) = 1e18, 2.3e-2 off on either path)
     kernel = OrbitGramKernel(z2z2_group(a), 30)
     points, counts, _ = _szego_points(kernel, nodes)
-    assert _pencil_rows(points, counts)[1] == [c // 2 for c in counts]
+    assert PickProblem(nodes, targets, kernel)._folded[1] == [c // 2 for c in counts]
     z = np.array(points)
     cond = np.linalg.cond(1.0 / (1.0 - np.outer(z, z.conj())))
     w = np.repeat(np.array(targets), counts)
@@ -793,6 +785,9 @@ def _unfolded_problems():
     nodes, targets = (0.1 + 0.2j, -0.3 + 0.1j), (0.1, 0.2j)
     yield nodes, targets, OrbitGramKernel(cyclic_group(0.1), 120)  # 75 rows each
     yield nodes, targets, OrbitGramKernel(cyclic_group(0.2), 80)  # 38 rows each, unpaired
+    # the orbit of -z is the negated orbit of z: all 76 rows pair, but
+    # not within either node's rows
+    yield (0.1 + 0.2j, -0.1 - 0.2j), targets, OrbitGramKernel(cyclic_group(0.2), 80)
     # a row at 0: the half-turn fixes the node 0, and that row never pairs
     yield (0j, 0.1 + 0.2j), (0.3, 0.2j), OrbitGramKernel(z2z2_group(0.1), 160)
     yield nodes, targets, ComposedInnerKernel(orbit_product(0.5, 60), 2)
@@ -804,8 +799,8 @@ def _unfolded_problems():
 def test_pick_norm_without_a_fold_is_unchanged(monkeypatch, nodes, targets, kernel):
     # rows not closed under negation keep the whole pencil: the same
     # norm, or the same refusal, bit for bit, as with the fold turned off
-    points, counts, _ = _szego_points(kernel, nodes)
-    assert _pencil_rows(points, counts) == (points, counts)
+    problem = PickProblem(nodes, targets, kernel)
+    assert problem._folded[0] is problem._rows[0]
 
     def outcome():
         try:
@@ -814,7 +809,7 @@ def test_pick_norm_without_a_fold_is_unchanged(monkeypatch, nodes, targets, kern
             return str(exc)
 
     folded = outcome()
-    monkeypatch.setattr(pick, "_pencil_rows", lambda points, counts: (points, counts))
+    monkeypatch.setattr(pick, "_negation_squares", lambda values, counts=None: None)
     assert outcome() == folded
 
 
@@ -823,16 +818,34 @@ def test_verdicts_without_a_fold_are_unchanged(monkeypatch, nodes, targets, kern
     # cyclic, odd-count, row-at-0, composed and Szegő rows keep the
     # verdict on all rows, bit for bit as with the fold turned off
     problem = PickProblem(nodes, targets, kernel)
-    points, counts, _ = problem._rows
-    assert _pencil_rows(points, counts) == (points, counts)
+    assert problem._folded[0] is problem._rows[0]
 
     def outcome():
+        # a fresh problem: each decides its pairing once and keeps it
+        problem = PickProblem(nodes, targets, kernel)
         reports = [feasibility(problem, tol) for tol in (None, 1e-6)]
         return [(r.psd.is_psd, r.rank, r.psd.tolerance_used.hex()) for r in reports]
 
     folded = outcome()
-    monkeypatch.setattr(pick, "_pencil_rows", lambda points, counts: (points, counts))
+    monkeypatch.setattr(pick, "_negation_squares", lambda values, counts=None: None)
     assert outcome() == folded
+
+
+def test_a_problem_pairs_its_rows_once_on_its_first_verdict(monkeypatch):
+    # the +-p pairing is decided lazily, once per problem: assembling the
+    # matrix does not ask for it, two verdicts ask once, and pick_norm's
+    # pencil and its check at c share one decision
+    real, calls = pick._negation_squares, []
+    monkeypatch.setattr(pick, "_negation_squares", lambda *args: calls.append(args) or real(*args))
+    nodes, targets = (0.1 + 0.2j, -0.2 + 0.05j), (0.1, 0.1)
+    kernel = OrbitGramKernel(z2z2_group(0.1), 160)
+    problem = PickProblem(nodes, targets, kernel)
+    assemble_pick(problem)
+    assert calls == []
+    reports = [feasibility(problem, tol) for tol in (None, 1e-6)]
+    assert len(calls) == 1 and all(r.psd.is_psd for r in reports)
+    assert pick_norm(nodes, targets, kernel) > 0.0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("factor, feasible", [(1.5, False), (2.5, True)])
@@ -848,9 +861,9 @@ def test_the_folded_verdict_runs_at_half_the_tolerance(factor, feasible):
     assert counts == [2] and points.tolist() == [node, -node]
     d = (1.0 - w * w) / (1.0 - abs(node) ** 4)
     tol = -factor * d
-    verdict = _pick_verdict(problem.targets, points, counts, 1.0, tol, _pencil_rows(points, counts))
-    assert verdict[:2] == (feasible, 0)
-    assert feasibility(problem, tol).psd.is_psd is feasible
+    assert _generator_verdict(problem, tol=tol) is feasible
+    report = feasibility(problem, tol)
+    assert report.psd.is_psd is feasible and report.rank == 0
     assert psd_check(assemble_pick(problem), tol).is_psd is feasible
 
 
@@ -879,16 +892,17 @@ def test_the_folded_verdict_is_the_cholesky_verdict():
     decided = {True: 0, False: 0}
     for problem in _order_one_z2z2_draws():
         points, counts, _ = problem._rows
-        half = _pencil_rows(points, counts)
+        half = problem._folded
         assert len(half[0]) * 2 == len(points) and half[1] == [c // 2 for c in counts]
-        verdict, rank, tol = _pick_verdict(problem.targets, points, counts, 1.0, None, half)
+        verdict = _generator_verdict(problem)
         report, matrix = feasibility(problem), assemble_pick(problem)
-        assert report.psd.tolerance_used == tol == psd_check(matrix).tolerance_used
+        tol = report.psd.tolerance_used
+        assert tol == psd_check(matrix).tolerance_used
         cholesky = psd_check(matrix, tol).is_psd
         assert report.psd.is_psd == cholesky
         if verdict is not None:
             assert verdict == cholesky
-            assert report.rank == rank <= len(half[0])
+            assert report.rank <= len(half[0])
             decided[verdict] += 1
     assert decided[True] >= 40 and decided[False] >= 20
 
