@@ -27,7 +27,7 @@ from .errors import (
     TooCloseToBoundary,
 )
 from .linalg import _checked_tolerance
-from .mobius import DiskAutomorphism, _automorphism_parts, _complex, _quotient
+from .mobius import DiskAutomorphism, _automorphism_parts, _complex, _modulus, _product, _quotient
 from .orbits import Orbit
 
 # Zeros with modulus at or below this threshold are counted as zeros at
@@ -150,7 +150,7 @@ def product_values(b: BlaschkeProduct, zs: np.ndarray) -> np.ndarray:
     rounding of |z|) or not finite.
     """
     zs = np.asarray(zs, dtype=complex)
-    if not (np.hypot(zs.real, zs.imag) <= 1.0 + _CIRCLE_SLACK).all():
+    if not (_modulus(zs) <= 1.0 + _CIRCLE_SLACK).all():
         raise InputError("product_values takes points with |z| <= 1")
     v = np.ones_like(zs)
     for _ in range(b.origin_multiplicity):
@@ -203,9 +203,9 @@ def evaluate_many(b: BlaschkeProduct, zs) -> tuple[np.ndarray, np.ndarray]:
 
     Each value equals the one of Python's complex arithmetic bit for
     bit, signed zeros included: each factor is the map of
-    ``mobius._automorphism_parts`` with a = zeta_k and lam = p_k, and moduli
-    are np.hypot, which is Python's abs, where np.abs of a complex array
-    can differ in the last bit.
+    ``mobius._automorphism_parts`` with a = zeta_k and lam = p_k, the
+    factors multiply by ``mobius._product`` and moduli are
+    ``mobius._modulus``, Python's abs.
 
     A product keeps its last call with fewer than ``_FEW_POINTS``
     points and answers the same points again from it: the verdict, the
@@ -247,10 +247,9 @@ def _evaluate(b: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
             xr, xi = z.real[s : s + _BLOCK], z.imag[s : s + _BLOCK]
             yr, yi = vr[s : s + _BLOCK], vi[s : s + _BLOCK]  # views, updated in place
             for _ in range(b.origin_multiplicity):
-                yr[:], yi[:] = yr * xr - yi * xi, yr * xi + yi * xr
+                yr[:], yi[:] = _product(yr, yi, xr, xi)
             for phase_zeta in parts.T.tolist():
-                fr, fi = _automorphism_parts(*phase_zeta, xr, xi)
-                yr[:], yi[:] = yr * fr - yi * fi, yr * fi + yi * fr
+                yr[:], yi[:] = _product(yr, yi, *_automorphism_parts(*phase_zeta, xr, xi))
     m = np.hypot(vr, vi)
     out = m > 1.0
     if out.any():
@@ -261,7 +260,7 @@ def _evaluate(b: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _moduli(z: np.ndarray) -> tuple[np.ndarray, int]:
     """|z| at each point, equal to Python's abs, and the index of the
     first point beyond the evaluation radius (len(z) if there is none)."""
-    r = np.hypot(z.real, z.imag)
+    r = _modulus(z)
     far = r > EVAL_RADIUS_LIMIT + 1e-12  # headroom for rounding of |z| itself
     return r, int(np.argmax(far)) if far.any() else r.size
 

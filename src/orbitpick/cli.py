@@ -35,7 +35,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .mobius import canonicalize, disk_point
+from .mobius import _modulus, canonicalize, disk_point
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -263,6 +263,15 @@ def _orbit_kernel(doc: dict, args) -> kn.OrbitGramKernel:
     return kn.OrbitGramKernel(group, depth)
 
 
+def _pick_data(doc: dict, args, kernel=None):
+    """(nodes, targets, kernel) of a Pick problem, parsed kernel first:
+    ``kernel`` defaults to the one the file's kernel section gives."""
+    if kernel is None:
+        kernel = _parse_kernel(doc, args)
+    nodes = _parse_nodes(doc)
+    return nodes, _parse_targets(doc, len(nodes)), kernel
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -354,12 +363,7 @@ def cmd_kernel_gram(doc, args):
 
 
 def cmd_pick_check(doc, args, kernel=None):
-    """``kernel`` defaults to the one the file's kernel section gives."""
-    if kernel is None:
-        kernel = _parse_kernel(doc, args)
-    nodes = _parse_nodes(doc)
-    targets = _parse_targets(doc, len(nodes))
-    problem = pk.PickProblem(nodes, targets, kernel)
+    problem = pk.PickProblem(*_pick_data(doc, args, kernel))
     report = pk.feasibility(problem, tol=args.tolerance)
     payload = {
         "psd": report.psd.is_psd,
@@ -378,17 +382,12 @@ def cmd_orbit_pick_check(doc, args):
 
 
 def cmd_pick_norm(doc, args):
-    kernel = _parse_kernel(doc, args)
-    nodes = _parse_nodes(doc)
-    targets = _parse_targets(doc, len(nodes))
-    value = pk.pick_norm(nodes, targets, kernel)
+    value = pk.pick_norm(*_pick_data(doc, args))
     return {"pick_norm": value}, EXIT_OK
 
 
 def cmd_interpolate(doc, args):
-    kernel = _parse_kernel(doc, args)
-    nodes = _parse_nodes(doc)
-    targets = _parse_targets(doc, len(nodes))
+    nodes, targets, kernel = _pick_data(doc, args)
     grid_n = args.grid
     grid = bl.EVAL_RADIUS_LIMIT * np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     if isinstance(kernel, kn.ComposedInnerKernel):
@@ -409,7 +408,7 @@ def cmd_interpolate(doc, args):
         _fail("$.kernel.variant", "interpolation needs the szego or composed kernel")
     values = values_at(f, nodes).tolist()
     on_grid = values_at(f, grid)
-    sup = float(np.max(np.hypot(on_grid.real, on_grid.imag)))  # np.abs can miss abs by an ulp
+    sup = float(np.max(_modulus(on_grid)))
     residual = max(abs(v - w) for v, w in zip(values, targets))
     payload = {
         "interpolant": {

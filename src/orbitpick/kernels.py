@@ -32,7 +32,7 @@ import numpy as np
 from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, NumericalError, UnsupportedVariant
 from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, psd_check
-from .mobius import _complex, _denominator_parts, disk_point, pseudo_hyperbolic
+from .mobius import _complex, _denominator_parts, _modulus, _product, disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, _orbit_array
 
 # Orbit points beyond this radius are excluded from kernel blocks: the
@@ -158,6 +158,14 @@ def check_distinct(points, error: type, message: str) -> list[complex]:
     return pts
 
 
+def _kernel_points(points) -> list[complex]:
+    """At least one point, each validated and distinct (``check_distinct``)."""
+    pts = check_distinct(points, DuplicatePoints, _COINCIDE)
+    if not pts:
+        raise InputError("at least one point is required")
+    return pts
+
+
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix [K(z_i, z_j)] over pairwise distinct points: the
     Szegő matrix at the points ``_szego_points`` gives for ``spec``.
@@ -165,10 +173,7 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     For the orbit variant the result is the block matrix over the
     truncated orbits of every point, in deterministic orbit order.
     """
-    pts = check_distinct(points, DuplicatePoints, _COINCIDE)
-    if not pts:
-        raise InputError("at least one point is required")
-    zs, _, note = _szego_points(spec, pts)
+    zs, _, note = _szego_points(spec, _kernel_points(points))
     return GramMatrix(szego_matrix(zs), note)
 
 
@@ -189,8 +194,7 @@ def _szego_points(
         orbits, tails = [], []
         for p in points:
             orbit, tail = _orbit_array(spec.group, p, spec.depth)
-            # np.hypot is abs(p), bit for bit
-            orbits.append(orbit[np.hypot(orbit.real, orbit.imag) <= KERNEL_POINT_RADIUS])
+            orbits.append(orbit[_modulus(orbit) <= KERNEL_POINT_RADIUS])
             tails.append(tail)
         for i, orbit in enumerate(orbits):
             if not orbit.size:
@@ -225,7 +229,7 @@ def dominance_check(
     """
     if isinstance(k_sigma, OrbitGramKernel):
         raise UnsupportedVariant("dominance is defined for scalar kernels only")
-    pts = check_distinct(points, DuplicatePoints, _COINCIDE)
+    pts = _kernel_points(points)
     bvals, _ = bl.evaluate_many(b_gamma, pts)
     d = c * c * szego_matrix(bvals) - szego_matrix(_szego_points(k_sigma, pts)[0])
     # mirrored, as c^2 conj(x) - conj(y) = conj(c^2 x - y)
@@ -350,7 +354,7 @@ def _negation_squares(values, counts=None) -> np.ndarray | None:
     order, if in each run of consecutive values, of the lengths
     ``counts`` (one run by default), the others are exactly their
     negations, as a multiset and in floating point; otherwise None.
-    Each square is Python's p * p in real arithmetic, bit for bit.  The
+    Each square is Python's p * p, by ``mobius._product``.  The
     values split by the sign of Re, or of Im where Re = 0, so a value at
     0 falls below and is never paired.  Sorting, like ``==``, takes -0.0
     and 0.0 as equal."""
@@ -366,5 +370,4 @@ def _negation_squares(values, counts=None) -> np.ndarray | None:
     ia, ib = np.lexsort((a.imag, a.real, ra)), np.lexsort((b.imag, b.real, rb))
     if not (np.array_equal(ra[ia], rb[ib]) and np.array_equal(a[ia], b[ib])):
         return None
-    x, y = a.real, a.imag
-    return _complex(x * x - y * y, x * y + y * x)
+    return _complex(*_product(a.real, a.imag, a.real, a.imag))

@@ -16,10 +16,12 @@ long composition chains.
 once in numpy, and the private ``_compose_grid`` composes many maps
 with each of a few letters, each value equal to the scalar call bit for
 bit.  They run the scalar methods' complex operations in real
-arithmetic in Python's order, as ``_automorphism_parts`` states once
-for the library.  A term abs(x) ** 2 stays Python's float power, libm's
-pow, which can differ from x * x in the last bit, and complex results
-are filled part by part, which keeps signed zeros.
+arithmetic in Python's order, which this module states once for the
+library: ``_product``, ``_modulus`` (Python's abs), ``_quotient``,
+1 - conj(a) z (``_denominator_parts``) and the map itself
+(``_automorphism_parts``).  A term abs(x) ** 2 stays Python's float
+power, libm's pow, which can differ from x * x in the last bit, and
+complex results are filled part by part, which keeps signed zeros.
 
 The public constructor validates its parameters.  The library's own
 results (``compose``, ``canonicalize``, ``iterate_cyclic``) are built
@@ -263,11 +265,7 @@ def iterate_images(a: float, ns, z) -> np.ndarray:
 
 def automorphism_images(a, lam, z) -> np.ndarray:
     """[DiskAutomorphism(a, lam)(z)] over broadcast arrays of parameters
-    and points, each value equal to the scalar call bit for bit.
-
-    The complex operations of ``__call__`` run in real arithmetic in
-    Python's order, those of ``_automorphism_parts``.
-    """
+    and points, each value equal to the scalar call bit for bit."""
     a = np.asarray(a, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -320,10 +318,8 @@ def _compose_pass(a, lam, letters):
     inverse is not inside the disk.
 
     The complex operations of ``compose`` run in real arithmetic in
-    Python's order, through ``_automorphism_parts``, with each letter's
-    constants taken from its scalar methods.  The two terms abs(.) ** 2
-    are Python's float power, libm's pow, which can differ from x * x in
-    the last bit.
+    Python's order, with each letter's constants taken from its scalar
+    methods.
     """
     ia, cl, g0, gd = np.array(
         [(g.lam * g.a, g.lam.conjugate(), g(0j), g.derivative(0j)) for g in letters],
@@ -336,16 +332,15 @@ def _compose_pass(a, lam, letters):
         ar, ai = _automorphism_parts(cl.real, cl.imag, ia.real, ia.imag, sr, si)
         # the derivative at g(0) of the row's map: lam_s * (abs(a_s) ** 2
         # - 1.0) / (den * den), den = 1.0 - conj(a_s) * g(0)
-        s = np.array([m ** 2 for m in np.hypot(a.real, a.imag).tolist()])[:, None] - 1.0
+        s = np.array([m ** 2 for m in _modulus(a).tolist()])[:, None] - 1.0
         er, ei = _denominator_parts(sr, si, g0.real, g0.imag)
-        dr, di = _quotient(lr * s - li * 0.0, lr * 0.0 + li * s,
-                           er * er - ei * ei, er * ei + ei * er)
+        dr, di = _quotient(*_product(lr, li, s, 0.0), *_product(er, ei, er, ei))
         del er, ei
         # times g'(0), over abs(a) ** 2 - 1.0, then divided by its modulus
         mod = np.hypot(ar, ai)
         # capped at 2 so that no square overflows; those rows are redone
         square = np.array([m ** 2 for m in np.minimum(mod, 2.0).ravel().tolist()])
-        lr, li = _quotient(dr * gd.real - di * gd.imag, dr * gd.imag + di * gd.real,
+        lr, li = _quotient(*_product(dr, di, gd.real, gd.imag),
                            square.reshape(mod.shape) - 1.0, 0.0)
         del dr, di, square
         r = np.hypot(lr, li)
@@ -355,18 +350,27 @@ def _compose_pass(a, lam, letters):
     return ar, ai, lr, li, ok
 
 
+def _product(ar, ai, br, bi):
+    """The parts of (ar + ai j) * (br + bi j), in Python's operations."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _modulus(z) -> np.ndarray:
+    """|z| over a complex array, bit for bit Python's abs, unlike np.abs."""
+    return np.hypot(z.real, z.imag)
+
+
 def _denominator_parts(ar, ai, zr, zi):
     """The real and imaginary parts of 1.0 - conj(a) * z over broadcast
     arrays, in the operations of Python's complex type."""
-    cai = -ai
-    return 1.0 - (ar * zr - cai * zi), 0.0 - (ar * zi + cai * zr)
+    pr, pi = _product(ar, -ai, zr, zi)
+    return 1.0 - pr, 0.0 - pi
 
 
 def _automorphism_parts(lr, li, ar, ai, zr, zi):
     """The real and imaginary parts of DiskAutomorphism(a, lam)(z) over
     broadcast arrays, in the operations of Python's complex type."""
-    xr, xi = ar - zr, ai - zi
-    return _quotient(lr * xr - li * xi, lr * xi + li * xr,
+    return _quotient(*_product(lr, li, ar - zr, ai - zi),
                      *_denominator_parts(ar, ai, zr, zi))
 
 

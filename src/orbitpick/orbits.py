@@ -70,6 +70,7 @@ from .mobius import (
     DISK_BOUNDARY_MARGIN,
     DiskAutomorphism,
     _compose_grid,
+    _modulus,
     automorphism_images,
     disk_point,
     iterate_cyclic,
@@ -125,19 +126,23 @@ class GroupPresentation:
                 raise InputError(f"generator {i} is the identity map")
 
 
-def cyclic_group(a: float) -> GroupPresentation:
-    """Infinite cyclic group generated by z -> (z - a)/(1 - a z)."""
+def _closed_form_parameter(a, name: str) -> float:
+    """``a`` as a float if in (-1, 1) and nonzero, else an InputError naming it ``name``."""
     a = float(a)
     if not -1.0 < a < 1.0 or a == 0.0:
-        raise InputError(f"cyclic parameter {a!r} must lie in (-1,1), nonzero")
+        raise InputError(f"{name} {a!r} must lie in (-1,1), nonzero")
+    return a
+
+
+def cyclic_group(a: float) -> GroupPresentation:
+    """Infinite cyclic group generated by z -> (z - a)/(1 - a z)."""
+    a = _closed_form_parameter(a, "cyclic parameter")
     return GroupPresentation(CYCLIC, a, (iterate_cyclic(a, 1),))
 
 
 def z2z2_group(a: float) -> GroupPresentation:
     """Group generated by the half-turn z -> -z and z -> (a - z)/(1 - a z)."""
-    a = float(a)
-    if not -1.0 < a < 1.0 or a == 0.0:
-        raise InputError(f"z2z2 parameter {a!r} must lie in (-1,1), nonzero")
+    a = _closed_form_parameter(a, "z2z2 parameter")
     if iterate_cyclic(a, 1).is_identity():
         raise InputError("the translation z -> (z - a)/(1 - a z) is the identity map")
     half_turn = DiskAutomorphism(0j, complex(1.0))
@@ -294,7 +299,7 @@ def _filter(candidates: np.ndarray, dedup_tol: float, cap: int):
     accepted otherwise; more than ``cap`` accepted points raise
     ``OrbitExplosion``.  The weight adds its terms in candidate order.
     """
-    mod = np.hypot(candidates.real, candidates.imag)  # abs(p), bit for bit
+    mod = _modulus(candidates)
     inside = mod < 1.0 - DISK_BOUNDARY_MARGIN
     dropped_weight = 0.0
     for m in mod[~inside].tolist():
@@ -431,7 +436,7 @@ def _search_elements(group, n_max: int, cap: int) -> tuple[list, np.ndarray, np.
             ]
             _check_cap(len(words), cap)
             start = stop
-        inside = np.hypot(a.real[level:], a.imag[level:]) < margin  # abs(a), bit for bit
+        inside = _modulus(a[level:]) < margin
         frontier = level + np.flatnonzero(inside)
         if not frontier.size:
             break
@@ -492,9 +497,7 @@ def _tail_bound(group, base, n_max, dedup_tol, dropped_weight) -> float | None:
 def cyclic_orbit_weight(a: float, n: int) -> float:
     """Weight 1 - a_n of the n-th cyclic orbit point of 0, computed in
     the cancellation-free form 2 q^|n| / (1 + q^|n|)."""
-    a = float(a)
-    if not -1.0 < a < 1.0 or a == 0.0:
-        raise InputError(f"parameter {a!r} must lie in (-1,1), nonzero")
+    a = _closed_form_parameter(a, "parameter")
     q = (1.0 - abs(a)) / (1.0 + abs(a))
     p = q ** abs(n)
     return 2.0 * p / (1.0 + p)
@@ -520,5 +523,4 @@ def stabilizer_order_origin(
         return 2
     _, a, lam = _generic_elements(group, max_word_length, _STABILIZER_CAP)
     images = automorphism_images(a, lam, 0j)
-    # np.hypot is abs(complex) bit for bit
-    return int(np.count_nonzero(np.hypot(images.real, images.imag) <= DEFAULT_DEDUP_TOL))
+    return int(np.count_nonzero(_modulus(images) <= DEFAULT_DEDUP_TOL))

@@ -33,14 +33,14 @@ either answer from G.  A P it cannot decide that way, within about tol
 of singular, is assembled at c^2 by the builder ``assemble_pick`` uses
 and factored by ``linalg.psd_check``, and so are matrix-target Pick
 matrices, the one exception, since the recursion has no block form
-here.  A problem decides once, on its first verdict or norm, whether
-each node's rows are closed under negation, exactly in floating point,
-as a z2z2 orbit cut at the kernel radius is (``PickProblem._folded``).
-Then the half-turn folds the verdicts and the pencil: over the pairs
-+-p, K = [[A, C], [C, A]], and the basis [[I, I], [I, -I]] / sqrt(2)
-splits it into the even block ((w w^H) o S, S), S the Szegő matrix at
-the squares p^2, and an odd block congruent to it by diag(p), so both
-run at half size on the squares.  c^2 is the largest eigenvalue of the
+here.  A problem decides when it is built whether each node's rows are
+closed under negation, exactly in floating point, as a z2z2 orbit cut
+at the kernel radius is (``PickProblem._folded``).  Then the half-turn
+folds the verdicts and the pencil: over the pairs +-p, K = [[A, C],
+[C, A]], and the basis [[I, I], [I, -I]] / sqrt(2) splits it into the
+even block ((w w^H) o S, S), S the Szegő matrix at the squares p^2,
+and an odd block congruent to it by diag(p), so both run at half size
+on the squares.  c^2 is the largest eigenvalue of the
 pencil ((w w^H) o K, K), taken by one eigen-solve on the numerical
 range of K and accepted only after the verdict at c passes; a c it
 rejects is reported as a ``NumericalError``.  Both interpolants are
@@ -51,7 +51,9 @@ verdict ``feasibility`` gives, one pass of Schur's recursion in
 generator form (Kailath and Sayed, SIAM Review 37, 1995), in node
 order, which multiplies by each Blaschke factor where the classical
 form divides by it and amplifies rounding, and one residual check at
-every point.
+every point.  ``interpolant_values`` unwinds the recursion across many
+points in numpy, with Python's complex product and quotient in real
+arithmetic as ``mobius._product`` and ``mobius._quotient`` state them.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from .linalg import (
     pencil_max,
     psd_check,
 )
-from .mobius import _complex, _denominator_parts, _quotient, disk_point, iterate_images
+from .mobius import _complex, _denominator_parts, _product, _quotient, disk_point, iterate_images
 from .orbits import GroupPresentation
 
 _COINCIDE = "nodes {i} and {j} coincide"
@@ -103,12 +105,16 @@ class PickProblem:
     one validates each node once and keeps in ``_rows`` the Szegő points
     of the kernel, the rows each node owns and the nodes no earlier node
     aliases, refusing a node that owns no row, a composed node too close
-    to the circle and aliased nodes whose targets differ."""
+    to the circle and aliased nodes whose targets differ.  ``_folded``
+    keeps the points and rows per node the verdicts and ``pick_norm``'s
+    pencil run on: the squares of the rows above the imaginary axis when
+    ``_negation_squares`` pairs every node's rows as +-p, else _rows'."""
 
     nodes: tuple[complex, ...]
     targets: tuple
     kernel: KernelSpec
     _rows: tuple = field(init=False, repr=False, compare=False)
+    _folded: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(check_distinct(self.nodes, DuplicateNodes, _COINCIDE))
@@ -136,24 +142,13 @@ class PickProblem:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "_rows", (points, counts, keep))
+        squares = _negation_squares(points, counts)
+        folded = (points, counts) if squares is None else (squares, [c // 2 for c in counts])
+        object.__setattr__(self, "_folded", folded)
 
     @property
     def matrix_valued(self) -> bool:
         return isinstance(self.targets[0], np.ndarray)
-
-    @cached_property
-    def _folded(self) -> tuple[np.ndarray, list[int]]:
-        """The Szegő points and rows per node that the verdicts and
-        ``pick_norm``'s pencil run on: the squares of each node's rows
-        above the imaginary axis, half as many, when
-        ``_negation_squares`` pairs the rows of every node as +-p;
-        otherwise ``_rows``' own.  Decided on first read, so a problem
-        that reaches no verdict never pays for the array test."""
-        points, counts, _ = self._rows
-        squares = _negation_squares(points, counts)
-        if squares is None:
-            return points, counts
-        return squares, [count // 2 for count in counts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,15 +527,11 @@ def interpolant_values(s: SchurInterpolant, zs) -> np.ndarray:
     vr, vi = np.zeros(z.size), np.zeros(z.size)  # v = 0j
     for zk, rho in zip(reversed(s.nodes), reversed(s.schur_parameters)):
         # u = v * (z - zk) / (1.0 - zk.conjugate() * z)
-        dr, di = zr - zk.real, zi - zk.imag
-        ur, ui = _quotient(vr * dr - vi * di, vr * di + vi * dr,
+        ur, ui = _quotient(*_product(vr, vi, zr - zk.real, zi - zk.imag),
                            *_denominator_parts(zk.real, zk.imag, zr, zi))
         # v = (u + rho) / (1.0 + rho.conjugate() * u)
-        cr = -rho.imag
-        vr, vi = _quotient(
-            ur + rho.real, ui + rho.imag,
-            1.0 + (rho.real * ur - cr * ui), 0.0 + (rho.real * ui + cr * ur),
-        )
+        pr, pi = _product(rho.real, -rho.imag, ur, ui)
+        vr, vi = _quotient(ur + rho.real, ui + rho.imag, 1.0 + pr, 0.0 + pi)
     return _complex(vr, vi)
 
 

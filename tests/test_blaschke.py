@@ -75,6 +75,13 @@ def test_from_orbit_without_certificate():
     assert not b.tail_certified and b.tail_weight == 0.0
 
 
+def test_from_orbit_refuses_a_stabilizer_order_below_one():
+    orbit = enumerate_orbit(cyclic_group(0.5), 0j, 2)
+    with pytest.raises(InputError) as info:
+        from_orbit(orbit, 0)
+    assert str(info.value) == "stabilizer order must be at least 1"
+
+
 def test_eval_vanishes_at_origin_zero():
     b = cyclic_product()
     v, _ = evaluate(b, 0j)

@@ -318,6 +318,43 @@ def test_orbit_commands_refuse_a_second_or_malformed_depth(
         assert path in err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("orbit", {"group": [0.5]}, "$.group: expected an object"),
+    ("pick-check", dict(FEASIBLE, kernel="szego"), "$.kernel: expected an object"),
+    ("character", {"group": {"kind": "cyclic", "a": 0.5}, "associated": 1},
+     "$.associated: expected a boolean"),
+    ("orbit", {"group": {"kind": "generic", "generators": [[[1, 0], [0, 0], [0, 0]]]}},
+     "$.group.generators[0]: expected four [re, im] coefficients (p, q, r, s)"),
+    ("pick-check", dict(FEASIBLE, targets=[[[[0, 0], [0, 0]]], [[[0, 0], [0, 0]]]]),
+     "$.targets[0][0]: expected 1 entries"),
+    ("pick-check", [FEASIBLE], "$: the problem file must hold a JSON object"),
+])
+def test_malformed_sections_exit_two_with_their_path(tmp_path, capsys, command, doc, message):
+    code, out, err = run(tmp_path, capsys, doc, command)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, doc", [("pick-check", INFEASIBLE), ("kernel-gram", FEASIBLE)])
+def test_a_valid_tolerance_is_the_one_used(tmp_path, capsys, command, doc):
+    # at 0.5 the infeasible data's min eigenvalue, about -0.35, passes
+    code, out, _ = run(tmp_path, capsys, doc, command, "--tolerance", "0.5")
+    report = json.loads(out)
+    assert (code, report["psd"], report["tolerance_used"]) == (0, True, 0.5)
+
+
+def test_character_reads_its_tolerance(capsys):
+    # the even file's probe ratios spread by about 1e-15 and 1e-13: a
+    # loose tolerance gives the default report, a tight one refuses
+    path = str(DATA / "even_problem.json")
+    assert main(["character", path]) == 0
+    default = capsys.readouterr().out
+    assert main(["character", path, "--tolerance", "1e-3"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["character", path, "--tolerance", "1e-16"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("exceeds tolerance 1.000e-16\n")
+
+
 def test_pick_norm_command(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, INFEASIBLE, "pick-norm")
     assert code == 0

@@ -187,6 +187,7 @@ _ROW_CASES = {
 }
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("name", _ROW_CASES)
 def test_orbit_rows_are_the_enumerated_orbits_cut_at_the_kernel_radius(name):
     group, depth, nodes = _ROW_CASES[name]
@@ -211,6 +212,7 @@ def test_orbit_rows_are_the_enumerated_orbits_cut_at_the_kernel_radius(name):
     assert gram(OrbitGramKernel(group, depth), nodes).truncation_note == note
 
 
+@pytest.mark.baseline_dispatch
 def test_orbit_rows_raise_past_the_point_cap(monkeypatch):
     monkeypatch.setattr(orbits, "DEFAULT_POINT_CAP", 20)
     with pytest.raises(OrbitExplosion, match="^orbit exceeded the cap of 20 accepted points$"):
@@ -238,6 +240,31 @@ def test_dominance_rejects_orbit_variant():
     _, b2 = squared_orbit_products()
     with pytest.raises(UnsupportedVariant):
         dominance_check(OrbitGramKernel(cyclic_group(0.5), 3), b2, 1.0, [0j, 0.1 + 0j])
+
+
+@pytest.mark.parametrize("check", [
+    lambda: gram(SzegoKernel(), []),
+    lambda: dominance_check(SzegoKernel(), BlaschkeProduct(1, (), 0.0), 1.0, []),
+])
+def test_kernel_matrices_need_a_point(check):
+    # gram and dominance_check validate their points alike, so both
+    # refuse an empty list before any matrix is built
+    with pytest.raises(InputError) as info:
+        check()
+    assert str(info.value) == "at least one point is required"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ComposedInnerKernel(BlaschkeProduct(1, (), 0.0), 0),
+     "composition power must be at least 1"),
+    (lambda: OrbitGramKernel(cyclic_group(0.5), -1), "orbit depth must be nonnegative"),
+    (lambda: boundary_gram_quadrature(BlaschkeProduct(1, (), 0.0), -1, 4096),
+     "max_power must be nonnegative"),
+])
+def test_kernels_refuse_a_bad_power_or_depth(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_dominance_single_point_large_constant():
@@ -451,6 +478,7 @@ def _two_pass_samples(b, n_quad):
     return np.abs(product_values(c, nodes)), inner_sq
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("n_quad", [1024, 4096])
 @pytest.mark.parametrize("name", [*_SYMMETRIC, *_UNFOLDED])
 def test_one_pass_circle_samples_equal_two_passes(name, n_quad):
@@ -478,6 +506,7 @@ def _n_quad_interior_means(b, max_power, n_quad):
     return np.array(means)
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("name", [*_SYMMETRIC, *_UNFOLDED])
 def test_the_interior_means_match_the_n_quad_rule_and_mpmath(name):
     # the off-diagonal entries are the means of B^2, B^4 and B^6 over

@@ -149,6 +149,12 @@ def test_brute_force_catches_non_leading_defect():
     assert not brute_force_psd_3x3(a)
 
 
+def test_brute_force_refuses_four_rows():
+    with pytest.raises(InputError) as info:
+        brute_force_psd_3x3(np.eye(4))
+    assert str(info.value) == "brute-force check is limited to 3x3 matrices"
+
+
 def test_oracle_agreement_on_random_matrices():
     rng = np.random.default_rng(2024)
     checked = 0

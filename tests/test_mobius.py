@@ -360,6 +360,7 @@ _G = DiskAutomorphism(0.3 - 0.2j, 1j)
      "|lam| = 1.4142135623730951 is not unimodular"),
     (lambda: canonicalize(_NAN, 0.0, 0.0, 1.0), "non-finite coefficients"),
     (lambda: canonicalize(1.0, _INF, 0.0, 1.0), "non-finite coefficients"),
+    (lambda: iterate_cyclic(1.5, 1), "translation parameter 1.5 not in (-1, 1)"),
 ])
 def test_library_constructions_reject_what_they_rejected(build, message):
     with pytest.raises(NotDiskAutomorphism) as info:

@@ -19,6 +19,7 @@ from orbitpick.mobius import (
     pseudo_hyperbolic,
 )
 from orbitpick.orbits import (
+    GroupPresentation,
     cyclic_group,
     cyclic_orbit_weight,
     enumerate_orbit,
@@ -212,6 +213,39 @@ def test_stabilizer_orders():
 def test_stabilizer_order_rejects_negative_depth(group):
     with pytest.raises(InputError, match="max_word_length must be nonnegative"):
         stabilizer_order_origin(group, max_word_length=-3)
+
+
+@pytest.mark.parametrize("kind, count, message", [
+    ("dihedral", 1, "unknown group kind 'dihedral'"),
+    ("generic", 0, "a group presentation needs at least one generator"),
+    ("generic", 27, "at most 26 generators are supported"),
+])
+def test_group_presentations_refuse_a_malformed_list(kind, count, message):
+    with pytest.raises(InputError) as info:
+        GroupPresentation(kind, None, (iterate_cyclic(0.5, 1),) * count)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("depth, dedup_tol, message", [
+    (-1, 1e-12, "max_word_length must be nonnegative"),
+    (3, 0.0, "dedup_tol must lie in (0, 1e-6]"),
+    (3, 2e-6, "dedup_tol must lie in (0, 1e-6]"),
+])
+def test_enumerate_orbit_refuses_a_bad_truncation(depth, dedup_tol, message):
+    with pytest.raises(InputError) as info:
+        enumerate_orbit(cyclic_group(0.5), 0j, depth, dedup_tol)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cyclic_group(0.0), "cyclic parameter 0.0 must lie in (-1,1), nonzero"),
+    (lambda: z2z2_group(-1.0), "z2z2 parameter -1.0 must lie in (-1,1), nonzero"),
+    (lambda: cyclic_orbit_weight(0.0, 3), "parameter 0.0 must lie in (-1,1), nonzero"),
+])
+def test_closed_form_parameters_lie_in_the_open_interval(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_generic_orbit_has_no_tail_bound():
