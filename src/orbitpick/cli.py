@@ -200,11 +200,12 @@ def _stabilizer_order(group: orb.GroupPresentation, depth: int) -> int:
     return orb.stabilizer_order_origin(group, max_word_length=min(depth, 8))
 
 
-def _parse_nodes(doc: dict) -> tuple[complex, ...]:
-    obj = _section(doc, "nodes")
+def _disk_points(doc: dict, key: str) -> tuple[complex, ...]:
+    """The nonempty list of [re, im] disk points at ``$.key``."""
+    obj = _section(doc, key)
     if not isinstance(obj, list) or not obj:
-        _fail("$.nodes", "expected a nonempty list of [re, im] pairs")
-    return tuple(_disk_pair(v, f"$.nodes[{i}]") for i, v in enumerate(obj))
+        _fail(f"$.{key}", "expected a nonempty list of [re, im] pairs")
+    return tuple(_disk_pair(v, f"$.{key}[{i}]") for i, v in enumerate(obj))
 
 
 def _parse_targets(doc: dict, n_nodes: int):
@@ -268,7 +269,7 @@ def _pick_data(doc: dict, args, kernel=None):
     ``kernel`` defaults to the one the file's kernel section gives."""
     if kernel is None:
         kernel = _parse_kernel(doc, args)
-    nodes = _parse_nodes(doc)
+    nodes = _disk_points(doc, "nodes")
     return nodes, _parse_targets(doc, len(nodes)), kernel
 
 
@@ -308,10 +309,7 @@ def _orbit_product(doc, args):
 
 
 def cmd_blaschke_eval(doc, args):
-    pts_doc = _section(doc, "eval_points")
-    if not isinstance(pts_doc, list) or not pts_doc:
-        _fail("$.eval_points", "expected a nonempty list of [re, im] pairs")
-    pts = [_disk_pair(v, f"$.eval_points[{i}]") for i, v in enumerate(pts_doc)]
+    pts = _disk_points(doc, "eval_points")
     _group, m, product = _orbit_product(doc, args)
     vals, errs = bl.evaluate_many(product, pts)
     values = [
@@ -348,7 +346,7 @@ def cmd_character(doc, args):
 
 def cmd_kernel_gram(doc, args):
     kernel = _parse_kernel(doc, args)
-    nodes = _parse_nodes(doc)
+    nodes = _disk_points(doc, "nodes")
     g = kn.gram(kernel, nodes)
     rep = la.psd_check(la.HermitianMatrix._adopt(g.entries), tol=args.tolerance)
     payload = {

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import blaschke as bl
 from .errors import DuplicatePoints, InputError, NumericalError, UnsupportedVariant
-from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, psd_check
+from .linalg import STRIP_ROWS, HermitianMatrix, PsdReport, _check_dimension, psd_check
 from .mobius import _complex, _denominator_parts, _modulus, _product, disk_point, pseudo_hyperbolic
 from .orbits import GroupPresentation, _orbit_array
 
@@ -171,9 +171,12 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     Szegő matrix at the points ``_szego_points`` gives for ``spec``.
 
     For the orbit variant the result is the block matrix over the
-    truncated orbits of every point, in deterministic orbit order.
+    truncated orbits of every point, in deterministic orbit order.  More
+    than ``MAX_DIMENSION`` rows raise ``InputError`` before any entry is
+    computed, as ``psd_check`` would refuse the matrix.
     """
     zs, _, note = _szego_points(spec, _kernel_points(points))
+    _check_dimension(zs.size)
     return GramMatrix(szego_matrix(zs), note)
 
 

@@ -13,13 +13,15 @@ gives: the nodes, their inner values, or their concatenated truncated
 orbits, each node's target carried by all of its rows.  So building a
 ``PickProblem`` decides every fact of a problem once: it validates each
 node, distinct nodes included, computes those points, refuses a node
-that owns no row and runs the one alias check.  ``pick_norm`` and the
+that owns no row, runs the one alias check and refuses a Pick matrix of
+more than ``MAX_DIMENSION`` rows; it repeats each target over its node's
+rows and states the overflow bound once.  ``pick_norm`` and the
 interpolants build one too (scalar targets only), so they refuse what
-``pick-check`` refuses.  ``assemble_pick`` builds the Pick matrix; a
-scalar one is written by ``szego_matrix``, mirrored as a Gram matrix
-is, and a matrix-target one is written block by block into one array
-and stored as its Hermitian part.  Weights that would overflow raise
-``NumericalError`` before anything is built.
+``pick-check`` refuses, before any matrix is built.  ``assemble_pick``
+builds the Pick matrix; a scalar one is written by ``szego_matrix``,
+mirrored as a Gram matrix is, and a matrix-target one is written block
+by block into one array and stored as its Hermitian part.  Weights that
+would overflow raise ``NumericalError`` before anything is built.
 
 Every scalar verdict goes through one entry, ``_pick_verdict(problem,
 c, tol)``: positivity of the Pick matrix P at scale c^2, as one
@@ -77,6 +79,7 @@ from .kernels import (
     KernelSpec,
     SzegoKernel,
     _negation_squares,
+    _szego_block,
     _szego_points,
     check_distinct,
     szego_matrix,
@@ -100,21 +103,29 @@ _TARGET_RESIDUAL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PickProblem:
-    """Interpolation data: distinct nodes, scalar or square-matrix
+    """Interpolation data: distinct nodes, scalar or k x k matrix
     targets of a uniform size, and the kernel to test against.  Building
-    one validates each node once and keeps in ``_rows`` the Szegő points
+    one is the one place a problem is refused and its row facts stated.
+    It validates each node once and keeps in ``_rows`` the Szegő points
     of the kernel, the rows each node owns and the nodes no earlier node
     aliases, refusing a node that owns no row, a composed node too close
-    to the circle and aliased nodes whose targets differ.  ``_folded``
-    keeps the points and rows per node the verdicts and ``pick_norm``'s
-    pencil run on: the squares of the rows above the imaginary axis when
-    ``_negation_squares`` pairs every node's rows as +-p, else _rows'."""
+    to the circle, aliased nodes whose targets differ and, after those, a
+    Pick matrix of more than ``MAX_DIMENSION`` rows (k per Szegő point).
+    ``_folded`` keeps the points and rows per node the verdicts and
+    ``pick_norm``'s pencil run on: the squares of the rows above the
+    imaginary axis when ``_negation_squares`` pairs every node's rows as
+    +-p, else _rows'.  ``_row_targets`` holds each node's target repeated
+    over its rows, for _rows and for _folded, and ``_overflow`` the
+    terms of ``_check_finite``'s bound: k m^2, m the largest target
+    modulus, and max K_ii."""
 
     nodes: tuple[complex, ...]
     targets: tuple
     kernel: KernelSpec
     _rows: tuple = field(init=False, repr=False, compare=False)
     _folded: tuple = field(init=False, repr=False, compare=False)
+    _row_targets: tuple = field(init=False, repr=False, compare=False)
+    _overflow: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(check_distinct(self.nodes, DuplicateNodes, _COINCIDE))
@@ -139,12 +150,19 @@ class PickProblem:
         keep = list(range(len(nodes)))
         if isinstance(self.kernel, ComposedInnerKernel):
             keep = _check_aliases(points.tolist(), targets)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "_rows", (points, counts, keep))
+        k = shape[0] if shape else 1
+        _check_dimension(k * len(points))
         squares = _negation_squares(points, counts)
         folded = (points, counts) if squares is None else (squares, [c // 2 for c in counts])
-        object.__setattr__(self, "_folded", folded)
+        w = np.array(arrays)
+        rows = np.repeat(w, counts, axis=0)
+        half = rows if squares is None else np.repeat(w, folded[1], axis=0)
+        m = max(float(np.abs(t).max()) for t in arrays) if shape else max(map(abs, targets))
+        kmax = 1.0 / (1.0 - float(_sq(points).max()))  # bit for bit the largest szego(p, p)
+        facts = dict(nodes=nodes, targets=targets, _rows=(points, counts, keep), _folded=folded,
+                     _row_targets=(rows, half), _overflow=(k * m * m, m, kmax))
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)
 
     @property
     def matrix_valued(self) -> bool:
@@ -211,20 +229,16 @@ def _check_aliases(points, targets) -> list[int]:
     return [i for i in range(len(points)) if i not in collapsed]
 
 
-def _check_finite(targets, points: np.ndarray, scale: float) -> None:
-    """Raise ``NumericalError`` unless the matrix [(scale - w_i conj(w_j))
-    K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij, is finite for
-    the Szegő matrix K at ``points``, the complex products' partial sums
-    included.  |K_ij| <= max K_ii = 1 / (1 - max |p_i|^2) for a Gram
-    matrix, bit for bit the largest szego(p_i, p_i), so no matrix need
-    be built first."""
-    if isinstance(targets[0], np.ndarray):
-        k, m = targets[0].shape[0], max(float(np.abs(t).max()) for t in targets)
-    else:
-        k, m = 1, max(map(abs, targets))
-    kmax = 1.0 / (1.0 - float(_sq(points).max()))
+def _check_finite(problem: PickProblem, scale: float) -> None:
+    """Raise ``NumericalError`` unless the problem's matrix [(scale -
+    w_i conj(w_j)) K_ij], resp. its blocks (scale I - W_i W_j^H) K_ij,
+    is finite, the complex products' partial sums included.  |K_ij| <=
+    max K_ii = 1 / (1 - max |p_i|^2) for a Gram matrix, so the terms
+    ``PickProblem._overflow`` states bound it and no matrix need be
+    built first."""
+    km2, m, kmax = problem._overflow
     # the factor 2 leaves room for rounding
-    if not math.isfinite(2.0 * (scale + k * m * m) * kmax):
+    if not math.isfinite(2.0 * (scale + km2) * kmax):
         raise NumericalError(
             f"the weighted kernel matrix overflows: targets of modulus {m:.3g} "
             f"against kernel entries up to {kmax:.3g}"
@@ -247,10 +261,9 @@ def _assembled(problem: PickProblem, scale: float) -> HermitianMatrix:
     (scale - w_i conj(w_j)) K_ij, resp. blocks (scale I - W_i W_j^H) K_ij."""
     targets = problem.targets
     points, counts, _ = problem._rows
-    _check_finite(targets, points, scale)
+    _check_finite(problem, scale)
     if not problem.matrix_valued:
-        w = np.repeat(np.array(targets), counts)
-        return HermitianMatrix._adopt(szego_matrix(points, w, scale))
+        return HermitianMatrix._adopt(szego_matrix(points, problem._row_targets[0], scale))
     # each node's block of rows written in place: no N x N temporary
     k, n = targets[0].shape[0], len(points)
     eye = scale * np.eye(k, dtype=complex)
@@ -319,33 +332,28 @@ def _pick_verdict(problem: PickProblem, c: float, tol: float | None) -> Feasibil
     dropped.  The report's ``rank`` counts the pivots taken.
 
     tol defaults to 1e-10 * (1 + max diagonal) of P, folded or not, with
-    the diagonal computed from all the rows as ``szego_matrix`` writes
-    it, so it is the tolerance ``psd_check`` would use, bit for bit.
+    the diagonal computed from all the rows by ``_szego_block``, as
+    ``szego_matrix`` writes it, so it is the tolerance ``psd_check``
+    would use, bit for bit.  The entry only reads the facts the problem
+    stated when it was built, which refused a P of more than
+    ``MAX_DIMENSION`` rows: the per-row targets and the overflow bound.
     Targets whose weights would overflow raise ``NumericalError`` first,
-    and so does a generator that overflows on the way; a P of more than
-    ``MAX_DIMENSION`` rows raises ``InputError`` before any step, as an
-    assembled one does in ``psd_check``.
+    and so does a generator that overflows on the way.
     """
     is_psd = rank = None
     if not problem.matrix_valued:  # the recursion has no block form here
-        targets = problem.targets
-        points, counts, _ = problem._rows
-        _check_finite(targets, points, c * c)
-        b = np.repeat(np.array(targets, dtype=complex), counts)
-        q, qi = _denominator_parts(points.real, points.imag, points.real, points.imag)  # 1 - |p|^2
+        _check_finite(problem, c * c)
+        points, p = problem._rows[0], problem._folded[0]
+        w, b = problem._row_targets
         if tol is None:
-            # the diagonal szego_matrix writes, in its operations
-            k = np.reciprocal(_complex(q, qi)) + 0.0
-            tol = _anchored_tolerance(((c * c - b * np.conj(b)) * np.conj(k)).real)
+            k = _szego_block(points, points)  # the diagonal szego_matrix writes
+            tol = _anchored_tolerance(((c * c - w * np.conj(w)) * np.conj(k)).real)
         tol = _checked_tolerance(tol)
-        _check_dimension(points.size)
-        p, half = problem._folded
-        if p is not points:
-            b = np.repeat(np.array(targets, dtype=complex), half)
-            q, _ = _denominator_parts(p.real, p.imag, p.real, p.imag)
+        q = 1.0 - _sq(p)  # the real part of szego's denominator 1 - conj(p) p
+        step_tol = tol if p is points else 0.5 * tol
         try:
             with np.errstate(over="raise", invalid="raise"):
-                is_psd, rank = _schur_steps(c, b, p.copy(), q, tol if p is points else 0.5 * tol)
+                is_psd, rank = _schur_steps(c, b.copy(), p.copy(), q, step_tol)
         except FloatingPointError as exc:
             raise NumericalError(f"the Pick matrix's generator overflows: {exc}") from exc
     if is_psd is None:
@@ -450,13 +458,11 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     and ``NumericalError`` is raised.
     """
     problem = _scalar_problem(nodes, targets, kernel)
-    targets = problem.targets
-    if not any(targets):
+    if not any(problem.targets):
         return 0.0
-    _check_finite(targets, problem._rows[0], 0.0)
-    points, counts = problem._folded
-    w = np.repeat(np.array(targets), counts)
-    kmat = szego_matrix(points)
+    _check_finite(problem, 0.0)
+    w = problem._row_targets[1]
+    kmat = szego_matrix(problem._folded[0])
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
     del kmat, b

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import pathlib
@@ -618,6 +619,26 @@ def test_a_node_with_no_kernel_row_exits_three(tmp_path, capsys, command):
     assert (code, out) == (3, "")
     assert err == ("numerical failure: point 0 at 0.9995j has no orbit point to "
                    "depth 10 within the kernel radius 0.999\n")
+
+
+def _rows_past_the_dimension(w):
+    """16 nodes 0.45 e^{ik} (0.5 + 0.5 (k mod 2)), target w each, whose
+    cyclic a = 0.05 orbits to depth 200 give 2,388 kernel rows."""
+    nodes = [0.45 * cmath.exp(1j * k) * (0.5 + 0.5 * (k % 2)) for k in range(16)]
+    return {"group": {"kind": "cyclic", "a": 0.05}, "truncation": {"depth": 200},
+            "nodes": [[z.real, z.imag] for z in nodes], "targets": [[w, 0.0]] * 16,
+            "kernel": {"variant": "orbit"}}
+
+
+@pytest.mark.parametrize("w", [0.0, 0.1])
+@pytest.mark.parametrize("command", ["pick-check", "orbit-pick-check", "pick-norm",
+                                     "kernel-gram"])
+def test_more_rows_than_the_supported_dimension_exit_two(tmp_path, capsys, command, w):
+    # refused when the problem or the Gram matrix is about to be built:
+    # pick-norm reads no norm 0 off zero targets, and none builds a matrix
+    code, out, err = run(tmp_path, capsys, _rows_past_the_dimension(w), command)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix dimension 2388 exceeds the supported 2000\n"
 
 
 @pytest.mark.parametrize("value", [[], 0, False, "", None])

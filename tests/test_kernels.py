@@ -222,6 +222,18 @@ def test_orbit_rows_raise_past_the_point_cap(monkeypatch):
     kernels._szego_points(OrbitGramKernel(cyclic_group(0.5), 9), [0.1 + 0.2j])
 
 
+def test_gram_refuses_more_rows_than_the_supported_dimension(monkeypatch):
+    # psd_check's guard, taken before any entry is computed: 2,223 orbit
+    # rows would be a 79 MB matrix
+    def boom(*args):
+        raise AssertionError("a refused Gram matrix was built")
+
+    monkeypatch.setattr(kernels, "szego_matrix", boom)
+    nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j, -0.2 - 0.3j, -0.1 + 0.4j)
+    with pytest.raises(InputError, match="^matrix dimension 2223 exceeds the supported 2000$"):
+        gram(OrbitGramKernel(cyclic_group(0.02), 200), nodes)
+
+
 def test_dominance_trivial_character_is_zero_matrix():
     b, b2 = squared_orbit_products()
     rng = np.random.default_rng(23)

@@ -270,20 +270,28 @@ def test_an_undecided_verdict_holds_at_most_two_and_a_half_matrices(monkeypatch)
 
 
 def test_verdicts_refuse_more_rows_than_the_supported_dimension(monkeypatch):
-    # the guard psd_check applies to an assembled matrix holds on the
-    # generator too, before any recursion step or matrix is built
-    def boom(*args):
-        raise AssertionError("a refused problem reached the recursion")
+    # the guard psd_check applies to an assembled matrix is taken when
+    # the problem is built, for zero targets too, before any kernel
+    # matrix, pencil, recursion step or Pick matrix is built
+    def boom(*args, **kwargs):
+        raise AssertionError("a refused problem reached the computation")
 
-    monkeypatch.setattr("orbitpick.pick._schur_steps", boom)
-    monkeypatch.setattr("orbitpick.pick._assembled", boom)
+    for name in ("szego_matrix", "pencil_max", "_schur_steps", "_assembled"):
+        monkeypatch.setattr(f"orbitpick.pick.{name}", boom)
     nodes = (0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j, 0.05 + 0.4j, -0.2 - 0.3j, -0.1 + 0.4j)
     kernel = OrbitGramKernel(cyclic_group(0.02), 200)
-    for targets in ((0.5,) * 6, (0.6, -0.6j, 0.45, -0.3, 0.3j, 0.1)):
-        problem = PickProblem(nodes, targets, kernel)
-        assert len(problem._rows[0]) == 2223
-        with pytest.raises(InputError, match="matrix dimension 2223 exceeds the supported 2000"):
-            feasibility(problem)
+    assert len(_szego_points(kernel, nodes)[0]) == 2223
+    too_many = "matrix dimension 2223 exceeds the supported 2000"
+    for targets in ((0.0,) * 6, (0.5,) * 6, (0.6, -0.6j, 0.45, -0.3, 0.3j, 0.1)):
+        with pytest.raises(InputError, match=too_many):
+            PickProblem(nodes, targets, kernel)
+        with pytest.raises(InputError, match=too_many):
+            pick_norm(nodes, targets, kernel)
+    # 1,125 rows of 2 x 2 blocks: a Pick matrix of 2,250 rows
+    assert len(_szego_points(kernel, nodes[:3])[0]) == 1125
+    blocks = tuple(np.array([[w, 0.0], [0.1, -w]]) for w in (0.1, 0.2j, -0.3))
+    with pytest.raises(InputError, match="matrix dimension 2250 exceeds the supported 2000"):
+        PickProblem(nodes[:3], blocks, kernel)
     rng = np.random.default_rng(2001)
     radii, angles = 0.9 * np.sqrt(rng.random(2001)), 2 * np.pi * rng.random(2001)
     with pytest.raises(InputError, match="matrix dimension 2001 exceeds the supported 2000"):
