@@ -84,7 +84,6 @@ GENERIC = "generic"
 
 DEFAULT_DEDUP_TOL = 1e-12
 DEFAULT_POINT_CAP = 10**6
-_STABILIZER_CAP = 10**5  # group elements searched for stabilizer_order_origin
 
 # Euclidean tolerance for identifying two group elements during the
 # generic breadth-first search.  Elements whose parameters agree this
@@ -513,7 +512,10 @@ def stabilizer_order_origin(
     z2z2 kind (2: the identity and the half-turn).  For generic
     presentations the count is over distinct enumerated elements of
     word length at most ``max_word_length`` fixing 0 within
-    ``DEFAULT_DEDUP_TOL``, hence a lower bound on the true order.
+    ``DEFAULT_DEDUP_TOL``, hence a lower bound on the true order.  The
+    element search is the one its orbits read, under the same cap
+    (``DEFAULT_POINT_CAP`` elements): a count fails only where an orbit
+    of the group to that depth fails too.
     """
     if max_word_length < 0:
         raise InputError("max_word_length must be nonnegative")
@@ -521,6 +523,6 @@ def stabilizer_order_origin(
         return 1
     if group.kind == Z2Z2:
         return 2
-    _, a, lam = _generic_elements(group, max_word_length, _STABILIZER_CAP)
+    _, a, lam = _generic_elements(group, max_word_length, DEFAULT_POINT_CAP)
     images = automorphism_images(a, lam, 0j)
     return int(np.count_nonzero(_modulus(images) <= DEFAULT_DEDUP_TOL))

@@ -61,6 +61,7 @@ arithmetic as ``mobius._product`` and ``mobius._quotient`` state them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -455,12 +456,21 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     verdict ``feasibility`` gives at 1, accepts it, so a norm <= 1 comes
     with a feasible verdict.  When it rejects c, target weight sits on
     directions K annihilates at double precision, no norm is certified
-    and ``NumericalError`` is raised.
+    and ``NumericalError`` is raised.  So it is when the largest squared
+    target modulus is below the smallest normal double (a modulus below
+    about 1.5e-154): B's entries would lose digits or vanish, and a
+    pencil of B = 0 would read a norm of 0.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     if not any(problem.targets):
         return 0.0
     _check_finite(problem, 0.0)
+    km2, m, _ = problem._overflow
+    if km2 < sys.float_info.min:
+        raise NumericalError(
+            f"the squared targets underflow: targets of modulus {m:.3g} square "
+            "below the smallest normal double"
+        )
     w = problem._row_targets[1]
     kmat = szego_matrix(problem._folded[0])
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)

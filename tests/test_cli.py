@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -499,65 +500,6 @@ def test_amenable_average_names_the_negative_field(tmp_path, capsys, field, mess
     assert err == f"error: {message}\n"
 
 
-# Arrays of 2e15 + 1 and 1e15 int64 entries (14 and 7 PiB) exceed the
-# 128 TiB address space, so numpy refuses them before allocating
-# (MemoryError).  Sizes past numpy's index range it refuses with a
-# ValueError, and powers past the float range overflow: nothing is
-# allocated either way.
-_HUGE = 10**15
-_BEYOND = str(10**20)
-_COMPOSED = dict(FEASIBLE, group={"kind": "cyclic", "a": 0.5}, truncation={"depth": 3},
-                 kernel={"variant": "composed", "power": 10**400})
-
-
-def _problem(name):
-    return json.loads((DATA / f"{name}_problem.json").read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("doc, argv, message", [
-    (dict(AVERAGE, terms=_HUGE), ("amenable-average",), "out of memory"),
-    ({"group": {"kind": "cyclic", "a": 0.5}}, ("orbit", "--depth", str(_HUGE)), "out of memory"),
-] + [
-    (_COMPOSED, (command,), "")
-    for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
-] + [
-    (dict(AVERAGE, monomial_power=10**400), ("amenable-average",), ""),
-    (dict(AVERAGE, terms=10**18), ("amenable-average",), ""),
-    (dict(AVERAGE, terms=10**30), ("amenable-average",), ""),
-    (FEASIBLE, ("interpolate", "--grid", _BEYOND), ""),
-] + [
-    (_problem(name), (command, "--depth", _BEYOND), "")
-    for name, command in (("cyclic40", "orbit"), ("orbit", "pick-check"),
-                          ("even", "pick-check"), ("cyclic120", "character"))
-])
-def test_out_of_memory_exits_three_without_a_traceback(tmp_path, capsys, doc, argv, message):
-    code, out, err = run(tmp_path, capsys, doc, *argv)
-    assert (code, out) == (3, "")
-    assert err.startswith(f"numerical failure: {message}")
-    assert "Traceback" not in err
-
-
-_BIG = 10**400  # an integer literal of 401 digits, beyond the double range
-_GENERATOR = [[1.0, 0.0], [-0.5, 0.0], [-0.5, 0.0], [1.0, 0.0]]
-
-
-@pytest.mark.parametrize("doc, command, path", [
-    (dict(FEASIBLE, nodes=[[_BIG, 0.0], [0.5, 0.0]]), "pick-check", "$.nodes[0][0]"),
-    (dict(FEASIBLE, targets=[[0.0, 0.0], [0.5, -_BIG]]), "pick-check", "$.targets[1][1]"),
-    ({"group": {"kind": "cyclic", "a": _BIG}}, "orbit", "$.group.a"),
-    ({"group": {"kind": "generic", "generators": [[_GENERATOR[0], [_BIG, 0.0]] + _GENERATOR[2:]]}},
-     "orbit", "$.group.generators[0][1][0]"),
-    ({"group": {"kind": "cyclic", "a": 0.5}, "base": [0.1, _BIG]}, "orbit", "$.base[1]"),
-    (dict(_problem("rotation4"), eval_points=[[0.3, 0.1], [_BIG, 0.45]]), "blaschke-eval",
-     "$.eval_points[1][0]"),
-    (dict(AVERAGE, point=[-_BIG, 0.2]), "amenable-average", "$.point[0]"),
-], ids=["node", "target", "group-a", "generator", "base", "eval-point", "point"])
-def test_an_integer_beyond_the_double_range_exits_two(tmp_path, capsys, doc, command, path):
-    code, out, err = run(tmp_path, capsys, doc, command)
-    assert (code, out) == (2, "")
-    assert err == f"error: {path}: number must be finite\n"
-
-
 @pytest.mark.parametrize("truncation", [None, {}, {"strict": False}])
 @pytest.mark.parametrize("command", ["orbit", "character"])
 def test_a_generic_group_without_a_depth_exits_two(tmp_path, capsys, command, truncation):
@@ -573,81 +515,6 @@ def test_a_generic_group_takes_its_depth_from_the_option(tmp_path, capsys):
     code, out, _ = run(tmp_path, capsys, {"group": THREE_GENERATORS}, "orbit", "--depth", "2")
     assert code == 0
     assert max(len(e["word"]) for e in json.loads(out)["entries"]) == 2
-
-
-_TINY_Z2Z2 = dict(FEASIBLE, group={"kind": "z2z2", "a": 1e-17}, truncation={"depth": 3},
-                  kernel={"variant": "composed", "power": 2}, eval_points=[[0.1, 0.0]])
-
-
-@pytest.mark.parametrize("command", ["orbit", "blaschke-eval", "character", "kernel-gram",
-                                     "pick-check", "orbit-pick-check", "interpolate"])
-def test_a_z2z2_parameter_too_small_to_translate_exits_two(tmp_path, capsys, command):
-    code, out, err = run(tmp_path, capsys, _TINY_Z2Z2, command)
-    assert (code, out) == (2, "")
-    assert err == "error: $.group.a: the translation z -> (z - a)/(1 - a z) is the identity map\n"
-
-
-@pytest.mark.parametrize("command", ["pick-check", "pick-norm", "interpolate"])
-def test_an_overflowing_pick_matrix_exits_three_without_a_warning(tmp_path, command):
-    # valid, finite input whose weights 1 - w_i conj(w_j) overflow; a
-    # fresh process shows what reaches stderr, numpy's warnings included
-    doc = dict(FEASIBLE, nodes=[[0.1, 0.2], [-0.3, 0.1]], targets=[[1e200, 0.0], [0.0, 1e200]])
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc))
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "orbitpick.cli", command, str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.startswith("numerical failure: the weighted kernel matrix overflows")
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-
-
-# every orbit point of the first node lies beyond the kernel radius
-_ALL_CUT = {"group": {"kind": "cyclic", "a": 0.5}, "truncation": {"depth": 10},
-            "nodes": [[0.0, 0.9995], [0.1, 0.2]], "targets": [[5.0, 0.0], [0.1, 0.0]],
-            "kernel": {"variant": "orbit"}}
-
-
-@pytest.mark.parametrize("command", ["orbit-pick-check", "pick-check", "pick-norm",
-                                     "kernel-gram"])
-def test_a_node_with_no_kernel_row_exits_three(tmp_path, capsys, command):
-    # dropping the node's rows would drop its target 5: the check would
-    # pass and the norm would read 0.1
-    code, out, err = run(tmp_path, capsys, _ALL_CUT, command)
-    assert (code, out) == (3, "")
-    assert err == ("numerical failure: point 0 at 0.9995j has no orbit point to "
-                   "depth 10 within the kernel radius 0.999\n")
-
-
-def _rows_past_the_dimension(w):
-    """16 nodes 0.45 e^{ik} (0.5 + 0.5 (k mod 2)), target w each, whose
-    cyclic a = 0.05 orbits to depth 200 give 2,388 kernel rows."""
-    nodes = [0.45 * cmath.exp(1j * k) * (0.5 + 0.5 * (k % 2)) for k in range(16)]
-    return {"group": {"kind": "cyclic", "a": 0.05}, "truncation": {"depth": 200},
-            "nodes": [[z.real, z.imag] for z in nodes], "targets": [[w, 0.0]] * 16,
-            "kernel": {"variant": "orbit"}}
-
-
-@pytest.mark.parametrize("w", [0.0, 0.1])
-@pytest.mark.parametrize("command", ["pick-check", "orbit-pick-check", "pick-norm",
-                                     "kernel-gram"])
-def test_more_rows_than_the_supported_dimension_exit_two(tmp_path, capsys, command, w):
-    # refused when the problem or the Gram matrix is about to be built:
-    # pick-norm reads no norm 0 off zero targets, and none builds a matrix
-    code, out, err = run(tmp_path, capsys, _rows_past_the_dimension(w), command)
-    assert (code, out) == (2, "")
-    assert err == "error: matrix dimension 2388 exceeds the supported 2000\n"
-
-
-@pytest.mark.parametrize("value", [[], 0, False, "", None])
-@pytest.mark.parametrize("command", ["orbit", "orbit-pick-check"])
-def test_a_truncation_that_is_not_an_object_exits_two(tmp_path, capsys, command, value):
-    # a falsy section is not an absent one: it does not default the depth
-    code, out, err = run(tmp_path, capsys, dict(ORBIT_DEPTHS, truncation=value), command)
-    assert (code, out) == (2, "")
-    assert err == "error: $.truncation: expected an object\n"
 
 
 def test_verify_command(capsys):
@@ -711,8 +578,156 @@ def test_invalid_json(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-# -- reports pinned byte for byte -----------------------------------------------
+# -- refusals and reports, pinned once for main() and fresh processes ------------
 
+# Arrays of 2e15 + 1 and 1e15 int64 entries (14 and 7 PiB) exceed the
+# 128 TiB address space, so numpy refuses them before allocating
+# (MemoryError).  Sizes past numpy's index range it refuses with a
+# ValueError, and powers past the float range overflow: nothing is
+# allocated either way.
+_HUGE = 10**15
+_BEYOND = str(10**20)
+_BIG = 10**400  # an integer literal of 401 digits, beyond the double range
+_GENERATOR = [[1.0, 0.0], [-0.5, 0.0], [-0.5, 0.0], [1.0, 0.0]]
+_COMPOSED = dict(FEASIBLE, group={"kind": "cyclic", "a": 0.5}, truncation={"depth": 3},
+                 kernel={"variant": "composed", "power": _BIG})
+_TINY_Z2Z2 = dict(FEASIBLE, group={"kind": "z2z2", "a": 1e-17}, truncation={"depth": 3},
+                  kernel={"variant": "composed", "power": 2}, eval_points=[[0.1, 0.0]])
+# the weights 1 - w_i conj(w_j) of finite targets overflow
+_OVERFLOW = dict(FEASIBLE, nodes=[[0.1, 0.2], [-0.3, 0.1]], targets=[[1e200, 0.0], [0.0, 1e200]])
+# Every orbit point of node 0 lies beyond the kernel radius.  Dropping
+# its rows would drop its target 5: the check would pass and the norm
+# would read 0.1.  With zero targets nothing is to be dropped either.
+_ALL_CUT = {"group": {"kind": "cyclic", "a": 0.5}, "truncation": {"depth": 10},
+            "nodes": [[0.0, 0.9995], [0.1, 0.2]], "targets": [[5.0, 0.0], [0.1, 0.0]],
+            "kernel": {"variant": "orbit"}}
+_BOUNDARY = {"group": {"kind": "cyclic", "a": 0.5}, "truncation": {"depth": 60},
+             "nodes": [[0.9995, 0.0], [0.1, 0.2]], "targets": [[0.0, 0.0], [0.0, 0.0]],
+             "kernel": {"variant": "composed", "power": 2}}
+# nodes 1 and 2 collapse under the even composed map, with unequal targets
+_ALIAS = {"group": {"kind": "z2z2", "a": 0.5}, "truncation": {"depth": 120},
+          "nodes": [[0.1, 0.0], [0.3, 0.0], [-0.3, 0.0]],
+          "targets": [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]],
+          "kernel": {"variant": "composed", "power": 2}}
+# |w|^2 = 8.1e-341 underflows to 0, and B = 0 would read a norm of 0
+_UNDERFLOW = dict(FEASIBLE, targets=[[0.0, 0.0], [0.9e-170, 0.0]])
+
+
+def _problem(name):
+    return json.loads((DATA / f"{name}_problem.json").read_text(encoding="utf-8"))
+
+
+def _rows_past_the_dimension(w):
+    """16 nodes 0.45 e^{ik} (0.5 + 0.5 (k mod 2)), target w each, whose
+    cyclic a = 0.05 orbits to depth 200 give 2,388 kernel rows."""
+    nodes = [0.45 * cmath.exp(1j * k) * (0.5 + 0.5 * (k % 2)) for k in range(16)]
+    return {"group": {"kind": "cyclic", "a": 0.05}, "truncation": {"depth": 200},
+            "nodes": [[z.real, z.imag] for z in nodes], "targets": [[w, 0.0]] * 16,
+            "kernel": {"variant": "orbit"}}
+
+
+_OUT_OF_MEMORY = "numerical failure: out of memory: Unable to allocate ..."
+_NOT_A_FLOAT = "numerical failure: int too large to convert to float"
+_PAST_THE_INDEX = "numerical failure: Maximum allowed size exceeded"
+_NO_ROW = ("numerical failure: point 0 at 0.9995j has no orbit point to depth 10 "
+           "within the kernel radius 0.999")
+
+# Every refusal of a problem file: (document, argv after the file, exit
+# code, stderr line).  A line ending in "..." is a prefix: the rest of
+# numpy's message carries an allocation size.  A refused command prints
+# nothing on stdout.
+REFUSALS = [
+    (dict(AVERAGE, terms=_HUGE), ("amenable-average",), 3, _OUT_OF_MEMORY),
+    ({"group": {"kind": "cyclic", "a": 0.5}}, ("orbit", "--depth", str(_HUGE)), 3,
+     _OUT_OF_MEMORY),
+] + [
+    (_COMPOSED, (command,), 3, _NOT_A_FLOAT)
+    for command in ("kernel-gram", "pick-check", "pick-norm", "interpolate")
+] + [
+    (dict(AVERAGE, monomial_power=_BIG), ("amenable-average",), 3, _NOT_A_FLOAT),
+    (dict(AVERAGE, terms=10**18), ("amenable-average",), 3,
+     "numerical failure: array is too big; `arr.size * arr.dtype.itemsize` is larger "
+     "than the maximum possible size."),
+    (dict(AVERAGE, terms=10**30), ("amenable-average",), 3, _PAST_THE_INDEX),
+    (FEASIBLE, ("interpolate", "--grid", _BEYOND), 3, _PAST_THE_INDEX),
+] + [
+    (_problem(name), (command, "--depth", _BEYOND), 3, _PAST_THE_INDEX)
+    for name, command in (("cyclic40", "orbit"), ("orbit", "pick-check"),
+                          ("even", "pick-check"), ("cyclic120", "character"))
+] + [
+    (doc, (command,), 2, f"error: {path}: number must be finite")
+    for doc, command, path in (
+        (dict(FEASIBLE, nodes=[[_BIG, 0.0], [0.5, 0.0]]), "pick-check", "$.nodes[0][0]"),
+        (dict(FEASIBLE, targets=[[0.0, 0.0], [0.5, -_BIG]]), "pick-check", "$.targets[1][1]"),
+        ({"group": {"kind": "cyclic", "a": _BIG}}, "orbit", "$.group.a"),
+        ({"group": {"kind": "generic",
+                    "generators": [[_GENERATOR[0], [_BIG, 0.0]] + _GENERATOR[2:]]}},
+         "orbit", "$.group.generators[0][1][0]"),
+        ({"group": {"kind": "cyclic", "a": 0.5}, "base": [0.1, _BIG]}, "orbit", "$.base[1]"),
+        (dict(_problem("rotation4"), eval_points=[[0.3, 0.1], [_BIG, 0.45]]), "blaschke-eval",
+         "$.eval_points[1][0]"),
+        (dict(AVERAGE, point=[-_BIG, 0.2]), "amenable-average", "$.point[0]"),
+    )
+] + [
+    (_TINY_Z2Z2, (command,), 2,
+     "error: $.group.a: the translation z -> (z - a)/(1 - a z) is the identity map")
+    for command in ("orbit", "blaschke-eval", "character", "kernel-gram", "pick-check",
+                    "orbit-pick-check", "interpolate")
+] + [
+    (_OVERFLOW, (command,), 3, "numerical failure: the weighted kernel matrix overflows: "
+     "targets of modulus 1e+200 against kernel entries up to 1.11")
+    for command in ("pick-check", "pick-norm", "interpolate")
+] + [
+    (doc, (command,), 3, _NO_ROW)
+    for doc in (_ALL_CUT, dict(_ALL_CUT, targets=[[0.0, 0.0], [0.0, 0.0]]))
+    for command in ("orbit-pick-check", "pick-check", "pick-norm", "kernel-gram")
+] + [
+    (_BOUNDARY, (command,), 3,
+     "numerical failure: |z| = 0.99950000000000006 exceeds the evaluation radius 0.999")
+    for command in ("pick-check", "pick-norm", "kernel-gram", "interpolate")
+] + [
+    # refused when the problem or the Gram matrix is about to be built:
+    # pick-norm reads no norm 0 off zero targets, and none builds a matrix
+    (_rows_past_the_dimension(w), (command,), 2,
+     "error: matrix dimension 2388 exceeds the supported 2000")
+    for w in (0.0, 0.1)
+    for command in ("pick-check", "orbit-pick-check", "pick-norm", "kernel-gram")
+] + [
+    # a falsy section is not an absent one: it does not default the depth
+    (dict(ORBIT_DEPTHS, truncation=value), (command,), 2, "error: $.truncation: expected an object")
+    for value in ([], 0, False, "", None)
+    for command in ("orbit", "orbit-pick-check")
+] + [
+    (_ALIAS, (command,), 2,
+     "error: nodes 1 and 2 collapse under the inner map but their targets differ")
+    for command in ("pick-check", "pick-norm", "interpolate")
+] + [
+    (_UNDERFLOW, ("pick-norm",), 3, "numerical failure: the squared targets underflow: "
+     "targets of modulus 9e-171 square below the smallest normal double"),
+]
+
+
+def _stderr_fits(err, line):
+    """``err`` is ``line`` and a newline or, for a line ending in "...",
+    one line starting with the rest; it names no traceback or warning."""
+    if line.endswith("..."):
+        fits = err.startswith(line[:-3]) and err.count("\n") == 1
+    else:
+        fits = err == line + "\n"
+    return fits and "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("row", REFUSALS,
+                         ids=[f"{i}-{row[1][0]}" for i, row in enumerate(REFUSALS)])
+def test_refusal(tmp_path, capsys, row):
+    doc, argv, want, line = row
+    code, out, err = run(tmp_path, capsys, doc, *argv)
+    assert (code, out) == (want, "")
+    assert _stderr_fits(err, line), err
+
+
+# Reports pinned byte for byte: (problem, command, exit code), the report
+# being tests/data/<problem>.<command>.out.
 GOLDEN = [
     (problem, command, 0)
     for problem in ("even", "szego4")
@@ -772,16 +787,68 @@ def test_verify_report_matches_golden(capsys):
     assert capsys.readouterr().out == golden
 
 
+def _fresh_env():
+    """The environment with ``src/`` first on PYTHONPATH, for a fresh
+    ``python -m orbitpick.cli`` process."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _cli_benchmark_seeds():
+    """The verify seeds of the cli benchmark workload: s * 1000 + c for
+    seeds s = 1-10 and as many cycles c as bench/run.py plans for
+    BENCHMARK.json's run_seconds."""
+    root = DATA.parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    import run as bench  # pins the BLAS thread count in os.environ
+
+    seconds = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    return [s * 1000 + c for s in range(1, 11) for c in range(bench.cycles_for("cli", seconds))]
+
+
+def check_fresh_processes():
+    """Run every refusal, every golden, ``verify --seed 0`` and ``verify``
+    at every seed of the cli benchmark workload in a fresh process each,
+    as users and that workload start the CLI, and exit 1 naming every
+    run that differs: a refusal in its exit code, stdout or stderr, a
+    golden in its exit code or stdout bytes, a seed in its exit code.
+    From the repository root: ``PYTHONPATH=src python tests/test_cli.py``."""
+    env = _fresh_env()  # before bench/run.py pins the BLAS threads
+    runs = []  # (argv, exit code, stdout bytes or None, stderr line or None)
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (doc, (command, *flags), code, line) in enumerate(REFUSALS):
+            path = pathlib.Path(tmp, f"refusal{i}.json")
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            runs.append(([command, str(path), *flags], code, b"", line))
+        runs += [
+            ([command, str(DATA / f"{problem}_problem.json")], code,
+             (DATA / f"{problem}.{command}.out").read_bytes(), None)
+            for problem, command, code in GOLDEN
+        ]
+        runs.append((["verify", "--seed", "0"], 0, (DATA / "verify-seed0.out").read_bytes(), None))
+        runs += [(["verify", "--seed", str(seed)], 0, None, None) for seed in _cli_benchmark_seeds()]
+        for argv, want, stdout, line in runs:
+            proc = subprocess.run([sys.executable, "-m", "orbitpick.cli", *argv],
+                                  capture_output=True, env=env, timeout=600)
+            err = proc.stderr.decode()
+            if (proc.returncode != want or (stdout is not None and proc.stdout != stdout)
+                    or (line is not None and not _stderr_fits(err, line))):
+                failures.append(f"{' '.join(argv)}: exit {proc.returncode}, expected {want}; "
+                                f"stdout {proc.stdout[:200]!r}; stderr {err!r}")
+    print(f"{len(runs) - len(failures)} of {len(runs)} fresh processes as pinned")
+    if failures:
+        sys.exit("\n".join(failures))
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # The reader closes its end before the report is written, as
     # ``orbitpick ... | head -c 10`` does to a report larger than the pipe.
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     command = [sys.executable, "-m", "orbitpick.cli", "pick-check",
                str(DATA / "even_problem.json")]
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
+                          env=_fresh_env()) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
@@ -1018,3 +1085,7 @@ def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
                     label = f"{command} on {source.name} mutated to {mutant[:200]}"
                     assert code in (0, 1, 2, 3), label
                     assert code < 2 or out == "", label
+
+
+if __name__ == "__main__":
+    check_fresh_processes()

@@ -205,6 +205,18 @@ def test_stabilizer_orders():
     assert stabilizer_order_origin(generic_group([iterate_cyclic(0.5, 1)])) == 1
 
 
+def test_a_stabilizer_order_searches_under_its_orbits_cap():
+    # a Schottky group of three translations whose isometric circles are
+    # disjoint: 117,187 orbit points at depth 7, within the orbit's cap
+    # of 10**6 elements, so the count over the same elements succeeds too
+    group = generic_group([
+        canonicalize(1, -0.9 * cmath.exp(1j * t), -0.9 * cmath.exp(-1j * t), 1)
+        for t in (0.0, 2.1, 4.2)
+    ])
+    assert len(enumerate_orbit(group, 0j, 7).entries) == 117187
+    assert stabilizer_order_origin(group, 7) == 1
+
+
 @pytest.mark.parametrize("group", [
     cyclic_group(0.5),
     z2z2_group(0.5),
@@ -792,7 +804,7 @@ def test_generic_element_search_runs_once_per_group(monkeypatch):
         orders = [stabilizer_order_origin(group, m) for m in range(depth + 1)]
         other = enumerate_orbit(group, 0.2 - 0.1j, depth)
         pick = assemble_pick(PickProblem(nodes, targets, OrbitGramKernel(group, depth)))
-        mp.setattr(orbits, "_STABILIZER_CAP", 5)
+        mp.setattr(orbits, "DEFAULT_POINT_CAP", 5)
         with pytest.raises(OrbitExplosion, match="exceeded the cap of 5 elements"):
             stabilizer_order_origin(group, depth)
 

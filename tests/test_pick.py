@@ -585,6 +585,19 @@ def test_pick_norm_zero_targets():
     assert pick_norm((0.1 + 0j, 0.5j), (0j, 0j), SzegoKernel()) == 0.0
 
 
+@pytest.mark.parametrize("s", [1e-160, 1e-170])
+def test_pick_norm_refuses_targets_whose_squares_underflow(s):
+    # the pencil's B holds |w|^2 = 8.1e-321 (subnormal) resp. 0, which
+    # would read a norm off by 3.7e-4 relative resp. a norm of 0
+    with pytest.raises(NumericalError, match="the squared targets underflow"):
+        pick_norm((0j, 0.5 + 0j), (0j, 0.9 * s + 0j), SzegoKernel())
+
+
+def test_pick_norm_keeps_tiny_targets_whose_squares_are_normal():
+    value = pick_norm((0j, 0.5 + 0j), (0j, 0.9e-150 + 0j), SzegoKernel())
+    assert abs(value - 1.8e-150) <= 1e-15 * 1.8e-150
+
+
 def test_pick_norm_aliased_nodes_rejected():
     b = orbit_product()
     spec = ComposedInnerKernel(b, 2)
