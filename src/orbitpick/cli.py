@@ -64,17 +64,15 @@ def _render(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_repr(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return f"[{_float_repr(c.real)}, {_float_repr(c.imag)}]"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _float_repr(value)
+    if isinstance(value, complex):
+        return f"[{_float_repr(value.real)}, {_float_repr(value.imag)}]"
     if isinstance(value, np.ndarray):
-        if value.ndim != 2 or value.dtype.kind != "c":
-            return _render(value.tolist())
-        # A complex matrix a row at a time; "%.17g" % x is format(x, ".17g").
+        # Reports hold arrays only as complex matrices, rendered a row at
+        # a time; "%.17g" % x is format(x, ".17g").
         parts = np.ascontiguousarray(value, dtype=complex).view(float)
         if not np.isfinite(parts).all():
             raise ValueError(_NON_FINITE)

@@ -42,7 +42,6 @@ from .orbits import GroupPresentation, _orbit_array
 KERNEL_POINT_RADIUS = bl.EVAL_RADIUS_LIMIT
 
 _DISTINCT_TOL = 1e-10
-_COINCIDE = "points {i} and {j} coincide within {tol}"
 
 # Interior circle used for the analytic part of the boundary Gram
 # integrals; any radius in (0, 1) gives the same mean, and at 1/2 the
@@ -146,21 +145,21 @@ def szego_matrix(zs, w=None, scale=1.0) -> np.ndarray:
     return k
 
 
-def check_distinct(points, error: type, message: str) -> list[complex]:
+def check_distinct(points, error: type) -> list[complex]:
     """Validated disk points, pairwise more than ``_DISTINCT_TOL`` apart
     in the pseudo-hyperbolic metric.  The first pair i < j within it
-    raises ``error(message.format(i=i, j=j, tol=_DISTINCT_TOL))``."""
+    raises ``error``, naming the pair and the tolerance."""
     pts = [disk_point(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pseudo_hyperbolic(pts[i], pts[j]) <= _DISTINCT_TOL:
-                raise error(message.format(i=i, j=j, tol=_DISTINCT_TOL))
+                raise error(f"points {i} and {j} coincide within {_DISTINCT_TOL}")
     return pts
 
 
 def _kernel_points(points) -> list[complex]:
     """At least one point, each validated and distinct (``check_distinct``)."""
-    pts = check_distinct(points, DuplicatePoints, _COINCIDE)
+    pts = check_distinct(points, DuplicatePoints)
     if not pts:
         raise InputError("at least one point is required")
     return pts

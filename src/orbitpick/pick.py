@@ -97,7 +97,6 @@ from .linalg import (
 from .mobius import _complex, _denominator_parts, _product, _quotient, disk_point, iterate_images
 from .orbits import GroupPresentation
 
-_COINCIDE = "nodes {i} and {j} coincide"
 _ALIAS_TOL = 1e-10
 _TARGET_RESIDUAL = 1e-8
 
@@ -129,7 +128,7 @@ class PickProblem:
     _overflow: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = tuple(check_distinct(self.nodes, DuplicateNodes, _COINCIDE))
+        nodes = tuple(check_distinct(self.nodes, DuplicateNodes))
         if not nodes:
             raise InputError("at least one node is required")
         if len(nodes) != len(self.targets):

@@ -124,7 +124,7 @@ def test_distinctness_errors_keep_their_class_and_message():
     with pytest.raises(DuplicatePoints, match=message) as exc:
         gram(SzegoKernel(), [0.3j, 0.1 + 0j, 0.1 + 0j])
     assert type(exc.value) is DuplicatePoints
-    with pytest.raises(DuplicateNodes, match=r"^nodes 0 and 1 coincide$"):
+    with pytest.raises(DuplicateNodes, match=r"^points 0 and 1 coincide within 1e-10$"):
         pick_norm([0.1 + 0j, 0.1 + 1e-12j], [0j, 0.5 + 0j], SzegoKernel())
 
 
