@@ -82,65 +82,3 @@ from .pick import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AliasedNodes",
-    "BlaschkeProduct",
-    "CharacterReport",
-    "ComposedInnerKernel",
-    "ComposedInterpolant",
-    "DiskAutomorphism",
-    "DuplicateNodes",
-    "DuplicatePoints",
-    "FeasibilityReport",
-    "GramMatrix",
-    "GroupPresentation",
-    "HermitianMatrix",
-    "InconclusiveCharacter",
-    "Infeasible",
-    "InputError",
-    "NotDiskAutomorphism",
-    "NotInDisk",
-    "NoTailBound",
-    "NumericalError",
-    "Orbit",
-    "OrbitEntry",
-    "OrbitExplosion",
-    "OrbitGramKernel",
-    "OrbitPickError",
-    "PickProblem",
-    "PsdReport",
-    "SchemaError",
-    "SchurInterpolant",
-    "SzegoKernel",
-    "TooCloseToBoundary",
-    "UnsupportedVariant",
-    "amenable_average",
-    "assemble_pick",
-    "boundary_gram_quadrature",
-    "brute_force_psd_3x3",
-    "canonicalize",
-    "character_of",
-    "cyclic_group",
-    "cyclic_orbit_weight",
-    "disk_point",
-    "dominance_check",
-    "enumerate_orbit",
-    "evaluate",
-    "evaluate_composed",
-    "evaluate_interpolant",
-    "feasibility",
-    "from_orbit",
-    "generic_group",
-    "gram",
-    "interpolate_composed",
-    "interpolate_disk",
-    "iterate_cyclic",
-    "min_eig",
-    "pencil_max",
-    "pick_norm",
-    "psd_check",
-    "pseudo_hyperbolic",
-    "stabilizer_order_origin",
-    "z2z2_group",
-]

@@ -248,10 +248,7 @@ def _parse_kernel(doc: dict, args) -> kn.SzegoKernel | kn.ComposedInnerKernel | 
         group, depth, strict = _truncation(doc, args)
         orbit = orb.enumerate_orbit(group, 0j, depth)
         inner = bl.from_orbit(orbit, 1, strict=strict)
-        try:
-            return kn.ComposedInnerKernel(inner, power)
-        except InputError as exc:
-            _fail("$.kernel", str(exc))
+        return kn.ComposedInnerKernel(inner, power)
     if variant == "orbit":
         return _orbit_kernel(doc, args)
     _fail("$.kernel.variant", "expected 'szego', 'composed', or 'orbit'")

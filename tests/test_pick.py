@@ -673,20 +673,41 @@ def test_pick_norm_matches_mpmath_at_sixteen_nodes(seed):
     assert abs(pick_norm(nodes, targets, SzegoKernel()) - ref) <= 1e-12 * ref
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absolute tolerance "
-                   "accepts well-conditioned n = 16 data far past their norm")
-@pytest.mark.parametrize("norm", [1.01, 10.0])
-def test_feasibility_refuses_sixteen_nodes_past_their_norm(norm):
-    # seed 3 of the data above, targets scaled to a reference norm of
-    # 1.01 or 10: the smallest Pick eigenvalue is negative, but below
-    # the tolerance 1e-10 (1 + max diagonal) in modulus, so the verdict
-    # reads feasible at both (and at 2)
+def _sixteen_nodes_at(norm):
+    """Seed 3 of the data above, targets scaled to a reference norm of
+    ``norm``: (nodes, targets)."""
     rng = np.random.default_rng(3)
     nodes = random_nodes(rng, 16)
     targets = tuple(complex(*(rng.random(2) - 0.5)) for _ in range(16))
     scale = norm / mpmath_pencil_norm(nodes, targets, 50)
-    report = feasibility(PickProblem(nodes, tuple(scale * w for w in targets), SzegoKernel()))
+    return nodes, tuple(scale * w for w in targets)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absolute tolerance "
+                   "accepts well-conditioned n = 16 data far past their norm")
+@pytest.mark.parametrize("norm", [1.01, 10.0])
+def test_feasibility_refuses_sixteen_nodes_past_their_norm(norm):
+    # the smallest Pick eigenvalue is negative, but below the tolerance
+    # 1e-10 (1 + max diagonal) in modulus, so the verdict reads feasible
+    # at both norms (and at 2)
+    report = feasibility(PickProblem(*_sixteen_nodes_at(norm), SzegoKernel()))
     assert not report.psd.is_psd
+
+
+@pytest.mark.parametrize("norm", [1.01, 10.0])
+def test_interpolate_disk_refuses_sixteen_nodes_past_their_norm(norm):
+    # today the verdict reads feasible and the residual check after the
+    # recursion refuses; once the verdict refuses first, its message differs
+    with pytest.raises(Infeasible):
+        interpolate_disk(*_sixteen_nodes_at(norm))
+
+
+def test_szego16_file_holds_the_sixteen_nodes_at_norm_1_01():
+    doc = json.loads((DATA / "szego16_problem.json").read_text(encoding="utf-8"))
+    nodes, targets = _sixteen_nodes_at(1.01)
+    assert [complex(*p) for p in doc["nodes"]] == list(nodes)
+    assert [complex(*w) for w in doc["targets"]] == list(targets)
+    assert doc["kernel"] == {"variant": "szego"}
 
 
 def _near_boundary_draws(count):
