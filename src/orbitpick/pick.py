@@ -49,13 +49,15 @@ rejects is reported as a ``NumericalError``.  Both interpolants are
 built by ``_interpolate`` from the problem's Szegő points, the nodes or
 their values phi(z_j) under an inner function phi, so a composed
 problem is the disk problem at those points composed back, with the
-verdict ``feasibility`` gives, one pass of Schur's recursion in
-generator form (Kailath and Sayed, SIAM Review 37, 1995), in node
-order, which multiplies by each Blaschke factor where the classical
-form divides by it and amplifies rounding, and one residual check at
-every point.  ``interpolant_values`` unwinds the recursion across many
-points in numpy, with Python's complex product and quotient in real
-arithmetic as ``mobius._product`` and ``mobius._quotient`` state them.
+verdict ``feasibility`` gives, one pass of the verdict's own recursion
+at tol 0 on the generator [1, w] (``_schur_recursion``), which records
+each pivot's node and Schur parameter and ends with a unimodular one
+where that verdict would stop, and one residual check at every point.
+The interpolant with free parameter 0 depends on the pivot order; each
+order gives a valid one.  ``interpolant_values`` unwinds the recursion
+across many points in numpy, with Python's complex product and quotient
+in real arithmetic as ``mobius._product`` and ``mobius._quotient`` state
+them.
 """
 
 from __future__ import annotations
@@ -470,10 +472,11 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
             f"the squared targets underflow: targets of modulus {m:.3g} square "
             "below the smallest normal double"
         )
-    w = problem._row_targets[1]
+    e = math.frexp(m)[1]
+    w = problem._row_targets[1] * 2.0**-e
     kmat = szego_matrix(problem._folded[0])
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
-    c = math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0))
+    c = math.ldexp(math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0)), e)
     del kmat, b
     if not _pick_verdict(problem, c, None).psd.is_psd:
         raise NumericalError(
@@ -556,18 +559,21 @@ def interpolate_disk(nodes, targets) -> SchurInterpolant:
     Built by ``_interpolate``: the Szegő-kernel Pick matrix that
     ``feasibility`` factors must be positive within the default
     tolerance, otherwise ``Infeasible`` is raised, and one pass of
-    ``_schur_recursion`` (generator form) builds the interpolant, with
-    the free parameter 0 at every undetermined step; when the matrix is
-    singular it reaches a unimodular parameter and the result is the
-    unique finite Blaschke-type solution.
+    ``_schur_recursion``, the verdict's pivoted generator recursion at
+    tol 0, builds the interpolant, with the free parameter 0 after the
+    last pivot; where the matrix is singular it ends with a unimodular
+    parameter and the result is the unique finite Blaschke-type
+    solution.  The nodes are kept in pivot order; the interpolant
+    depends on that order, and each order gives a valid one.
     """
     return _interpolate(_scalar_problem(nodes, targets, SzegoKernel()))
 
 
 def _interpolate(problem: PickProblem) -> SchurInterpolant:
     """The disk interpolant g with g(p_j) = w_j at the problem's Szegő
-    points p_j, if ``feasibility`` accepts the problem, the recursion run
-    on the nodes no earlier node aliases."""
+    points p_j, if ``feasibility`` accepts the problem, built by
+    ``_schur_recursion`` on the points no earlier node aliases and
+    refused unless it meets every target within 1e-8."""
     targets = problem.targets
     points, keep = problem._rows[0].tolist(), problem._rows[2]
     psd = feasibility(problem).psd
@@ -584,41 +590,39 @@ def _interpolate(problem: PickProblem) -> SchurInterpolant:
 
 
 def _schur_recursion(nodes, targets) -> SchurInterpolant:
-    """Schur's reduction in generator form, in node order: node j
-    carries (a_j, b_j), initially (1, w_j), with reduced target
-    b_j / a_j.  Step k takes rho = b_k / a_k and maps each later pair to
-    ((a_j - conj(rho) b_j) beta_k(z_j), b_j - rho a_j) / sqrt(1 - |rho|^2),
-    with beta_k(z) = (z - z_k) / (1 - conj(z_k) z).  The first pair with
-    |b_k| >= |a_k| ends the pass with the unimodular parameter of phase
-    b_k conj(a_k): the boundary solution of rank k + 1."""
-    pairs = [(1.0 + 0j, w) for w in targets]
-    params: list[complex] = []
-    degenerate = None
-    for k, zk in enumerate(nodes):
-        a, b = pairs[k]
-        ma, mb = abs(a), abs(b)
-        if mb >= ma:
-            p = b * a.conjugate()
-            # p is 0 where a_j - conj(rho) b_j rounded to 0; any phase will do
-            params.append(p / abs(p) if p else 1.0 + 0j)
-            degenerate = k + 1
-            break
-        rho = b / a
+    """Schur's reduction as ``_schur_steps`` runs it at tol 0 on the
+    generator [1, w], on Python complex numbers: each step pivots on the
+    largest d_k = (|a_k|^2 - |b_k|^2) / (1 - |p_k|^2), records (p_k,
+    rho = b_k / a_k) and maps the other rows by the hyperbolic rotation
+    and the Blaschke factor of p_k, the last row taking row k's slot.
+    Where the verdict would stop, max d <= 0 or min d < 0, the pass ends
+    with the unimodular parameter of phase b_k conj(a_k) at the largest
+    d: the boundary solution, its rank the parameter count."""
+    a, b, p = [1.0 + 0j] * len(nodes), list(targets), list(nodes)
+    q = [1.0 - _sq(z) for z in p]
+    pivots, params = [], []
+    while p:
+        d = [(_sq(x) - _sq(y)) / r for x, y, r in zip(a, b, q)]
+        dk = max(d)
+        k = d.index(dk)
+        ak, bk, pk = a[k], b[k], p[k]
+        pivots.append(pk)
+        if dk <= 0.0 or min(d) < 0.0:
+            phase = bk * ak.conjugate()
+            # phase is 0 where a_k and b_k both rounded to 0; any will do
+            params.append(phase / abs(phase) if phase else 1.0 + 0j)
+            return SchurInterpolant(tuple(pivots), tuple(params), len(params))
+        rho = bk / ak
         params.append(rho)
-        r = mb / ma  # < 1, so 1 - |rho|^2 rounds to a positive value
-        scale = math.sqrt((1.0 - r) * (1.0 + r))
-        for j in range(k + 1, len(nodes)):
-            aj, bj = pairs[j]
-            beta = (nodes[j] - zk) / (1.0 - zk.conjugate() * nodes[j])
-            pairs[j] = (
-                (aj - rho.conjugate() * bj) / scale * beta,
-                (bj - rho * aj) / scale,
-            )
-    return SchurInterpolant(
-        nodes=nodes[: len(params)],
-        schur_parameters=tuple(params),
-        degenerate_rank=degenerate,
-    )
+        s = math.sqrt(dk * q[k]) / abs(ak)  # sqrt(1 - |rho|^2)
+        for v in (a, b, p, q):
+            v[k] = v[-1]
+            del v[-1]
+        for i, pi in enumerate(p):
+            ai = (a[i] - b[i] * rho.conjugate()) * (1.0 / s)
+            b[i] = b[i] * s - ai * rho
+            a[i] = ai * ((pi - pk) / (1.0 - pk.conjugate() * pi))
+    return SchurInterpolant(tuple(pivots), tuple(params))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,16 @@ def random_nodes(rng, count, rmax=0.6, min_separation=0.15):
     return tuple(nodes)
 
 
+def large_target_draw(seed, scale=1e152):
+    """Szegő data whose targets square near the double range: n in
+    [2, 8) nodes 0.8 (rng.random(2) - 0.5), then n targets scale *
+    (rng.random(2) - 0.5), from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    nodes = tuple(complex(*(0.8 * (rng.random(2) - 0.5))) for _ in range(n))
+    return nodes, tuple(scale * complex(*(rng.random(2) - 0.5)) for _ in range(n))
+
+
 class FiniteBlaschke:
     """Unimodular constant times a product of disk factors; sup norm 1."""
 

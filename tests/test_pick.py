@@ -5,6 +5,7 @@ import pathlib
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     blaschke_products,
     disk_points,
+    large_target_draw,
     random_disk_point,
     random_finite_blaschke,
     random_nodes,
@@ -598,6 +600,28 @@ def test_pick_norm_keeps_tiny_targets_whose_squares_are_normal():
     assert abs(value - 1.8e-150) <= 1e-15 * 1.8e-150
 
 
+def test_pick_norm_solves_targets_near_the_squared_range_at_unit_scale():
+    # targets of modulus up to 5e151 pass the overflow bound at scale 0;
+    # unscaled, the pencil's U^H B U overflowed on 28 of these draws and
+    # eigvalsh raised LinAlgError after numpy's RuntimeWarnings.  Scaled
+    # by a power of 2, each draw gives a norm with exactly the bits of
+    # the same targets scaled by 2^-500, or the verdict's overflow refusal
+    norms = 0
+    for seed in range(100):
+        nodes, targets = large_target_draw(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                c = pick_norm(nodes, targets, SzegoKernel())
+            except NumericalError as exc:
+                assert str(exc).startswith("the weighted kernel matrix overflows")
+                continue
+            small = tuple(w * 2.0**-500 for w in targets)
+            assert math.ldexp(pick_norm(nodes, small, SzegoKernel()), 500) == c
+        norms += 1
+    assert norms == 57
+
+
 def test_pick_norm_aliased_nodes_rejected():
     b = orbit_product()
     spec = ComposedInnerKernel(b, 2)
@@ -694,12 +718,51 @@ def test_feasibility_refuses_sixteen_nodes_past_their_norm(norm):
     assert not report.psd.is_psd
 
 
-@pytest.mark.parametrize("norm", [1.01, 10.0])
+@pytest.mark.parametrize("norm", [1.1, 2.0, 10.0])
 def test_interpolate_disk_refuses_sixteen_nodes_past_their_norm(norm):
     # today the verdict reads feasible and the residual check after the
-    # recursion refuses; once the verdict refuses first, its message differs
-    with pytest.raises(Infeasible):
+    # recursion refuses (60-digit residuals 5.0e-8, 5.0e-7 and 6.9e-6);
+    # once the verdict refuses first, its message differs
+    with pytest.raises(Infeasible, match="could not reproduce the targets"):
         interpolate_disk(*_sixteen_nodes_at(norm))
+
+
+def mp_interpolant_residual(s, points, targets, dps=60):
+    """max |s(z) - w| over the points, the recursion of ``s`` unwound at
+    ``dps`` digits on its double nodes and parameters taken as exact."""
+    with mpmath.workdps(dps):
+        worst = mpmath.mpf(0)
+        for z, w in zip(points, targets):
+            z, v = mpmath.mpc(z), mpmath.mpc(0)
+            for zk, rho in zip(reversed(s.nodes), reversed(s.schur_parameters)):
+                zk, rho = mpmath.mpc(zk), mpmath.mpc(rho)
+                u = v * (z - zk) / (1 - mpmath.conj(zk) * z)
+                v = (u + rho) / (1 + mpmath.conj(rho) * u)
+            worst = max(worst, abs(v - w))
+        return float(worst)
+
+
+def assert_schur_parameters(s):
+    """Every parameter lies inside the disk but a final unimodular one,
+    whose position ``degenerate_rank`` records."""
+    params = s.schur_parameters
+    if s.degenerate_rank is None:
+        assert all(abs(rho) < 1.0 for rho in params)
+    else:
+        assert s.degenerate_rank == len(params)
+        assert all(abs(rho) < 1.0 for rho in params[:-1])
+        assert abs(abs(params[-1]) - 1.0) <= 1e-15
+
+
+def test_interpolate_disk_builds_sixteen_nodes_just_past_their_norm():
+    # the verdict reads feasible at norm 1.01 (item 2), and the pivoted
+    # pass builds a Schur function of 15 pivots and a final unimodular
+    # parameter that meets the targets within the 1e-8 residual guard
+    nodes, targets = _sixteen_nodes_at(1.01)
+    s = interpolate_disk(nodes, targets)
+    assert_schur_parameters(s)
+    assert s.degenerate_rank == 16
+    assert mp_interpolant_residual(s, nodes, targets) <= 1e-8
 
 
 def test_szego16_file_holds_the_sixteen_nodes_at_norm_1_01():
@@ -740,6 +803,25 @@ def test_feasibility_decides_near_boundary_draws():
         if feasibility(PickProblem(nodes, targets, SzegoKernel())).psd.is_psd != (norm <= 1.0)
     ]
     assert wrong == []
+
+
+def test_interpolate_disk_on_near_boundary_draws():
+    # the interpolant exists at a reference norm <= 1; of the other 22
+    # draws the verdict refuses 9 and the residual check 13
+    built, refused = [], {}
+    for nodes, targets, norm in _near_boundary_draws(40):
+        try:
+            s = interpolate_disk(nodes, targets)
+        except Infeasible as exc:
+            key = "verdict" if str(exc).startswith("Pick matrix") else "residual"
+            refused[key] = refused.get(key, 0) + 1
+            assert norm > 1.0
+            continue
+        assert norm <= 1.0
+        assert_schur_parameters(s)
+        assert mp_interpolant_residual(s, nodes, targets) <= 1e-15
+        built.append(norm)
+    assert len(built) == 18 and refused == {"verdict": 9, "residual": 13}
 
 
 @pytest.mark.parametrize("n", [6, 12])
@@ -1038,14 +1120,17 @@ def test_interpolate_schwarz_equality_gives_identity():
 
 
 def test_interpolate_stops_at_a_pair_that_rounds_to_zero():
-    # conj(w0) * w1 rounds to exactly 1, so the second pair is (0, b):
-    # its reduced target is infinite and the pass stops with parameter
-    # 1, which meets both targets to the residual guard
+    # conj(w0) * w1 rounds to exactly 1, so unpivoted, the second pair
+    # would be (0, b), its reduced target infinite.  The second row's
+    # d = (1 - |w1|^2) / 0.75 is negative, so the pass stops at its first
+    # step with the phase of w0, parameter 1, which meets both targets to
+    # the residual guard
     w0 = 1.0 - 2.0**-36
     nodes, targets = (0j, 0.5 + 0j), (complex(w0), complex(1.0 / w0))
     s = interpolate_disk(nodes, targets)
-    assert s.schur_parameters == (targets[0], 1.0 + 0j)
-    assert s.degenerate_rank == 2
+    assert s.nodes == (0j,)
+    assert s.schur_parameters == (1.0 + 0j,)
+    assert s.degenerate_rank == 1
 
 
 def test_interpolate_infeasible_raises():
@@ -1232,11 +1317,11 @@ def test_composed_merges_consistent_aliases():
     assert len(f.schur.nodes) == 1
     with pytest.raises(AliasedNodes):
         interpolate_composed((0.3 + 0j, -0.3 + 0j), (w, -w), b, 2)
-    # the first node of each class is kept
+    # the first node of each class is kept; they come in pivot order
     nodes = (0.1 + 0j, -0.3 + 0j, 0.2j, 0.3 + 0j, -0.2j)
     targets = tuple(0.5 * spec.value(z) + 0.1 for z in nodes)
     f = interpolate_composed(nodes, targets, b, 2)
-    assert f.schur.nodes == tuple(spec.value(nodes[i]) for i in (0, 1, 2))
+    assert Counter(f.schur.nodes) == Counter(spec.value(nodes[i]) for i in (0, 1, 2))
 
 
 _GRID_4096 = 0.999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
@@ -1267,7 +1352,7 @@ def test_disk_interpolates_fifty_nodes_in_a_small_square():
     nodes = box_nodes(rng, 50)
     targets = tuple(0.5 * z for z in nodes)
     s = interpolate_disk(nodes, targets)
-    assert max(abs(evaluate_interpolant(s, z) - w) for z, w in zip(nodes, targets)) <= 1e-10
+    assert max(abs(evaluate_interpolant(s, z) - w) for z, w in zip(nodes, targets)) <= 1e-12
     assert np.max(np.abs(interpolant_values(s, _GRID_4096))) <= 1.0 + 1e-12
 
 
@@ -1297,7 +1382,8 @@ def test_feasible_composed_data_never_yield_infeasible():
         targets = tuple(c * (v - alpha) / (1.0 - alpha.conjugate() * v) for v in zeta)
         if feasibility(PickProblem(nodes, targets, spec)).psd.is_psd:
             feasible += 1
-            interpolate_composed(nodes, targets, spec.inner, spec.power)
+            f = interpolate_composed(nodes, targets, spec.inner, spec.power)
+            assert max(abs(evaluate_composed(f, z) - w) for z, w in zip(nodes, targets)) <= 1e-14
     assert feasible == 40
 
 
@@ -1563,5 +1649,5 @@ def test_composed_points_stay_inside_the_disk():
     assert max(map(abs, points)) <= 0.999
     targets = tuple(0.5 * p for p in points)
     f = interpolate_composed(nodes, targets, inner, 1)
-    assert f.schur.nodes == tuple(points)
+    assert Counter(f.schur.nodes) == Counter(points)  # in pivot order
     assert max(abs(f(z) - w) for z, w in zip(nodes, targets)) <= 1e-8
