@@ -185,22 +185,17 @@ class Orbit:
         return tuple(e.point for e in self.entries)
 
 
-def enumerate_orbit(
-    group: GroupPresentation,
-    base: complex,
-    max_word_length: int,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    max_points: int = DEFAULT_POINT_CAP,
-) -> Orbit:
+def enumerate_orbit(group: GroupPresentation, base: complex, max_word_length: int) -> Orbit:
     """Breadth-first truncated orbit of ``base`` under ``group``.
 
     Deterministic: identical inputs give identical orbits, order and
-    all.  ``dedup_tol`` must lie in (0, 1e-6].  More than
-    ``max_points`` accepted points raise ``OrbitExplosion``; a generic
-    presentation finds that out after its element search.
+    all.  Points within ``DEFAULT_DEDUP_TOL`` of an accepted one are
+    duplicates, and more than ``DEFAULT_POINT_CAP`` accepted points
+    raise ``OrbitExplosion``; a generic presentation finds that out
+    after its element search, under the same cap on its elements.
     """
     base, candidates, word, (mod, accepted, dropped, dropped_weight), tail = _accept(
-        group, base, max_word_length, dedup_tol, max_points
+        group, base, max_word_length
     )
     # entries and words for the accepted points only; the sum adds its
     # terms in candidate order
@@ -216,7 +211,7 @@ def enumerate_orbit(
         group=group,
         base=base,
         max_word_length=max_word_length,
-        dedup_tol=dedup_tol,
+        dedup_tol=DEFAULT_DEDUP_TOL,
         entries=tuple(entries),
         partial_sum=partial_sum,
         tail_bound=tail,
@@ -229,25 +224,22 @@ def _orbit_array(group: GroupPresentation, base: complex, max_word_length: int):
     """(points, tail_bound): the points of ``enumerate_orbit(group, base,
     max_word_length)`` as one array, in entry order, and its tail bound,
     without entries or words."""
-    _, candidates, _, (_, accepted, _, _), tail = _accept(
-        group, base, max_word_length, DEFAULT_DEDUP_TOL, DEFAULT_POINT_CAP
-    )
+    _, candidates, _, (_, accepted, _, _), tail = _accept(group, base, max_word_length)
     return candidates[accepted], tail
 
 
-def _accept(group, base, n_max: int, dedup_tol: float, cap: int):
+def _accept(group, base, n_max: int):
     """(base, candidates, word, filtered, tail_bound): the validated
     base, the orbit's candidate points in enumeration order with
     ``word(k)`` the word of candidate k, what ``_filter`` keeps of them
-    and the orbit's tail bound."""
+    at ``DEFAULT_DEDUP_TOL`` under ``DEFAULT_POINT_CAP``, and the
+    orbit's tail bound."""
     base = disk_point(base)
     if n_max < 0:
         raise InputError("max_word_length must be nonnegative")
-    if not 0.0 < dedup_tol <= 1e-6:
-        raise InputError("dedup_tol must lie in (0, 1e-6]")
     candidates, word = _candidates(group, base, n_max)
-    filtered = _filter(candidates, dedup_tol, cap)
-    tail = _tail_bound(group, base, n_max, dedup_tol, filtered[3])
+    filtered = _filter(candidates, DEFAULT_DEDUP_TOL, DEFAULT_POINT_CAP)
+    tail = _tail_bound(group, base, n_max, filtered[3])
     return base, candidates, word, filtered, tail
 
 
@@ -255,8 +247,9 @@ def _candidates(group, base, n_max):
     """The orbit's candidate points in enumeration order, base first, and
     the function from a candidate's index to its word."""
     if group.kind == GENERIC:
-        # max_points bounds accepted points only: a nontrivial stabilizer
-        # makes the element count exceed the point count.
+        # the cap bounds elements here and accepted points in _filter: a
+        # nontrivial stabilizer makes the element count exceed the point
+        # count.
         words, a, lam = _generic_elements(group, n_max, DEFAULT_POINT_CAP)
         images = automorphism_images(a[1:], lam[1:], base)
         word = words.__getitem__
@@ -467,7 +460,7 @@ def _admit(a: np.ndarray, lam: np.ndarray, new_a: np.ndarray, new_lam: np.ndarra
     return _distinct(keys, side, same)[near.size:]
 
 
-def _tail_bound(group, base, n_max, dedup_tol, dropped_weight) -> float | None:
+def _tail_bound(group, base, n_max, dropped_weight) -> float | None:
     """Geometric bound on the weight of omitted orbit points.
 
     For the cyclic group the iterate parameters satisfy
@@ -482,7 +475,7 @@ def _tail_bound(group, base, n_max, dedup_tol, dropped_weight) -> float | None:
     if group.kind == GENERIC:
         return None
     q = (1.0 - abs(group.a)) / (1.0 + abs(group.a))
-    base0 = abs(base) <= dedup_tol
+    base0 = abs(base) <= DEFAULT_DEDUP_TOL
     per_term = 2.0 if base0 else 4.0 * (1.0 + abs(base)) / (1.0 - abs(base))
     if group.kind == CYCLIC:
         tail = 2.0 * per_term * q ** (n_max + 1) / (1.0 - q)

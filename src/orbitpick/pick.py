@@ -63,7 +63,6 @@ them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -457,23 +456,21 @@ def pick_norm(nodes, targets, kernel: KernelSpec) -> float:
     verdict ``feasibility`` gives at 1, accepts it, so a norm <= 1 comes
     with a feasible verdict.  When it rejects c, target weight sits on
     directions K annihilates at double precision, no norm is certified
-    and ``NumericalError`` is raised.  So it is when the largest squared
-    target modulus is below the smallest normal double (a modulus below
-    about 1.5e-154): B's entries would lose digits or vanish, and a
-    pencil of B = 0 would read a norm of 0.
+    and ``NumericalError`` is raised.
+
+    c is homogeneous in the targets, so the pencil is solved on them
+    scaled by 2^-e, e the binary exponent of their largest modulus, and
+    its root scaled back by 2^e: scaling the targets by a power of 2
+    that keeps them exact scales the norm by it, bit for bit.
     """
     problem = _scalar_problem(nodes, targets, kernel)
     if not any(problem.targets):
         return 0.0
     _check_finite(problem, 0.0)
-    km2, m, _ = problem._overflow
-    if km2 < sys.float_info.min:
-        raise NumericalError(
-            f"the squared targets underflow: targets of modulus {m:.3g} square "
-            "below the smallest normal double"
-        )
-    e = math.frexp(m)[1]
-    w = problem._row_targets[1] * 2.0**-e
+    e = math.frexp(problem._overflow[1])[1]
+    # 2^-e in two factors, as 2.0**1073 overflows for a subnormal
+    # modulus: the second is 1 unless e < -1000, and scaling up is exact
+    w = problem._row_targets[1] * 2.0**-max(e, -1000) * 2.0**-min(e + 1000, 0)
     kmat = szego_matrix(problem._folded[0])
     b = HermitianMatrix(np.outer(w, w.conj()) * kmat)
     c = math.ldexp(math.sqrt(max(pencil_max(HermitianMatrix._adopt(kmat), b), 0.0)), e)
@@ -675,19 +672,19 @@ def amenable_average(
     cyclic group: the concrete invariant-mean projection applied to the
     monomial z^n.  Odd powers average toward 0 and even powers toward 1
     as the window grows, since the iterates of any interior point sweep
-    out to the two boundary fixed points.
+    out to the two boundary fixed points.  A negative parameter -a
+    generates the inverse of the generator at a, the same group, and
+    the window is symmetric, so both give the same average up to the
+    summation order.
     """
     if group.kind != "cyclic":
         raise InputError("averaging is defined for the cyclic kind only")
-    a = group.a
-    if not 0.0 < a < 1.0:
-        raise InputError("averaging requires a parameter in (0, 1)")
     z = disk_point(z)
     if monomial_power < 0:
         raise InputError("monomial power must be nonnegative")
     if terms < 0:
         raise InputError("the window size must be nonnegative")
     total = 0j
-    for w in iterate_images(a, np.arange(-terms, terms + 1), z).tolist():
+    for w in iterate_images(group.a, np.arange(-terms, terms + 1), z).tolist():
         total += w**monomial_power
     return total / (2 * terms + 1)

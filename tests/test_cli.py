@@ -506,6 +506,18 @@ AVERAGE = {
 }
 
 
+def test_amenable_average_takes_a_negative_parameter(tmp_path, capsys):
+    # -a generates the same group as a: the averages differ in the
+    # summation order only
+    averages = []
+    for a in (0.5, -0.5):
+        code, out, err = run(tmp_path, capsys, dict(AVERAGE, group={"kind": "cyclic", "a": a}),
+                             "amenable-average")
+        assert (code, err) == (0, "")
+        averages.append(complex(*json.loads(out)["average"]))
+    assert abs(averages[0] - averages[1]) <= 1e-15
+
+
 @pytest.mark.parametrize("field, message", [
     ("terms", "$.terms: the window size must be nonnegative"),
     ("monomial_power", "$.monomial_power: monomial power must be nonnegative"),
@@ -625,7 +637,8 @@ _ALIAS = {"group": {"kind": "z2z2", "a": 0.5}, "truncation": {"depth": 120},
           "nodes": [[0.1, 0.0], [0.3, 0.0], [-0.3, 0.0]],
           "targets": [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]],
           "kernel": {"variant": "composed", "power": 2}}
-# |w|^2 = 8.1e-341 underflows to 0, and B = 0 would read a norm of 0
+# |w|^2 = 8.1e-341 underflows to 0: a pencil of B = 0 would read a norm
+# of 0, and pick-norm solves it at unit scale instead
 _UNDERFLOW = dict(FEASIBLE, targets=[[0.0, 0.0], [0.9e-170, 0.0]])
 # targets of modulus up to 5.15e151 pass the overflow bound at scale 0;
 # the pencil is solved at unit scale, and the verdict at its norm refuses
@@ -723,9 +736,6 @@ REFUSALS = [
      "error: nodes 1 and 2 collapse under the inner map but their targets differ")
     for command in ("pick-check", "pick-norm", "interpolate")
 ] + [
-    (_UNDERFLOW, ("pick-norm",), 3, "numerical failure: the squared targets underflow: "
-     "targets of modulus 9e-171 square below the smallest normal double"),
-] + [
     # coincident nodes: every command refuses the file before any report
     (_problem("duplicate"), (command,), 2, "error: points 0 and 2 coincide within 1e-10")
     for command in ("kernel-gram", "pick-check", "orbit-pick-check", "pick-norm", "interpolate")
@@ -744,6 +754,18 @@ REFUSALS = [
      ("pick-check",), 2, "error: $.targets[1]: expected a square matrix of [re, im] pairs"),
     (_LARGE, ("pick-norm",), 3, "numerical failure: the weighted kernel matrix overflows: "
      "targets of modulus 5.15e+151 against kernel entries up to 1.32"),
+] + [
+    # a generator whose canonical form fails one of mobius.canonicalize's checks
+    ({"group": {"kind": "generic", "generators": [generator]}, "truncation": {"depth": 2}},
+     ("orbit",), 2, f"error: $.group.generators[0]: {line}")
+    for generator, line in (
+        ([[1e-20, 0.0], [0.999999999, 0.0], [0.0, 0.0], [1.0, 0.0]],
+         "degenerate map: leading coefficient vanishes"),
+        ([[1e-13, 0.0], [0.999999999, 0.0], [0.0, 0.0], [1.0, 0.0]],
+         "preimage of 0 lies outside the disk"),
+        ([[1.0, 0.0], [1e-9, 0.0], [0.0, 0.0], [1.0, 0.0]],
+         "canonical form does not reproduce the map on the probe grid"),
+    )
 ]
 
 
@@ -764,6 +786,44 @@ def test_refusal(tmp_path, capsys, row):
     code, out, err = run(tmp_path, capsys, doc, *argv)
     assert (code, out) == (want, "")
     assert _stderr_fits(err, line), err
+
+
+def test_pick_norm_of_targets_whose_squares_underflow(tmp_path, capsys):
+    # 0.9e-170 / 0.5, the two-point distance formula
+    code, out, err = run(tmp_path, capsys, _UNDERFLOW, "pick-norm")
+    assert (code, err) == (0, "")
+    assert out == ('{"command": "pick-norm", "version": "%s", '
+                   '"pick_norm": 1.8000000000000002e-170}\n' % __version__)
+
+
+def _szego_doc(nodes, targets):
+    return {"nodes": [[z.real, z.imag] for z in nodes],
+            "targets": [[w.real, w.imag] for w in targets], "kernel": {"variant": "szego"}}
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -520])
+def test_scalar_commands_agree_on_targets_whose_squares_underflow(tmp_path, capsys, k):
+    # large_target_draw's recipe at scale 2^k: every draw is feasible,
+    # and pick-norm answers as pick-check and interpolate do
+    for seed in range(10):
+        doc = _szego_doc(*large_target_draw(seed, 2.0**k))
+        for command in ("pick-check", "pick-norm", "interpolate"):
+            code, _, err = run(tmp_path, capsys, doc, command)
+            assert (code, err) == (0, ""), (seed, command)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 15: pick-norm refuses targets "
+                   "whose Pick matrix at its norm overflows, where pick-check and "
+                   "interpolate answer")
+def test_scalar_commands_agree_on_targets_near_the_squared_range(tmp_path, capsys):
+    # _LARGE, seed 0 of the recipe at scale 1e152: pick-check and
+    # interpolate exit 1 (min eigenvalue -1.275e304), and pick-norm exits
+    # 3, as the verdict at its norm c checks the matrix at c^2 and overflows
+    check = run(tmp_path, capsys, _LARGE, "pick-check")[0]
+    assert run(tmp_path, capsys, _LARGE, "interpolate")[0] == check
+    code, out, _ = run(tmp_path, capsys, _LARGE, "pick-norm")
+    assert code == 0
+    assert (json.loads(out)["pick_norm"] > 1.0) == (check == 1)
 
 
 # Reports pinned byte for byte: (problem, command, exit code), the report

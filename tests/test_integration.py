@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from orbitpick import orbits
 from orbitpick.blaschke import from_orbit
 from orbitpick.errors import OrbitExplosion
 from orbitpick.kernels import ComposedInnerKernel, OrbitGramKernel, SzegoKernel, gram
@@ -15,9 +16,10 @@ from orbitpick.orbits import cyclic_group, enumerate_orbit, z2z2_group
 from orbitpick.pick import PickProblem, assemble_pick, pick_norm
 
 
-def test_orbit_cap_raises():
+def test_orbit_cap_raises(monkeypatch):
+    monkeypatch.setattr(orbits, "DEFAULT_POINT_CAP", 5)
     with pytest.raises(OrbitExplosion):
-        enumerate_orbit(cyclic_group(0.5), 0j, 30, max_points=5)
+        enumerate_orbit(cyclic_group(0.5), 0j, 30)
 
 
 def test_gram_with_orbit_kernel_blocks():

@@ -238,15 +238,10 @@ def test_group_presentations_refuse_a_malformed_list(kind, count, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("depth, dedup_tol, message", [
-    (-1, 1e-12, "max_word_length must be nonnegative"),
-    (3, 0.0, "dedup_tol must lie in (0, 1e-6]"),
-    (3, 2e-6, "dedup_tol must lie in (0, 1e-6]"),
-])
-def test_enumerate_orbit_refuses_a_bad_truncation(depth, dedup_tol, message):
+def test_enumerate_orbit_refuses_a_bad_truncation():
     with pytest.raises(InputError) as info:
-        enumerate_orbit(cyclic_group(0.5), 0j, depth, dedup_tol)
-    assert str(info.value) == message
+        enumerate_orbit(cyclic_group(0.5), 0j, -1)
+    assert str(info.value) == "max_word_length must be nonnegative"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -394,17 +389,17 @@ def _reference_candidates(group, base, depth):
                 yield word, elem(base)
 
 
-def _reference_orbit(group, base, depth, dedup_tol):
-    col = _offer_all(_AllPairsCollector(dedup_tol, orbits.DEFAULT_POINT_CAP),
+def _reference_orbit(group, base, depth):
+    col = _offer_all(_AllPairsCollector(orbits.DEFAULT_DEDUP_TOL, orbits.DEFAULT_POINT_CAP),
                      _reference_candidates(group, base, depth))
     return orbits.Orbit(
         group=group,
         base=base,
         max_word_length=depth,
-        dedup_tol=dedup_tol,
+        dedup_tol=orbits.DEFAULT_DEDUP_TOL,
         entries=tuple(col.entries),
         partial_sum=col.partial_sum,
-        tail_bound=orbits._tail_bound(group, base, depth, dedup_tol, col.dropped_weight),
+        tail_bound=orbits._tail_bound(group, base, depth, col.dropped_weight),
         dropped=col.dropped,
         dropped_weight=col.dropped_weight,
     )
@@ -416,23 +411,35 @@ def _offer_all(collector, candidates):
     return collector
 
 
-def _assert_filters_like_reference(points, dedup_tol):
-    """orbits._filter on the points as candidates, their entries given
-    words w0, w1, ... as enumerate_orbit builds them, against the
-    reference; returns the entries."""
+def _assert_filters_like_reference(points, dedup_tol, word="w{}".format):
+    """orbits._filter on the points as candidates, candidate k's entry
+    given the word ``word(k)`` (w0, w1, ... by default) as
+    enumerate_orbit builds them, against the reference; returns the
+    entries."""
     candidates = np.array(points, dtype=complex).reshape(-1)
     mod, accepted, dropped, dropped_weight = orbits._filter(candidates, dedup_tol, 10**4)
     entries = [
-        orbits.OrbitEntry(f"w{k}", p, 1.0 - m)
+        orbits.OrbitEntry(word(k), p, 1.0 - m)
         for k, p, m in zip(accepted.tolist(), candidates[accepted].tolist(),
                            mod[accepted].tolist())
     ]
     want = _offer_all(_AllPairsCollector(dedup_tol, 10**4),
-                      ((f"w{k}", p) for k, p in enumerate(points)))
+                      ((word(k), p) for k, p in enumerate(candidates.tolist())))
     assert entries == want.entries  # words, points and weights, bitwise
     assert dropped == want.dropped
     assert dropped_weight == want.dropped_weight
     return entries
+
+
+def _assert_like_reference(group, base, depth, dedup_tol):
+    """The orbit against the reference at the default tolerance, and
+    orbits._filter at ``dedup_tol`` on its candidates, which are the
+    reference's, words and points."""
+    _assert_same_orbit(enumerate_orbit(group, base, depth), _reference_orbit(group, base, depth))
+    candidates, word = orbits._candidates(group, base, depth)
+    pairs = [(word(k), p) for k, p in enumerate(candidates.tolist())]
+    assert pairs == list(_reference_candidates(group, base, depth))
+    _assert_filters_like_reference(candidates, dedup_tol, word)
 
 
 def _assert_same_orbit(got, want):
@@ -491,10 +498,7 @@ _TWICE = DiskAutomorphism(0.5 * _unit(0.3), _unit(1.1))
     dedup_tol=st.sampled_from([1e-12, 1e-6]),
 )
 def test_generic_dedup_matches_all_pairs_reference(group, depth, base, dedup_tol):
-    _assert_same_orbit(
-        enumerate_orbit(group, base, depth, dedup_tol),
-        _reference_orbit(group, base, depth, dedup_tol),
-    )
+    _assert_like_reference(group, base, depth, dedup_tol)
     want = list(_all_pairs_elements(group, depth, 10**4))
     assert _element_pairs(group, depth, 10**4) == want
 
@@ -576,10 +580,7 @@ def test_closed_form_dedup_matches_all_pairs_reference(kind, dedup_tol):
     zf = complex((1.0 - math.sqrt(1.0 - a * a)) / a)  # fixed by the involution
     group = cyclic_group(a) if kind == "cyclic" else z2z2_group(a)
     for base in (0j, zf, 0.1 + 0.2j):
-        _assert_same_orbit(
-            enumerate_orbit(group, base, 120, dedup_tol),
-            _reference_orbit(group, base, 120, dedup_tol),
-        )
+        _assert_like_reference(group, base, 120, dedup_tol)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -592,10 +593,7 @@ def test_closed_form_dedup_matches_all_pairs_reference(kind, dedup_tol):
 )
 def test_closed_form_orbits_match_all_pairs_reference(kind, a, base, depth, dedup_tol):
     group = cyclic_group(a) if kind == "cyclic" else z2z2_group(a)
-    _assert_same_orbit(
-        enumerate_orbit(group, base, depth, dedup_tol),
-        _reference_orbit(group, base, depth, dedup_tol),
-    )
+    _assert_like_reference(group, base, depth, dedup_tol)
 
 
 def _straddling_pair(center, direction, dedup_tol, factor):
@@ -703,11 +701,7 @@ def test_gaps_of_exactly_four_tolerances(exponent, start, steps, near):
 
 
 def test_subnormal_dedup_tolerance_matches_reference():
-    group = z2z2_group(0.5)
-    _assert_same_orbit(
-        enumerate_orbit(group, 0j, 20, 5e-324),
-        _reference_orbit(group, 0j, 20, 5e-324),
-    )
+    _assert_like_reference(z2z2_group(0.5), 0j, 20, 5e-324)
 
 
 def test_an_orbit_on_a_line_is_filtered_in_near_linear_time(monkeypatch):
@@ -733,7 +727,7 @@ def test_an_orbit_on_a_line_is_filtered_in_near_linear_time(monkeypatch):
     assert all(p.real == 0.0 for p in orbit.points)
     assert candidates > 100 and len(orbit.entries) < candidates
     assert len(calls) < 2 * candidates
-    _assert_same_orbit(orbit, _reference_orbit(group, 0j, depth, orbit.dedup_tol))
+    _assert_same_orbit(orbit, _reference_orbit(group, 0j, depth))
 
 
 # -- caps ----------------------------------------------------------------------
@@ -750,13 +744,15 @@ def _free_group():
     (z2z2_group(0.5), complex(2.0 - math.sqrt(3.0)), 12),
     (_free_group(), 0.1j, 4),
 ])
-def test_point_cap_fires_at_the_exact_count(group, base, depth):
+def test_point_cap_fires_at_the_exact_count(monkeypatch, group, base, depth):
     full = enumerate_orbit(group, base, depth)
     size = len(full.entries)
-    at_cap = enumerate_orbit(group, base, depth, max_points=size)
+    monkeypatch.setattr(orbits, "DEFAULT_POINT_CAP", size)
+    at_cap = enumerate_orbit(group, base, depth)
     assert at_cap.entries == full.entries
+    monkeypatch.setattr(orbits, "DEFAULT_POINT_CAP", size - 1)
     with pytest.raises(OrbitExplosion):
-        enumerate_orbit(group, base, depth, max_points=size - 1)
+        enumerate_orbit(group, base, depth)
 
 
 def test_element_cap_fires_at_the_exact_count():
@@ -770,13 +766,15 @@ def test_element_cap_fires_at_the_exact_count():
 
 def test_point_cap_counts_points_not_elements():
     # the half-turn fixes the base point, so the 13 elements up to length
-    # 6 reach only 7 points; max_points bounds the points
+    # 6 reach only 7 points; the filter's cap bounds the points
     group = generic_group([DiskAutomorphism(0j, 1.0 + 0j), DiskAutomorphism(0.5, 1.0 + 0j)])
-    orbit = enumerate_orbit(group, 0j, 6, max_points=7)
-    assert len(orbit.entries) == 7
-    assert orbit.entries == enumerate_orbit(group, 0j, 6).entries
+    candidates, _ = orbits._candidates(group, 0j, 6)
+    assert candidates.size == 13
+    _, accepted, _, _ = orbits._filter(candidates, orbits.DEFAULT_DEDUP_TOL, 7)
+    assert candidates[accepted].tolist() == list(enumerate_orbit(group, 0j, 6).points)
+    assert accepted.size == 7
     with pytest.raises(OrbitExplosion, match="accepted points"):
-        enumerate_orbit(group, 0j, 6, max_points=6)
+        orbits._filter(candidates, orbits.DEFAULT_DEDUP_TOL, 6)
 
 
 # -- one element search per group -----------------------------------------------

@@ -587,12 +587,28 @@ def test_pick_norm_zero_targets():
     assert pick_norm((0.1 + 0j, 0.5j), (0j, 0j), SzegoKernel()) == 0.0
 
 
-@pytest.mark.parametrize("s", [1e-160, 1e-170])
-def test_pick_norm_refuses_targets_whose_squares_underflow(s):
-    # the pencil's B holds |w|^2 = 8.1e-321 (subnormal) resp. 0, which
-    # would read a norm off by 3.7e-4 relative resp. a norm of 0
-    with pytest.raises(NumericalError, match="the squared targets underflow"):
-        pick_norm((0j, 0.5 + 0j), (0j, 0.9 * s + 0j), SzegoKernel())
+@pytest.mark.parametrize("k", [-520, -600, -700, -1000])
+def test_pick_norm_scales_exactly_with_targets_whose_squares_underflow(k):
+    # Targets scaled by 2^k square below the smallest normal double, where
+    # B's entries |w|^2 would lose digits or vanish; the pencil is solved
+    # at unit scale, so the norm of targets t 2^k is that of t scaled by
+    # 2^k, bit for bit.  t is taken back from t 2^k, exactly: at k =
+    # -1000 four draws have target parts that round when scaled down.
+    # Szegő, composed and orbit kernels.
+    for problem in _differential_problems():
+        scaled = tuple(w * 2.0**k for w in problem.targets)
+        back = tuple(w * 2.0**-k for w in scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = pick_norm(problem.nodes, back, problem.kernel)
+            assert pick_norm(problem.nodes, scaled, problem.kernel) == math.ldexp(c, k)
+
+
+def test_pick_norm_of_a_subnormal_target():
+    # |w| / |z| of the two-point problem: 2.0**-1073 overflowed as one factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pick_norm((0j, 0.5 + 0j), (0j, 5e-324 + 0j), SzegoKernel()) == 1e-323
 
 
 def test_pick_norm_keeps_tiny_targets_whose_squares_are_normal():
@@ -1394,6 +1410,16 @@ def test_amenable_average_monomials():
     assert abs(odd) <= 0.01
     even = amenable_average(group, 0.3 + 0j, 2, 10_000)
     assert abs(even - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("a", [0.5, 0.3, 0.05])
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_amenable_average_of_a_negative_parameter(a, power):
+    # z -> (z + a)/(1 + a z) is the inverse of the generator at a, and the
+    # window |k| <= terms is symmetric: only the summation order differs
+    plus = amenable_average(cyclic_group(a), 0.3 + 0.1j, power, 10_000)
+    minus = amenable_average(cyclic_group(-a), 0.3 + 0.1j, power, 10_000)
+    assert abs(plus - minus) <= 1e-15
 
 
 def test_amenable_average_requires_cyclic():
